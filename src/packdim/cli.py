@@ -2,10 +2,10 @@
 
 Subcommands: simulate, dim, profile, txset, predict, verify,
 experiment run / experiment suite.  Global flags --seed, --out,
---threads, --format apply before the subcommand name.  Every file
-written embeds a hash of the invocation parameters and the package
-version on a leading comment line.  Exit status is 0 only when every
-invoked check or comparison passes.
+--format apply before the subcommand name; --threads is accepted there
+too and ignored.  Every file written embeds a hash of the invocation
+parameters and the package version on a leading comment line.  Exit
+status is 0 only when every invoked check or comparison passes.
 """
 
 from __future__ import annotations
@@ -306,10 +306,10 @@ def _cmd_verify(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.action == "run":
         cfg = ExperimentConfig.from_json(args.path)
-        report = run_experiment(cfg, out_dir=args.out, threads=args.threads)
+        report = run_experiment(cfg, out_dir=args.out)
         sys.stdout.write(_json_dumps(report.to_dict()))
         return 0 if report.passed else 1
-    rows = run_suite(args.path, out_path=args.out, threads=args.threads)
+    rows = run_suite(args.path, out_path=args.out)
     for row in rows:
         sys.stdout.write(f"{row['name']}: pass={row['pass']}\n")
     return 0 if all(row["pass"] is True for row in rows) else 1
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="ignored (kept for old scripts)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,20 +6,24 @@ pairs and a rule turning it into one exponent.  Two rules are offered.
 the scales, the direct discretization of a limsup of ratios; it carries an
 O(1 / log r) bias from multiplicative constants.  "regression" fits a least
 squares slope to log V against log r, which cancels constants and is the
-default.  The method used is always recorded on the estimate.
+default.  The method used is always recorded on the estimate.  _fit holds
+both rules and reads a whole (atoms x scales) log table at once;
+scaling_exponent and box_counting_dim (V = 1 / N) pass it one row.  The
+kernel formulas live in kernels.py in block form, and the measure and field
+estimators share one driver, _kernel_dim, that tabulates and fits them.
 
 Measure-a.e. quantifiers reduce the per-atom exponents to one atom's:
 reduce="min" is the literal finite-atom infimum, reduce="median" (default)
 the mass-weighted median.  The minimum is exact on self-similar measures
 but is dominated at any fixed window by atoms near the support boundary;
-see _atom_estimate.  Resolution guards refuse scale grids finer than the
+see _kernel_dim.  Resolution guards refuse scale grids finer than the
 atom spacing supports, where any finite approximant looks 0-dimensional.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -29,9 +33,17 @@ from .errors import (
     InvalidArgumentError,
     ResolutionError,
 )
-from .kernels import KernelContext, _euclid_ball_prob, slice_kernel
+from .kernels import (
+    _NORMS,
+    KernelContext,
+    _check_split,
+    ball_tables,
+    field_tables,
+    profile_tables,
+    slice_kernel,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
+    slice_tables,
+)
 from .measures import DiscreteMeasure
-from .numerics import gaussian_interval_prob
 
 __all__ = [
     "ScaleGrid",
@@ -90,9 +102,39 @@ class ExponentEstimate:
     atom_index: int | None = None
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+def _fit(logr: np.ndarray, logv: np.ndarray, method: str) -> np.ndarray:
+    """Exponent of every row of the (rows x scales) table ``logv`` against
+    ``logr``, read from the row's finite entries only: tail-max takes the
+    largest logv / logr over the finest ceil(third) of them, regression the
+    least-squares slope.  Rows that share a mask of finite entries are
+    fitted together on that mask's columns, so each row gets exactly the
+    value a fit of its finite entries alone gives."""
+    masks, which = np.unique(np.isfinite(logv), axis=0, return_inverse=True)
+    values = np.empty(len(logv))
+    for p, mask in enumerate(masks):
+        usable = int(mask.sum())
+        if usable < 4:
+            raise InsufficientScalesError(
+                f"only {usable} usable scales; at least 4 are required"
+            )
+        rows = which == p
+        # C order keeps the row means and dots bitwise equal to 1-D ones.
+        x, y = logr[mask], np.ascontiguousarray(logv[rows][:, mask])
+        if method == "tail-max":
+            tail = _window(usable, method).start
+            values[rows] = np.max(y[:, tail:] / x[tail:], axis=1)
+        else:
+            xc = x - x.mean()
+            yc = y - y.mean(axis=1, keepdims=True)
+            num = np.broadcast_to(xc, yc.shape)[:, None, :] @ yc[:, :, None]
+            values[rows] = num[:, 0, 0] / np.dot(xc, xc)
+    return values
+
+
+def _window(count: int, method: str) -> range:
+    """Indices of the scales a fit over ``count`` usable scales reads: the
+    finest ceil(third) for tail-max, all of them for regression."""
+    return range(count - math.ceil(count / 3) if method == "tail-max" else 0, count)
 
 
 def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
@@ -117,27 +159,25 @@ def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
     if not np.all(usable):
         flags = ("dropped-zero-scales",)
         r, v = r[usable], v[usable]
-    if len(r) < 4:
-        raise InsufficientScalesError(
-            f"only {len(r)} usable scales; at least 4 are required"
-        )
     logr = np.log(r)
     logv = np.log(v)
-    ratios = logv / logr
-    rows = tuple((float(a), float(b), float(c)) for a, b, c in zip(r, v, ratios))
-    if method == "tail-max":
-        tail = math.ceil(len(r) / 3)
-        window = tuple(range(len(r) - tail, len(r)))
-        value = float(np.max(ratios[-tail:]))
-    else:
-        window = tuple(range(len(r)))
-        value = _ols_slope(logr, logv)
-    return ExponentEstimate(value, rows, method, window, flags)
+    value = float(_fit(logr, logv[None, :], method)[0])
+    rows = tuple((float(a), float(b), float(c)) for a, b, c in zip(r, v, logv / logr))
+    return ExponentEstimate(value, rows, method, tuple(_window(len(r), method)), flags)
 
 
 # ---------------------------------------------------------------------------
-# Guards and the shared per-atom reduction
+# Guards and the shared driver
 # ---------------------------------------------------------------------------
+
+
+# A row block of a kernel table holds at most this many entries (512 rows
+# at 2048 atoms), so each temporary stays within 8 MiB whatever the atom
+# count.  Block rows are a power of two, at most 512: BLAS splits a block's
+# rows across threads and sums the rows next to an unaligned split in
+# another order, so only aligned blocks give each row the bits of an
+# unblocked table @ weights.
+_BLOCK_ELEMENTS = 2**20
 
 
 def _min_spacing(points: np.ndarray) -> float | None:
@@ -153,23 +193,24 @@ def _check_resolution(points: np.ndarray, grid: ScaleGrid):
         raise ResolutionError(grid.finest, 4.0 * spacing)
 
 
-def _row_exponent(logr: np.ndarray, logv_row: np.ndarray, method: str) -> float:
-    ok = np.isfinite(logv_row)
-    if ok.sum() < 4:
-        raise InsufficientScalesError("an atom has fewer than 4 usable scales")
-    lr, lv = logr[ok], logv_row[ok]
-    if method == "tail-max":
-        tail = math.ceil(len(lr) / 3)
-        return float(np.max(lv[-tail:] / lr[-tail:]))
-    return _ols_slope(lr, lv)
+def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
+    """V[i, j] = sum_k w_k K_{r_j}(x_i, x_k) over the atoms of mu, where
+    ``tables(rows, radii)`` is a kernel's block form.  Walks row blocks of
+    at most _BLOCK_ELEMENTS table entries, so memory is O(k), not O(k^2)."""
+    V = np.empty((mu.count, len(radii)))
+    step = 1 << min(9, (_BLOCK_ELEMENTS // mu.count).bit_length() - 1)
+    for lo in range(0, mu.count, step):
+        for j, table in enumerate(tables(mu.atoms[lo:lo + step], radii)):
+            V[lo:lo + step, j] = table @ mu.weights
+    return V
 
 
-def _atom_estimate(
-    radii: np.ndarray, V: np.ndarray, weights: np.ndarray, method: str, reduce: str
+def _kernel_dim(
+    mu: DiscreteMeasure, grid: ScaleGrid, tables, method: str, reduce: str
 ) -> ExponentEstimate:
-    """Per-atom exponents from the value matrix V (atoms x scales), reduced
-    to one representative atom whose estimate is returned, tagged with its
-    index.
+    """The one estimator driver: tabulate V = _mass_table(mu, tables) on the
+    grid, fit every atom's exponent, and return the estimate of one
+    representative atom, tagged with its index.
 
     reduce="min" takes the smallest exponent over all atoms, the literal
     finite-atom reading of a mu-a.e. infimum.  At desk scales it is
@@ -180,36 +221,27 @@ def _atom_estimate(
     exponent, the bulk behavior the asymptotic statements describe; on
     self-similar measures every atom scales alike and the two reductions
     agree."""
+    _check_resolution(mu.atoms, grid)
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}")
     if reduce not in _REDUCTIONS:
         raise InvalidArgumentError(f"reduce must be one of {_REDUCTIONS}")
-    logr = np.log(radii)
+    radii = grid.radii
+    V = _mass_table(mu, tables, radii)
     with np.errstate(divide="ignore"):
-        logV = np.where(V > 0, np.log(np.maximum(V, 1e-300)), -np.inf)
-    values = np.empty(V.shape[0])
-    for i in range(V.shape[0]):
-        values[i] = _row_exponent(logr, logV[i], method)
+        values = _fit(np.log(radii), np.log(V), method)
     if reduce == "min":
         winner = int(np.argmin(values))
     else:
         order = np.argsort(values, kind="stable")
-        cum = np.cumsum(weights[order])
+        cum = np.cumsum(mu.weights[order])
         winner = int(order[int(np.searchsorted(cum, 0.5 - 1e-12))])
-    est = scaling_exponent(radii, V[winner], method)
-    return ExponentEstimate(
-        est.value, est.per_scale, est.method, est.window, est.flags, winner
-    )
+    return replace(scaling_exponent(radii, V[winner], method), atom_index=winner)
 
 
 # ---------------------------------------------------------------------------
 # Dimension estimators for measures
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_dist(atoms: np.ndarray) -> np.ndarray:
-    diff = atoms[:, None, :] - atoms[None, :, :]
-    return np.linalg.norm(diff, axis=2)
 
 
 def dim_ball_mass(
@@ -219,13 +251,9 @@ def dim_ball_mass(
     """Exponent of r -> mu(B(x, r)) (Euclidean balls) at a representative
     atom x; the computable form of the ball-mass characterization of the
     packing dimension of a measure."""
-    _check_resolution(mu.atoms, grid)
-    radii = grid.radii
-    dist = _pairwise_dist(mu.atoms)
-    V = np.empty((mu.count, len(radii)))
-    for j, r in enumerate(radii):
-        V[:, j] = (dist <= r) @ mu.weights
-    return _atom_estimate(radii, V, mu.weights, method, reduce)
+    return _kernel_dim(
+        mu, grid, lambda rows, radii: ball_tables(rows, mu.atoms, radii), method, reduce
+    )
 
 
 def dim_profile(
@@ -238,17 +266,10 @@ def dim_profile(
     (r-ball term)."""
     if not (beta > 0):
         raise InvalidArgumentError("beta must be positive")
-    _check_resolution(mu.atoms, grid)
-    radii = grid.radii
-    dist = _pairwise_dist(mu.atoms)
-    with np.errstate(divide="ignore"):
-        inv = np.where(dist > 0, dist, np.inf) ** -beta
-    V = np.empty((mu.count, len(radii)))
-    for j, r in enumerate(radii):
-        vals = np.minimum(1.0, r**beta * inv)
-        np.fill_diagonal(vals, 1.0)
-        V[:, j] = vals @ mu.weights
-    return _atom_estimate(radii, V, mu.weights, method, reduce)
+    return _kernel_dim(
+        mu, grid, lambda rows, radii: profile_tables(rows, mu.atoms, beta, radii),
+        method, reduce,
+    )
 
 
 def dim_slice_kernel(
@@ -257,13 +278,10 @@ def dim_slice_kernel(
 ) -> ExponentEstimate:
     """Exponent of the slice-then-product-kernel integral G_d at a
     representative atom; the graph-adapted characterization on R^{n+d}."""
-    _check_resolution(mu.atoms, grid)
-    radii = grid.radii
-    V = np.empty((mu.count, len(radii)))
-    for i in range(mu.count):
-        for j, r in enumerate(radii):
-            V[i, j] = slice_kernel(mu, n, d, mu.atoms[i], r)
-    return _atom_estimate(radii, V, mu.weights, method, reduce)
+    _check_split(n, d, mu.dim)
+    return _kernel_dim(
+        mu, grid, lambda rows, radii: slice_tables(rows, mu.atoms, n, radii), method, reduce
+    )
 
 
 def dim_field(
@@ -271,55 +289,18 @@ def dim_field(
     grid: ScaleGrid,
     method: str = "regression",
     norm: str = "max",
-    chunk: int = 512,
     reduce: str = "median",
 ) -> ExponentEstimate:
     """Exponent of r -> expected_ball_mass(ctx, t, r) at a representative
     atom t of the context measure: the computable packing dimension of the
     drifted field's image measure (image mode) or graph measure (graph
-    mode).  Work is chunked over atoms to bound memory."""
-    if norm not in ("max", "euclidean"):
+    mode)."""
+    if norm not in _NORMS:
         raise InvalidArgumentError("norm must be 'max' or 'euclidean'")
-    mu = ctx.measure
-    _check_resolution(mu.atoms, grid)
-    radii = grid.radii
-    d = ctx.field.range_dim
-    cancels = ctx._drift_cancels()
-    V = np.empty((mu.count, len(radii)))
-    if not cancels:
-        fvals = ctx.drift.evaluate(mu.atoms)
-    for lo in range(0, mu.count, chunk):
-        hi = min(lo + chunk, mu.count)
-        diff = mu.atoms[lo:hi, None, :] - mu.atoms[None, :, :]
-        eudist = np.linalg.norm(diff, axis=2)
-        rho = eudist**ctx.field.alpha
-        if ctx.mode == "graph":
-            dom = np.max(np.abs(diff), axis=2) if norm == "max" else eudist
-        for j, r in enumerate(radii):
-            if norm == "max":
-                if cancels:
-                    probs = gaussian_interval_prob(rho, 0.0, r) ** d
-                else:
-                    probs = np.ones_like(rho)
-                    for c in range(d):
-                        centers = fvals[lo:hi, None, c] - fvals[None, :, c]
-                        probs *= gaussian_interval_prob(rho, centers, r)
-            else:
-                if cancels:
-                    cn = np.zeros_like(rho)
-                else:
-                    cdiff = fvals[lo:hi, None, :] - fvals[None, :, :]
-                    cn = np.linalg.norm(cdiff, axis=2)
-                if ctx.mode == "graph":
-                    r_eff = np.sqrt(np.maximum(r**2 - dom**2, 0.0))
-                else:
-                    r_eff = np.full_like(rho, r)
-                probs = _euclid_ball_prob(rho.ravel(), cn.ravel(), r_eff.ravel(), d)
-                probs = probs.reshape(rho.shape)
-            if ctx.mode == "graph":
-                probs = probs * (dom <= r)
-            V[lo:hi, j] = probs @ mu.weights
-    return _atom_estimate(radii, V, mu.weights, method, reduce)
+    return _kernel_dim(
+        ctx.measure, grid, lambda rows, radii: field_tables(ctx, rows, radii, norm),
+        method, reduce,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +371,11 @@ def box_counting_dim(
     radii = grid.radii
     counter = box_count_curve if connect else box_count
     counts = np.array([counter(p, eps) for eps in radii], dtype=float)
-    log_inv = -np.log(radii)
-    logn = np.log(counts)
-    ratios = logn / log_inv
-    if method == "tail-max":
-        tail = math.ceil(len(radii) / 3)
-        window = tuple(range(len(radii) - tail, len(radii)))
-        value = float(np.max(ratios[-tail:]))
-    else:
-        window = tuple(range(len(radii)))
-        value = _ols_slope(log_inv, logn)
+    # N(eps) = 1 / V(eps): the fit of -log N against log eps is the box slope.
+    logr = np.log(radii)
+    value = float(_fit(logr, -np.log(counts)[None, :], method)[0])
+    ratios = np.log(counts) / -logr
     rows = tuple(
         (float(r), float(c), float(q)) for r, c, q in zip(radii, counts, ratios)
     )
-    return ExponentEstimate(value, rows, method, window)
+    return ExponentEstimate(value, rows, method, tuple(_window(len(radii), method)))

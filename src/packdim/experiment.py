@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,14 +312,22 @@ def _write_report_files(report: PredictionReport, out_dir: str) -> None:
         fh.write("\n")
 
 
-def run_experiment(
-    config: ExperimentConfig, out_dir: str | None = None, threads: int = 1
-) -> PredictionReport:
+@contextmanager
+def _stage(label: str):
+    """Prefix the message of a PackdimError raised inside with the stage
+    label; the exception keeps its class and attributes."""
+    try:
+        yield
+    except PackdimError as exc:
+        exc.args = (f"{label} stage: {exc}",)
+        raise
+
+
+def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> PredictionReport:
     """Simulate, estimate by box counting and by kernel scaling, compare to
     the closed-form prediction.  Deterministic given the seed: replicas
-    draw from indexed substreams and aggregate in index order, whatever
-    ``threads`` is.  With ``out_dir`` set, writes <name>.csv and
-    <name>.json there."""
+    draw from indexed substreams and aggregate in index order.  With
+    ``out_dir`` set, writes <name>.csv and <name>.json there."""
     config.validate()
     pts, mu, beta_set, connect = _build_set(config)
     grid = config.scale_grid()
@@ -327,32 +335,22 @@ def run_experiment(
     drift = config.drift_spec()
     predicted = _predictions(config, beta_set)
 
-    try:
+    with _stage("simulation"):
         paths = sample_many(field, pts, Seed(config.seed), config.replicas, drift=drift)
-    except PackdimError as exc:
-        raise type(exc)(f"simulation stage: {exc}") from exc
 
-    def box_of(path) -> float:
-        cloud = path.values if config.mode == "image" else graph_points(path)
-        return box_counting_dim(
-            cloud, grid, connect=connect, method=config.box_method
-        ).value
-
-    try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                box_values = list(pool.map(box_of, paths))
-        else:
-            box_values = [box_of(p) for p in paths]
-    except PackdimError as exc:
-        raise type(exc)(f"box-count stage: {exc}") from exc
+    with _stage("box-count"):
+        box_values = [
+            box_counting_dim(
+                path.values if config.mode == "image" else graph_points(path),
+                grid, connect=connect, method=config.box_method,
+            ).value
+            for path in paths
+        ]
     box_mean = float(np.mean(box_values))
 
-    try:
+    with _stage("kernel"):
         ctx = KernelContext(field, drift, mu, config.mode)
         kernel_est = dim_field(ctx, grid, method=config.method)
-    except PackdimError as exc:
-        raise type(exc)(f"kernel stage: {exc}") from exc
 
     estimated = {
         "box": {
@@ -386,7 +384,7 @@ def run_experiment(
     return report
 
 
-def run_suite(config_dir: str, out_path: str | None = None, threads: int = 1) -> list[dict]:
+def run_suite(config_dir: str, out_path: str | None = None) -> list[dict]:
     """Run every *.json config in ``config_dir`` (sorted by filename) and
     write one summary.csv row per experiment.  A failing experiment does
     not stop the suite; its row records the error."""
@@ -402,7 +400,7 @@ def run_suite(config_dir: str, out_path: str | None = None, threads: int = 1) ->
         try:
             cfg = ExperimentConfig.from_json(path)
             hashes.append(cfg.config_hash())
-            report = run_experiment(cfg, threads=threads)
+            report = run_experiment(cfg)
             row = report.summary_row()
         except PackdimError as exc:
             row = {

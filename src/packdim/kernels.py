@@ -6,6 +6,13 @@ a ball around Z(t) is an exact integral of per-coordinate Gaussian interval
 probabilities.  R^d and R^{n+d} carry the maximum norm throughout; Euclidean
 ball probabilities are available as an option on expected_ball_mass for the
 norm-robustness checks downstream.
+
+Each kernel formula lives here once, in block form: given query rows x_i
+and all atoms y_k it yields one (rows x atoms) table per radius.  They are
+ball_tables, profile_tables, slice_tables and field_tables (the expected
+ball mass, home of its one max/Euclidean x image/graph x drift case split).
+The per-point functions are one-row calls of these; the estimators walk row
+blocks of them.
 """
 
 from __future__ import annotations
@@ -13,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, ncx2
+from scipy.special import chdtr, chndtr
 
 from .errors import InvalidArgumentError
 from .fields import DriftSpec, FieldSpec
-from .measures import DiscreteMeasure, slice_measure
+from .measures import (
+    DiscreteMeasure,
+    slice_measure,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
+)
 from .numerics import gaussian_interval_prob
 
 __all__ = [
@@ -29,7 +39,60 @@ __all__ = [
     "increment_prob",
     "expected_ball_mass",
     "ball_mass_profile",
+    "ball_tables",
+    "profile_tables",
+    "slice_tables",
+    "field_tables",
 ]
+
+_NORMS = ("max", "euclidean")
+
+
+def _capped_inverse(v: np.ndarray) -> np.ndarray:
+    """min(1, 1/v) elementwise for v >= 0, with the value 1 where v vanishes."""
+    with np.errstate(divide="ignore"):
+        return np.where(v <= 1.0, 1.0, 1.0 / v)
+
+
+def _distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=2)
+
+
+def ball_tables(rows: np.ndarray, atoms: np.ndarray, radii):
+    """Yield, per radius r, the (rows x atoms) indicator of the closed
+    Euclidean ball: |x_i - y_k| <= r."""
+    dist = _distances(rows, atoms)
+    for r in radii:
+        yield dist <= r
+
+
+def profile_tables(rows: np.ndarray, atoms: np.ndarray, beta: float, radii):
+    """Yield, per radius r, the (rows x atoms) truncated power kernel
+    min(1, r^beta |x_i - y_k|^-beta) with Euclidean distances; an atom at
+    x_i itself contributes 1."""
+    dist = _distances(rows, atoms)
+    coincident = dist == 0.0
+    inv = np.where(coincident, np.inf, dist) ** -beta
+    for r in radii:
+        vals = np.minimum(1.0, r**beta * inv)
+        vals[coincident] = 1.0
+        yield vals
+
+
+def slice_tables(rows: np.ndarray, atoms: np.ndarray, n: int, radii):
+    """Yield, per radius r, the (rows x atoms) sliced product kernel: the
+    indicator that the first n coordinates lie within max-norm distance r
+    of x_i's, times prod_j min(1, r / |x_ij - y_kj|) over the rest."""
+    diff = np.abs(rows[:, None, :] - atoms[None, :, :])
+    head = diff[:, :, :n].max(axis=2, initial=0.0)
+    tail = diff[:, :, n:]
+    for r in radii:
+        yield np.prod(_capped_inverse(tail / r), axis=2) * (head <= r)
+
+
+def _check_split(n: int, d: int, dim: int) -> None:
+    if n < 0 or d < 1 or n + d != dim:
+        raise InvalidArgumentError("need n >= 0, d >= 1 with n + d matching the measure")
 
 
 def product_kernel(x) -> float:
@@ -38,9 +101,7 @@ def product_kernel(x) -> float:
     v = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     if not np.all(np.isfinite(v)):
         raise InvalidArgumentError("kernel argument must be finite")
-    with np.errstate(divide="ignore"):
-        factors = np.where(v <= 1.0, 1.0, 1.0 / v)
-    return float(np.prod(factors))
+    return float(np.prod(_capped_inverse(v)))
 
 
 def profile_kernel(mu: DiscreteMeasure, beta: float, x, r: float) -> float:
@@ -54,32 +115,22 @@ def profile_kernel(mu: DiscreteMeasure, beta: float, x, r: float) -> float:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (mu.dim,):
         raise InvalidArgumentError("point dimension does not match the measure")
-    dist = np.linalg.norm(mu.atoms - xv[None, :], axis=1)
-    with np.errstate(divide="ignore"):
-        vals = np.minimum(1.0, (r / dist) ** beta)
-    vals[dist == 0.0] = 1.0
-    return float(np.dot(mu.weights, vals))
+    (table,) = profile_tables(xv[None, :], mu.atoms, beta, [r])
+    return float(table[0] @ mu.weights)
 
 
 def slice_kernel(mu: DiscreteMeasure, n: int, d: int, x, r: float) -> float:
     """Slice the measure to the max-norm box around the first n coordinates
     of x, then integrate the product kernel of the remaining d coordinates:
     sum of w(y) prod_i min(1, r / |y_i - v_i|) over surviving atoms."""
-    if n < 0 or d < 1 or n + d != mu.dim:
-        raise InvalidArgumentError("need n >= 0, d >= 1 with n + d matching the measure")
+    _check_split(n, d, mu.dim)
     if not (r > 0):
         raise InvalidArgumentError("r must be positive")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (n + d,):
         raise InvalidArgumentError("point dimension does not match the measure")
-    u, v = xv[:n], xv[n:]
-    sub = slice_measure(mu, u, r, n)
-    if sub.count == 0:
-        return 0.0
-    z = np.abs(sub.atoms - v[None, :]) / r
-    with np.errstate(divide="ignore"):
-        factors = np.where(z <= 1.0, 1.0, 1.0 / z)
-    return float(np.dot(sub.weights, np.prod(factors, axis=1)))
+    (table,) = slice_tables(xv[None, :], mu.atoms, n, [r])
+    return float(table[0] @ mu.weights)
 
 
 def increment_kernel(fx, fy, r: float) -> float:
@@ -146,7 +197,7 @@ def increment_prob(ctx: KernelContext, t, s, r: float) -> float:
 
 def _euclid_ball_prob(rho: np.ndarray, center_norm: np.ndarray, r, d: int) -> np.ndarray:
     """P(|rho N + a|_2 <= r) for an i.i.d. standard normal vector N in R^d,
-    elementwise over atoms; rho = 0 lanes degenerate to point masses."""
+    elementwise; rho = 0 lanes degenerate to point masses."""
     rho = np.asarray(rho, dtype=float)
     cn = np.broadcast_to(np.asarray(center_norm, dtype=float), rho.shape)
     rr = np.broadcast_to(np.asarray(r, dtype=float), rho.shape)
@@ -159,71 +210,65 @@ def _euclid_ball_prob(rho: np.ndarray, center_norm: np.ndarray, r, d: int) -> np
         nc = (cn[live] / rho[live]) ** 2
         central = nc == 0.0
         vals = np.empty(q.shape)
-        if np.any(central):
-            vals[central] = chi2.cdf(q[central], df=d)
-        if np.any(~central):
-            vals[~central] = ncx2.cdf(q[~central], df=d, nc=nc[~central])
+        vals[central] = chdtr(d, q[central])
+        with np.errstate(over="ignore"):
+            vals[~central] = chndtr(q[~central], d, nc[~central])
         out[live] = vals
     return out
 
 
+def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max"):
+    """Yield, per radius r, the (rows x atoms) table of the probability
+    that Z(y_k) lies in the radius-r ball around Z(x_i) (image mode), or
+    that (y_k, Z(y_k)) lies in the ball around (x_i, Z(x_i)) (graph mode).
+
+    With the maximum norm this is the product of coordinate interval
+    probabilities, times the domain-ball indicator in graph mode.  With the
+    Euclidean norm the value probability is a noncentral chi-square tail,
+    and the graph ball couples the two parts through the reduced radius
+    sqrt(r^2 - |y_k - x_i|^2).
+    """
+    atoms = ctx.measure.atoms
+    d = ctx.field.range_dim
+    graph = ctx.mode == "graph"
+    diff = rows[:, None, :] - atoms[None, :, :]
+    eudist = np.linalg.norm(diff, axis=2)
+    rho = eudist**ctx.field.alpha
+    if graph:
+        dom = np.max(np.abs(diff), axis=2) if norm == "max" else eudist
+    cancels = ctx._drift_cancels()
+    if not cancels:
+        centers = ctx.drift.evaluate(rows)[:, None, :] - ctx.drift.evaluate(atoms)[None, :, :]
+    if norm == "euclidean":
+        cn = np.zeros_like(rho) if cancels else np.linalg.norm(centers, axis=2)
+    for r in radii:
+        if norm == "max":
+            if cancels:
+                probs = gaussian_interval_prob(rho, 0.0, r) ** d
+            else:
+                probs = np.ones_like(rho)
+                for c in range(d):
+                    probs *= gaussian_interval_prob(rho, centers[:, :, c], r)
+        else:
+            r_eff = np.sqrt(np.maximum(r**2 - dom**2, 0.0)) if graph else r
+            probs = _euclid_ball_prob(rho, cn, r_eff, d)
+        if graph:
+            probs = probs * (dom <= r)
+        yield probs
+
+
 def ball_mass_profile(ctx: KernelContext, t, radii, norm: str = "max") -> np.ndarray:
     """Expected measure of balls around Z(t) (image mode) or around the
-    graph point (t, Z(t)) (graph mode), for every radius in ``radii``.
-
-    With the maximum norm this is the exact formula: the integral over the
-    measure of the product of coordinate interval probabilities, restricted
-    in graph mode to the domain ball.  With the Euclidean norm the value
-    probability is a noncentral chi-square tail, and the graph ball couples
-    the two parts through the reduced radius sqrt(r^2 - |s-t|^2).
-    """
-    if norm not in ("max", "euclidean"):
+    graph point (t, Z(t)) (graph mode), for every radius in ``radii``: one
+    row of field_tables contracted with the measure's weights."""
+    if norm not in _NORMS:
         raise InvalidArgumentError("norm must be 'max' or 'euclidean'")
     rs = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(rs <= 0) or not np.all(np.isfinite(rs)):
         raise InvalidArgumentError("radii must be positive and finite")
-    nv = ctx.field.domain_dim
-    tv = _point(t, nv)
-    atoms = ctx.measure.atoms
+    tv = _point(t, ctx.field.domain_dim)
     w = ctx.measure.weights
-    d = ctx.field.range_dim
-    diff = atoms - tv[None, :]
-    rho = np.linalg.norm(diff, axis=1) ** ctx.field.alpha
-    cancels = ctx._drift_cancels()
-    if not cancels:
-        centers = ctx.drift.evaluate(atoms) - ctx.drift.evaluate(tv)[0][None, :]
-    if ctx.mode == "graph":
-        dom_dist = (
-            np.max(np.abs(diff), axis=1) if norm == "max" else np.linalg.norm(diff, axis=1)
-        )
-    out = np.empty(len(rs))
-    for j, r in enumerate(rs):
-        if ctx.mode == "graph":
-            mask = dom_dist <= r
-            rho_m, w_m = rho[mask], w[mask]
-        else:
-            rho_m, w_m = rho, w
-        if norm == "max":
-            if cancels:
-                probs = gaussian_interval_prob(rho_m, 0.0, r) ** d
-            else:
-                cen = centers[mask] if ctx.mode == "graph" else centers
-                probs = np.prod(
-                    gaussian_interval_prob(rho_m[:, None], cen, r), axis=1
-                )
-        else:
-            if cancels:
-                cn = np.zeros(len(rho_m))
-            else:
-                cen = centers[mask] if ctx.mode == "graph" else centers
-                cn = np.linalg.norm(cen, axis=1)
-            if ctx.mode == "graph":
-                r_eff = np.sqrt(np.maximum(r**2 - dom_dist[mask] ** 2, 0.0))
-            else:
-                r_eff = r
-            probs = _euclid_ball_prob(rho_m, cn, r_eff, d)
-        out[j] = float(np.dot(w_m, probs))
-    return out
+    return np.array([table[0] @ w for table in field_tables(ctx, tv[None, :], rs, norm)])
 
 
 def expected_ball_mass(ctx: KernelContext, t, r: float, norm: str = "max") -> float:

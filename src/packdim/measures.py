@@ -115,13 +115,24 @@ class SubMeasure:
         return float(self.weights.sum()) if self.count else 0.0
 
 
+def _merge_equal(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge exactly equal rows of ``atoms``, summing their weights one by
+    one in atom order (np.bincount).  Merged rows keep the order of their
+    first occurrence, so the result is deterministic."""
+    _, first, inverse = np.unique(atoms, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    label = np.empty_like(order)
+    label[order] = np.arange(len(order))
+    return atoms[first[order]], np.bincount(label[inverse], weights=weights)
+
+
 def pushforward(mu: DiscreteMeasure, h) -> DiscreteMeasure:
     """Image measure of mu under the map h.
 
     ``h`` takes one atom (a length-m array) and returns a finite vector.
-    Atoms that land on exactly equal images are merged, their weights summed
-    with math.fsum-grade accuracy; first-occurrence order is kept so the
-    result is deterministic.
+    Atoms that land on exactly equal images are merged, their weights
+    summed in atom order; first-occurrence order is kept so the result is
+    deterministic.
     """
     images = []
     for row in mu.atoms:
@@ -132,21 +143,7 @@ def pushforward(mu: DiscreteMeasure, h) -> DiscreteMeasure:
     width = images[0].size
     if any(y.size != width for y in images):
         raise InvalidMapError("map must produce images of one common dimension")
-
-    order: dict[bytes, int] = {}
-    merged_atoms: list[np.ndarray] = []
-    merged_weights: list[list[float]] = []
-    for y, w in zip(images, mu.weights):
-        key = y.tobytes()
-        idx = order.get(key)
-        if idx is None:
-            order[key] = len(merged_atoms)
-            merged_atoms.append(y)
-            merged_weights.append([float(w)])
-        else:
-            merged_weights[idx].append(float(w))
-    weights = np.array([np.sum(ws) if len(ws) > 1 else ws[0] for ws in merged_weights])
-    return DiscreteMeasure(np.vstack(merged_atoms), weights)
+    return DiscreteMeasure(*_merge_equal(np.vstack(images), mu.weights))
 
 
 def _check_point(mu, x) -> np.ndarray:
@@ -212,25 +209,8 @@ def slice_measure(mu: DiscreteMeasure, u, r: float, n: int | None = None) -> Sub
 
     head = mu.atoms[:, :n]
     keep = np.all(np.abs(head - u) <= r, axis=1)
-    tail_atoms = mu.atoms[keep, n:]
-    weights = mu.weights[keep]
     # Distinct full atoms can project onto equal tails; merge them.
-    if len(tail_atoms):
-        order: dict[bytes, int] = {}
-        rows: list[np.ndarray] = []
-        sums: list[float] = []
-        for row, w in zip(tail_atoms, weights):
-            key = row.tobytes()
-            idx = order.get(key)
-            if idx is None:
-                order[key] = len(rows)
-                rows.append(row)
-                sums.append(float(w))
-            else:
-                sums[idx] += float(w)
-        tail_atoms = np.vstack(rows)
-        weights = np.asarray(sums)
-    return SubMeasure(tail_atoms, weights)
+    return SubMeasure(*_merge_equal(mu.atoms[keep, n:], mu.weights[keep]))
 
 
 def write_measure_csv(mu, path) -> None:

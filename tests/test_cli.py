@@ -228,7 +228,8 @@ class TestExperiment:
     def test_run_writes_reports(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "results"
-        proc = run_cli("--out", out, "experiment", "run", cfg, check=True)
+        # --threads is ignored but still accepted
+        proc = run_cli("--out", out, "--threads", 2, "experiment", "run", cfg, check=True)
         payload = json.loads(proc.stdout)
         assert payload["pass"] is True
         assert (out / "cli-thirds.csv").exists()
@@ -245,6 +246,16 @@ class TestExperiment:
         proc = run_cli("experiment", "run", cfg)
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_run_exit_two_on_stage_error(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path,
+            {"name": "undersampled", "alpha": 0.5, "d": 1, "seed": 1, "resolution": 64,
+             "grid": {"j_min": 2, "j_max": 9}},
+        )
+        proc = run_cli("experiment", "run", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: kernel stage: finest scale")
 
     def test_suite_reports_rows(self, tmp_path):
         self.write_config(tmp_path)
@@ -268,3 +279,11 @@ class TestExperiment:
         proc = run_cli("experiment", "suite", tmp_path)
         assert proc.returncode == 1
         assert "unbuildable: pass=error:ScaleUnrepresentableError" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs over half a second of import time and is not needed
+    code = "import sys, packdim; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

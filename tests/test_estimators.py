@@ -2,9 +2,11 @@
 and box counting, each pinned on measures whose exponents are known."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from packdim import (
     DiscreteMeasure,
@@ -15,6 +17,7 @@ from packdim import (
     KernelContext,
     ResolutionError,
     ScaleGrid,
+    ball_mass_profile,
     box_count,
     box_count_curve,
     box_counting_dim,
@@ -23,6 +26,7 @@ from packdim import (
     dim_field,
     dim_profile,
     dim_slice_kernel,
+    estimators,
     natural_measure,
     scaling_exponent,
 )
@@ -101,6 +105,20 @@ class TestScalingExponent:
         assert (r, v) == (0.5, 0.5**1.5)
         assert ratio == pytest.approx(1.5, rel=1e-12)
         assert est.window == tuple(range(6))
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["regression", "tail-max"]))
+    def test_table_fit_matches_scaling_exponent(self, seed, method):
+        # the whole-table fit must give every row the exact bits that
+        # scaling_exponent gives it alone, zero entries included
+        rng = np.random.default_rng(seed)
+        scales = int(rng.integers(4, 12))
+        radii = np.sort(rng.uniform(0.01, 0.9, scales))[::-1]
+        V = rng.uniform(0.0, 1.0, (int(rng.integers(1, 30)), scales)) ** 3
+        V[:, :-4][rng.random((len(V), scales - 4)) < 0.2] = 0.0
+        with np.errstate(divide="ignore"):
+            table = estimators._fit(np.log(radii), np.log(V), method)
+        rows = [scaling_exponent(radii, v, method).value for v in V]
+        assert table.tolist() == rows
 
     def test_value_reproducible_from_table(self):
         # the estimate must be a pure function of its own reported table
@@ -222,11 +240,59 @@ class TestDimField:
         b = dim_field(self.field_ctx("image"), ScaleGrid(3, 7), norm="euclidean").value
         assert a == pytest.approx(b, abs=0.02)
 
-    def test_chunking_is_invisible(self):
-        ctx = self.field_ctx("graph")
-        a = dim_field(ctx, ScaleGrid(3, 7), chunk=512).value
-        b = dim_field(ctx, ScaleGrid(3, 7), chunk=100).value
-        assert a == b
+    @pytest.mark.parametrize(
+        "mode, drift, norm",
+        [("graph", DriftSpec.power([1.0, 0.5], 1.5), "max"), ("image", None, "euclidean")],
+        ids=["graph-power-max", "image-none-euclidean"],
+    )
+    def test_table_rows_match_ball_mass_profile(self, monkeypatch, mode, drift, norm):
+        # 700 atoms: one full 512-row block plus a partial one
+        tables = []
+        real = estimators._mass_table
+
+        def spy(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(estimators, "_mass_table", spy)
+        ctx = KernelContext(FieldSpec(0.5, 1, 2), drift, centered_grid(700), mode)
+        grid = ScaleGrid(3, 6)
+        dim_field(ctx, grid, norm=norm)
+        (V,) = tables
+        for i, t in enumerate(ctx.measure.atoms):
+            np.testing.assert_allclose(
+                V[i], ball_mass_profile(ctx, t, grid.radii, norm), rtol=1e-12, atol=0
+            )
+
+
+class TestBoundedMemory:
+    # One dense float64 table over 4096 atoms takes 128 MiB; the estimators
+    # must stay below that, whatever their kernel.
+    DENSE = 4096 * 4096 * 8
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_estimators_stay_below_one_dense_table(self):
+        line = thirds_measure(12)
+        t = np.linspace(0.0, 1.0, 4096)
+        path = np.stack([t, np.sin(7.0 * t)], axis=1)
+        plane = DiscreteMeasure(path, np.full(4096, 1.0 / 4096))
+        grid = ScaleGrid(3, 6)
+        ctx = KernelContext(FieldSpec(0.5), None, centered_grid(4096), "graph")
+        runs = {
+            "ball": lambda: dim_ball_mass(line, grid),
+            "profile": lambda: dim_profile(line, 0.5, grid),
+            "slice": lambda: dim_slice_kernel(plane, 1, 1, grid),
+            "field": lambda: dim_field(ctx, grid),
+        }
+        peaks = {name: self.peak(run) for name, run in runs.items()}
+        assert all(p < self.DENSE for p in peaks.values()), peaks
 
 
 class TestBoxCounting:

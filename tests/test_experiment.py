@@ -7,8 +7,13 @@ import os
 
 import pytest
 
-from packdim import ConfigError, ScaleUnrepresentableError
-from packdim.experiment import ExperimentConfig, run_experiment, run_suite
+from packdim import (
+    ConfigError,
+    NotPositiveSemidefiniteError,
+    ResolutionError,
+    ScaleUnrepresentableError,
+)
+from packdim.experiment import ExperimentConfig, _stage, run_experiment, run_suite
 
 MINIMAL = {"name": "t", "alpha": 0.5, "d": 1, "seed": 1}
 
@@ -24,6 +29,13 @@ GRAPH_LINE = {
     "mode": "graph",
     "method": "regression",
     "tolerance": 0.35,
+}
+
+UNDERSAMPLED = {
+    **MINIMAL,
+    "name": "undersampled",
+    "resolution": 64,
+    "grid": {"j_min": 2, "j_max": 9},
 }
 
 THIRDS_IMAGE = {
@@ -187,15 +199,6 @@ class TestRunExperiment:
         )
         assert rep.passed
 
-    def test_threads_do_not_change_values(self):
-        cfg = ExperimentConfig.from_dict(THIRDS_IMAGE)
-        solo = run_experiment(cfg, threads=1)
-        pooled = run_experiment(cfg, threads=3)
-        assert solo.estimated["box"]["replicas_values"] == (
-            pooled.estimated["box"]["replicas_values"]
-        )
-        assert solo.to_dict() == pooled.to_dict()
-
     def test_output_files_are_byte_deterministic(self, tmp_path):
         cfg = ExperimentConfig.from_dict(THIRDS_IMAGE)
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -229,6 +232,22 @@ class TestRunExperiment:
         with pytest.raises(ScaleUnrepresentableError):
             run_experiment(cfg)
 
+    def test_stage_error_keeps_class_and_attributes(self):
+        # 64 points support scales down to 4/63; 2^-9 lies below that
+        cfg = ExperimentConfig.from_dict(UNDERSAMPLED)
+        with pytest.raises(ResolutionError) as info:
+            run_experiment(cfg)
+        assert info.value.limit == pytest.approx(4.0 / 63.0)
+        assert info.value.scale == 2.0**-9
+        assert str(info.value).startswith("kernel stage: finest scale")
+
+    def test_stage_label_keeps_extra_constructor_arguments(self):
+        with pytest.raises(NotPositiveSemidefiniteError) as info:
+            with _stage("simulation"):
+                raise NotPositiveSemidefiniteError(3)
+        assert info.value.pivot == 3
+        assert str(info.value) == "simulation stage: matrix is not positive semidefinite (pivot 3)"
+
 
 class TestRunSuite:
     def write_config(self, directory, payload):
@@ -257,6 +276,12 @@ class TestRunSuite:
         summary = (tmp_path / "summary.csv").read_text()
         assert "name,predicted,estimate_box,estimate_kernel,gap,pass" in summary
         assert "error:ScaleUnrepresentableError" in summary
+
+    def test_suite_records_stage_errors(self, tmp_path):
+        self.write_config(tmp_path, UNDERSAMPLED)
+        (row,) = run_suite(str(tmp_path))
+        assert row["pass"] == "error:ResolutionError"
+        assert "error:ResolutionError" in (tmp_path / "summary.csv").read_text()
 
     def test_summary_is_byte_deterministic(self, tmp_path):
         self.write_config(tmp_path, THIRDS_IMAGE)

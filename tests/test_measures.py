@@ -89,6 +89,15 @@ class TestSliceMeasure:
         assert out.atoms[0, 0] == 0.0
         assert out.weights[0] == 0.5
 
+    def test_equal_tails_merge_in_first_occurrence_order(self):
+        atoms = np.array(
+            [[0.0, 3.0], [0.1, 1.0], [0.2, 3.0], [0.3, 2.0], [0.4, 1.0], [0.5, 3.0], [9.0, 2.0]]
+        )
+        weights = np.array([0.1, 0.2, 0.05, 0.15, 0.1, 0.3, 0.1])
+        out = slice_measure(DiscreteMeasure(atoms, weights), [0.25], 0.25)
+        np.testing.assert_array_equal(out.atoms, [[3.0], [1.0], [2.0]])
+        assert out.weights.tolist() == [(0.1 + 0.05) + 0.3, 0.2 + 0.1, 0.15]
+
     def test_wide_slice_keeps_everything(self, rng):
         mu = random_measure(rng, 3)
         out = slice_measure(mu, [0.0], 100.0, n=1)
@@ -113,6 +122,13 @@ class TestPushforward:
         assert out.atoms.shape == (1, 1)
         assert out.atoms[0, 0] == 1.0
         assert out.weights[0] == 1.0
+
+    def test_merges_keep_first_occurrence_order(self):
+        atoms = np.array([[0.3], [2.5], [0.1], [1.2], [0.7], [2.9], [-0.5]])
+        weights = np.array([0.125, 0.25, 0.0625, 0.125, 0.0625, 0.25, 0.125])
+        out = pushforward(DiscreteMeasure(atoms, weights), np.floor)
+        np.testing.assert_array_equal(out.atoms, [[0.0], [2.0], [1.0], [-1.0]])
+        assert out.weights.tolist() == [(0.125 + 0.0625) + 0.0625, 0.25 + 0.25, 0.125, 0.125]
 
     @given(st.integers(0, 2**31 - 1))
     def test_mass_preserved(self, seed):
