@@ -181,6 +181,9 @@ _BLOCK_ELEMENTS = 2**20
 
 
 def _min_spacing(points: np.ndarray) -> float | None:
+    """Nearest-neighbor spacing of the distinct points; None below two.
+    A repeated point would make it 0 and switch the guard off."""
+    points = np.unique(points, axis=0)
     if len(points) < 2:
         return None
     d, _ = cKDTree(points).query(points, k=2)
@@ -323,9 +326,11 @@ def box_count(points, eps: float) -> int:
 
 
 def _cells_on_segment(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    # Conservative rasterization: sample the segment at a spacing no larger
-    # than eps/4 so no traversed cell is skipped (cells have diameter
-    # eps * sqrt(m); a step of eps/4 cannot jump across a cell in any axis).
+    # Dense sampling at a spacing of at most eps/4 along the longest axis.
+    # It can miss a cell the segment only clips at a corner, so it is an
+    # approximation of the cells traversed: (0.9, 1.05) -> (1.05, 0.9) at
+    # eps = 1 gives 2 cells, not 3.  ROADMAP item 3 replaces it with the
+    # exact traversal.
     seg = b - a
     span = np.max(np.abs(seg))
     steps = max(2, int(math.ceil(span / (eps / 4.0))) + 1)
@@ -338,7 +343,12 @@ def box_count_curve(points, eps: float) -> int:
     """Cells hit by the polyline joining consecutive points: the box count
     of the sampled curve rather than of the bare sample.  For images and
     graphs of continuous paths this removes the undercount a finite point
-    sample suffers once eps drops below the typical interpoint move."""
+    sample suffers once eps drops below the typical interpoint move.
+
+    The count is a dense-sampling approximation: each segment is sampled
+    every eps/4 along its longest axis, so a cell the polyline only clips
+    at a corner can be missed and the count can fall short of the exact
+    number of cells touched."""
     if not (eps > 0) or not math.isfinite(eps):
         raise InvalidArgumentError("eps must be positive and finite")
     p = np.atleast_2d(np.asarray(points, dtype=float))

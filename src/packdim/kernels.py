@@ -11,8 +11,9 @@ Each kernel formula lives here once, in block form: given query rows x_i
 and all atoms y_k it yields one (rows x atoms) table per radius.  They are
 ball_tables, profile_tables, slice_tables and field_tables (the expected
 ball mass, home of its one max/Euclidean x image/graph x drift case split).
-The per-point functions are one-row calls of these; the estimators walk row
-blocks of them.
+In graph mode field_tables evaluates only the domain window, the pairs with
+|y_k - x_i| <= r, since a graph ball holds no other atom.  The per-point
+functions are one-row calls of these; the estimators walk row blocks of them.
 """
 
 from __future__ import annotations
@@ -227,33 +228,51 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
     Euclidean norm the value probability is a noncentral chi-square tail,
     and the graph ball couples the two parts through the reduced radius
     sqrt(r^2 - |y_k - x_i|^2).
+
+    In graph mode only atoms within domain distance r of x_i can enter the
+    ball, so the probabilities are evaluated on the window of pairs within
+    max(radii), per radius on its pairs within r, and scattered into a zero
+    table: every other entry is the exact zero the indicator gives it.
     """
     atoms = ctx.measure.atoms
     d = ctx.field.range_dim
     graph = ctx.mode == "graph"
     diff = rows[:, None, :] - atoms[None, :, :]
-    eudist = np.linalg.norm(diff, axis=2)
-    rho = eudist**ctx.field.alpha
     if graph:
-        dom = np.max(np.abs(diff), axis=2) if norm == "max" else eudist
+        dom = np.max(np.abs(diff), axis=2) if norm == "max" else np.linalg.norm(diff, axis=2)
+        window = np.flatnonzero(dom <= np.max(radii, initial=0.0))
+        diff, dom = diff.reshape(-1, diff.shape[2])[window], dom.ravel()[window]
+        at_row, at_atom = np.divmod(window, len(atoms))
+    else:
+        at_row, at_atom = np.s_[:, None], np.s_[None, :]
+    # From here on the leading axes are the (rows x atoms) grid in image
+    # mode and the flat window in graph mode; the last axis is coordinates.
+    rho = np.linalg.norm(diff, axis=-1) ** ctx.field.alpha
     cancels = ctx._drift_cancels()
     if not cancels:
-        centers = ctx.drift.evaluate(rows)[:, None, :] - ctx.drift.evaluate(atoms)[None, :, :]
+        centers = ctx.drift.evaluate(rows)[at_row] - ctx.drift.evaluate(atoms)[at_atom]
     if norm == "euclidean":
-        cn = np.zeros_like(rho) if cancels else np.linalg.norm(centers, axis=2)
+        cn = np.zeros_like(rho) if cancels else np.linalg.norm(centers, axis=-1)
     for r in radii:
+        # the window pairs inside this radius; in image mode, everything
+        lane = dom <= r if graph else ...
+        rho_r = rho[lane]
         if norm == "max":
             if cancels:
-                probs = gaussian_interval_prob(rho, 0.0, r) ** d
+                probs = gaussian_interval_prob(rho_r, 0.0, r) ** d
             else:
-                probs = np.ones_like(rho)
+                centers_r = centers[lane]
+                probs = np.ones_like(rho_r)
                 for c in range(d):
-                    probs *= gaussian_interval_prob(rho, centers[:, :, c], r)
+                    probs *= gaussian_interval_prob(rho_r, centers_r[..., c], r)
         else:
-            r_eff = np.sqrt(np.maximum(r**2 - dom**2, 0.0)) if graph else r
-            probs = _euclid_ball_prob(rho, cn, r_eff, d)
+            # dom <= r on these lanes, so r^2 - dom^2 >= 0 after rounding too
+            r_eff = np.sqrt(r**2 - dom[lane] ** 2) if graph else r
+            probs = _euclid_ball_prob(rho_r, cn[lane], r_eff, d)
         if graph:
-            probs = probs * (dom <= r)
+            table = np.zeros((len(rows), len(atoms)))
+            table.ravel()[window[lane]] = probs
+            probs = table
         yield probs
 
 

@@ -333,6 +333,25 @@ class TestBoxCounting:
         with pytest.raises(ResolutionError):
             box_counting_dim(seg, ScaleGrid(3, 8))
 
+    def test_resolution_guard_survives_a_repeated_point(self):
+        # a copy of one point has spacing 0, which used to turn the guard off
+        seg = np.linspace(0.0, 1.0, 64).reshape(-1, 1)
+        limits = []
+        for points in (seg, np.vstack([seg, seg[:1]])):
+            with pytest.raises(ResolutionError) as err:
+                box_counting_dim(points, ScaleGrid(4, 12))
+            limits.append(err.value.limit)
+        assert limits[0] == limits[1]
+
+    @pytest.mark.xfail(
+        strict=True, reason="dense segment sampling misses corner clips (ROADMAP item 3)"
+    )
+    def test_curve_counts_a_clipped_corner(self):
+        # the segment passes through the corner of cell (0, 0), between its
+        # endpoint cells (0, 1) and (1, 0)
+        seg = np.array([[0.9, 1.05], [1.05, 0.9]])
+        assert box_count_curve(seg, 1.0) == 3
+
     def test_unknown_method(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
         with pytest.raises(InvalidArgumentError):

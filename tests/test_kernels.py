@@ -14,13 +14,16 @@ from packdim import (
     KernelContext,
     ball_mass,
     ball_mass_profile,
+    estimators,
     expected_ball_mass,
     increment_kernel,
     increment_prob,
+    kernels,
     product_kernel,
     profile_kernel,
     slice_kernel,
 )
+from packdim.numerics import gaussian_interval_prob
 
 # mpmath mp.dps=25
 TWO_PHI_196 = 0.9500042097035591317268315  # 2 Phi(1.96) - 1
@@ -229,6 +232,10 @@ class TestExpectedBallMass:
         for r, v in zip(radii, prof):
             assert expected_ball_mass(ctx, [0.25], r) == v
 
+    def test_empty_radii(self):
+        for mode in ("image", "graph"):
+            assert ball_mass_profile(context(mode=mode), [0.25], []).shape == (0,)
+
     def test_validation(self):
         ctx = context()
         with pytest.raises(InvalidArgumentError):
@@ -252,3 +259,112 @@ class TestKernelChain:
             hi = slice_kernel(mu, 0, 2, x, r)
             assert lo <= mid * (1.0 + 1e-12)
             assert mid <= hi * (1.0 + 1e-12)
+
+
+# Unsorted atoms on a dyadic lattice, so that domain distances tie with the
+# dyadic radii; 300 atoms are 9 blocks of 32 rows plus a partial one under
+# the block budget the window tests set.
+WINDOW_RADII = 2.0 ** -np.arange(2, 7)
+WINDOW_DRIFTS = {
+    "none": None,
+    "zero": DriftSpec.zero,
+    "constant": lambda d: DriftSpec.constant(np.arange(1.0, d + 1)),
+    "power": lambda d: DriftSpec.power(np.linspace(1.0, -0.5, d), 1.5),
+    "polynomial": lambda d: DriftSpec.polynomial([[0.0, 2.0, -1.0]] * d),
+}
+
+
+def lattice_measure(n, count=300):
+    rng = np.random.default_rng(n)
+    side = 512 if n == 1 else 64
+    cells = rng.permutation(side**n)[:count]
+    atoms = np.stack(np.unravel_index(cells, (side,) * n), axis=1) / side
+    w = rng.random(count)
+    return DiscreteMeasure(atoms, w / w.sum())
+
+
+def window_context(mode, drift, n, d):
+    make = WINDOW_DRIFTS[drift]
+    return KernelContext(
+        FieldSpec(0.4, n, d), make and make(d), lattice_measure(n), mode
+    )
+
+
+def dense_field_tables(ctx, norm):
+    """The expected-ball-mass tables evaluated on every pair and then
+    masked by the domain-ball indicator: the formula without a window."""
+    atoms = ctx.measure.atoms
+    d = ctx.field.range_dim
+    drift = ctx.drift or DriftSpec.zero(d)
+
+    def tables(rows, radii):
+        diff = rows[:, None, :] - atoms[None, :, :]
+        eudist = np.linalg.norm(diff, axis=2)
+        rho = eudist**ctx.field.alpha
+        dom = np.max(np.abs(diff), axis=2) if norm == "max" else eudist
+        centers = drift.evaluate(rows)[:, None, :] - drift.evaluate(atoms)[None, :, :]
+        for r in radii:
+            if norm == "max":
+                probs = np.ones_like(rho)
+                for c in range(d):
+                    probs *= gaussian_interval_prob(rho, centers[:, :, c], r)
+            else:
+                graph_r = np.sqrt(np.maximum(r**2 - dom**2, 0.0))
+                r_eff = graph_r if ctx.mode == "graph" else r
+                cn = np.linalg.norm(centers, axis=2)
+                probs = kernels._euclid_ball_prob(rho, cn, r_eff, d)
+            yield probs * (dom <= r) if ctx.mode == "graph" else probs
+
+    return tables
+
+
+class TestFieldTablesWindow:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 2^14 entries: 32-row blocks at 300 atoms
+        monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 2**14)
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    @pytest.mark.parametrize(
+        "drift, n, d",
+        # polynomial drift lives on 1-D domains
+        [
+            (drift, n, d)
+            for drift in WINDOW_DRIFTS
+            for n in (1, 2)
+            for d in (1, 2)
+            if drift != "polynomial" or n == 1
+        ],
+    )
+    def test_tables_match_dense_formula_bitwise(self, mode, norm, drift, n, d):
+        ctx = window_context(mode, drift, n, d)
+        mu = ctx.measure
+        windowed = estimators._mass_table(
+            mu, lambda rows, rs: kernels.field_tables(ctx, rows, rs, norm), WINDOW_RADII
+        )
+        dense = estimators._mass_table(mu, dense_field_tables(ctx, norm), WINDOW_RADII)
+        assert np.array_equal(windowed, dense)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_graph_evaluates_only_the_window(self, monkeypatch, n):
+        elements = []
+
+        def counting(rho, a, r):
+            elements.append(np.broadcast(rho, a, r).size)
+            return gaussian_interval_prob(rho, a, r)
+
+        monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
+        for mode in ("graph", "image"):
+            ctx = window_context(mode, "none", n, 1)
+            atoms = ctx.measure.atoms
+            estimators._mass_table(
+                ctx.measure, lambda rows, rs: kernels.field_tables(ctx, rows, rs), WINDOW_RADII
+            )
+            if mode == "graph":
+                dom = np.max(np.abs(atoms[:, None, :] - atoms[None, :, :]), axis=2)
+                expected = sum(int(np.count_nonzero(dom <= r)) for r in WINDOW_RADII)
+            else:
+                expected = len(atoms) ** 2 * len(WINDOW_RADII)
+            assert sum(elements) == expected, mode
+            elements.clear()
