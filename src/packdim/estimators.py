@@ -311,32 +311,81 @@ def dim_field(
 # ---------------------------------------------------------------------------
 
 
-def box_count(points, eps: float) -> int:
-    """Number of cells of the origin-anchored half-open grid of mesh eps
-    that contain at least one of the points."""
+# Curve box counts walk the segments in blocks of this many, so their
+# temporaries stay O(block) while the distinct cells accumulate.
+_SEGMENT_BLOCK = 2**12
+
+# The most grid-line crossings box_count_curve traverses.  Each costs up to
+# 120 bytes of temporaries in its block, so one long segment that crosses
+# them all peaks near 0.5 GiB.
+_MAX_CROSSINGS = 2**22
+
+
+def _grid_cells(points, eps: float) -> np.ndarray:
+    """Index rows floor(p / eps) of the origin-anchored half-open grid of
+    mesh eps, one per point of the nonempty finite (k, m) array."""
     if not (eps > 0) or not math.isfinite(eps):
         raise InvalidArgumentError("eps must be positive and finite")
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    if p.ndim != 2 or p.shape[0] < 1:
-        raise InvalidArgumentError("points must form a nonempty (k, m) array")
+    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
+        raise InvalidArgumentError("points must form a nonempty (k, m) array, m >= 1")
     if not np.all(np.isfinite(p)):
         raise InvalidArgumentError("points must be finite")
-    cells = np.floor(p / eps).astype(np.int64)
-    return int(len(np.unique(cells, axis=0)))
+    with np.errstate(over="ignore"):
+        cells = np.floor(p / eps)
+    if np.any(np.abs(cells) >= 2.0**62):
+        raise InvalidArgumentError("points / eps must stay below 2^62 in magnitude")
+    return cells.astype(np.int64)
 
 
-def _cells_on_segment(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    # Dense sampling at a spacing of at most eps/4 along the longest axis.
-    # It can miss a cell the segment only clips at a corner, so it is an
-    # approximation of the cells traversed: (0.9, 1.05) -> (1.05, 0.9) at
-    # eps = 1 gives 2 cells, not 3.  ROADMAP item 3 replaces it with the
-    # exact traversal.
-    seg = b - a
-    span = np.max(np.abs(seg))
-    steps = max(2, int(math.ceil(span / (eps / 4.0))) + 1)
-    ts = np.linspace(0.0, 1.0, steps)
-    pts = a[None, :] + ts[:, None] * seg[None, :]
-    return np.floor(pts / eps).astype(np.int64)
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer (k, m) array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[fresh]
+
+
+def box_count(points, eps: float) -> int:
+    """Number of cells of the origin-anchored half-open grid of mesh eps
+    that contain at least one of the points."""
+    return len(_distinct_rows(_grid_cells(points, eps)))
+
+
+def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
+    """Cells the polyline through the points ``p`` (grid cells ``cells``)
+    enters after its first vertex's cell, in order along the polyline.
+
+    Each segment a -> b crosses the grid lines k * eps, k = min(ca, cb) + 1
+    .. max(ca, cb), of each axis once, at t = (k eps - a) / (b - a), and
+    steps one cell along that axis there (Amanatides & Woo's traversal).
+    Summing the steps in (segment, t) order walks from the first cell to the
+    last, so every cell comes from integer steps; the floating-point part is
+    only the order of the crossings.  Crossings at one t pass a grid corner
+    or edge: the polyline touches just the cell of the crossing point, whose
+    index along a crossed axis is k -- the cell after an increasing step,
+    the cell before a decreasing one -- so the increasing steps go first and
+    only the cell after them and the cell after the whole tie are kept."""
+    ca, cb = cells[:-1], cells[1:]
+    counts = np.abs(cb - ca).ravel()
+    # the (segment, axis) of every crossing, and its line index k
+    lane = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(len(lane)) - np.repeat(np.cumsum(counts) - counts, counts)
+    k += np.minimum(ca, cb).ravel()[lane] + 1
+    a = p[:-1].ravel()[lane]
+    t = (k * eps - a) / (p[1:].ravel()[lane] - a)
+    seg, axis = np.divmod(lane, p.shape[1])
+    step = np.sign(cb - ca).ravel()[lane]
+    order = np.lexsort((-step, t, seg))
+    seg, t, axis, step = seg[order], t[order], axis[order], step[order]
+    walk = np.zeros((len(order), p.shape[1]), dtype=np.int64)
+    walk[np.arange(len(order)), axis] = step
+    np.cumsum(walk, axis=0, out=walk)
+    walk += cells[0]
+    # skip a step followed by one of the same sign at the same crossing point
+    keep = np.ones(len(order), dtype=bool)
+    keep[:-1] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1]) | (step[1:] != step[:-1])
+    return walk[keep]
 
 
 def box_count_curve(points, eps: float) -> int:
@@ -345,21 +394,23 @@ def box_count_curve(points, eps: float) -> int:
     graphs of continuous paths this removes the undercount a finite point
     sample suffers once eps drops below the typical interpoint move.
 
-    The count is a dense-sampling approximation: each segment is sampled
-    every eps/4 along its longest axis, so a cell the polyline only clips
-    at a corner can be missed and the count can fall short of the exact
-    number of cells touched."""
-    if not (eps > 0) or not math.isfinite(eps):
-        raise InvalidArgumentError("eps must be positive and finite")
+    The count is exact: it is the number of cells of the origin-anchored
+    half-open grid of mesh eps that contain at least one point of the
+    closed polyline, a cell the polyline only clips at a corner included.
+    Inputs that cross more than _MAX_CROSSINGS grid lines are refused."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("points must be finite")
-    if p.shape[0] == 1:
-        return 1
-    chunks = [
-        _cells_on_segment(p[i], p[i + 1], eps) for i in range(p.shape[0] - 1)
-    ]
-    return int(len(np.unique(np.vstack(chunks), axis=0)))
+    cells = _grid_cells(p, eps)
+    # summed in floating point, which cannot wrap around
+    crossings = np.abs(np.diff(cells, axis=0)).sum(dtype=float)
+    if crossings > _MAX_CROSSINGS:
+        raise InvalidArgumentError(
+            f"the polyline crosses {crossings:.0f} grid lines; at most {_MAX_CROSSINGS} are supported"
+        )
+    found = [cells[:1]]
+    for lo in range(0, len(p) - 1, _SEGMENT_BLOCK):
+        hi = lo + _SEGMENT_BLOCK + 1
+        found.append(_distinct_rows(_walk_cells(p[lo:hi], cells[lo:hi], eps)))
+    return len(_distinct_rows(np.vstack(found)))
 
 
 def box_counting_dim(

@@ -239,7 +239,14 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
     graph = ctx.mode == "graph"
     diff = rows[:, None, :] - atoms[None, :, :]
     if graph:
-        dom = np.max(np.abs(diff), axis=2) if norm == "max" else np.linalg.norm(diff, axis=2)
+        if norm == "max":
+            # a running maximum over the coordinate slices; np.max(axis=2)
+            # reduces over the short last axis one (row, atom) pair at a time
+            dom = np.abs(diff[:, :, 0])
+            for c in range(1, diff.shape[2]):
+                np.maximum(dom, np.abs(diff[:, :, c]), out=dom)
+        else:
+            dom = np.linalg.norm(diff, axis=2)
         window = np.flatnonzero(dom <= np.max(radii, initial=0.0))
         diff, dom = diff.reshape(-1, diff.shape[2])[window], dom.ravel()[window]
         at_row, at_atom = np.divmod(window, len(atoms))

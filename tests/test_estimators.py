@@ -1,8 +1,10 @@
 """Scaling-exponent readers: ball mass, kernel integrals, expected masses,
 and box counting, each pinned on measures whose exponents are known."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from packdim import (
     KernelContext,
     ResolutionError,
     ScaleGrid,
+    Seed,
     ball_mass_profile,
     box_count,
     box_count_curve,
@@ -28,6 +31,7 @@ from packdim import (
     dim_slice_kernel,
     estimators,
     natural_measure,
+    sample,
     scaling_exponent,
 )
 
@@ -294,6 +298,60 @@ class TestBoundedMemory:
         peaks = {name: self.peak(run) for name, run in runs.items()}
         assert all(p < self.DENSE for p in peaks.values()), peaks
 
+    def test_curve_box_count_walks_blocks(self):
+        # the README quick start in d = 2: about 4.3 MiB when counted in
+        # segment blocks, 12.1 MiB when every segment is sampled densely
+        pts = np.linspace(0.0, 1.0, 2**13).reshape(-1, 1)
+        path = sample(FieldSpec(0.5, 1, 2), pts, Seed(7)).values
+        peak = self.peak(lambda: box_counting_dim(path, ScaleGrid(4, 9), connect=True))
+        assert peak < 8 * 2**20, peak
+
+
+def lattice_polyline(seed):
+    """A polyline of 1..6 vertices in R^1..R^3 on the lattice (Z/8)^m, one
+    vertex in four a repeat of the previous, and a dyadic mesh: straight
+    segments through grid corners and along grid lines are common."""
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    points = rng.integers(-24, 25, (k, m)) / 8.0
+    for i in range(1, k):
+        if rng.random() < 0.25:
+            points[i] = points[i - 1]
+    return points, float(rng.choice([1.0, 0.5]))
+
+
+def exact_curve_count(points, eps):
+    """Cells of the half-open eps-grid that meet the closed polyline, in
+    rational arithmetic: a cell meets a segment a + t (b - a), t in [0, 1],
+    when the parameter intervals of its per-axis slabs intersect there."""
+    eps = Fraction(eps)
+    pts = [[Fraction(x) for x in p] for p in points]
+    found = {tuple(math.floor(x / eps) for x in pts[0])}
+    for a, b in zip(pts[:-1], pts[1:]):
+        ranges = [
+            range(math.floor(min(x, y) / eps), math.floor(max(x, y) / eps) + 1)
+            for x, y in zip(a, b)
+        ]
+        for cell in itertools.product(*ranges):
+            lo, lo_closed, hi, hi_closed = Fraction(0), True, Fraction(1), True
+            for c, x, y in zip(cell, a, b):
+                left, right = c * eps, (c + 1) * eps
+                if x == y:
+                    if not left <= x < right:
+                        break
+                    continue
+                # the slab [left, right) in terms of t
+                t0, t1 = (left - x) / (y - x), (right - x) / (y - x)
+                (s0, c0), (s1, c1) = ((t0, True), (t1, False)) if y > x else ((t1, False), (t0, True))
+                if s0 > lo or (s0 == lo and not c0):
+                    lo, lo_closed = s0, c0
+                if s1 < hi or (s1 == hi and not c1):
+                    hi, hi_closed = s1, c1
+            else:
+                if lo < hi or (lo == hi and lo_closed and hi_closed):
+                    found.add(cell)
+    return len(found)
+
 
 class TestBoxCounting:
     def test_unit_segment_counts(self):
@@ -343,14 +401,87 @@ class TestBoxCounting:
             limits.append(err.value.limit)
         assert limits[0] == limits[1]
 
-    @pytest.mark.xfail(
-        strict=True, reason="dense segment sampling misses corner clips (ROADMAP item 3)"
-    )
     def test_curve_counts_a_clipped_corner(self):
         # the segment passes through the corner of cell (0, 0), between its
         # endpoint cells (0, 1) and (1, 0)
         seg = np.array([[0.9, 1.05], [1.05, 0.9]])
         assert box_count_curve(seg, 1.0) == 3
+
+    @pytest.mark.parametrize(
+        "points, cells",
+        [
+            # through the corner point (1, 1), which lies in cell (1, 1) only
+            ([[0.5, 1.5], [1.5, 0.5]], 3),
+            ([[0.5, 0.5], [1.5, 1.5]], 2),
+            # along the grid line y = 1, inside the cells above it
+            ([[0.0, 1.0], [2.0, 1.0]], 3),
+            ([[2.0, 0.5], [0.0, 0.5]], 3),
+            # a repeated vertex is a zero-length segment
+            ([[0.5, 0.5], [0.5, 0.5], [1.5, 0.5]], 2),
+            ([[0.2, 0.3]] * 3, 1),
+            ([[0.1, 0.1, 0.1], [2.9, 1.9, 0.95]], 4),
+            ([[0.0], [1.0]], 2),
+        ],
+    )
+    def test_curve_pinned_counts(self, points, cells):
+        assert box_count_curve(np.array(points), 1.0) == cells
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_curve_count_matches_exact_reference(self, seed):
+        # lattice vertices make the sampled points exact, so every sampled
+        # cell is one the polyline touches
+        points, eps = lattice_polyline(seed)
+        n = box_count_curve(points, eps)
+        assert n == exact_curve_count(points, eps)
+        s = np.linspace(0.0, 1.0, 257)[:, None, None]
+        dense = points[:-1] + s * (points[1:] - points[:-1])
+        dense = np.vstack([points, dense.reshape(-1, points.shape[1])])
+        span = np.floor(points.max(axis=0) / eps) - np.floor(points.min(axis=0) / eps) + 1
+        assert box_count(dense, eps) <= n <= np.prod(span)
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_curve_count_bounds_on_random_floats(self, seed):
+        # each grid-line crossing enters at most one new cell
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        points = rng.normal(0.0, rng.uniform(0.1, 10.0), (int(rng.integers(1, 40)), m))
+        eps = float(rng.choice([1.0, 0.3, 0.1, 2.0**-5]))
+        cells = np.floor(points / eps)
+        n = box_count_curve(points, eps)
+        span = cells.max(axis=0) - cells.min(axis=0) + 1
+        crossings = np.abs(np.diff(cells, axis=0)).sum()
+        assert box_count(points, eps) <= n <= min(np.prod(span), 1 + crossings)
+
+    def test_segment_blocks_are_invisible(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        clouds = [np.cumsum(rng.normal(0.0, 0.05, (300, m)), axis=0) for m in (1, 2, 3)]
+        clouds += [lattice_polyline(seed)[0] for seed in range(20)]
+        epss = [0.5, 0.125, 2.0**-5, 0.03]
+        whole = [[box_count_curve(c, eps) for eps in epss] for c in clouds]
+        for block in (1, 2, 3):
+            monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", block)
+            assert [[box_count_curve(c, eps) for eps in epss] for c in clouds] == whole
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_distinct_rows_match_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-4, 4, (int(rng.integers(1, 200)), int(rng.integers(1, 4))))
+        expected = np.unique(rows, axis=0)
+        assert np.array_equal(estimators._distinct_rows(rows), expected)
+        assert box_count(rows.astype(float), 1.0) == len(expected)
+
+    def test_curve_refuses_oversize_input(self):
+        # ~10^12 grid lines: refused from the endpoint cells, before any
+        # crossing is built
+        with pytest.raises(InvalidArgumentError, match=r"crosses \d{12,13} grid lines"):
+            box_count_curve([[0.0], [1.0]], 1e-12)
+
+    @pytest.mark.parametrize("counter", [box_count, box_count_curve])
+    def test_counters_refuse_bad_points(self, counter):
+        # cells beyond int64, and points without coordinates
+        for points, eps in (([[1e300]], 1e-10), (np.zeros((3, 0)), 1.0)):
+            with pytest.raises(InvalidArgumentError):
+                counter(points, eps)
 
     def test_unknown_method(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)

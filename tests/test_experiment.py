@@ -154,7 +154,7 @@ class TestRunExperiment:
         rep = run_experiment(ExperimentConfig.from_dict(GRAPH_LINE))
         assert rep.predicted["dimension"] == pytest.approx(1.5, rel=1e-15)
         assert rep.estimated["box"]["value"] == pytest.approx(
-            1.3642680850771165, rel=1e-12
+            1.3652323300505382, rel=1e-12
         )
         assert rep.estimated["kernel"]["value"] == pytest.approx(
             1.4178713340471425, rel=1e-12
@@ -192,7 +192,7 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert rep.predicted["dimension"] == 2.0
         assert rep.estimated["box"]["value"] == pytest.approx(
-            1.7869098992762666, rel=1e-12
+            1.7933857655926708, rel=1e-12
         )
         assert rep.estimated["kernel"]["value"] == pytest.approx(
             1.4547682833196813, rel=1e-12
