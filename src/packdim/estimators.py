@@ -18,6 +18,9 @@ the mass-weighted median.  The minimum is exact on self-similar measures
 but is dominated at any fixed window by atoms near the support boundary;
 see _kernel_dim.  Resolution guards refuse scale grids finer than the
 atom spacing supports, where any finite approximant looks 0-dimensional.
+The spacing comes from a numpy sweep (_min_spacing), so box counting needs
+no scipy; only lattice-like clouds, which defeat the sweep, load scipy's
+kd-tree.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     InsufficientScalesError,
@@ -180,14 +182,54 @@ def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
 _BLOCK_ELEMENTS = 2**20
 
 
+# The spacing sweep makes at most this many pair checks per distinct point
+# before it hands the cloud to a kd-tree: clouds with many points on one
+# line across the sort axis, such as lattices, defeat the sweep's pruning.
+_SWEEP_CHECKS = 64
+
+
 def _min_spacing(points: np.ndarray) -> float | None:
-    """Nearest-neighbor spacing of the distinct points; None below two.
-    A repeated point would make it 0 and switch the guard off."""
-    points = np.unique(points, axis=0)
-    if len(points) < 2:
+    """Nearest-neighbor spacing of the distinct points of a finite (k, m)
+    array; None below two.  A repeated point would make it 0 and switch the
+    guard off.
+
+    The distinct points are sorted along the coordinate of largest spread,
+    and at lag 1, 2, ... each point is compared with the point ``lag`` places
+    after it.  A point drops out once its squared gap on the sort coordinate
+    exceeds the smallest squared distance so far: that square is a term of
+    each of its later distances, and rounded differences and sums of squares
+    are monotone, so the minimum is exact.  Squares are summed in coordinate
+    order, as a kd-tree query does, and the result has its bits.  Clouds
+    that need more than _SWEEP_CHECKS checks per point go to scipy's
+    cKDTree, imported on that branch only."""
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    # lexicographic order with the sort coordinate first sorts along it
+    order = np.roll(np.arange(points.shape[1]), -axis)
+    p = _distinct_rows(points[:, order])
+    k = len(p)
+    if k < 2:
         return None
-    d, _ = cKDTree(points).query(points, k=2)
-    return float(np.min(d[:, 1]))
+    coords = [np.ascontiguousarray(p[:, j]) for j in np.argsort(order)]
+    best = np.inf
+    live = np.arange(k - 1)
+    checks = 0
+    for lag in range(1, k):
+        checks += len(live)
+        if checks > _SWEEP_CHECKS * k:
+            from scipy.spatial import cKDTree
+
+            q = np.column_stack(coords)
+            d, _ = cKDTree(q).query(q, k=2)
+            return float(np.min(d[:, 1]))
+        ahead = live + lag
+        diffs = [c[ahead] - c[live] for c in coords]
+        best = min(best, sum(d * d for d in diffs).min())
+        live = live[diffs[axis] * diffs[axis] <= best]
+        # live is increasing: cut the points with no partner lag + 1 ahead
+        live = live[:np.searchsorted(live, k - lag - 1)]
+        if not len(live):
+            break
+    return float(np.sqrt(best))
 
 
 def _check_resolution(points: np.ndarray, grid: ScaleGrid):
@@ -321,16 +363,23 @@ _SEGMENT_BLOCK = 2**12
 _MAX_CROSSINGS = 2**22
 
 
-def _grid_cells(points, eps: float) -> np.ndarray:
-    """Index rows floor(p / eps) of the origin-anchored half-open grid of
-    mesh eps, one per point of the nonempty finite (k, m) array."""
-    if not (eps > 0) or not math.isfinite(eps):
-        raise InvalidArgumentError("eps must be positive and finite")
+def _check_points(points) -> np.ndarray:
+    """The points as a float (k, m) array; they must be nonempty, finite and
+    have m >= 1 coordinates."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
         raise InvalidArgumentError("points must form a nonempty (k, m) array, m >= 1")
     if not np.all(np.isfinite(p)):
         raise InvalidArgumentError("points must be finite")
+    return p
+
+
+def _grid_cells(points, eps: float) -> np.ndarray:
+    """Index rows floor(p / eps) of the origin-anchored half-open grid of
+    mesh eps, one per point of the nonempty finite (k, m) array."""
+    if not (eps > 0) or not math.isfinite(eps):
+        raise InvalidArgumentError("eps must be positive and finite")
+    p = _check_points(points)
     with np.errstate(over="ignore"):
         cells = np.floor(p / eps)
     if np.any(np.abs(cells) >= 2.0**62):
@@ -339,7 +388,8 @@ def _grid_cells(points, eps: float) -> np.ndarray:
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an integer (k, m) array, in lexicographic order."""
+    """The distinct rows of a (k, m) array of integers or finite floats, in
+    lexicographic order.  Rows are compared by value, so -0.0 equals 0.0."""
     rows = rows[np.lexsort(rows.T[::-1])]
     fresh = np.ones(len(rows), dtype=bool)
     fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
@@ -427,7 +477,7 @@ def box_counting_dim(
     spacing of the points."""
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}")
-    p = np.atleast_2d(np.asarray(points, dtype=float))
+    p = _check_points(points)
     _check_resolution(p, grid)
     radii = grid.radii
     counter = box_count_curve if connect else box_count

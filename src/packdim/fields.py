@@ -286,8 +286,17 @@ class _Sampler:
             sub = points[self.nz]
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
-            diff = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2) ** h2
-            cov = 0.5 * (sn[:, None] + sn[None, :] - diff)
+            # |s_i - s_k|^h2 from a running sum of squared coordinate
+            # differences, in place: no (k, k, n) temporary.  The sum runs
+            # in coordinate order, as np.linalg.norm's does below 8 terms.
+            dist = np.zeros((len(sub), len(sub)))
+            for j in range(sub.shape[1]):
+                step = sub[:, None, j] - sub[None, :, j]
+                step *= step
+                dist += step
+            np.sqrt(dist, out=dist)
+            dist **= h2
+            cov = 0.5 * (sn[:, None] + sn[None, :] - dist)
             self.factor = cholesky_psd(cov)
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")

@@ -14,6 +14,8 @@ ball mass, home of its one max/Euclidean x image/graph x drift case split).
 In graph mode field_tables evaluates only the domain window, the pairs with
 |y_k - x_i| <= r, since a graph ball holds no other atom.  The per-point
 functions are one-row calls of these; the estimators walk row blocks of them.
+scipy's chi-square CDFs are imported inside _euclid_ball_prob, the one
+function that calls them, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chndtr
 
 from .errors import InvalidArgumentError
 from .fields import DriftSpec, FieldSpec
@@ -207,6 +208,8 @@ def _euclid_ball_prob(rho: np.ndarray, center_norm: np.ndarray, r, d: int) -> np
     out[degenerate] = (cn[degenerate] <= rr[degenerate]).astype(float)
     live = ~degenerate
     if np.any(live):
+        from scipy.special import chdtr, chndtr
+
         q = (rr[live] / rho[live]) ** 2
         nc = (cn[live] / rho[live]) ** 2
         central = nc == 0.0

@@ -3,6 +3,11 @@ factorization, log-domain magnitudes, and reproducible seed streams.
 
 Everything downstream funnels its floating-point risk through this module, so
 the contracts here are deliberately strict.
+
+scipy (``special.ndtr``, ``linalg.lapack.dpotrf``) is imported inside the
+functions that call it, not at module level: importing packdim stays
+scipy-free, and a program that never evaluates a Gaussian probability or
+factors a matrix, such as box counting a sampled path, never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 import numpy as np
-from scipy import special as _special
-from scipy.linalg import lapack as _lapack
 
 from .errors import InvalidArgumentError, NotPositiveSemidefiniteError
 
@@ -37,7 +40,9 @@ def gaussian_cdf(z):
 
     Accepts scalars or arrays; scalars come back as floats.
     """
-    out = _special.ndtr(z)
+    from scipy.special import ndtr
+
+    out = ndtr(z)
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out)
     return out
@@ -60,11 +65,13 @@ def gaussian_interval_prob(rho, a, r):
     if np.any(r_arr < 0):
         raise InvalidArgumentError("r must be nonnegative")
 
+    from scipy.special import ndtr
+
     a_abs = np.abs(a_arr)
     # Guard the division; the rho == 0 lanes are overwritten below.
     safe_rho = np.where(rho_arr > 0, rho_arr, 1.0)
-    upper = _special.ndtr((a_abs + r_arr) / safe_rho)
-    lower = _special.ndtr((a_abs - r_arr) / safe_rho)
+    upper = ndtr((a_abs + r_arr) / safe_rho)
+    lower = ndtr((a_abs - r_arr) / safe_rho)
     prob = upper - lower
     point_mass = (a_abs <= r_arr).astype(float)
     out = np.where(rho_arr > 0, prob, point_mass)
@@ -76,15 +83,19 @@ def gaussian_interval_prob(rho, a, r):
 def cholesky_psd(matrix) -> np.ndarray:
     """Lower-triangular L with L @ L.T reproducing ``matrix``.
 
-    The input must be symmetric.  If plain factorization fails, a diagonal
-    jitter of 1e-12 * trace/dim is added and escalated by 10x for at most 4
-    retries; if the matrix still resists, NotPositiveSemidefiniteError is
-    raised carrying the failing pivot index.
+    The input must be finite and symmetric.  If plain factorization fails, a
+    diagonal jitter of 1e-12 * trace/dim is added and escalated by 10x for
+    at most 4 retries; if the matrix still resists,
+    NotPositiveSemidefiniteError is raised carrying the failing pivot index.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("matrix must be square")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(m).max(initial=0.0))):
+    # the largest magnitude is NaN or inf exactly when an entry is
+    scale = np.abs(m).max(initial=0.0)
+    if not math.isfinite(scale):
+        raise InvalidArgumentError("matrix must be finite")
+    if np.abs(m - m.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
         raise InvalidArgumentError("matrix must be symmetric")
 
     dim = m.shape[0]
@@ -94,10 +105,12 @@ def cholesky_psd(matrix) -> np.ndarray:
     if base <= 0:
         base = _JITTER_REL
 
+    from scipy.linalg.lapack import dpotrf
+
     jitter = 0.0
     last_pivot = 0
     for attempt in range(_JITTER_RETRIES + 1):
-        c, info = _lapack.dpotrf(m + jitter * np.eye(dim), lower=1)
+        c, info = dpotrf(m + jitter * np.eye(dim) if jitter else m, lower=1)
         if info == 0:
             return np.tril(c)
         last_pivot = int(info) - 1  # LAPACK reports 1-based pivots

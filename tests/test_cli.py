@@ -279,11 +279,3 @@ class TestExperiment:
         proc = run_cli("experiment", "suite", tmp_path)
         assert proc.returncode == 1
         assert "unbuildable: pass=error:ScaleUnrepresentableError" in proc.stdout
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs over half a second of import time and is not needed
-    code = "import sys, packdim; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

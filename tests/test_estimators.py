@@ -1,6 +1,7 @@
 """Scaling-exponent readers: ball mass, kernel integrals, expected masses,
 and box counting, each pinned on measures whose exponents are known."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -487,3 +488,85 @@ class TestBoxCounting:
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
         with pytest.raises(InvalidArgumentError):
             box_counting_dim(seg, ScaleGrid(1, 6), method="chord")
+
+
+def kd_spacing(points):
+    """The kd-tree reference: nearest-neighbor spacing of np.unique's
+    distinct rows, None below two."""
+    from scipy.spatial import cKDTree
+
+    distinct = np.unique(points, axis=0)
+    if len(distinct) < 2:
+        return None
+    d, _ = cKDTree(distinct).query(distinct, k=2)
+    return float(np.min(d[:, 1]))
+
+
+SPACING_SHAPES = (
+    "graph-path", "image-path", "line-path", "cantor-atoms", "mesh-64",
+    "column-plus-outlier", "cube-cloud", "rounding-pair",
+)
+
+
+@functools.cache
+def spacing_shapes():
+    t = np.linspace(0.0, 1.0, 2**13).reshape(-1, 1)
+    graph = sample(FieldSpec(0.5), t, Seed(7))
+    image = sample(FieldSpec(0.3, range_dim=2), t, Seed(8))
+    g = np.arange(64) / 64.0
+    column = np.column_stack([np.zeros(1000), np.linspace(0.0, 1.0, 1000)])
+    rng = np.random.default_rng(11)
+    return {
+        "graph-path": np.column_stack([t[:, 0], graph.values[:, 0]]),
+        "image-path": image.values,
+        "line-path": graph.values,
+        "cantor-atoms": thirds_measure(11).atoms,
+        "mesh-64": np.stack(np.meshgrid(g, g), -1).reshape(-1, 2),
+        "column-plus-outlier": np.vstack([column, [[5.0, 0.5]]]),
+        "cube-cloud": rng.random((3000, 3)),
+        # squares 1, 9/16 ulp, 9/16 ulp: summed in coordinate order they
+        # round to 1 + 2 ulp, summed from the last coordinate to 1 + ulp
+        "rounding-pair": np.array([[0.0, 0.0, 0.0], [1.0, 0.75 * 2.0**-26, 0.75 * 2.0**-26]]),
+    }
+
+
+class TestMinSpacing:
+    """The resolution guard's numpy sweep against a kd-tree, bit for bit."""
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_kd_tree(self, seed):
+        # repeated rows, -0.0 beside 0.0, ties on the sort coordinate and
+        # spreads from 1e-6 to 1e3
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        pool = rng.normal(0.0, 10.0 ** rng.uniform(-6, 3), (int(rng.integers(1, 60)), m))
+        pool[rng.random(pool.shape) < 0.2] = 0.0
+        pool[rng.random(pool.shape) < 0.2] = -0.0
+        pool = np.round(pool, int(rng.integers(0, 8)))
+        points = pool[rng.integers(0, len(pool), int(rng.integers(1, 120)))]
+        assert estimators._min_spacing(points) == kd_spacing(points)
+
+    @pytest.mark.parametrize("name", SPACING_SHAPES)
+    def test_named_shapes(self, name):
+        points = spacing_shapes()[name]
+        assert estimators._min_spacing(points) == kd_spacing(points)
+
+    @pytest.mark.parametrize("name", SPACING_SHAPES)
+    def test_kd_tree_fallback(self, name, monkeypatch):
+        points = spacing_shapes()[name]
+        monkeypatch.setattr(estimators, "_SWEEP_CHECKS", 0)
+        assert estimators._min_spacing(points) == kd_spacing(points)
+
+    def test_signed_zeros_are_one_point(self):
+        assert estimators._min_spacing(np.array([[0.0, 1.0], [-0.0, 1.0]])) is None
+        points = np.array([[0.0], [-0.0], [0.5]])
+        assert estimators._min_spacing(points) == 0.5
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.0], [np.nan], [0.5]], [[0.0], [np.inf], [0.5]], np.zeros((3, 0)), np.zeros((0, 2))],
+    )
+    def test_box_counting_validates_before_the_guard(self, points):
+        for connect in (False, True):
+            with pytest.raises(InvalidArgumentError):
+                box_counting_dim(points, ScaleGrid(1, 4), connect=connect)

@@ -16,6 +16,7 @@ from packdim import (
     add_drift,
     canonical_metric,
     fbm_covariance,
+    fields,
     graph_measure,
     graph_points,
     image_measure,
@@ -164,6 +165,22 @@ class TestSampling:
         ends = np.array([p.values[-1, 0] for p in paths])
         assert np.var(ends) == pytest.approx(1.0, abs=0.1)
         assert abs(np.mean(ends)) < 0.05
+
+    @pytest.mark.parametrize("n, alpha", [(1, 0.5), (1, 0.3), (2, 0.7), (3, 0.4)])
+    def test_cholesky_factor_matches_norm_covariance(self, n, alpha):
+        # the covariance from a (k, k, n) np.linalg.norm, factored by an
+        # unjittered dpotrf: the running-sum covariance has the same bits
+        from scipy.linalg.lapack import dpotrf
+
+        pts = np.random.default_rng(n).random((300, n)) + 0.01
+        h2 = 2.0 * alpha
+        sn = np.linalg.norm(pts, axis=1) ** h2
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) ** h2
+        cov = 0.5 * (sn[:, None] + sn[None, :] - dist)
+        low, info = dpotrf(cov + 0.0 * np.eye(len(pts)), lower=1)
+        assert info == 0
+        sampler = fields._Sampler(FieldSpec(alpha, domain_dim=n), pts, "cholesky")
+        assert np.array_equal(sampler.factor, np.tril(low))
 
     def test_increment_variance_tracks_metric(self):
         spec = FieldSpec(0.3)

@@ -7,6 +7,7 @@ precision.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from packdim import (
+    InvalidArgumentError,
     LogValue,
     NotPositiveSemidefiniteError,
     Seed,
@@ -107,6 +109,23 @@ class TestCholeskyPsd:
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
         low = cholesky_psd(m)
         np.testing.assert_allclose(low @ low.T, m, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[np.inf]], [[-np.inf]], [[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.0], [0.0, np.inf]]],
+    )
+    def test_non_finite_rejected(self, m):
+        # refused by name, before LAPACK or the symmetry test sees them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="matrix must be finite"):
+                cholesky_psd(np.array(m))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
+        # within 1e-10 of the largest magnitude counts as symmetric
+        cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
 
 
 class TestLogValue:

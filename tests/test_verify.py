@@ -21,6 +21,7 @@ from packdim import (
     check_scale_doubling,
     extract_subsystem,
     natural_measure,
+    rect_mass,
 )
 
 
@@ -72,7 +73,48 @@ class TestCheckDoubling:
             check_doubling(mu, 0.25, [2.0], 0.5)
 
 
+def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
+    """check_scale_doubling as a loop of rect_mass calls, one per box."""
+    mult = np.asarray(h_multipliers, dtype=float)
+    combos = np.stack(np.meshgrid(*([mult] * nu.dim), indexing="ij"), axis=-1).reshape(-1, nu.dim)
+    scales = r0 * 2.0 ** -np.arange(1, n_scales + 1, dtype=float)
+    worst, mass, atoms, trials = 0.0, 0.0, 0, 0
+    for i in range(nu.count):
+        x = nu.atoms[i]
+        violated = False
+        for si, r in enumerate(scales, start=1):
+            base = rect_mass(nu, x, r)
+            for h in combos * r**a:
+                trials += 1
+                lhs = rect_mass(nu, x, h)
+                rhs = base * float(np.prod((4.0 * h / r) ** (1.0 + eps)))
+                if rhs > 0:
+                    worst = max(worst, lhs / rhs)
+                violated |= lhs > rhs * (1.0 + 1e-12) and si >= n_scales - 1
+        if violated:
+            atoms += 1
+            mass += nu.weights[i]
+    return trials, atoms, worst, mass
+
+
 class TestCheckScaleDoubling:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    def test_matches_rect_mass_loop(self, dim):
+        if dim == 0:
+            # concentrated at 0: exceptional atoms and a large worst ratio
+            xs = 2.0 ** -np.arange(14.0)
+            ws = 2.0 ** -(np.arange(14.0) ** 2 / 4.0)
+            nu = DiscreteMeasure(xs.reshape(-1, 1), ws / ws.sum())
+        else:
+            rng = np.random.default_rng(dim)
+            w = rng.random(60) + 0.05
+            nu = DiscreteMeasure(rng.random((60, dim)), w / w.sum())
+        args = (nu, 0.4, 0.2, 0.5, 6, (1.0, 1.5, 3.0))
+        rep = check_scale_doubling(*args)
+        assert (rep.trials, rep.violations, rep.worst_ratio, rep.details["exceptional_mass"]) == (
+            scale_doubling_reference(*args)
+        )
+
     def test_point_mass(self):
         rep = check_scale_doubling(line_measure(0.5), 0.5, 0.5, 0.125, n_scales=4)
         assert rep.passed
