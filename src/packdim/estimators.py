@@ -18,9 +18,8 @@ the mass-weighted median.  The minimum is exact on self-similar measures
 but is dominated at any fixed window by atoms near the support boundary;
 see _kernel_dim.  Resolution guards refuse scale grids finer than the
 atom spacing supports, where any finite approximant looks 0-dimensional.
-The spacing comes from a numpy sweep (_min_spacing), so box counting needs
-no scipy; only lattice-like clouds, which defeat the sweep, load scipy's
-kd-tree.
+The spacing comes from an exact numpy sweep (_min_spacing), so box counting
+needs no scipy.
 """
 
 from __future__ import annotations
@@ -182,12 +181,6 @@ def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
 _BLOCK_ELEMENTS = 2**20
 
 
-# The spacing sweep makes at most this many pair checks per distinct point
-# before it hands the cloud to a kd-tree: clouds with many points on one
-# line across the sort axis, such as lattices, defeat the sweep's pruning.
-_SWEEP_CHECKS = 64
-
-
 def _min_spacing(points: np.ndarray) -> float | None:
     """Nearest-neighbor spacing of the distinct points of a finite (k, m)
     array; None below two.  A repeated point would make it 0 and switch the
@@ -199,36 +192,30 @@ def _min_spacing(points: np.ndarray) -> float | None:
     exceeds the smallest squared distance so far: that square is a term of
     each of its later distances, and rounded differences and sums of squares
     are monotone, so the minimum is exact.  Squares are summed in coordinate
-    order, as a kd-tree query does, and the result has its bits.  Clouds
-    that need more than _SWEEP_CHECKS checks per point go to scipy's
-    cKDTree, imported on that branch only."""
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    # lexicographic order with the sort coordinate first sorts along it
-    order = np.roll(np.arange(points.shape[1]), -axis)
-    p = _distinct_rows(points[:, order])
-    k = len(p)
-    if k < 2:
-        return None
-    coords = [np.ascontiguousarray(p[:, j]) for j in np.argsort(order)]
-    best = np.inf
-    live = np.arange(k - 1)
-    checks = 0
-    for lag in range(1, k):
-        checks += len(live)
-        if checks > _SWEEP_CHECKS * k:
-            from scipy.spatial import cKDTree
-
-            q = np.column_stack(coords)
-            d, _ = cKDTree(q).query(q, k=2)
-            return float(np.min(d[:, 1]))
-        ahead = live + lag
-        diffs = [c[ahead] - c[live] for c in coords]
-        best = min(best, sum(d * d for d in diffs).min())
-        live = live[diffs[axis] * diffs[axis] <= best]
-        # live is increasing: cut the points with no partner lag + 1 ahead
-        live = live[:np.searchsorted(live, k - lag - 1)]
-        if not len(live):
-            break
+    order, as a kd-tree query does, and the result has its bits; a square
+    beyond the float range is inf, as there.  Lattices cost the most: about
+    k^((2m - 1)/m) checks, below the k^2 of a kernel table on the same
+    points."""
+    with np.errstate(over="ignore"):
+        axis = int(np.argmax(np.ptp(points, axis=0)))
+        # lexicographic order with the sort coordinate first sorts along it
+        order = np.roll(np.arange(points.shape[1]), -axis)
+        p = _distinct_rows(points[:, order])
+        k = len(p)
+        if k < 2:
+            return None
+        coords = [np.ascontiguousarray(p[:, j]) for j in np.argsort(order)]
+        best = np.inf
+        live = np.arange(k - 1)
+        for lag in range(1, k):
+            ahead = live + lag
+            diffs = [c[ahead] - c[live] for c in coords]
+            best = min(best, sum(d * d for d in diffs).min())
+            live = live[diffs[axis] * diffs[axis] <= best]
+            # live is increasing: cut the points with no partner lag + 1 ahead
+            live = live[:np.searchsorted(live, k - lag - 1)]
+            if not len(live):
+                break
     return float(np.sqrt(best))
 
 

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -551,11 +552,22 @@ class TestMinSpacing:
         points = spacing_shapes()[name]
         assert estimators._min_spacing(points) == kd_spacing(points)
 
-    @pytest.mark.parametrize("name", SPACING_SHAPES)
-    def test_kd_tree_fallback(self, name, monkeypatch):
-        points = spacing_shapes()[name]
-        monkeypatch.setattr(estimators, "_SWEEP_CHECKS", 0)
-        assert estimators._min_spacing(points) == kd_spacing(points)
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.0], [1e200], [2e200]], [[0.0, 0.0], [1e200, 0.0], [0.0, 3e200]],
+         [[-1e308], [1e308]], [[1e-200], [3e-200], [0.0]]],
+    )
+    def test_squares_beyond_the_float_range(self, points):
+        # an overflowing square is inf and an underflowing one 0, as in the
+        # kd-tree, and neither warns
+        points = np.array(points)
+        expected = kd_spacing(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimators._min_spacing(points) == expected
+            if expected == np.inf:
+                with pytest.raises(ResolutionError):
+                    box_counting_dim(points, ScaleGrid(1, 4))
 
     def test_signed_zeros_are_one_point(self):
         assert estimators._min_spacing(np.array([[0.0, 1.0], [-0.0, 1.0]])) is None

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import packdim
-from packdim import estimators
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
@@ -51,35 +50,27 @@ def test_quick_start_path_loads_no_scipy():
     assert loaded == {stage: [] for stage in loaded}
 
 
-# Each site's first call, as (set-up statement, expression).
+# Each site's first call.
 LAZY_SITES = {
-    "numerics.gaussian_cdf": ("", "packdim.gaussian_cdf(1.96)"),
-    "numerics.gaussian_interval_prob": ("", "packdim.gaussian_interval_prob(0.7, 0.2, 0.5)"),
-    "numerics.cholesky_psd": ("", "packdim.cholesky_psd([[4.0, 2.0], [2.0, 5.0]]).tolist()"),
+    "numerics.gaussian_cdf": "packdim.gaussian_cdf(1.96)",
+    "numerics.gaussian_interval_prob": "packdim.gaussian_interval_prob(0.7, 0.2, 0.5)",
+    "numerics.cholesky_psd": "packdim.cholesky_psd([[4.0, 2.0], [2.0, 5.0]]).tolist()",
     "kernels._euclid_ball_prob": (
-        "",
-        "packdim.kernels._euclid_ball_prob(np.array([1.0, 0.5]), np.array([0.0, 0.3]), 0.8, 2).tolist()",
-    ),
-    "estimators._min_spacing kd-tree fallback": (
-        "packdim.estimators._SWEEP_CHECKS = 0",
-        "packdim.estimators._min_spacing(np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.5]]))",
+        "packdim.kernels._euclid_ball_prob(np.array([1.0, 0.5]), np.array([0.0, 0.3]), 0.8, 2).tolist()"
     ),
 }
 
 
 @pytest.mark.parametrize("site", sorted(LAZY_SITES))
-def test_first_call_of_a_lazy_import(site, monkeypatch):
-    setup, expression = LAZY_SITES[site]
+def test_first_call_of_a_lazy_import(site):
+    expression = LAZY_SITES[site]
     code = f"""
     import sys
     import numpy as np
     import packdim
     assert not {SCIPY_LOADED}
-    {setup}
     print(repr({expression}))
     assert {SCIPY_LOADED}
     """
-    if setup:
-        monkeypatch.setattr(estimators, "_SWEEP_CHECKS", 0)
     expected = eval(expression, {"packdim": packdim, "np": np})
     assert run_fresh(code).strip() == repr(expected)
