@@ -25,8 +25,8 @@ print()
 print("covering counts at the construction scales:")
 for k in (2, 4, 6, 8):
     lie = k * math.log(3.0)
-    n = covering_count(system, lie)
-    print(f"  eps = 3^-{k}: log N = {n.logv:.6f} = {n.logv/math.log(2):.1f} log 2")
+    logn = covering_count(system, lie)
+    print(f"  eps = 3^-{k}: log N = {logn:.6f} = {logn/math.log(2):.1f} log 2")
 
 mb = minkowski_bounds(system, [k * math.log(3.0) for k in range(4, 13)])
 print()

@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
     ScaleUnrepresentableError,
 )
-from .numerics import LogValue, Seed, cholesky_psd, gaussian_cdf, gaussian_interval_prob
+from .numerics import Seed, cholesky_psd, gaussian_interval_prob
 from .measures import (
     DiscreteMeasure,
     SubMeasure,
@@ -51,7 +51,6 @@ from .fields import (
     DriftSpec,
     FieldSpec,
     SamplePath,
-    add_drift,
     canonical_metric,
     fbm_covariance,
     graph_measure,
@@ -64,7 +63,6 @@ from .kernels import (
     KernelContext,
     ball_mass_profile,
     expected_ball_mass,
-    increment_kernel,
     increment_prob,
     product_kernel,
     profile_kernel,
@@ -85,7 +83,6 @@ from .estimators import (
 from .theory import (
     Regime,
     graph_lower,
-    kahane_dims,
     predict_graph_upper,
     predict_image,
     predict_image_profile,
@@ -117,10 +114,8 @@ __all__ = [
     "DegenerateRegimeError",
     "ConfigError",
     # numerics
-    "LogValue",
     "Seed",
     "cholesky_psd",
-    "gaussian_cdf",
     "gaussian_interval_prob",
     # measures
     "DiscreteMeasure",
@@ -152,7 +147,6 @@ __all__ = [
     "canonical_metric",
     "sample",
     "sample_many",
-    "add_drift",
     "graph_points",
     "image_measure",
     "graph_measure",
@@ -161,7 +155,6 @@ __all__ = [
     "product_kernel",
     "profile_kernel",
     "slice_kernel",
-    "increment_kernel",
     "increment_prob",
     "ball_mass_profile",
     "expected_ball_mass",
@@ -184,7 +177,6 @@ __all__ = [
     "graph_lower",
     "solve_crossing",
     "predict_image_profile",
-    "kahane_dims",
     # verify
     "CheckReport",
     "check_doubling",

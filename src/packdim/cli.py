@@ -2,10 +2,10 @@
 
 Subcommands: simulate, dim, profile, txset, predict, verify,
 experiment run / experiment suite.  Global flags --seed, --out,
---format apply before the subcommand name; --threads is accepted there
-too and ignored.  Every file written embeds a hash of the invocation
-parameters and the package version on a leading comment line.  Exit
-status is 0 only when every invoked check or comparison passes.
+--format apply before the subcommand name.  Every file written embeds a
+hash of the invocation parameters and the package version on a leading
+comment line.  Exit status is 0 only when every invoked check or
+comparison passes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from ._version import __version__
 from .errors import DegenerateRegimeError, PackdimError, ResolutionError
 from .estimators import ScaleGrid, dim_ball_mass, dim_profile
-from .fields import DriftSpec, FieldSpec, sample
+from .fields import DriftSpec, FieldSpec, _mesh_points, sample
 from .fractals import build_tx_system, build_uniform_cantor, covering_count, extract_subsystem
 from .measures import DiscreteMeasure, read_measure_csv
 from .numerics import Seed
@@ -80,13 +80,7 @@ def _parse_drift(text: str | None, d: int) -> DriftSpec | None:
 
 def _cmd_simulate(args) -> int:
     n, d = args.domain_dim, args.range_dim
-    if n == 1:
-        pts = np.linspace(0.0, args.t_max, args.points)[:, None]
-    else:
-        per_axis = max(2, round(args.points ** (1.0 / n)))
-        axes = [np.linspace(0.0, args.t_max, per_axis)] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = _mesh_points(args.points, n, args.t_max)
     field = FieldSpec(args.alpha, domain_dim=n, range_dim=d)
     drift = _parse_drift(args.drift, d)
     path = sample(field, pts, Seed(args.seed), drift=drift, method=args.method)
@@ -184,8 +178,8 @@ def _cmd_txset(args) -> int:
         log_inv_delta = system.L[k]
         log_inv_eta = system.H[k - 1]
         log_m = system.logm[k - 1]
-        ratio_eta = covering_count(system, log_inv_eta).logv / log_inv_eta
-        ratio_delta = covering_count(system, log_inv_delta).logv / log_inv_delta
+        ratio_eta = covering_count(system, log_inv_eta) / log_inv_eta
+        ratio_delta = covering_count(system, log_inv_delta) / log_inv_delta
         rows.append(
             {
                 "k": k,
@@ -336,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--threads", type=int, default=1, help="ignored (kept for old scripts)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,7 @@ from ._version import __version__
 from .errors import ConfigError, PackdimError
 from .estimators import _METHODS as _EST_METHODS
 from .estimators import ScaleGrid, box_counting_dim, dim_field
-from .fields import DriftSpec, FieldSpec, graph_points, sample_many
+from .fields import DriftSpec, FieldSpec, _mesh_points, graph_points, sample_many
 from .fractals import build_tx_system, build_uniform_cantor, natural_measure, realize_explicit
 from .kernels import KernelContext
 from .measures import DiscreteMeasure
@@ -196,13 +196,7 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     if kind == "interval":
         if spec:
             raise ConfigError(f"interval set takes no parameters, got {sorted(spec)}")
-        if cfg.n == 1:
-            pts = np.linspace(0.0, 1.0, cfg.resolution)[:, None]
-        else:
-            per_axis = max(2, round(cfg.resolution ** (1.0 / cfg.n)))
-            axes = [np.linspace(0.0, 1.0, per_axis)] * cfg.n
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
         k = len(pts)
         mu = DiscreteMeasure(pts, np.full(k, 1.0 / k))
         return pts, mu, float(cfg.n), cfg.n == 1

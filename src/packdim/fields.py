@@ -9,9 +9,9 @@ embedding FFT path for uniform 1-D grids anchored at zero (same law, much
 larger point budgets).
 
 Drift enters twice.  Sample paths carry it additively.  Model-level kernel
-computations only ever see drift increments f(t) - f(s), and the increments
-of zero and constant drifts are produced as exact floating-point zeros, so
-those kernels are bitwise identical to their drift-free versions.
+computations only ever see drift increments f(t) - f(s); zero and constant
+drifts cancel there, and the kernels (KernelContext._drift_cancels) skip
+them, so those kernels are bitwise identical to their drift-free versions.
 """
 
 from __future__ import annotations
@@ -33,14 +33,17 @@ __all__ = [
     "canonical_metric",
     "sample",
     "sample_many",
-    "add_drift",
     "graph_points",
     "image_measure",
     "graph_measure",
 ]
 
-_MAX_CHOLESKY = 2**14
 _MAX_POINTS = 2**20
+# Bytes the Cholesky sampler may hold at its peak.  The build keeps about
+# 5.1 k x k float64 arrays alive at once on k points (tracemalloc, k = 1024,
+# n = 1 and 2), counted below as 6; 2 GiB admits up to 6688 points.
+_CHOLESKY_BUDGET = 2**31
+_CHOLESKY_PEAK_ARRAYS = 6
 
 
 def _check_alpha(alpha: float):
@@ -170,11 +173,8 @@ class DriftSpec:
         return powers @ coef.T
 
     def increment(self, t, s) -> np.ndarray:
-        """f(t) - f(s) per coordinate.  Zero and constant drifts return
-        exact zeros; that is what makes every downstream kernel bitwise
-        identical to the drift-free one for those kinds."""
-        if self.kind in ("zero", "constant"):
-            return np.zeros(self.range_dim)
+        """f(t) - f(s) per coordinate; exact zeros for zero and constant
+        drifts."""
         vals = self.evaluate(np.vstack([_as_points(t), _as_points(s)]))
         return vals[0] - vals[1]
 
@@ -199,6 +199,14 @@ class SamplePath:
             raise InvalidArgumentError("values must have shape (len(points), range_dim)")
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "values", v)
+
+
+def _mesh_points(count: int, n: int, t_max: float) -> np.ndarray:
+    """The regular grid on [0, t_max]^n: ``count`` points on the line, else
+    max(2, round(count^(1/n))) points per axis, rows in ij order."""
+    per_axis = count if n == 1 else max(2, round(count ** (1.0 / n)))
+    mesh = np.meshgrid(*[np.linspace(0.0, t_max, per_axis)] * n, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _check_sample_points(points, spec: FieldSpec) -> np.ndarray:
@@ -277,13 +285,15 @@ class _Sampler:
             self.h = float(points[1, 0])
             self.lam = _fgn_eigenvalues(self.m, field.alpha)
         elif method == "cholesky":
-            if len(points) > _MAX_CHOLESKY:
-                raise InvalidArgumentError(
-                    f"cholesky is limited to {_MAX_CHOLESKY} points; use fft on a grid"
-                )
             norms = np.linalg.norm(points, axis=1)
             self.nz = norms > 0.0
             sub = points[self.nz]
+            need = _CHOLESKY_PEAK_ARRAYS * 8 * len(sub) ** 2
+            if need > _CHOLESKY_BUDGET:
+                raise InvalidArgumentError(
+                    f"cholesky on {len(sub)} points needs about {need} bytes, over the "
+                    f"budget of {_CHOLESKY_BUDGET} bytes; use fft on a grid"
+                )
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
             # |s_i - s_k|^h2 from a running sum of squared coordinate
@@ -359,17 +369,6 @@ def sample_many(
         _finish(sampler, sampler.draw(s), drift, s)
         for s in (seed.replica(i) for i in range(replicas))
     ]
-
-
-def add_drift(path: SamplePath, drift: DriftSpec) -> SamplePath:
-    """The same realization with ``drift`` added.  Zero drift returns values
-    bitwise equal to the input's."""
-    if drift.range_dim != path.field.range_dim:
-        raise InvalidArgumentError("drift and field range dimensions differ")
-    if path.drift is not None:
-        raise InvalidArgumentError("path already carries a drift; sample afresh instead")
-    vals = path.values if drift.kind == "zero" else path.values + drift.evaluate(path.points)
-    return SamplePath(path.points, vals, path.field, drift, path.seed)
 
 
 def graph_points(path: SamplePath) -> np.ndarray:

@@ -23,7 +23,6 @@ from .errors import (
     ScaleUnrepresentableError,
 )
 from .measures import DiscreteMeasure
-from .numerics import LogValue
 
 __all__ = [
     "LevelSpec",
@@ -346,17 +345,11 @@ def realize_explicit(system: SymbolicScaleSystem, maxlevel: int) -> NestedInterv
 # ---------------------------------------------------------------------------
 
 
-def _log_inv(x) -> float:
-    if isinstance(x, LogValue):
-        return x.logv
-    return float(x)
-
-
 def _guarded_ceil(x: float) -> int:
     return max(1, int(math.ceil(x * (1.0 - 1e-12) - 1e-12)))
 
 
-def covering_count(system, log_inv_eps) -> LogValue:
+def covering_count(system, log_inv_eps) -> float:
     """log N(eps): the exact per-parent covering count at scale eps,
 
         N = m_1 ... m_{k-1} * min(m_k, ceil(delta_{k-1} / eps))
@@ -365,7 +358,7 @@ def covering_count(system, log_inv_eps) -> LogValue:
     one interval suffices.  Scales finer than the deepest level are out of
     range and raise.
     """
-    lie = _log_inv(log_inv_eps)
+    lie = float(log_inv_eps)
     if isinstance(system, SymbolicScaleSystem):
         L = system.L
         logm = system.logm
@@ -380,7 +373,7 @@ def covering_count(system, log_inv_eps) -> LogValue:
     if lie < L[0] - 1e-12:
         raise InvalidArgumentError("eps exceeds the root interval length")
     if lie <= L[0]:
-        return LogValue(0.0)
+        return 0.0
     k = None
     for j in range(1, depth + 1):
         if lie <= L[j]:
@@ -396,7 +389,7 @@ def covering_count(system, log_inv_eps) -> LogValue:
         log_ceil = math.log(float(_guarded_ceil(math.exp(log_ratio))))
     else:
         log_ceil = log_ratio
-    return LogValue(prefix + min(logm[k - 1], log_ceil))
+    return prefix + min(logm[k - 1], log_ceil)
 
 
 @dataclass(frozen=True)
@@ -411,12 +404,12 @@ class MinkowskiBounds:
 
 
 def minkowski_bounds(system, log_inv_eps_grid) -> MinkowskiBounds:
-    grid = sorted(_log_inv(x) for x in log_inv_eps_grid)
+    grid = sorted(float(x) for x in log_inv_eps_grid)
     if len(grid) < 3:
         raise InvalidArgumentError("need at least three scales")
     rows = []
     for lie in grid:
-        logn = covering_count(system, lie).logv
+        logn = covering_count(system, lie)
         rows.append((lie, logn, logn / lie if lie > 0 else math.nan))
     tail = max(1, math.ceil(len(rows) / 3))
     tail_ratios = [r[2] for r in rows[-tail:]]

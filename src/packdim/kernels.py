@@ -37,7 +37,6 @@ __all__ = [
     "product_kernel",
     "profile_kernel",
     "slice_kernel",
-    "increment_kernel",
     "increment_prob",
     "expected_ball_mass",
     "ball_mass_profile",
@@ -133,17 +132,6 @@ def slice_kernel(mu: DiscreteMeasure, n: int, d: int, x, r: float) -> float:
         raise InvalidArgumentError("point dimension does not match the measure")
     (table,) = slice_tables(xv[None, :], mu.atoms, n, [r])
     return float(table[0] @ mu.weights)
-
-
-def increment_kernel(fx, fy, r: float) -> float:
-    """Product kernel of the scaled increment (f(y) - f(x)) / r."""
-    if not (r > 0):
-        raise InvalidArgumentError("r must be positive")
-    a = np.atleast_1d(np.asarray(fx, dtype=float))
-    b = np.atleast_1d(np.asarray(fy, dtype=float))
-    if a.shape != b.shape:
-        raise InvalidArgumentError("the two points must share a dimension")
-    return product_kernel((b - a) / r)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ instead of silently renormalizing.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +84,10 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class SubMeasure:
     """Sub-probability measure: same layout, total mass in (0, 1] not
-    enforced to equal 1.  A slice result is flagged by construction."""
+    enforced to equal 1."""
 
     atoms: np.ndarray
     weights: np.ndarray
-    sliced: bool = field(default=True)
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))

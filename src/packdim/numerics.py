@@ -1,5 +1,5 @@
-"""Scalar and matrix primitives: Gaussian probabilities, a jittered Cholesky
-factorization, log-domain magnitudes, and reproducible seed streams.
+"""Scalar and matrix primitives: Gaussian interval probabilities, a jittered
+Cholesky factorization, and reproducible seed streams.
 
 Everything downstream funnels its floating-point risk through this module, so
 the contracts here are deliberately strict.
@@ -14,38 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NotPositiveSemidefiniteError
 
-__all__ = [
-    "gaussian_cdf",
-    "gaussian_interval_prob",
-    "cholesky_psd",
-    "LogValue",
-    "Seed",
-]
+__all__ = ["gaussian_interval_prob", "cholesky_psd", "Seed"]
 
 # Jitter schedule for nearly-semidefinite matrices: start at
 # 1e-12 * trace/dim, escalate by 10x, give up after 4 retries.
 _JITTER_REL = 1e-12
 _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 4
-
-
-def gaussian_cdf(z):
-    """Standard normal CDF, accurate to well below 1e-12 absolute error.
-
-    Accepts scalars or arrays; scalars come back as floats.
-    """
-    from scipy.special import ndtr
-
-    out = ndtr(z)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(out)
-    return out
 
 
 def gaussian_interval_prob(rho, a, r):
@@ -116,65 +96,6 @@ def cholesky_psd(matrix) -> np.ndarray:
         last_pivot = int(info) - 1  # LAPACK reports 1-based pivots
         jitter = base * (_JITTER_GROWTH ** attempt)
     raise NotPositiveSemidefiniteError(last_pivot)
-
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class LogValue:
-    """A positive magnitude stored as its natural log.
-
-    Keeps products, powers and comparisons exact-to-rounding far below the
-    double underflow threshold.  ``logv`` must be finite.
-    """
-
-    logv: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.logv):
-            raise InvalidArgumentError("log magnitude must be finite")
-
-    @classmethod
-    def of(cls, x: float) -> "LogValue":
-        if not (x > 0) or not math.isfinite(x):
-            raise InvalidArgumentError("LogValue.of needs a finite positive value")
-        return cls(math.log(x))
-
-    @classmethod
-    def from_log(cls, logv: float) -> "LogValue":
-        return cls(float(logv))
-
-    @property
-    def value(self) -> float:
-        """The magnitude itself.  Overflows to inf and underflows to 0.0."""
-        try:
-            return math.exp(self.logv)
-        except OverflowError:
-            return math.inf
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.logv + other.logv)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.logv - other.logv)
-
-    def __pow__(self, exponent: float) -> "LogValue":
-        return LogValue(self.logv * exponent)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogValue):
-            return NotImplemented
-        return self.logv == other.logv
-
-    def __lt__(self, other: "LogValue") -> bool:
-        if not isinstance(other, LogValue):
-            return NotImplemented
-        return self.logv < other.logv
-
-    def __hash__(self):
-        return hash(("LogValue", self.logv))
-
-    def __repr__(self):
-        return f"LogValue(logv={self.logv!r})"
 
 
 _MASTER_BOUND = 1 << 64

@@ -31,7 +31,6 @@ __all__ = [
     "graph_lower",
     "solve_crossing",
     "predict_image_profile",
-    "kahane_dims",
 ]
 
 
@@ -153,20 +152,3 @@ def predict_image_profile(alpha: float, d: int, profile_value: float) -> float:
             "a profile at parameter alpha*d cannot exceed alpha*d"
         )
     return max(0.0, profile_value) / alpha
-
-
-def kahane_dims(alpha: float, d: int, hausdorff_beta: float) -> tuple[float, float]:
-    """Classical Hausdorff-dimension values for image and graph:
-    (min(beta/alpha, d), min(beta/alpha, beta + d(1-alpha))).  Used as
-    cross-checks on sets whose Hausdorff and packing dimensions agree."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidArgumentError("alpha must lie in (0, 1)")
-    if not (1 <= int(d) == d):
-        raise InvalidArgumentError("d must be a positive integer")
-    if not (0.0 <= hausdorff_beta <= 1.0):
-        raise InvalidArgumentError("the dimension input must lie in [0, 1]")
-    image = min(hausdorff_beta / alpha, float(d))
-    graph = min(
-        hausdorff_beta / alpha, hausdorff_beta + d * (1.0 - alpha)
-    )
-    return image, graph

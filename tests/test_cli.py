@@ -228,12 +228,16 @@ class TestExperiment:
     def test_run_writes_reports(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "results"
-        # --threads is ignored but still accepted
-        proc = run_cli("--out", out, "--threads", 2, "experiment", "run", cfg, check=True)
+        proc = run_cli("--out", out, "experiment", "run", cfg, check=True)
         payload = json.loads(proc.stdout)
         assert payload["pass"] is True
         assert (out / "cli-thirds.csv").exists()
         assert (out / "cli-thirds.json").exists()
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        proc = run_cli("--threads", 2, "experiment", "run", self.write_config(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: packdim")
 
     def test_run_exit_one_on_failed_comparison(self, tmp_path):
         cfg = self.write_config(tmp_path, {**self.CONFIG, "tolerance": 0.01})

@@ -9,9 +9,11 @@ import pytest
 
 from packdim import (
     ConfigError,
+    InvalidArgumentError,
     NotPositiveSemidefiniteError,
     ResolutionError,
     ScaleUnrepresentableError,
+    fields,
 )
 from packdim.experiment import ExperimentConfig, _stage, run_experiment, run_suite
 
@@ -240,6 +242,14 @@ class TestRunExperiment:
         assert info.value.limit == pytest.approx(4.0 / 63.0)
         assert info.value.scale == 2.0**-9
         assert str(info.value).startswith("kernel stage: finest scale")
+
+    def test_cholesky_budget_refuses_in_the_simulation_stage(self, monkeypatch):
+        monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 1024)
+        with pytest.raises(InvalidArgumentError) as info:
+            run_experiment(ExperimentConfig.from_dict(THIRDS_IMAGE))
+        # 128 Cantor atoms; the one at 0 stays out of the factor
+        assert str(info.value).startswith("simulation stage: cholesky on 127 points")
+        assert "budget of 1024 bytes" in str(info.value)
 
     def test_stage_label_keeps_extra_constructor_arguments(self):
         with pytest.raises(NotPositiveSemidefiniteError) as info:

@@ -13,7 +13,6 @@ from packdim import (
     FieldSpec,
     InvalidArgumentError,
     Seed,
-    add_drift,
     canonical_metric,
     fbm_covariance,
     fields,
@@ -192,31 +191,45 @@ class TestSampling:
 
 
 class TestDriftedPaths:
-    def test_add_zero_drift_is_bitwise(self):
-        path = sample(FieldSpec(0.5), GRID, Seed(2))
-        out = add_drift(path, DriftSpec.zero(1))
-        np.testing.assert_array_equal(out.values, path.values)
-
-    def test_add_constant_drift(self):
-        path = sample(FieldSpec(0.5), GRID, Seed(2))
-        out = add_drift(path, DriftSpec.constant([3.0]))
-        np.testing.assert_array_equal(out.values, path.values + 3.0)
-
     def test_drift_applied_at_sample_time(self):
+        # the same realization as the drift-free sample, plus the drift
         drift = DriftSpec.polynomial([[0.0, 2.0]])
         direct = sample(FieldSpec(0.5), GRID, Seed(2), drift=drift)
-        late = add_drift(sample(FieldSpec(0.5), GRID, Seed(2)), drift)
-        np.testing.assert_array_equal(direct.values, late.values)
-
-    def test_no_double_drift(self):
-        path = sample(FieldSpec(0.5), GRID, Seed(2), drift=DriftSpec.constant([1.0]))
-        with pytest.raises(InvalidArgumentError):
-            add_drift(path, DriftSpec.zero(1))
+        bare = sample(FieldSpec(0.5), GRID, Seed(2))
+        np.testing.assert_array_equal(direct.values, bare.values + drift.evaluate(GRID))
+        assert direct.drift == drift
 
     def test_range_dim_mismatch(self):
-        path = sample(FieldSpec(0.5), GRID, Seed(2))
         with pytest.raises(InvalidArgumentError):
-            add_drift(path, DriftSpec.constant([1.0, 1.0]))
+            sample(FieldSpec(0.5), GRID, Seed(2), drift=DriftSpec.constant([1.0, 1.0]))
+
+
+class TestCholeskyBudget:
+    def test_refused_above_the_budget(self, monkeypatch):
+        # GRID's origin gets value 0 without entering the factor: 32 points
+        monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 6 * 8 * 32**2)
+        sample(FieldSpec(0.5), GRID, Seed(1), method="cholesky")
+        off_origin = np.linspace(0.5, 1.0, 33)[:, None]
+        with pytest.raises(InvalidArgumentError, match="needs about 52272 bytes"):
+            sample(FieldSpec(0.5), off_origin, Seed(1), method="cholesky")
+
+    def test_budget_admits_the_largest_benchmark_set_only(self):
+        # the refused 2^14 points would peak near 12 GiB; 2048 Cantor atoms
+        # are the largest Cholesky set the benchmark samples
+        peak = fields._CHOLESKY_PEAK_ARRAYS * 8
+        assert peak * 2048**2 <= fields._CHOLESKY_BUDGET < peak * (2**14) ** 2
+
+
+class TestMeshPoints:
+    @pytest.mark.parametrize("count, n", [(1, 1), (65, 1), (300, 2), (70, 3), (3, 2)])
+    def test_regular_grid(self, count, n):
+        pts = fields._mesh_points(count, n, 2.0)
+        per_axis = count if n == 1 else max(2, round(count ** (1.0 / n)))
+        assert pts.shape == (per_axis**n, n)
+        axis = np.linspace(0.0, 2.0, per_axis)
+        # rows in ij order: the last coordinate varies fastest
+        np.testing.assert_array_equal(pts[:per_axis, -1], axis)
+        np.testing.assert_array_equal(pts[:: per_axis ** (n - 1), 0], axis)
 
 
 class TestPathViews:

@@ -192,21 +192,21 @@ class TestCoveringCount:
     def test_thirds_exact(self):
         mt = thirds(12)
         # eps = 3^-3 needs all 8 level-3 intervals
-        assert covering_count(mt, 3.0 * math.log(3.0)).logv == pytest.approx(
+        assert covering_count(mt, 3.0 * math.log(3.0)) == pytest.approx(
             math.log(8.0), rel=1e-12
         )
-        assert covering_count(mt, 0.0).logv == 0.0
+        assert covering_count(mt, 0.0) == 0.0
 
     def test_between_levels(self):
         mt = thirds(12)
         # delta_3 < eps < delta_2: 4 level-2 parents, ceil(delta_2/eps) = 2
         lie = 2.0 * math.log(3.0) + math.log(1.5)
-        n = covering_count(mt, lie)
-        assert n.logv == pytest.approx(math.log(8.0), rel=1e-12)
+        logn = covering_count(mt, lie)
+        assert logn == pytest.approx(math.log(8.0), rel=1e-12)
         # exactly at delta_2 the per-parent need delta_1/delta_2 = 3 is
         # capped at the branch count
         at_level = covering_count(mt, 2.0 * math.log(3.0))
-        assert at_level.logv == pytest.approx(math.log(4.0), rel=1e-12)
+        assert at_level == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_out_of_range(self):
         mt = thirds(5)
@@ -218,13 +218,13 @@ class TestCoveringCount:
     def test_tx_symbolic(self):
         tx = build_tx_system(0.5, 0.25, 12)
         # at eps = delta_2 every level-2 interval is needed
-        n = covering_count(tx, tx.L[2])
-        assert n.logv == pytest.approx(math.log(8.0 * 8192.0), rel=1e-12)
+        logn = covering_count(tx, tx.L[2])
+        assert logn == pytest.approx(math.log(8.0 * 8192.0), rel=1e-12)
 
     def test_monotone_in_scale(self):
         mt = thirds(10)
         grid = [k * math.log(3.0) for k in range(1, 11)]
-        logs = [covering_count(mt, x).logv for x in grid]
+        logs = [covering_count(mt, x) for x in grid]
         assert all(b >= a for a, b in zip(logs, logs[1:]))
 
 

@@ -16,7 +16,6 @@ from packdim import (
     ball_mass_profile,
     estimators,
     expected_ball_mass,
-    increment_kernel,
     increment_prob,
     kernels,
     product_kernel,
@@ -114,16 +113,6 @@ class TestSliceKernel:
             slice_kernel(mu, 1, 1, [0.0], 1.0)  # n + d too large
         with pytest.raises(InvalidArgumentError):
             slice_kernel(mu, 0, 1, [0.0], -1.0)
-
-
-class TestIncrementKernel:
-    def test_scaled_product(self):
-        assert increment_kernel([0.0], [0.5], 1.0) == 1.0
-        assert increment_kernel([0.0], [4.0], 2.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            increment_kernel([0.0], [1.0, 2.0], 1.0)
 
 
 def context(alpha=0.5, d=1, mode="image", drift=None, mu=None):

@@ -1,14 +1,12 @@
-"""Scalar numerics: the Gaussian CDF, interval probabilities, the PSD
-Cholesky wrapper, log-domain values, and seed streams.
+"""Scalar numerics: Gaussian interval probabilities, the PSD Cholesky
+wrapper, and seed streams.
 
 The high-precision reference constants were computed with mpmath at 50
 digits and frozen here; the library must match them to near machine
 precision.
 """
 
-import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,37 +14,14 @@ from hypothesis import given, strategies as st
 
 from packdim import (
     InvalidArgumentError,
-    LogValue,
     NotPositiveSemidefiniteError,
     Seed,
     cholesky_psd,
-    gaussian_cdf,
     gaussian_interval_prob,
 )
 
-PHI_196 = 0.9750021048517795658634157
 TWO_PHI_196 = 0.9500042097035591317268315  # 2*Phi(1.96) - 1
 PHI2_MINUS_PHI1 = 0.1359051219832778442144848
-
-
-class TestGaussianCdf:
-    def test_symmetry_point(self):
-        assert gaussian_cdf(0.0) == pytest.approx(0.5, abs=1e-16)
-
-    def test_tail_saturates(self):
-        assert abs(gaussian_cdf(40.0) - 1.0) < 1e-15
-
-    def test_reference_value(self):
-        assert gaussian_cdf(1.96) == pytest.approx(PHI_196, rel=1e-15)
-
-    def test_complement(self):
-        z = 1.3
-        assert gaussian_cdf(z) + gaussian_cdf(-z) == pytest.approx(1.0, abs=1e-15)
-
-    def test_vectorized(self):
-        out = gaussian_cdf(np.array([0.0, 1.96]))
-        assert out.shape == (2,)
-        assert out[1] == pytest.approx(PHI_196, rel=1e-14)
 
 
 class TestGaussianIntervalProb:
@@ -126,34 +101,6 @@ class TestCholeskyPsd:
             cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
         # within 1e-10 of the largest magnitude counts as symmetric
         cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
-
-
-class TestLogValue:
-    def test_value_roundtrip(self):
-        assert LogValue(math.log(5.0)).value == pytest.approx(5.0, rel=1e-15)
-
-    @given(
-        st.integers(1, 2**40),
-        st.integers(0, 60),
-        st.integers(1, 2**40),
-        st.integers(0, 60),
-    )
-    def test_ordering_matches_rationals(self, n1, e1, n2, e2):
-        # dyadic rationals n / 2^e are exactly representable on both sides
-        q1, q2 = Fraction(n1, 2**e1), Fraction(n2, 2**e2)
-        l1, l2 = LogValue(math.log(n1) - e1 * math.log(2)), LogValue(
-            math.log(n2) - e2 * math.log(2)
-        )
-        if q1 == q2:
-            assert abs(l1.logv - l2.logv) < 1e-9
-        elif q1 < q2:
-            assert l1.logv < l2.logv + 1e-12
-        else:
-            assert l2.logv < l1.logv + 1e-12
-
-    def test_product_is_log_sum(self):
-        a, b = LogValue(math.log(3.0)), LogValue(math.log(7.0))
-        assert a.logv + b.logv == pytest.approx(math.log(21.0), rel=1e-15)
 
 
 class TestSeed:

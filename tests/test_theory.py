@@ -8,7 +8,6 @@ from packdim import (
     InvalidArgumentError,
     Regime,
     graph_lower,
-    kahane_dims,
     predict_graph_upper,
     predict_image,
     predict_image_profile,
@@ -155,23 +154,3 @@ class TestPredictImageProfile:
 
     def test_clamps_roundoff(self):
         assert predict_image_profile(0.5, 1, -1e-12) == 0.0
-
-
-class TestKahaneDims:
-    def test_brownian_on_interval(self):
-        assert kahane_dims(0.5, 1, 1.0) == (1.0, 1.5)
-
-    def test_planar_saturation(self):
-        assert kahane_dims(0.5, 2, 1.0) == (2.0, 2.0)
-
-    def test_empty_set(self):
-        assert kahane_dims(0.5, 2, 0.0) == (0.0, 0.0)
-
-    def test_ratio_branch(self):
-        assert kahane_dims(0.5, 1, 0.5) == (1.0, 1.0)
-
-    def test_image_side_matches_prediction_on_exact_sets(self):
-        # on a set with matching dimensions the image formulas coincide
-        for alpha, d, beta in ((0.3, 2, 0.5), (0.5, 1, 0.8), (0.7, 3, 0.9)):
-            img, _ = kahane_dims(alpha, d, beta)
-            assert img == pytest.approx(predict_image(Regime(alpha, d, beta)))
