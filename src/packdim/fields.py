@@ -39,11 +39,11 @@ __all__ = [
 ]
 
 _MAX_POINTS = 2**20
-# Bytes the Cholesky sampler may hold at its peak.  The build keeps about
-# 5.1 k x k float64 arrays alive at once on k points (tracemalloc, k = 1024,
-# n = 1 and 2), counted below as 6; 2 GiB admits up to 6688 points.
-_CHOLESKY_BUDGET = 2**31
-_CHOLESKY_PEAK_ARRAYS = 6
+# Bytes the Cholesky sampler may hold at its peak.  On k points that peak is
+# about 5.2 k x k float64 arrays (peak RSS at k = 4095, n = 1 and 2), counted
+# as 6, i.e. 48 k^2 bytes.  Half of an 8 GB machine, 4 GiB admits up to 9459
+# points; the 2^14 points that exhaust such a machine are refused.
+_CHOLESKY_BUDGET = 2**32
 
 
 def _check_alpha(alpha: float):
@@ -288,7 +288,7 @@ class _Sampler:
             norms = np.linalg.norm(points, axis=1)
             self.nz = norms > 0.0
             sub = points[self.nz]
-            need = _CHOLESKY_PEAK_ARRAYS * 8 * len(sub) ** 2
+            need = 48 * len(sub) ** 2
             if need > _CHOLESKY_BUDGET:
                 raise InvalidArgumentError(
                     f"cholesky on {len(sub)} points needs about {need} bytes, over the "

@@ -191,6 +191,22 @@ class TestSampling:
 
 
 class TestDriftedPaths:
+    def test_add_zero_drift_is_bitwise(self, monkeypatch):
+        # the zero drift is never evaluated, so no -0.0 turns into +0.0
+        def no_eval(self, points):
+            raise AssertionError("the zero drift was evaluated")
+
+        monkeypatch.setattr(DriftSpec, "evaluate", no_eval)
+        direct = sample(FieldSpec(0.5), GRID, Seed(2), drift=DriftSpec.zero(1))
+        bare = sample(FieldSpec(0.5), GRID, Seed(2))
+        assert direct.values.tobytes() == bare.values.tobytes()
+        assert direct.drift == DriftSpec.zero(1)
+
+    def test_add_constant_drift(self):
+        direct = sample(FieldSpec(0.5), GRID, Seed(2), drift=DriftSpec.constant([3.0]))
+        bare = sample(FieldSpec(0.5), GRID, Seed(2))
+        np.testing.assert_array_equal(direct.values, bare.values + 3.0)
+
     def test_drift_applied_at_sample_time(self):
         # the same realization as the drift-free sample, plus the drift
         drift = DriftSpec.polynomial([[0.0, 2.0]])
@@ -207,17 +223,22 @@ class TestDriftedPaths:
 class TestCholeskyBudget:
     def test_refused_above_the_budget(self, monkeypatch):
         # GRID's origin gets value 0 without entering the factor: 32 points
-        monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 6 * 8 * 32**2)
+        monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 48 * 32**2)
         sample(FieldSpec(0.5), GRID, Seed(1), method="cholesky")
         off_origin = np.linspace(0.5, 1.0, 33)[:, None]
         with pytest.raises(InvalidArgumentError, match="needs about 52272 bytes"):
             sample(FieldSpec(0.5), off_origin, Seed(1), method="cholesky")
 
-    def test_budget_admits_the_largest_benchmark_set_only(self):
-        # the refused 2^14 points would peak near 12 GiB; 2048 Cantor atoms
-        # are the largest Cholesky set the benchmark samples
-        peak = fields._CHOLESKY_PEAK_ARRAYS * 8
-        assert peak * 2048**2 <= fields._CHOLESKY_BUDGET < peak * (2**14) ** 2
+    def test_refuses_two_to_the_fourteen_points(self, monkeypatch):
+        # the real budget, checked before the first k x k allocation: an
+        # allocation would fail the test here instead of filling memory
+        def no_table(*args, **kwargs):
+            raise AssertionError("k x k table allocated before the budget check")
+
+        monkeypatch.setattr(fields.np, "zeros", no_table)
+        pts = np.linspace(0.5, 1.0, 2**14)[:, None]
+        with pytest.raises(InvalidArgumentError, match="cholesky on 16384 points"):
+            sample(FieldSpec(0.5), pts, Seed(1), method="cholesky")
 
 
 class TestMeshPoints:
