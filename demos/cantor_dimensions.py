@@ -9,8 +9,6 @@ exponent of the natural measure's ball mass.
 
 import math
 
-import numpy as np
-
 from packdim import (
     ScaleGrid, build_uniform_cantor, covering_count, dim_ball_mass,
     minkowski_bounds, natural_measure,

@@ -8,8 +8,6 @@ The table below prints both readings level by level, entirely in the log
 domain (the scales themselves underflow any float by level 4).
 """
 
-import math
-
 from packdim import ScaleUnrepresentableError, build_tx_system, realize_explicit
 
 BETA = 0.5

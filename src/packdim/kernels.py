@@ -12,8 +12,14 @@ and all atoms y_k it yields one (rows x atoms) table per radius.  They are
 ball_tables, profile_tables, slice_tables and field_tables (the expected
 ball mass, home of its one max/Euclidean x image/graph x drift case split).
 In graph mode field_tables evaluates only the domain window, the pairs with
-|y_k - x_i| <= r, since a graph ball holds no other atom.  The per-point
-functions are one-row calls of these; the estimators walk row blocks of them.
+|y_k - x_i| <= r, since a graph ball holds no other atom.  It finds the
+window on a band: the atoms, sorted once per call along the first
+coordinate, whose first coordinate lies within max(radii) of the rows'
+span, so row blocks of sorted atoms never touch the full (rows x atoms)
+grid.  Graph mode yields one table per call, cleared and rewritten per
+radius: a yielded table is overwritten when the generator advances.  The
+per-point functions are one-row calls of these; the estimators walk row
+blocks of them.
 scipy's chi-square CDFs are imported inside _euclid_ball_prob, the one
 function that calls them, so importing this module loads no scipy.
 """
@@ -209,6 +215,19 @@ def _euclid_ball_prob(rho: np.ndarray, center_norm: np.ndarray, r, d: int) -> np
     return out
 
 
+def _band(rows: np.ndarray, atoms: np.ndarray, top: float) -> np.ndarray:
+    """The atom indices whose first coordinate lies within top of the rows'
+    span in that coordinate, padded by a few ulps for the rounding of the
+    differences.  A pair within domain distance top (max or Euclidean norm)
+    has |x_i0 - y_k0| <= top, so its atom is among them; atoms sorted along
+    the first coordinate give a narrow band, unsorted ones the full width."""
+    order = np.argsort(atoms[:, 0], kind="stable")
+    keys = atoms[order, 0]
+    lo, hi = rows[:, 0].min(), rows[:, 0].max()
+    pad = top + 8 * np.finfo(float).eps * (top + max(abs(lo), abs(hi)))
+    return order[np.searchsorted(keys, lo - pad):np.searchsorted(keys, hi + pad, side="right")]
+
+
 def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max"):
     """Yield, per radius r, the (rows x atoms) table of the probability
     that Z(y_k) lies in the radius-r ball around Z(x_i) (image mode), or
@@ -221,36 +240,59 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
     sqrt(r^2 - |y_k - x_i|^2).
 
     In graph mode only atoms within domain distance r of x_i can enter the
-    ball, so the probabilities are evaluated on the window of pairs within
-    max(radii), per radius on its pairs within r, and scattered into a zero
-    table: every other entry is the exact zero the indicator gives it.
+    ball.  The window of pairs within max(radii) is found on the band of
+    atoms near the rows in the first coordinate (see _band), the
+    probabilities are evaluated per radius on the window pairs within r,
+    and they are scattered into one zero table per call: every other entry
+    is the exact zero the indicator gives it.  That table is cleared and
+    rewritten for the next radius, so a graph-mode table is overwritten
+    when the generator advances; use it before asking for the next.
     """
     atoms = ctx.measure.atoms
     d = ctx.field.range_dim
     graph = ctx.mode == "graph"
-    diff = rows[:, None, :] - atoms[None, :, :]
     if graph:
+        top = np.max(radii, initial=0.0)
+        cols = _band(rows, atoms, top)
+        # |x_ic - y_kc| on the band, coordinate-major so that each
+        # coordinate's slice is contiguous; only magnitudes and squares of
+        # the differences enter the distances
+        gap = np.abs(rows.T[:, :, None] - atoms[cols].T[:, None, :])
         if norm == "max":
-            # a running maximum over the coordinate slices; np.max(axis=2)
-            # reduces over the short last axis one (row, atom) pair at a time
-            dom = np.abs(diff[:, :, 0])
-            for c in range(1, diff.shape[2]):
-                np.maximum(dom, np.abs(diff[:, :, c]), out=dom)
+            dom = gap[0]
+            for c in range(1, len(gap)):
+                dom = np.maximum(dom, gap[c])
         else:
-            dom = np.linalg.norm(diff, axis=2)
-        window = np.flatnonzero(dom <= np.max(radii, initial=0.0))
-        diff, dom = diff.reshape(-1, diff.shape[2])[window], dom.ravel()[window]
-        at_row, at_atom = np.divmod(window, len(atoms))
+            dom = np.linalg.norm(gap, axis=0)
+        window = np.flatnonzero(dom <= top)
+        dom = dom.ravel()[window]
+        if norm == "max":
+            dist = np.linalg.norm(np.take(gap.reshape(len(gap), -1), window, axis=1), axis=0)
+        else:
+            dist = dom
+        # a generator keeps its locals across yields: drop the band-sized
+        # temporaries before the table is allocated
+        del gap
+        at_row = window // len(cols)
+        at_atom = cols[window - at_row * len(cols)]
+        del window
+        # the window's positions in the flat (rows x atoms) table
+        flat = at_row * len(atoms) + at_atom
     else:
+        dist = np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=-1)
         at_row, at_atom = np.s_[:, None], np.s_[None, :]
-    # From here on the leading axes are the (rows x atoms) grid in image
-    # mode and the flat window in graph mode; the last axis is coordinates.
-    rho = np.linalg.norm(diff, axis=-1) ** ctx.field.alpha
+    # From here on the arrays run over the (rows x atoms) grid in image mode
+    # and over the flat window in graph mode; centers adds a last axis of
+    # value coordinates.
+    rho = dist ** ctx.field.alpha
+    del dist
     cancels = ctx._drift_cancels()
     if not cancels:
         centers = ctx.drift.evaluate(rows)[at_row] - ctx.drift.evaluate(atoms)[at_atom]
+    del at_row, at_atom
     if norm == "euclidean":
         cn = np.zeros_like(rho) if cancels else np.linalg.norm(centers, axis=-1)
+    table = written = None
     for r in radii:
         # the window pairs inside this radius; in image mode, everything
         lane = dom <= r if graph else ...
@@ -268,8 +310,12 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
             r_eff = np.sqrt(r**2 - dom[lane] ** 2) if graph else r
             probs = _euclid_ball_prob(rho_r, cn[lane], r_eff, d)
         if graph:
-            table = np.zeros((len(rows), len(atoms)))
-            table.ravel()[window[lane]] = probs
+            if table is None:
+                table = np.zeros((len(rows), len(atoms)))
+            else:
+                table.ravel()[written] = 0.0
+            written = flat[lane]
+            table.ravel()[written] = probs
             probs = table
         yield probs
 

@@ -2,7 +2,12 @@
 Cholesky factorization, and reproducible seed streams.
 
 Everything downstream funnels its floating-point risk through this module, so
-the contracts here are deliberately strict.
+the contracts here are deliberately strict.  gaussian_interval_prob has a
+centred path for a = 0 with a scalar radius, the case of every kernel table
+whose drift cancels; it returns the general formula's values bit for bit.
+cholesky_psd checks its input and copies its factor's lower triangle in row
+blocks: a factorization without jitter builds no square array besides
+LAPACK's copy and the factor.
 
 scipy (``special.ndtr``, ``linalg.lapack.dpotrf``) is imported inside the
 functions that call it, not at module level: importing packdim stays
@@ -27,6 +32,9 @@ _JITTER_REL = 1e-12
 _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 4
 
+# Row block of cholesky_psd's input checks and of its factor copy.
+_BLOCK_ROWS = 64
+
 
 def gaussian_interval_prob(rho, a, r):
     """P(rho * N lies in the closed ball B(a, r)) for N standard normal.
@@ -35,26 +43,43 @@ def gaussian_interval_prob(rho, a, r):
     point mass at 0: the probability is 1 exactly when |a| <= r, else 0.
     Symmetric in a -> -a by construction (only |a| enters).
 
+    The centred case, a the scalar 0 and r a scalar > 0, takes a short path:
+    ndtr(q) - ndtr(-q) with q = r / rho.  It equals the general formula bit
+    for bit, since 0 + r and 0 - r are exact, and rho == 0 gives
+    ndtr(inf) - ndtr(-inf) = 1, the point mass.
+
     Broadcasts over array inputs; scalar inputs return a float.
     """
     rho_arr = np.asarray(rho, dtype=float)
     a_arr = np.asarray(a, dtype=float)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(rho_arr < 0):
+    # NaN when rho holds one, and then the call takes the general path
+    rho_min = rho_arr.min(initial=math.inf)
+    if rho_min < 0:
         raise InvalidArgumentError("rho must be nonnegative")
     if np.any(r_arr < 0):
         raise InvalidArgumentError("r must be nonnegative")
 
     from scipy.special import ndtr
 
-    a_abs = np.abs(a_arr)
-    # Guard the division; the rho == 0 lanes are overwritten below.
-    safe_rho = np.where(rho_arr > 0, rho_arr, 1.0)
-    upper = ndtr((a_abs + r_arr) / safe_rho)
-    lower = ndtr((a_abs - r_arr) / safe_rho)
-    prob = upper - lower
-    point_mass = (a_abs <= r_arr).astype(float)
-    out = np.where(rho_arr > 0, prob, point_mass)
+    centred = a_arr.ndim == 0 and a_arr == 0 and r_arr.ndim == 0 and r_arr > 0
+    if centred and not math.isnan(rho_min):
+        # in place: ndtr(q) - ndtr(-q) with two arrays of rho's size
+        with np.errstate(divide="ignore"):
+            q = np.divide(r_arr, rho_arr, out=np.empty(rho_arr.shape))
+        np.abs(q, out=q)  # rho == -0.0 gives q = -inf; it is the point mass too
+        lower = np.negative(q, out=np.empty(q.shape))
+        out = ndtr(q, out=q)
+        out -= ndtr(lower, out=lower)
+    else:
+        a_abs = np.abs(a_arr)
+        # Guard the division; the rho == 0 lanes are overwritten below.
+        safe_rho = np.where(rho_arr > 0, rho_arr, 1.0)
+        upper = ndtr((a_abs + r_arr) / safe_rho)
+        lower = ndtr((a_abs - r_arr) / safe_rho)
+        prob = upper - lower
+        point_mass = (a_abs <= r_arr).astype(float)
+        out = np.where(rho_arr > 0, prob, point_mass)
     if out.ndim == 0:
         return float(out)
     return out
@@ -71,14 +96,25 @@ def cholesky_psd(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("matrix must be square")
-    # the largest magnitude is NaN or inf exactly when an entry is
-    scale = np.abs(m).max(initial=0.0)
-    if not math.isfinite(scale):
-        raise InvalidArgumentError("matrix must be finite")
-    if np.abs(m - m.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
+    dim = m.shape[0]
+    # The largest magnitude, then the largest |m - m.T|, in row blocks so
+    # that no dim x dim temporary is built.  A NaN or inf shows in its
+    # block's extremes; |m - m.T| is symmetric, so the blocks of its upper
+    # triangle hold its maximum.
+    scale = 0.0
+    for lo in range(0, dim, _BLOCK_ROWS):
+        block = m[lo:lo + _BLOCK_ROWS]
+        low, high = block.min(), block.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise InvalidArgumentError("matrix must be finite")
+        scale = max(scale, high, -low)
+    asym = 0.0
+    for lo in range(0, dim, _BLOCK_ROWS):
+        gap = m[lo:lo + _BLOCK_ROWS, lo:] - m[lo:, lo:lo + _BLOCK_ROWS].T
+        asym = max(asym, gap.max(), -gap.min())
+    if asym > 1e-10 * (1.0 + scale):
         raise InvalidArgumentError("matrix must be symmetric")
 
-    dim = m.shape[0]
     if dim == 0:
         return np.zeros((0, 0))
     base = _JITTER_REL * (np.trace(m) / dim)
@@ -92,10 +128,26 @@ def cholesky_psd(matrix) -> np.ndarray:
     for attempt in range(_JITTER_RETRIES + 1):
         c, info = dpotrf(m + jitter * np.eye(dim) if jitter else m, lower=1)
         if info == 0:
-            return np.tril(c)
+            return _lower_triangle(c)
         last_pivot = int(info) - 1  # LAPACK reports 1-based pivots
         jitter = base * (_JITTER_GROWTH ** attempt)
     raise NotPositiveSemidefiniteError(last_pivot)
+
+
+def _lower_triangle(c: np.ndarray) -> np.ndarray:
+    """np.tril(c) as a new C-ordered array, copying only the lower triangle.
+
+    dpotrf returns its factor in Fortran order.  The factor must come back
+    in C order, as np.tril gave it: a matrix product rounds differently
+    with the other memory order, and samples would move in the last bits."""
+    dim = c.shape[0]
+    out = np.empty((dim, dim))
+    for lo in range(0, dim, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, dim)
+        out[lo:hi, :lo] = c[lo:hi, :lo]
+        out[lo:hi, lo:hi] = np.tril(c[lo:hi, lo:hi])
+        out[lo:hi, hi:] = 0.0
+    return out
 
 
 _MASTER_BOUND = 1 << 64

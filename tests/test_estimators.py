@@ -300,6 +300,19 @@ class TestBoundedMemory:
         peaks = {name: self.peak(run) for name, run in runs.items()}
         assert all(p < self.DENSE for p in peaks.values()), peaks
 
+    def test_graph_field_keeps_one_table_per_block(self):
+        # graph dim_field on 4096 interval atoms, grid 3..7 (the line-graph
+        # benchmark's large op): 34.4 MiB when every radius allocates its
+        # own zero table and the window is cut from the full (rows x atoms)
+        # grid, 28.4 MiB with one table per row block and the window cut
+        # from the band
+        t = np.linspace(0.0, 1.0, 4096).reshape(-1, 1)
+        mu = DiscreteMeasure(t, np.full(4096, 1.0 / 4096))
+        ctx = KernelContext(FieldSpec(0.5), None, mu, "graph")
+        dim_field(ctx, ScaleGrid(3, 7))
+        peak = self.peak(lambda: dim_field(ctx, ScaleGrid(3, 7)))
+        assert peak < 32 * 2**20, peak
+
     def test_curve_box_count_walks_blocks(self):
         # the README quick start in d = 2: about 4.3 MiB when counted in
         # segment blocks, 12.1 MiB when every segment is sampled densely

@@ -357,3 +357,60 @@ class TestFieldTablesWindow:
                 expected = len(atoms) ** 2 * len(WINDOW_RADII)
             assert sum(elements) == expected, mode
             elements.clear()
+
+
+def assert_tables_match(ctx, rows, radii, norm):
+    # compare each table before the generator advances: graph mode
+    # overwrites one table per call
+    dense = dense_field_tables(ctx, norm)(rows, radii)
+    for table, expected in zip(kernels.field_tables(ctx, rows, radii, norm), dense, strict=True):
+        assert np.array_equal(table, expected)
+
+
+def edge_measure(n, offset):
+    """Rows x_i and, for every radius r, atoms whose first coordinate sits
+    within 8 ulps of x_i0 +- r; the other coordinates repeat x_i's.  With
+    a negative edge the difference x_i0 - y_k0 rounds, so atoms just
+    outside the exact band can still have a domain distance <= r."""
+    rows = offset + np.random.default_rng(n).random((3, n)) - 0.5
+    atoms = [rows]
+    for r in WINDOW_RADII:
+        for edge in (rows[:, 0] - r, rows[:, 0] + r):
+            nudged = edge.copy()
+            for _ in range(8):
+                nudged = np.nextafter(nudged, -np.inf)
+            for _ in range(17):
+                shifted = rows.copy()
+                shifted[:, 0] = nudged
+                atoms.append(shifted)
+                nudged = np.nextafter(nudged, np.inf)
+    atoms = np.concatenate(atoms)
+    return rows, DiscreteMeasure(atoms, np.full(len(atoms), 1.0 / len(atoms)))
+
+
+class TestFieldTablesBand:
+    RADII = {
+        "increasing": WINDOW_RADII[::-1],
+        "shuffled": WINDOW_RADII[[2, 0, 4, 1, 3]],
+        "repeated": WINDOW_RADII[[1, 1, 3, 0, 3, 3, 1]],
+    }
+
+    @pytest.mark.parametrize("order", RADII)
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    @pytest.mark.parametrize("drift, n, d", [("none", 1, 1), ("power", 2, 2), ("polynomial", 1, 2)])
+    def test_any_radius_order_matches_dense_bitwise(self, order, norm, drift, n, d):
+        ctx = window_context("graph", drift, n, d)
+        atoms = ctx.measure.atoms
+        # sorted rows give a narrow band, the measure's own order a wide one
+        by_first = atoms[np.argsort(atoms[:, 0], kind="stable")]
+        for rows in (by_first[40:72], by_first[-16:], atoms[:32]):
+            assert_tables_match(ctx, rows, self.RADII[order], norm)
+
+    @pytest.mark.parametrize("offset", [1e6, -1e6, 0.0])
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_window_edges_match_dense_bitwise(self, offset, norm, n):
+        rows, mu = edge_measure(n, offset)
+        ctx = KernelContext(FieldSpec(0.4, n, 1), None, mu, "graph")
+        for block in (rows, rows[:1], rows[1:2], rows[2:]):
+            assert_tables_match(ctx, block, WINDOW_RADII, norm)

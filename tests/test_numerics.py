@@ -58,6 +58,37 @@ class TestGaussianIntervalProb:
         p = gaussian_interval_prob(rho, a, r)
         assert 0.0 <= p <= 1.0
 
+    # zeros of both signs, subnormals, the smallest normal, huge values, inf
+    EDGE_RHO = np.array(
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 0.3, 1.0,
+         1e200, 1.7976931348623157e308, np.inf]
+    )
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-5, 0.7, 1.0, 1e300])
+    def test_centred_path_matches_general_bitwise(self, r):
+        # a = 0.0 takes the centred path; an explicit zero array takes the
+        # general one
+        with np.errstate(over="ignore"):  # r / subnormal rho overflows to inf
+            centred = gaussian_interval_prob(self.EDGE_RHO, 0.0, r)
+            general = gaussian_interval_prob(self.EDGE_RHO, np.zeros_like(self.EDGE_RHO), r)
+            scalars = [gaussian_interval_prob(float(rho), 0.0, r) for rho in self.EDGE_RHO]
+        assert centred.tobytes() == general.tobytes()
+        assert centred.tolist() == scalars
+        assert centred[0] == centred[1] == 1.0
+
+    def test_centred_scalar_and_zero_radius(self):
+        p = gaussian_interval_prob(0.5, 0.0, 1.0)
+        assert type(p) is float
+        assert p == gaussian_interval_prob(0.5, np.zeros(1), 1.0)[0]
+        # r = 0 keeps the point mass at rho = 0 and gives 0 elsewhere
+        assert gaussian_interval_prob(np.array([0.0, 0.5]), 0.0, 0.0).tolist() == [1.0, 0.0]
+        # a NaN rho keeps its general-path value
+        rho = np.array([np.nan, 0.5])
+        assert np.array_equal(
+            gaussian_interval_prob(rho, 0.0, 1.0),
+            gaussian_interval_prob(rho, np.zeros(2), 1.0),
+        )
+
 
 class TestCholeskyPsd:
     def test_identity(self):
@@ -87,7 +118,10 @@ class TestCholeskyPsd:
 
     @pytest.mark.parametrize(
         "m",
-        [[[np.inf]], [[-np.inf]], [[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.0], [0.0, np.inf]]],
+        [[[np.inf]], [[-np.inf]], [[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.0], [0.0, np.inf]],
+         # a symmetric pair of infinities outside the first row block
+         np.where(np.isin(np.arange(200 * 200).reshape(200, 200), [150 * 200 + 170, 170 * 200 + 150]),
+                  np.inf, np.eye(200))],
     )
     def test_non_finite_rejected(self, m):
         # refused by name, before LAPACK or the symmetry test sees them
@@ -101,6 +135,23 @@ class TestCholeskyPsd:
             cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
         # within 1e-10 of the largest magnitude counts as symmetric
         cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
+        # an asymmetric pair far from the first row block
+        m = np.eye(200)
+        m[170, 90] = 1e-6
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            cholesky_psd(m)
+
+    def test_factor_is_the_c_ordered_lower_triangle(self, rng):
+        # the exact lower triangle of LAPACK's factor, in C order as
+        # np.tril returns it: samples multiply by it, and a product rounds
+        # differently with the other memory order
+        from scipy.linalg.lapack import dpotrf
+
+        a = rng.normal(size=(150, 150))
+        m = a @ a.T
+        low = cholesky_psd(m)
+        assert low.flags.c_contiguous
+        assert np.array_equal(low, np.tril(dpotrf(m, lower=1)[0]))
 
 
 class TestSeed:

@@ -2,8 +2,6 @@
 integration by parts, the Gaussian interval bound, and the graph
 expected-mass bound on extracted subsystems."""
 
-import math
-
 import numpy as np
 import pytest
 
