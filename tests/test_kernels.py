@@ -397,7 +397,11 @@ class TestFieldTablesBand:
 
     @pytest.mark.parametrize("order", RADII)
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
-    @pytest.mark.parametrize("drift, n, d", [("none", 1, 1), ("power", 2, 2), ("polynomial", 1, 2)])
+    # n = 3 sums three squares: the band's coordinate-major norms must add
+    # them in the order of the dense formula's last-axis norms
+    @pytest.mark.parametrize(
+        "drift, n, d", [("none", 1, 1), ("power", 2, 2), ("polynomial", 1, 2), ("none", 3, 1)]
+    )
     def test_any_radius_order_matches_dense_bitwise(self, order, norm, drift, n, d):
         ctx = window_context("graph", drift, n, d)
         atoms = ctx.measure.atoms
