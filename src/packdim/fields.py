@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .measures import DiscreteMeasure
-from .numerics import Seed, cholesky_psd
+from .numerics import Seed, _pair_distances, cholesky_psd
 
 __all__ = [
     "FieldSpec",
@@ -40,9 +40,11 @@ __all__ = [
 
 _MAX_POINTS = 2**20
 # Bytes the Cholesky sampler may hold at its peak.  On k points that peak is
-# about 5.2 k x k float64 arrays (peak RSS at k = 4095, n = 1 and 2), counted
-# as 6, i.e. 48 k^2 bytes.  Half of an 8 GB machine, 4 GiB admits up to 9459
-# points; the 2^14 points that exhaust such a machine are refused.
+# about 3.1 k x k float64 arrays: the covariance, LAPACK's copy and the
+# factor (peak RSS at k = 4095, n = 1 and 2; tracemalloc gives 3.0 at 2047
+# Cantor points).  It is counted as 6, i.e. 48 k^2 bytes.  Half of an 8 GB
+# machine, 4 GiB admits up to 9459 points; the 2^14 points that exhaust
+# such a machine are refused.
 _CHOLESKY_BUDGET = 2**32
 
 
@@ -296,17 +298,11 @@ class _Sampler:
                 )
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
-            # |s_i - s_k|^h2 from a running sum of squared coordinate
-            # differences, in place: no (k, k, n) temporary.  The sum runs
-            # in coordinate order, as np.linalg.norm's does below 8 terms.
-            dist = np.zeros((len(sub), len(sub)))
-            for j in range(sub.shape[1]):
-                step = sub[:, None, j] - sub[None, :, j]
-                step *= step
-                dist += step
-            np.sqrt(dist, out=dist)
+            dist = _pair_distances(sub, sub)
             dist **= h2
-            cov = 0.5 * (sn[:, None] + sn[None, :] - dist)
+            # cov = 0.5 (|s_i|^h2 + |s_k|^h2 - |s_i - s_k|^h2), in place over dist
+            cov = np.subtract(np.add(sn[:, None], sn[None, :]), dist, out=dist)
+            cov *= 0.5
             self.factor = cholesky_psd(cov)
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")

@@ -17,8 +17,11 @@ window on a band: the atoms, sorted once per call along the first
 coordinate, whose first coordinate lies within max(radii) of the rows'
 span, so row blocks of sorted atoms never touch the full (rows x atoms)
 grid.  Graph mode yields one table per call, cleared and rewritten per
-radius: a yielded table is overwritten when the generator advances.  The
-per-point functions are one-row calls of these; the estimators walk row
+radius, and profile_tables one table per call, refilled per radius: their
+yielded tables are overwritten when the generator advances.  Tables over
+the full (rows x atoms) grid take their distances from
+numerics._pair_distances; graph mode takes them from the band's
+differences.  The per-point functions are one-row calls of these; the estimators walk row
 blocks of them.
 scipy's chi-square CDFs are imported inside _euclid_ball_prob, the one
 function that calls them, so importing this module loads no scipy.
@@ -36,7 +39,7 @@ from .measures import (
     DiscreteMeasure,
     slice_measure,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
 )
-from .numerics import gaussian_interval_prob
+from .numerics import _pair_distances, gaussian_interval_prob
 
 __all__ = [
     "KernelContext",
@@ -61,14 +64,10 @@ def _capped_inverse(v: np.ndarray) -> np.ndarray:
         return np.where(v <= 1.0, 1.0, 1.0 / v)
 
 
-def _distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=2)
-
-
 def ball_tables(rows: np.ndarray, atoms: np.ndarray, radii):
     """Yield, per radius r, the (rows x atoms) indicator of the closed
     Euclidean ball: |x_i - y_k| <= r."""
-    dist = _distances(rows, atoms)
+    dist = _pair_distances(rows, atoms)
     for r in radii:
         yield dist <= r
 
@@ -76,13 +75,18 @@ def ball_tables(rows: np.ndarray, atoms: np.ndarray, radii):
 def profile_tables(rows: np.ndarray, atoms: np.ndarray, beta: float, radii):
     """Yield, per radius r, the (rows x atoms) truncated power kernel
     min(1, r^beta |x_i - y_k|^-beta) with Euclidean distances; an atom at
-    x_i itself contributes 1."""
-    dist = _distances(rows, atoms)
-    coincident = dist == 0.0
-    inv = np.where(coincident, np.inf, dist) ** -beta
+    x_i itself contributes 1.  One table per call is refilled for each
+    radius, so a yielded table is overwritten when the generator advances;
+    use it before asking for the next."""
+    inv = _pair_distances(rows, atoms)
+    coincident = np.flatnonzero(inv == 0.0)
+    np.put(inv, coincident, np.inf)
+    inv **= -beta
+    vals = np.empty(inv.shape)
     for r in radii:
-        vals = np.minimum(1.0, r**beta * inv)
-        vals[coincident] = 1.0
+        np.multiply(inv, r**beta, out=vals)
+        np.minimum(vals, 1.0, out=vals)
+        np.put(vals, coincident, 1.0)
         yield vals
 
 
@@ -279,7 +283,7 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
         # the window's positions in the flat (rows x atoms) table
         flat = at_row * len(atoms) + at_atom
     else:
-        dist = np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=-1)
+        dist = _pair_distances(rows, atoms)
         at_row, at_atom = np.s_[:, None], np.s_[None, :]
     # From here on the arrays run over the (rows x atoms) grid in image mode
     # and over the flat window in graph mode; centers adds a last axis of
@@ -302,8 +306,8 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
                 probs = gaussian_interval_prob(rho_r, 0.0, r) ** d
             else:
                 centers_r = centers[lane]
-                probs = np.ones_like(rho_r)
-                for c in range(d):
+                probs = gaussian_interval_prob(rho_r, centers_r[..., 0], r)
+                for c in range(1, d):
                     probs *= gaussian_interval_prob(rho_r, centers_r[..., c], r)
         else:
             # dom <= r on these lanes, so r^2 - dom^2 >= 0 after rounding too

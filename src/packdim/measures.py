@@ -222,6 +222,9 @@ def write_measure_csv(mu, path) -> None:
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
+    """The measure a write_measure_csv file holds.  A malformed header, row
+    width or cell raises InvalidArgumentError; a cell names its row, the
+    header being row 1, and its column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -237,6 +240,23 @@ def read_measure_csv(path) -> DiscreteMeasure:
                 continue
             if len(row) != m + 1:
                 raise InvalidArgumentError(f"row width {len(row)} does not match header")
-            atoms.append([float(v) for v in row[:m]])
-            weights.append(float(row[m]))
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                column, text = next(
+                    (name, v) for name, v in zip(header, row) if not _is_number(v)
+                )
+                raise InvalidArgumentError(
+                    f"row {reader.line_num}, column {column}: {text!r} is not a number"
+                ) from None
+            atoms.append(values[:m])
+            weights.append(values[m])
     return DiscreteMeasure(np.asarray(atoms), np.asarray(weights))
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

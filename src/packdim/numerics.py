@@ -5,8 +5,13 @@ Everything downstream funnels its floating-point risk through this module, so
 the contracts here are deliberately strict.  gaussian_interval_prob has a
 centred path for a = 0 with a scalar radius, the case of every kernel table
 whose drift cancels; it returns the general formula's values bit for bit.
-cholesky_psd checks its input and copies its factor's lower triangle in row
-blocks: a factorization without jitter builds no square array besides
+Its general path, every drifted kernel table, works in place in three
+arrays of the broadcast shape and writes the point mass at rho = 0 only
+into the lanes that need it.  _pair_distances, a running sum of squared
+coordinate differences, is the one rows-against-atoms Euclidean distance:
+the full-grid kernel tables and the Cholesky sampler call it.
+cholesky_psd checks its input and copies its factor's lower triangle in
+row blocks: a factorization without jitter builds no square array besides
 LAPACK's copy and the factor.
 
 scipy (``special.ndtr``, ``linalg.lapack.dpotrf``) is imported inside the
@@ -43,6 +48,13 @@ def gaussian_interval_prob(rho, a, r):
     point mass at 0: the probability is 1 exactly when |a| <= r, else 0.
     Symmetric in a -> -a by construction (only |a| enters).
 
+    The general formula is ndtr((|a| + r) / rho) - ndtr((|a| - r) / rho),
+    computed in place in |a| and two arrays of the broadcast shape.  The
+    lanes where rho > 0 fails (0, -0 and NaN) divide by rho too, and are
+    then overwritten with the point mass; a call whose rho are all positive
+    skips that pass.  A division guarded with np.where would differ only on
+    those lanes, so the values are the same bit for bit.
+
     The centred case, a the scalar 0 and r a scalar > 0, takes a short path:
     ndtr(q) - ndtr(-q) with q = r / rho.  It equals the general formula bit
     for bit, since 0 + r and 0 - r are exact, and rho == 0 gives
@@ -72,17 +84,42 @@ def gaussian_interval_prob(rho, a, r):
         out = ndtr(q, out=q)
         out -= ndtr(lower, out=lower)
     else:
+        shape = np.broadcast_shapes(rho_arr.shape, a_arr.shape, r_arr.shape)
         a_abs = np.abs(a_arr)
-        # Guard the division; the rho == 0 lanes are overwritten below.
-        safe_rho = np.where(rho_arr > 0, rho_arr, 1.0)
-        upper = ndtr((a_abs + r_arr) / safe_rho)
-        lower = ndtr((a_abs - r_arr) / safe_rho)
-        prob = upper - lower
-        point_mass = (a_abs <= r_arr).astype(float)
-        out = np.where(rho_arr > 0, prob, point_mass)
+        # the lanes where rho > 0 fails divide by 0, -0 or NaN here; the
+        # point mass overwrites them below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.add(a_abs, r_arr, out=np.empty(shape))
+            out /= rho_arr
+            lower = np.subtract(a_abs, r_arr, out=np.empty(shape))
+            lower /= rho_arr
+        ndtr(out, out=out)
+        out -= ndtr(lower, out=lower)
+        if not rho_min > 0:
+            dead = np.flatnonzero(np.broadcast_to(np.logical_not(rho_arr > 0), shape))
+            a_dead = np.broadcast_to(a_abs, shape).flat[dead]
+            out.flat[dead] = a_dead <= np.broadcast_to(r_arr, shape).flat[dead]
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _pair_distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """The (rows x atoms) Euclidean distances |x_i - y_k| between the rows
+    of two (., m) arrays.
+
+    The squared coordinate differences are added in coordinate order into
+    one array, and its square root is taken in place: no (rows, atoms, m)
+    difference is built.  Below 8 coordinates this is np.linalg.norm of the
+    difference bit for bit.  From 8 coordinates on, np.linalg.norm sums its
+    squares pairwise, and the last bits can differ."""
+    dist = rows[:, None, 0] - atoms[None, :, 0]
+    dist *= dist
+    for j in range(1, rows.shape[1]):
+        step = rows[:, None, j] - atoms[None, :, j]
+        step *= step
+        dist += step
+    return np.sqrt(dist, out=dist)
 
 
 def cholesky_psd(matrix) -> np.ndarray:

@@ -132,6 +132,13 @@ class TestDimAndProfile:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    def test_non_numeric_cell_exits_two(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,weight\n0.5,0.5\n0.25,abc\n")
+        proc = run_cli("profile", bad, "--beta", 0.5)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: row 3, column weight: 'abc' is not a number\n"
+
 
 class TestTxset:
     def test_table_ratios(self):

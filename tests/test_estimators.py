@@ -313,6 +313,15 @@ class TestBoundedMemory:
         peak = self.peak(lambda: dim_field(ctx, ScaleGrid(3, 7)))
         assert peak < 32 * 2**20, peak
 
+    def test_profile_refills_one_table_per_block(self):
+        # dim_profile on the 4096-atom Cantor measure of the sets-and-checks
+        # benchmark: 41.1 MiB when every radius builds its own table from
+        # (rows, atoms, m) differences, 24.1 MiB with running-sum distances
+        # and one table per row block
+        mu = thirds_measure(12)
+        peak = self.peak(lambda: dim_profile(mu, 0.5, ScaleGrid(3, 6)))
+        assert peak < 32 * 2**20, peak
+
     def test_curve_box_count_walks_blocks(self):
         # the README quick start in d = 2: about 4.3 MiB when counted in
         # segment blocks, 12.1 MiB when every segment is sampled densely

@@ -2,6 +2,7 @@
 reproducibility, and the image/graph views of a path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from packdim import (
     FieldSpec,
     InvalidArgumentError,
     Seed,
+    build_uniform_cantor,
     canonical_metric,
     fbm_covariance,
     fields,
@@ -239,6 +241,23 @@ class TestCholeskyBudget:
         pts = np.linspace(0.5, 1.0, 2**14)[:, None]
         with pytest.raises(InvalidArgumentError, match="cholesky on 16384 points"):
             sample(FieldSpec(0.5), pts, Seed(1), method="cholesky")
+
+
+class TestCholeskyMemory:
+    def test_sample_many_holds_under_four_and_a_half_tables(self):
+        # the sets-and-checks Cantor points, level 11: 2047 off the origin.
+        # tracemalloc peak: 5.0 k x k float64 arrays when the covariance is
+        # a new array beside the distances, 3.0 when it is built over them
+        pts = build_uniform_cantor(2, 1.0 / 3.0, 11).lefts(11)
+        k = len(pts) - 1
+        sample_many(FieldSpec(0.5), pts[:16], Seed(1), 1)  # load LAPACK first
+        tracemalloc.start()
+        try:
+            sample_many(FieldSpec(0.5), pts, Seed(1), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 8 * k * k, peak / (8 * k * k)
 
 
 class TestMeshPoints:

@@ -1,7 +1,11 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses.  The scan is a stdlib AST walk, so it needs no linter.  An
 import kept on purpose, such as a binding the benchmark tracer wraps, says
-so with ``# noqa: F401`` on its line."""
+so with ``# noqa: F401`` on its line.
+
+The package also keeps one pairwise distance formula,
+numerics._pair_distances: no function under src/packdim takes
+np.linalg.norm of a broadcast rows-against-atoms difference."""
 
 import ast
 from pathlib import Path
@@ -10,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "packdim").rglob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -64,3 +69,80 @@ def test_scan_flags_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(probe) == ["1: math"]
+
+
+def _none_at(side: ast.expr, i: int) -> bool:
+    return (
+        isinstance(side, ast.Subscript)
+        and isinstance(side.slice, ast.Tuple)
+        and len(side.slice.elts) > i
+        and isinstance(side.slice.elts[i], ast.Constant)
+        and side.slice.elts[i].value is None
+    )
+
+
+def _is_pairwise_difference(node: ast.AST) -> bool:
+    """x[:, None, ...] - y[None, :, ...]: every row against every atom."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and _none_at(node.left, 1)
+        and _none_at(node.right, 0)
+    )
+
+
+def _is_norm(node: ast.AST) -> bool:
+    f = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(f, ast.Attribute)
+        and f.attr == "norm"
+        and isinstance(f.value, ast.Attribute)
+        and f.value.attr == "linalg"
+    )
+
+
+def pairwise_norms(path: Path) -> list[str]:
+    """The functions that take np.linalg.norm of a pairwise difference, in
+    its arguments or through a name the function binds to one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and any(_is_pairwise_difference(n) for n in ast.walk(node.value))
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for call in ast.walk(fn):
+            if _is_norm(call) and any(
+                _is_pairwise_difference(n) or (isinstance(n, ast.Name) and n.id in bound)
+                for arg in call.args
+                for n in ast.walk(arg)
+            ):
+                hits.add(f"{fn.lineno}: {fn.name}")
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_one_pairwise_distance_formula(path):
+    assert pairwise_norms(path) == []
+
+
+def test_scan_flags_a_pairwise_norm(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def direct(x, y):\n"
+        "    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)\n"
+        "def through_a_name(x, y):\n"
+        "    diff = x[:, None, :] - y[None, :, :]\n"
+        "    return np.linalg.norm(diff, axis=-1)\n"
+        "def one_point(t, s):\n"
+        "    return np.linalg.norm(t - s)\n",
+        encoding="utf-8",
+    )
+    assert pairwise_norms(probe) == ["2: direct", "4: through_a_name"]

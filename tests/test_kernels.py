@@ -75,6 +75,28 @@ class TestProfileKernel:
         vals = [profile_kernel(mu, 1.0, x, r) for r in (0.01, 0.1, 1.0)]
         assert vals[0] <= vals[1] <= vals[2]
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.7, 2.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tables_match_where_formula_bitwise(self, beta, m):
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((12, m))
+        # atom 30 coincides with row 4, off the table's diagonal
+        atoms = np.vstack([rng.standard_normal((30, m)), rows[4]])
+        dist = np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=2)
+        coincident = dist == 0.0
+        inv = np.where(coincident, np.inf, dist) ** -beta
+        # 1e-320 ** beta underflows to 0 for beta >= 1
+        radii = [0.05, 0.8, 1e-320, 3.0, 0.8]
+        seen = set()
+        for table, r in zip(kernels.profile_tables(rows, atoms, beta, radii), radii, strict=True):
+            expected = np.minimum(1.0, r**beta * inv)
+            expected[coincident] = 1.0
+            # compare before the generator advances: it refills one table
+            assert table.tobytes() == expected.tobytes()
+            assert table[4, 30] == 1.0
+            seen.add(id(table))
+        assert len(seen) == 1
+
     def test_validation(self):
         mu = measure_on_line(0.0)
         with pytest.raises(InvalidArgumentError):

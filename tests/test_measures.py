@@ -153,6 +153,20 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.atoms, mu.atoms)
         np.testing.assert_array_equal(back.weights, mu.weights)
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("0.5,0.25,0.5\n0.1,x,0.5\n", "row 3, column x2: 'x'"),
+            ("0.5,0.25,half\n", "row 2, column weight: 'half'"),
+            ("0.5,,1.0\n", "row 2, column x2: ''"),
+        ],
+    )
+    def test_non_numeric_cell_names_row_and_column(self, tmp_path, body, where):
+        p = tmp_path / "bad.csv"
+        p.write_text("x1,x2,weight\n" + body)
+        with pytest.raises(InvalidArgumentError, match=f"^{where} is not a number$"):
+            read_measure_csv(p)
+
     def test_header_names_coordinates(self, tmp_path):
         mu = DiscreteMeasure(np.array([[0.25, 0.5]]), np.array([1.0]))
         p = tmp_path / "m.csv"

@@ -19,6 +19,7 @@ from packdim import (
     cholesky_psd,
     gaussian_interval_prob,
 )
+from packdim.numerics import _pair_distances
 
 TWO_PHI_196 = 0.9500042097035591317268315  # 2*Phi(1.96) - 1
 PHI2_MINUS_PHI1 = 0.1359051219832778442144848
@@ -88,6 +89,70 @@ class TestGaussianIntervalProb:
             gaussian_interval_prob(rho, 0.0, 1.0),
             gaussian_interval_prob(rho, np.zeros(2), 1.0),
         )
+
+
+def where_formula(rho, a, r):
+    """The general interval probability with np.where guards: the formula
+    the in-place general path must reproduce bit for bit."""
+    from scipy.special import ndtr
+
+    rho, a, r = (np.asarray(v, dtype=float) for v in (rho, a, r))
+    a_abs = np.abs(a)
+    safe_rho = np.where(rho > 0, rho, 1.0)
+    prob = ndtr((a_abs + r) / safe_rho) - ndtr((a_abs - r) / safe_rho)
+    return np.where(rho > 0, prob, (a_abs <= r).astype(float))
+
+
+class TestGeneralPathInPlace:
+    RHO = TestGaussianIntervalProb.EDGE_RHO
+    A = np.array([0.0, -0.0, 5e-324, 1e-300, 0.3, -0.3, 1.0, -2.5, 1e300, -np.inf, np.nan])
+
+    # the full edge set needs the point-mass pass; the positive lanes alone
+    # skip it
+    @pytest.mark.parametrize("rho", [RHO, RHO[RHO > 0], np.append(RHO[RHO > 0], np.nan)])
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 0.7, 1e300, np.inf])
+    def test_scalar_radius_matches_where_formula(self, rho, r):
+        with np.errstate(all="ignore"):
+            got = gaussian_interval_prob(rho[:, None], self.A[None, :], r)
+            expected = where_formula(rho[:, None], self.A[None, :], r)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_broadcast_radius_matches_where_formula(self):
+        # r varies along its own axis, as in verify's interval-bound scan
+        r = np.array([0.0, 1e-300, 0.7, 1e300, np.inf])
+        args = (self.RHO[:, None, None], self.A[None, :, None], r[None, None, :])
+        with np.errstate(all="ignore"):
+            got = gaussian_interval_prob(*args)
+            expected = where_formula(*args)
+        assert got.shape == (len(self.RHO), len(self.A), len(r))
+        assert got.tobytes() == expected.tobytes()
+        # r the only array: the result takes r's shape
+        with np.errstate(all="ignore"):
+            got = gaussian_interval_prob(0.0, 0.3, r)
+        assert got.tobytes() == where_formula(0.0, 0.3, r).tobytes()
+
+    def test_zero_dimensional_inputs_return_floats(self):
+        with np.errstate(all="ignore"):
+            for rho in self.RHO:
+                for a in self.A:
+                    got = gaussian_interval_prob(rho, a, 0.7)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == where_formula(rho, a, 0.7).tobytes()
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+    def test_matches_linalg_norm_bitwise(self, m, offset):
+        rng = np.random.default_rng(m)
+        rows = offset + 3.0 * rng.standard_normal((40, m))
+        # negative and positive values; two atoms coincide with rows
+        atoms = np.vstack([offset + rng.standard_normal((60, m)), rows[[5, 17]]])
+        expected = np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=2)
+        got = _pair_distances(rows, atoms)
+        assert got.tobytes() == expected.tobytes()
+        assert got[5, 60] == got[17, 61] == 0.0
 
 
 class TestCholeskyPsd:
