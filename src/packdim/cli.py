@@ -11,14 +11,13 @@ comparison passes.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateRegimeError, PackdimError, ResolutionError
+from .errors import DegenerateRegimeError, InvalidArgumentError, PackdimError, ResolutionError
 from .estimators import ScaleGrid, dim_ball_mass, dim_profile
 from .fields import DriftSpec, FieldSpec, _mesh_points, sample
 from .fractals import build_tx_system, build_uniform_cantor, covering_count, extract_subsystem
@@ -32,18 +31,13 @@ from .verify import (
     check_parts,
     check_scale_doubling,
 )
-from .experiment import ExperimentConfig, run_experiment, run_suite
+from .experiment import ExperimentConfig, _config_hash, run_experiment, run_suite
 
 __all__ = ["main"]
 
 
-def _hash_params(params: dict) -> str:
-    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
 def _stamp(params: dict) -> str:
-    return f"# config_hash={_hash_params(params)} version={__version__}\n"
+    return f"# config_hash={_config_hash(params)} version={__version__}\n"
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -66,11 +60,14 @@ def _parse_drift(text: str | None, d: int) -> DriftSpec | None:
     kind = parts[0]
     if kind == "zero" and len(parts) == 1:
         return DriftSpec.zero(d)
-    if kind == "constant" and len(parts) == 2:
-        return DriftSpec.constant([float(v) for v in parts[1].split(",")])
-    if kind == "power" and len(parts) == 3:
-        return DriftSpec.power([float(v) for v in parts[2].split(",")], float(parts[1]))
-    raise PackdimError(f"cannot parse drift {text!r}")
+    try:
+        if kind == "constant" and len(parts) == 2:
+            return DriftSpec.constant([float(v) for v in parts[1].split(",")])
+        if kind == "power" and len(parts) == 3:
+            return DriftSpec.power([float(v) for v in parts[2].split(",")], float(parts[1]))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"cannot parse drift {text!r}: {exc}") from exc
+    raise InvalidArgumentError(f"cannot parse drift {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +93,7 @@ def _cmd_simulate(args) -> int:
     sidecar = {
         "alpha": args.alpha, "domain_dim": n, "range_dim": d,
         "drift": args.drift, "seed": args.seed, "method": args.method,
-        "config_hash": _hash_params(params), "version": __version__,
+        "config_hash": _config_hash(params), "version": __version__,
     }
     if args.format == "json":
         payload = dict(sidecar)
@@ -130,7 +127,7 @@ def _estimate_command(args, estimator, params_extra) -> int:
         "method": args.method,
         "window": None if est is None else list(est.window),
         "guard_status": guard,
-        "config_hash": _hash_params(params),
+        "config_hash": _config_hash(params),
         "version": __version__,
     }
     csv_text = _stamp(params) + "scale,V,ratio\n"
@@ -191,7 +188,7 @@ def _cmd_txset(args) -> int:
             }
         )
     if args.format == "json":
-        payload = {"rows": rows, "config_hash": _hash_params(params), "version": __version__}
+        payload = {"rows": rows, "config_hash": _config_hash(params), "version": __version__}
         _write_or_print(_json_dumps(payload), args.out)
     else:
         text = _stamp(params) + "k,log_inv_delta,log_inv_eta,log_m,ratio_at_eta,ratio_at_delta\n"
@@ -221,7 +218,7 @@ def _cmd_predict(args) -> int:
     params = {"cmd": "predict", "alpha": args.alpha, "d": args.range_dim, "beta": args.beta}
     if args.format == "json":
         payload = dict(values)
-        payload["config_hash"] = _hash_params(params)
+        payload["config_hash"] = _config_hash(params)
         payload["version"] = __version__
         _write_or_print(_json_dumps(payload), args.out)
     else:

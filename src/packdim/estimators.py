@@ -34,8 +34,8 @@ from .errors import (
     InvalidArgumentError,
     ResolutionError,
 )
+from .fields import _as_points
 from .kernels import (
-    _NORMS,
     KernelContext,
     _check_split,
     ball_tables,
@@ -320,18 +320,14 @@ def dim_field(
     ctx: KernelContext,
     grid: ScaleGrid,
     method: str = "regression",
-    norm: str = "max",
     reduce: str = "median",
 ) -> ExponentEstimate:
     """Exponent of r -> expected_ball_mass(ctx, t, r) at a representative
     atom t of the context measure: the computable packing dimension of the
     drifted field's image measure (image mode) or graph measure (graph
     mode)."""
-    if norm not in _NORMS:
-        raise InvalidArgumentError("norm must be 'max' or 'euclidean'")
     return _kernel_dim(
-        ctx.measure, grid, lambda rows, radii: field_tables(ctx, rows, radii, norm),
-        method, reduce,
+        ctx.measure, grid, lambda rows, radii: field_tables(ctx, rows, radii), method, reduce
     )
 
 
@@ -350,23 +346,11 @@ _SEGMENT_BLOCK = 2**12
 _MAX_CROSSINGS = 2**22
 
 
-def _check_points(points) -> np.ndarray:
-    """The points as a float (k, m) array; they must be nonempty, finite and
-    have m >= 1 coordinates."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-        raise InvalidArgumentError("points must form a nonempty (k, m) array, m >= 1")
-    if not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("points must be finite")
-    return p
-
-
-def _grid_cells(points, eps: float) -> np.ndarray:
+def _grid_cells(p: np.ndarray, eps: float) -> np.ndarray:
     """Index rows floor(p / eps) of the origin-anchored half-open grid of
-    mesh eps, one per point of the nonempty finite (k, m) array."""
+    mesh eps, one per point of p, a (k, m) array from fields._as_points."""
     if not (eps > 0) or not math.isfinite(eps):
         raise InvalidArgumentError("eps must be positive and finite")
-    p = _check_points(points)
     with np.errstate(over="ignore"):
         cells = np.floor(p / eps)
     if np.any(np.abs(cells) >= 2.0**62):
@@ -386,7 +370,7 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
 def box_count(points, eps: float) -> int:
     """Number of cells of the origin-anchored half-open grid of mesh eps
     that contain at least one of the points."""
-    return len(_distinct_rows(_grid_cells(points, eps)))
+    return len(_distinct_rows(_grid_cells(_as_points(points), eps)))
 
 
 def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
@@ -435,7 +419,7 @@ def box_count_curve(points, eps: float) -> int:
     half-open grid of mesh eps that contain at least one point of the
     closed polyline, a cell the polyline only clips at a corner included.
     Inputs that cross more than _MAX_CROSSINGS grid lines are refused."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
+    p = _as_points(points)
     cells = _grid_cells(p, eps)
     # summed in floating point, which cannot wrap around
     crossings = np.abs(np.diff(cells, axis=0)).sum(dtype=float)
@@ -464,7 +448,7 @@ def box_counting_dim(
     spacing of the points."""
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}")
-    p = _check_points(points)
+    p = _as_points(points)
     _check_resolution(p, grid)
     radii = grid.radii
     counter = box_count_curve if connect else box_count

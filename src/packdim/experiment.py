@@ -30,12 +30,41 @@ from .theory import Regime, graph_lower, predict_graph_upper, predict_image
 
 __all__ = ["ExperimentConfig", "PredictionReport", "run_experiment", "run_suite"]
 
-_SET_KINDS = ("interval", "cantor", "txset")
+# the parameters each set kind takes besides its kind
+_SET_KEYS = {
+    "interval": set(), "cantor": {"branches", "ratio", "level"},
+    "txset": {"beta", "level", "delta0"},
+}
 _MODES = ("image", "graph")
 _KNOWN_KEYS = {
     "name", "alpha", "d", "n", "set", "drift", "resolution",
     "grid", "replicas", "seed", "mode", "method", "box_method", "tolerance",
 }
+
+
+def _read(table: dict, key: str, convert, default=..., within: str = "config"):
+    """table[key], or the default where it is absent, through convert; a key
+    without a default is required.  A missing key or a value convert refuses
+    is a ConfigError naming the key."""
+    if key not in table and default is ...:
+        raise ConfigError(f"{within} needs key {key!r}")
+    value = table.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{within} key {key!r}: {exc}") from exc
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _config_hash(params: dict) -> str:
+    """The config hash stamped on outputs: sha256 of the canonical JSON, cut to 12 hex."""
+    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -66,27 +95,24 @@ class ExperimentConfig:
         unknown = set(raw) - _KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("name", "alpha", "d", "seed"):
-            if key not in raw:
-                raise ConfigError(f"config misses required key {key!r}")
-        name = str(raw["name"])
+        name = _read(raw, "name", str)
         if not name or any(ch in name for ch in ",\n\r"):
             raise ConfigError("name must be nonempty and free of commas/newlines")
         cfg = cls(
             name=name,
-            alpha=float(raw["alpha"]),
-            d=int(raw["d"]),
-            n=int(raw.get("n", 1)),
-            set_spec=dict(raw.get("set", {"kind": "interval"})),
-            drift=dict(raw["drift"]) if raw.get("drift") is not None else None,
-            resolution=int(raw.get("resolution", 4096)),
-            grid=dict(raw.get("grid", {"j_min": 4, "j_max": 9, "base": 2.0})),
-            replicas=int(raw.get("replicas", 1)),
-            seed=int(raw["seed"]),
+            alpha=_read(raw, "alpha", float),
+            d=_read(raw, "d", int),
+            n=_read(raw, "n", int, 1),
+            set_spec=_read(raw, "set", _object, {"kind": "interval"}),
+            drift=None if raw.get("drift") is None else _read(raw, "drift", _object),
+            resolution=_read(raw, "resolution", int, 4096),
+            grid=_read(raw, "grid", _object, {"j_min": 4, "j_max": 9, "base": 2.0}),
+            replicas=_read(raw, "replicas", int, 1),
+            seed=_read(raw, "seed", int),
             mode=str(raw.get("mode", "image")),
             method=str(raw.get("method", "regression")),
             box_method=str(raw.get("box_method", raw.get("method", "regression"))),
-            tolerance=float(raw.get("tolerance", 0.25)),
+            tolerance=_read(raw, "tolerance", float, 0.25),
         )
         cfg.validate()
         return cfg
@@ -94,7 +120,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(_object(json.load(fh)))
+            except ValueError as exc:  # not JSON, not an object, or a bad config
+                raise ConfigError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -119,11 +148,8 @@ class ExperimentConfig:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def canonical(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
+        return _config_hash(self.to_dict())
 
     def validate(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -137,8 +163,8 @@ class ExperimentConfig:
         if self.mode == "graph" and self.n != 1:
             raise ConfigError("graph experiments need a one-dimensional domain")
         kind = self.set_spec.get("kind")
-        if kind not in _SET_KINDS:
-            raise ConfigError(f"set kind must be one of {_SET_KINDS}")
+        if kind not in _SET_KEYS:
+            raise ConfigError(f"set kind must be one of {tuple(_SET_KEYS)}")
         if kind != "interval" and self.n != 1:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
         if not (1 <= self.resolution <= 2**14):
@@ -160,7 +186,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown grid keys: {sorted(extra)}")
         try:
             return ScaleGrid(
-                int(g.get("j_min", 4)), int(g.get("j_max", 9)), float(g.get("base", 2.0))
+                _read(g, "j_min", int, 4, "grid"),
+                _read(g, "j_max", int, 9, "grid"),
+                _read(g, "base", float, 2.0, "grid"),
             )
         except PackdimError as exc:
             raise ConfigError(f"bad scale grid: {exc}") from exc
@@ -182,7 +210,7 @@ class ExperimentConfig:
                 return DriftSpec.power(spec.pop("direction"), spec.pop("exponent"))
             if kind == "polynomial":
                 return DriftSpec.polynomial(spec.pop("rows"))
-        except (KeyError, PackdimError) as exc:
+        except (KeyError, TypeError, ValueError, PackdimError) as exc:
             raise ConfigError(f"bad drift spec: {exc}") from exc
         raise ConfigError(f"unknown drift kind {kind!r}")
 
@@ -193,34 +221,23 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     them)."""
     kind = cfg.set_spec["kind"]
     spec = {k: v for k, v in cfg.set_spec.items() if k != "kind"}
+    unknown = set(spec) - _SET_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown {kind} set keys: {sorted(unknown)}")
     if kind == "interval":
-        if spec:
-            raise ConfigError(f"interval set takes no parameters, got {sorted(spec)}")
         pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
         k = len(pts)
         mu = DiscreteMeasure(pts, np.full(k, 1.0 / k))
         return pts, mu, float(cfg.n), cfg.n == 1
+    level = _read(spec, "level", int, within=kind)
     if kind == "cantor":
-        try:
-            branches = int(spec.pop("branches"))
-            ratio = float(spec.pop("ratio"))
-            level = int(spec.pop("level"))
-        except KeyError as exc:
-            raise ConfigError(f"cantor set needs key {exc.args[0]!r}") from exc
-        if spec:
-            raise ConfigError(f"unknown cantor keys: {sorted(spec)}")
+        branches = _read(spec, "branches", int, within=kind)
+        ratio = _read(spec, "ratio", float, within=kind)
         system = build_uniform_cantor(branches, ratio, level)
         mu = natural_measure(system, level)
         return mu.atoms, mu, system.params["similarity_dimension"], False
-    # txset
-    try:
-        beta = float(spec.pop("beta"))
-        level = int(spec.pop("level"))
-    except KeyError as exc:
-        raise ConfigError(f"txset needs key {exc.args[0]!r}") from exc
-    delta0 = float(spec.pop("delta0", 0.25))
-    if spec:
-        raise ConfigError(f"unknown txset keys: {sorted(spec)}")
+    beta = _read(spec, "beta", float, within=kind)
+    delta0 = _read(spec, "delta0", float, 0.25, kind)
     symbolic = build_tx_system(beta, delta0, levels=max(level, 1))
     system = realize_explicit(symbolic, level)
     mu = natural_measure(system, level)

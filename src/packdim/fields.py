@@ -54,13 +54,15 @@ def _check_alpha(alpha: float):
 
 
 def _as_points(points) -> np.ndarray:
+    """The points as a float (k, n) array; they must be nonempty, finite and
+    have n >= 1 coordinates.  A 1-D array holds k points on the line."""
     p = np.asarray(points, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1, 1)
     elif p.ndim == 1:
         p = p[:, None]
-    if p.ndim != 2 or p.shape[0] < 1:
-        raise InvalidArgumentError("points must form a nonempty (k, n) array")
+    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
+        raise InvalidArgumentError("points must form a nonempty (k, n) array, n >= 1")
     if not np.all(np.isfinite(p)):
         raise InvalidArgumentError("points must be finite")
     return np.ascontiguousarray(p)

@@ -3,14 +3,12 @@
 The chain runs: ball mass <= truncated-power kernel integral <= product
 kernel integral, and for a Gaussian field with drift the expected measure of
 a ball around Z(t) is an exact integral of per-coordinate Gaussian interval
-probabilities.  R^d and R^{n+d} carry the maximum norm throughout; Euclidean
-ball probabilities are available as an option on expected_ball_mass for the
-norm-robustness checks downstream.
+probabilities.  R^d and R^{n+d} carry the maximum norm throughout.
 
 Each kernel formula lives here once, in block form: given query rows x_i
 and all atoms y_k it yields one (rows x atoms) table per radius.  They are
 ball_tables, profile_tables, slice_tables and field_tables (the expected
-ball mass, home of its one max/Euclidean x image/graph x drift case split).
+ball mass, home of its one image/graph x drift case split).
 In graph mode field_tables evaluates only the domain window, the pairs with
 |y_k - x_i| <= r, since a graph ball holds no other atom.  It finds the
 window on a band: the atoms, sorted once per call along the first
@@ -21,10 +19,8 @@ radius, and profile_tables one table per call, refilled per radius: their
 yielded tables are overwritten when the generator advances.  Tables over
 the full (rows x atoms) grid take their distances from
 numerics._pair_distances; graph mode takes them from the band's
-differences.  The per-point functions are one-row calls of these; the estimators walk row
-blocks of them.
-scipy's chi-square CDFs are imported inside _euclid_ball_prob, the one
-function that calls them, so importing this module loads no scipy.
+differences.  The per-point functions are one-row calls of these; the
+estimators walk row blocks of them.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ __all__ = [
     "slice_tables",
     "field_tables",
 ]
-
-_NORMS = ("max", "euclidean")
 
 
 def _capped_inverse(v: np.ndarray) -> np.ndarray:
@@ -195,36 +189,12 @@ def increment_prob(ctx: KernelContext, t, s, r: float) -> float:
     return float(np.prod(probs))
 
 
-def _euclid_ball_prob(rho: np.ndarray, center_norm: np.ndarray, r, d: int) -> np.ndarray:
-    """P(|rho N + a|_2 <= r) for an i.i.d. standard normal vector N in R^d,
-    elementwise; rho = 0 lanes degenerate to point masses."""
-    rho = np.asarray(rho, dtype=float)
-    cn = np.broadcast_to(np.asarray(center_norm, dtype=float), rho.shape)
-    rr = np.broadcast_to(np.asarray(r, dtype=float), rho.shape)
-    out = np.empty(rho.shape)
-    degenerate = rho == 0.0
-    out[degenerate] = (cn[degenerate] <= rr[degenerate]).astype(float)
-    live = ~degenerate
-    if np.any(live):
-        from scipy.special import chdtr, chndtr
-
-        q = (rr[live] / rho[live]) ** 2
-        nc = (cn[live] / rho[live]) ** 2
-        central = nc == 0.0
-        vals = np.empty(q.shape)
-        vals[central] = chdtr(d, q[central])
-        with np.errstate(over="ignore"):
-            vals[~central] = chndtr(q[~central], d, nc[~central])
-        out[live] = vals
-    return out
-
-
 def _band(rows: np.ndarray, atoms: np.ndarray, top: float) -> np.ndarray:
     """The atom indices whose first coordinate lies within top of the rows'
     span in that coordinate, padded by a few ulps for the rounding of the
-    differences.  A pair within domain distance top (max or Euclidean norm)
-    has |x_i0 - y_k0| <= top, so its atom is among them; atoms sorted along
-    the first coordinate give a narrow band, unsorted ones the full width."""
+    differences.  A pair within max-norm domain distance top has
+    |x_i0 - y_k0| <= top, so its atom is among them; atoms sorted along the
+    first coordinate give a narrow band, unsorted ones the full width."""
     order = np.argsort(atoms[:, 0], kind="stable")
     keys = atoms[order, 0]
     lo, hi = rows[:, 0].min(), rows[:, 0].max()
@@ -232,16 +202,12 @@ def _band(rows: np.ndarray, atoms: np.ndarray, top: float) -> np.ndarray:
     return order[np.searchsorted(keys, lo - pad):np.searchsorted(keys, hi + pad, side="right")]
 
 
-def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max"):
+def field_tables(ctx: KernelContext, rows: np.ndarray, radii):
     """Yield, per radius r, the (rows x atoms) table of the probability
-    that Z(y_k) lies in the radius-r ball around Z(x_i) (image mode), or
-    that (y_k, Z(y_k)) lies in the ball around (x_i, Z(x_i)) (graph mode).
-
-    With the maximum norm this is the product of coordinate interval
-    probabilities, times the domain-ball indicator in graph mode.  With the
-    Euclidean norm the value probability is a noncentral chi-square tail,
-    and the graph ball couples the two parts through the reduced radius
-    sqrt(r^2 - |y_k - x_i|^2).
+    that Z(y_k) lies in the max-norm radius-r ball around Z(x_i) (image
+    mode), or that (y_k, Z(y_k)) lies in the ball around (x_i, Z(x_i))
+    (graph mode): the product of coordinate interval probabilities, times
+    the domain-ball indicator in graph mode.
 
     In graph mode only atoms within domain distance r of x_i can enter the
     ball.  The window of pairs within max(radii) is found on the band of
@@ -259,21 +225,15 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
         top = np.max(radii, initial=0.0)
         cols = _band(rows, atoms, top)
         # |x_ic - y_kc| on the band, coordinate-major so that each
-        # coordinate's slice is contiguous; only magnitudes and squares of
-        # the differences enter the distances
+        # coordinate's slice is contiguous; the domain distance is their
+        # maximum, the canonical metric their Euclidean norm
         gap = np.abs(rows.T[:, :, None] - atoms[cols].T[:, None, :])
-        if norm == "max":
-            dom = gap[0]
-            for c in range(1, len(gap)):
-                dom = np.maximum(dom, gap[c])
-        else:
-            dom = np.linalg.norm(gap, axis=0)
+        dom = gap[0]
+        for c in range(1, len(gap)):
+            dom = np.maximum(dom, gap[c])
         window = np.flatnonzero(dom <= top)
         dom = dom.ravel()[window]
-        if norm == "max":
-            dist = np.linalg.norm(np.take(gap.reshape(len(gap), -1), window, axis=1), axis=0)
-        else:
-            dist = dom
+        dist = np.linalg.norm(np.take(gap.reshape(len(gap), -1), window, axis=1), axis=0)
         # a generator keeps its locals across yields: drop the band-sized
         # temporaries before the table is allocated
         del gap
@@ -294,25 +254,18 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
     if not cancels:
         centers = ctx.drift.evaluate(rows)[at_row] - ctx.drift.evaluate(atoms)[at_atom]
     del at_row, at_atom
-    if norm == "euclidean":
-        cn = np.zeros_like(rho) if cancels else np.linalg.norm(centers, axis=-1)
     table = written = None
     for r in radii:
         # the window pairs inside this radius; in image mode, everything
         lane = dom <= r if graph else ...
         rho_r = rho[lane]
-        if norm == "max":
-            if cancels:
-                probs = gaussian_interval_prob(rho_r, 0.0, r) ** d
-            else:
-                centers_r = centers[lane]
-                probs = gaussian_interval_prob(rho_r, centers_r[..., 0], r)
-                for c in range(1, d):
-                    probs *= gaussian_interval_prob(rho_r, centers_r[..., c], r)
+        if cancels:
+            probs = gaussian_interval_prob(rho_r, 0.0, r) ** d
         else:
-            # dom <= r on these lanes, so r^2 - dom^2 >= 0 after rounding too
-            r_eff = np.sqrt(r**2 - dom[lane] ** 2) if graph else r
-            probs = _euclid_ball_prob(rho_r, cn[lane], r_eff, d)
+            centers_r = centers[lane]
+            probs = gaussian_interval_prob(rho_r, centers_r[..., 0], r)
+            for c in range(1, d):
+                probs *= gaussian_interval_prob(rho_r, centers_r[..., c], r)
         if graph:
             if table is None:
                 table = np.zeros((len(rows), len(atoms)))
@@ -324,21 +277,19 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii, norm: str = "max")
         yield probs
 
 
-def ball_mass_profile(ctx: KernelContext, t, radii, norm: str = "max") -> np.ndarray:
+def ball_mass_profile(ctx: KernelContext, t, radii) -> np.ndarray:
     """Expected measure of balls around Z(t) (image mode) or around the
     graph point (t, Z(t)) (graph mode), for every radius in ``radii``: one
     row of field_tables contracted with the measure's weights."""
-    if norm not in _NORMS:
-        raise InvalidArgumentError("norm must be 'max' or 'euclidean'")
     rs = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(rs <= 0) or not np.all(np.isfinite(rs)):
         raise InvalidArgumentError("radii must be positive and finite")
     tv = _point(t, ctx.field.domain_dim)
     w = ctx.measure.weights
-    return np.array([table[0] @ w for table in field_tables(ctx, tv[None, :], rs, norm)])
+    return np.array([table[0] @ w for table in field_tables(ctx, tv[None, :], rs)])
 
 
-def expected_ball_mass(ctx: KernelContext, t, r: float, norm: str = "max") -> float:
+def expected_ball_mass(ctx: KernelContext, t, r: float) -> float:
     """Expected mass the pushforward of the measure under Z gives to the
     radius-r ball around Z(t) (or around the graph point in graph mode)."""
-    return float(ball_mass_profile(ctx, t, [r], norm)[0])
+    return float(ball_mass_profile(ctx, t, [r])[0])

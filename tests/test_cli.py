@@ -93,6 +93,14 @@ class TestSimulate:
             assert v[0] == pytest.approx(u[0] + 2.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("drift", ["constant:abc", "power:x:1", "power:1.5:"])
+    def test_malformed_drift_exits_two(self, drift):
+        proc = run_cli("simulate", "--alpha", 0.5, "--points", 8, "--drift", drift)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot parse drift {drift!r}")
+        assert "Traceback" not in proc.stderr
+
+
 class TestDimAndProfile:
     def test_dim_json_estimate(self, measure_csv):
         proc = run_cli(
@@ -257,6 +265,15 @@ class TestExperiment:
         proc = run_cli("experiment", "run", cfg)
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("text", ['{"name": "x", "alpha": "abc", "d": 1, "seed": 1}', "{"])
+    def test_run_exit_two_on_malformed_config(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = run_cli("experiment", "run", bad)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in proc.stderr
 
     def test_run_exit_two_on_stage_error(self, tmp_path):
         cfg = self.write_config(

@@ -241,17 +241,12 @@ class TestDimField:
         )
         assert plain.value == moved.value
 
-    def test_euclidean_norm_close_on_line(self):
-        a = dim_field(self.field_ctx("image"), ScaleGrid(3, 7), norm="max").value
-        b = dim_field(self.field_ctx("image"), ScaleGrid(3, 7), norm="euclidean").value
-        assert a == pytest.approx(b, abs=0.02)
-
     @pytest.mark.parametrize(
-        "mode, drift, norm",
-        [("graph", DriftSpec.power([1.0, 0.5], 1.5), "max"), ("image", None, "euclidean")],
-        ids=["graph-power-max", "image-none-euclidean"],
+        "mode, drift",
+        [("graph", DriftSpec.power([1.0, 0.5], 1.5)), ("image", None)],
+        ids=["graph-power", "image-none"],
     )
-    def test_table_rows_match_ball_mass_profile(self, monkeypatch, mode, drift, norm):
+    def test_table_rows_match_ball_mass_profile(self, monkeypatch, mode, drift):
         # 700 atoms: one full 512-row block plus a partial one
         tables = []
         real = estimators._mass_table
@@ -263,11 +258,11 @@ class TestDimField:
         monkeypatch.setattr(estimators, "_mass_table", spy)
         ctx = KernelContext(FieldSpec(0.5, 1, 2), drift, centered_grid(700), mode)
         grid = ScaleGrid(3, 6)
-        dim_field(ctx, grid, norm=norm)
+        dim_field(ctx, grid)
         (V,) = tables
         for i, t in enumerate(ctx.measure.atoms):
             np.testing.assert_allclose(
-                V[i], ball_mass_profile(ctx, t, grid.radii, norm), rtol=1e-12, atol=0
+                V[i], ball_mass_profile(ctx, t, grid.radii), rtol=1e-12, atol=0
             )
 
 
@@ -393,6 +388,16 @@ class TestBoxCounting:
         two = np.array([[0.0], [1.0]])
         assert box_count(two, 0.25) == 2
         assert box_count_curve(two, 0.25) == 5
+
+    def test_one_dimensional_input_is_points_on_the_line(self):
+        x = np.linspace(0.0, 1.0, 1000)
+        column = x.reshape(-1, 1)
+        assert box_count(x, 0.25) == box_count(column, 0.25) == 5
+        assert box_count_curve(x, 0.25) == box_count_curve(column, 0.25) == 5
+        for connect in (False, True):
+            est = box_counting_dim(x, ScaleGrid(2, 6), connect=connect)
+            assert est == box_counting_dim(column, ScaleGrid(2, 6), connect=connect)
+            assert est.value == pytest.approx(1.0, abs=0.1)
 
     def test_segment_dimension(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)

@@ -119,6 +119,39 @@ class TestConfigParsing:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"alpha": "abc"}, "alpha"),
+            ({"d": [1]}, "'d'"),
+            ({"seed": None}, "seed"),
+            ({"tolerance": "wide"}, "tolerance"),
+            ({"grid": {"j_min": "low", "j_max": 9}}, "j_min"),
+            ({"grid": {"j_min": 4, "j_max": 9, "base": "two"}}, "base"),
+            ({"grid": [4, 9]}, "grid"),
+            ({"set": "interval"}, "set"),
+            ({"drift": "zero"}, "drift"),
+            ({"drift": {"kind": "constant", "values": ["up"]}}, "drift"),
+        ],
+    )
+    def test_malformed_value_names_its_key(self, patch, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({**MINIMAL, **patch})
+
+    @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"", b"\xff{}"])
+    def test_file_that_is_not_one_json_object(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="bad.json"):
+            ExperimentConfig.from_json(str(path))
+
+    def test_malformed_set_parameter_names_its_key(self):
+        cfg = ExperimentConfig.from_dict(
+            {**MINIMAL, "set": {"kind": "cantor", "branches": "two", "ratio": 0.3, "level": 4}}
+        )
+        with pytest.raises(ConfigError, match="branches"):
+            run_experiment(cfg)
+
     def test_set_parameters_checked_at_build_time(self):
         # kind membership is a parse-time check; per-kind parameters are
         # read when the set is built
@@ -286,6 +319,20 @@ class TestRunSuite:
         summary = (tmp_path / "summary.csv").read_text()
         assert "name,predicted,estimate_box,estimate_kernel,gap,pass" in summary
         assert "error:ScaleUnrepresentableError" in summary
+
+    def test_malformed_configs_are_error_rows(self, tmp_path):
+        tiny = {**MINIMAL, "name": "tiny", "resolution": 256, "grid": {"j_min": 2, "j_max": 5}}
+        self.write_config(tmp_path, tiny)
+        (tmp_path / "bad.json").write_text('{"name": "x", "alpha": "abc", "d": 1, "seed": 1}')
+        (tmp_path / "broken.json").write_text("{")
+        rows = run_suite(str(tmp_path))
+        assert [r["name"] for r in rows] == ["bad", "broken", "tiny"]
+        assert [r["pass"] for r in rows[:2]] == ["error:ConfigError"] * 2
+        assert isinstance(rows[2]["pass"], bool)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[2].startswith("bad,nan,") and lines[2].endswith(",error:ConfigError")
+        assert lines[4].startswith("tiny,")
 
     def test_suite_records_stage_errors(self, tmp_path):
         self.write_config(tmp_path, UNDERSAMPLED)

@@ -5,6 +5,7 @@ use works on that first call."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -19,8 +20,14 @@ SUBMODULES = (
     "errors", "numerics", "measures", "fractals", "fields", "kernels",
     "estimators", "theory", "verify", "experiment", "cli",
 )
-# helpers that named no object of the model and that no library code called
-SWEPT = ("LogValue", "gaussian_cdf", "increment_kernel", "kahane_dims", "add_drift")
+# helpers that named no object of the model and that no library code called,
+# and the Euclidean ball option of the field kernels
+SWEPT = (
+    "LogValue", "gaussian_cdf", "increment_kernel", "kahane_dims", "add_drift",
+    "_euclid_ball_prob", "_NORMS",
+)
+# the field kernels measure balls in the maximum norm only
+MAX_NORM_ONLY = ("field_tables", "ball_mass_profile", "expected_ball_mass", "dim_field")
 
 
 @pytest.mark.parametrize("module", ("packdim",) + tuple(f"packdim.{m}" for m in SUBMODULES))
@@ -29,6 +36,10 @@ def test_public_surface(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert [name for name in SWEPT if hasattr(mod, name)] == []
+    assert [
+        name for name in MAX_NORM_ONLY
+        if hasattr(mod, name) and "norm" in inspect.signature(getattr(mod, name)).parameters
+    ] == []
 
 
 def test_submeasure_fields():
@@ -77,9 +88,6 @@ def test_quick_start_path_loads_no_scipy():
 LAZY_SITES = {
     "numerics.gaussian_interval_prob": "packdim.gaussian_interval_prob(0.7, 0.2, 0.5)",
     "numerics.cholesky_psd": "packdim.cholesky_psd([[4.0, 2.0], [2.0, 5.0]]).tolist()",
-    "kernels._euclid_ball_prob": (
-        "packdim.kernels._euclid_ball_prob(np.array([1.0, 0.5]), np.array([0.0, 0.3]), 0.8, 2).tolist()"
-    ),
 }
 
 

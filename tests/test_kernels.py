@@ -226,16 +226,6 @@ class TestExpectedBallMass:
                 shifted, t, r
             )
 
-    def test_euclidean_matches_max_norm_on_the_line(self, rng):
-        # for a single value coordinate both norms describe the interval
-        for _ in range(10):
-            mu = random_measure(rng, 1)
-            t = mu.atoms[0]
-            r = float(rng.uniform(0.05, 1.0))
-            a = expected_ball_mass(context(mu=mu), t, r, norm="max")
-            b = expected_ball_mass(context(mu=mu), t, r, norm="euclidean")
-            assert a == pytest.approx(b, rel=1e-9)
-
     def test_profile_row_matches_scalar(self):
         ctx = context()
         radii = [0.1, 0.2, 0.4]
@@ -251,8 +241,6 @@ class TestExpectedBallMass:
         ctx = context()
         with pytest.raises(InvalidArgumentError):
             expected_ball_mass(ctx, [0.0], -1.0)
-        with pytest.raises(InvalidArgumentError):
-            ball_mass_profile(ctx, [0.0], [0.1], norm="taxicab")
         with pytest.raises(InvalidArgumentError):
             KernelContext(FieldSpec(0.5), None, measure_on_line(0.0), "shadow")
 
@@ -301,7 +289,7 @@ def window_context(mode, drift, n, d):
     )
 
 
-def dense_field_tables(ctx, norm):
+def dense_field_tables(ctx):
     """The expected-ball-mass tables evaluated on every pair and then
     masked by the domain-ball indicator: the formula without a window."""
     atoms = ctx.measure.atoms
@@ -310,20 +298,13 @@ def dense_field_tables(ctx, norm):
 
     def tables(rows, radii):
         diff = rows[:, None, :] - atoms[None, :, :]
-        eudist = np.linalg.norm(diff, axis=2)
-        rho = eudist**ctx.field.alpha
-        dom = np.max(np.abs(diff), axis=2) if norm == "max" else eudist
+        rho = np.linalg.norm(diff, axis=2) ** ctx.field.alpha
+        dom = np.max(np.abs(diff), axis=2)
         centers = drift.evaluate(rows)[:, None, :] - drift.evaluate(atoms)[None, :, :]
         for r in radii:
-            if norm == "max":
-                probs = np.ones_like(rho)
-                for c in range(d):
-                    probs *= gaussian_interval_prob(rho, centers[:, :, c], r)
-            else:
-                graph_r = np.sqrt(np.maximum(r**2 - dom**2, 0.0))
-                r_eff = graph_r if ctx.mode == "graph" else r
-                cn = np.linalg.norm(centers, axis=2)
-                probs = kernels._euclid_ball_prob(rho, cn, r_eff, d)
+            probs = np.ones_like(rho)
+            for c in range(d):
+                probs *= gaussian_interval_prob(rho, centers[:, :, c], r)
             yield probs * (dom <= r) if ctx.mode == "graph" else probs
 
     return tables
@@ -336,7 +317,6 @@ class TestFieldTablesWindow:
         monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 2**14)
 
     @pytest.mark.parametrize("mode", ["image", "graph"])
-    @pytest.mark.parametrize("norm", ["max", "euclidean"])
     @pytest.mark.parametrize(
         "drift, n, d",
         # polynomial drift lives on 1-D domains
@@ -348,13 +328,13 @@ class TestFieldTablesWindow:
             if drift != "polynomial" or n == 1
         ],
     )
-    def test_tables_match_dense_formula_bitwise(self, mode, norm, drift, n, d):
+    def test_tables_match_dense_formula_bitwise(self, mode, drift, n, d):
         ctx = window_context(mode, drift, n, d)
         mu = ctx.measure
         windowed = estimators._mass_table(
-            mu, lambda rows, rs: kernels.field_tables(ctx, rows, rs, norm), WINDOW_RADII
+            mu, lambda rows, rs: kernels.field_tables(ctx, rows, rs), WINDOW_RADII
         )
-        dense = estimators._mass_table(mu, dense_field_tables(ctx, norm), WINDOW_RADII)
+        dense = estimators._mass_table(mu, dense_field_tables(ctx), WINDOW_RADII)
         assert np.array_equal(windowed, dense)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -381,11 +361,11 @@ class TestFieldTablesWindow:
             elements.clear()
 
 
-def assert_tables_match(ctx, rows, radii, norm):
+def assert_tables_match(ctx, rows, radii):
     # compare each table before the generator advances: graph mode
     # overwrites one table per call
-    dense = dense_field_tables(ctx, norm)(rows, radii)
-    for table, expected in zip(kernels.field_tables(ctx, rows, radii, norm), dense, strict=True):
+    dense = dense_field_tables(ctx)(rows, radii)
+    for table, expected in zip(kernels.field_tables(ctx, rows, radii), dense, strict=True):
         assert np.array_equal(table, expected)
 
 
@@ -418,25 +398,23 @@ class TestFieldTablesBand:
     }
 
     @pytest.mark.parametrize("order", RADII)
-    @pytest.mark.parametrize("norm", ["max", "euclidean"])
     # n = 3 sums three squares: the band's coordinate-major norms must add
     # them in the order of the dense formula's last-axis norms
     @pytest.mark.parametrize(
         "drift, n, d", [("none", 1, 1), ("power", 2, 2), ("polynomial", 1, 2), ("none", 3, 1)]
     )
-    def test_any_radius_order_matches_dense_bitwise(self, order, norm, drift, n, d):
+    def test_any_radius_order_matches_dense_bitwise(self, order, drift, n, d):
         ctx = window_context("graph", drift, n, d)
         atoms = ctx.measure.atoms
         # sorted rows give a narrow band, the measure's own order a wide one
         by_first = atoms[np.argsort(atoms[:, 0], kind="stable")]
         for rows in (by_first[40:72], by_first[-16:], atoms[:32]):
-            assert_tables_match(ctx, rows, self.RADII[order], norm)
+            assert_tables_match(ctx, rows, self.RADII[order])
 
     @pytest.mark.parametrize("offset", [1e6, -1e6, 0.0])
-    @pytest.mark.parametrize("norm", ["max", "euclidean"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_window_edges_match_dense_bitwise(self, offset, norm, n):
+    def test_window_edges_match_dense_bitwise(self, offset, n):
         rows, mu = edge_measure(n, offset)
         ctx = KernelContext(FieldSpec(0.4, n, 1), None, mu, "graph")
         for block in (rows, rows[:1], rows[1:2], rows[2:]):
-            assert_tables_match(ctx, block, WINDOW_RADII, norm)
+            assert_tables_match(ctx, block, WINDOW_RADII)
