@@ -260,9 +260,11 @@ class TestKernelChain:
             assert mid <= hi * (1.0 + 1e-12)
 
 
-# Unsorted atoms on a dyadic lattice, so that domain distances tie with the
-# dyadic radii; 300 atoms are 9 blocks of 32 rows plus a partial one under
-# the block budget the window tests set.
+# Atoms on a dyadic lattice, so that domain distances tie with the dyadic
+# radii; 300 atoms are 9 blocks of 32 rows plus a partial one under the
+# block budget the window tests set.  Shuffled atoms give every block a band
+# of full width; atoms sorted along the first coordinate, as interval sets
+# come, give each block a narrow band.
 WINDOW_RADII = 2.0 ** -np.arange(2, 7)
 WINDOW_DRIFTS = {
     "none": None,
@@ -273,19 +275,24 @@ WINDOW_DRIFTS = {
 }
 
 
-def lattice_measure(n, count=300):
+WINDOW_ORDERS = ("shuffled", "sorted")
+
+
+def lattice_measure(n, count=300, order="shuffled"):
     rng = np.random.default_rng(n)
     side = 512 if n == 1 else 64
     cells = rng.permutation(side**n)[:count]
+    if order == "sorted":
+        cells = np.sort(cells)
     atoms = np.stack(np.unravel_index(cells, (side,) * n), axis=1) / side
     w = rng.random(count)
     return DiscreteMeasure(atoms, w / w.sum())
 
 
-def window_context(mode, drift, n, d):
+def window_context(mode, drift, n, d, order="shuffled"):
     make = WINDOW_DRIFTS[drift]
     return KernelContext(
-        FieldSpec(0.4, n, d), make and make(d), lattice_measure(n), mode
+        FieldSpec(0.4, n, d), make and make(d), lattice_measure(n, order=order), mode
     )
 
 
@@ -317,6 +324,7 @@ class TestFieldTablesWindow:
         monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 2**14)
 
     @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("order", WINDOW_ORDERS)
     @pytest.mark.parametrize(
         "drift, n, d",
         # polynomial drift lives on 1-D domains
@@ -328,8 +336,8 @@ class TestFieldTablesWindow:
             if drift != "polynomial" or n == 1
         ],
     )
-    def test_tables_match_dense_formula_bitwise(self, mode, drift, n, d):
-        ctx = window_context(mode, drift, n, d)
+    def test_tables_match_dense_formula_bitwise(self, mode, order, drift, n, d):
+        ctx = window_context(mode, drift, n, d, order)
         mu = ctx.measure
         windowed = estimators._mass_table(
             mu, lambda rows, rs: kernels.field_tables(ctx, rows, rs), WINDOW_RADII
@@ -337,8 +345,9 @@ class TestFieldTablesWindow:
         dense = estimators._mass_table(mu, dense_field_tables(ctx), WINDOW_RADII)
         assert np.array_equal(windowed, dense)
 
+    @pytest.mark.parametrize("order", WINDOW_ORDERS)
     @pytest.mark.parametrize("n", [1, 2])
-    def test_graph_evaluates_only_the_window(self, monkeypatch, n):
+    def test_graph_evaluates_only_the_window(self, monkeypatch, n, order):
         elements = []
 
         def counting(rho, a, r):
@@ -347,7 +356,7 @@ class TestFieldTablesWindow:
 
         monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
         for mode in ("graph", "image"):
-            ctx = window_context(mode, "none", n, 1)
+            ctx = window_context(mode, "none", n, 1, order)
             atoms = ctx.measure.atoms
             estimators._mass_table(
                 ctx.measure, lambda rows, rs: kernels.field_tables(ctx, rows, rs), WINDOW_RADII
