@@ -35,6 +35,10 @@ _SET_KEYS = {
     "interval": set(), "cantor": {"branches", "ratio", "level"},
     "txset": {"beta", "level", "delta0"},
 }
+# the parameters each drift kind takes besides its kind
+_DRIFT_KEYS = {
+    "zero": set(), "constant": {"values"}, "power": {"direction", "exponent"}, "polynomial": {"rows"},
+}
 _MODES = ("image", "graph")
 _KNOWN_KEYS = {
     "name", "alpha", "d", "n", "set", "drift", "resolution",
@@ -53,6 +57,32 @@ def _read(table: dict, key: str, convert, default=..., within: str = "config"):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{within} key {key!r}: {exc}") from exc
+
+
+def _refuse_unknown(table: dict, known, what: str) -> None:
+    unknown = set(table) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _real(value) -> float:
+    """A JSON number as float; a boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral JSON number as int; a fraction is refused, not truncated."""
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _object(value) -> dict:
@@ -92,27 +122,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _KNOWN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        name = _read(raw, "name", str)
+        _refuse_unknown(raw, _KNOWN_KEYS, "config")
+        name = _read(raw, "name", _string)
         if not name or any(ch in name for ch in ",\n\r"):
             raise ConfigError("name must be nonempty and free of commas/newlines")
         cfg = cls(
             name=name,
-            alpha=_read(raw, "alpha", float),
-            d=_read(raw, "d", int),
-            n=_read(raw, "n", int, 1),
+            alpha=_read(raw, "alpha", _real),
+            d=_read(raw, "d", _integer),
+            n=_read(raw, "n", _integer, 1),
             set_spec=_read(raw, "set", _object, {"kind": "interval"}),
             drift=None if raw.get("drift") is None else _read(raw, "drift", _object),
-            resolution=_read(raw, "resolution", int, 4096),
+            resolution=_read(raw, "resolution", _integer, 4096),
             grid=_read(raw, "grid", _object, {"j_min": 4, "j_max": 9, "base": 2.0}),
-            replicas=_read(raw, "replicas", int, 1),
-            seed=_read(raw, "seed", int),
+            replicas=_read(raw, "replicas", _integer, 1),
+            seed=_read(raw, "seed", _integer),
             mode=str(raw.get("mode", "image")),
             method=str(raw.get("method", "regression")),
             box_method=str(raw.get("box_method", raw.get("method", "regression"))),
-            tolerance=_read(raw, "tolerance", float, 0.25),
+            tolerance=_read(raw, "tolerance", _real, 0.25),
         )
         cfg.validate()
         return cfg
@@ -163,7 +191,7 @@ class ExperimentConfig:
         if self.mode == "graph" and self.n != 1:
             raise ConfigError("graph experiments need a one-dimensional domain")
         kind = self.set_spec.get("kind")
-        if kind not in _SET_KEYS:
+        if not isinstance(kind, str) or kind not in _SET_KEYS:
             raise ConfigError(f"set kind must be one of {tuple(_SET_KEYS)}")
         if kind != "interval" and self.n != 1:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
@@ -181,14 +209,12 @@ class ExperimentConfig:
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
-        extra = set(g) - {"j_min", "j_max", "base"}
-        if extra:
-            raise ConfigError(f"unknown grid keys: {sorted(extra)}")
+        _refuse_unknown(g, ("j_min", "j_max", "base"), "grid")
         try:
             return ScaleGrid(
-                _read(g, "j_min", int, 4, "grid"),
-                _read(g, "j_max", int, 9, "grid"),
-                _read(g, "base", float, 2.0, "grid"),
+                _read(g, "j_min", _integer, 4, "grid"),
+                _read(g, "j_max", _integer, 9, "grid"),
+                _read(g, "base", _real, 2.0, "grid"),
             )
         except PackdimError as exc:
             raise ConfigError(f"bad scale grid: {exc}") from exc
@@ -201,18 +227,19 @@ class ExperimentConfig:
             return None
         spec = dict(self.drift)
         kind = spec.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _DRIFT_KEYS:
+            raise ConfigError(f"unknown drift kind {kind!r}")
+        _refuse_unknown(spec, _DRIFT_KEYS[kind], f"{kind} drift")
         try:
             if kind == "zero":
                 return DriftSpec.zero(self.d)
             if kind == "constant":
-                return DriftSpec.constant(spec.pop("values"))
+                return DriftSpec.constant(spec["values"])
             if kind == "power":
-                return DriftSpec.power(spec.pop("direction"), spec.pop("exponent"))
-            if kind == "polynomial":
-                return DriftSpec.polynomial(spec.pop("rows"))
+                return DriftSpec.power(spec["direction"], spec["exponent"])
+            return DriftSpec.polynomial(spec["rows"])
         except (KeyError, TypeError, ValueError, PackdimError) as exc:
             raise ConfigError(f"bad drift spec: {exc}") from exc
-        raise ConfigError(f"unknown drift kind {kind!r}")
 
 
 def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, float, bool]:
@@ -221,23 +248,21 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     them)."""
     kind = cfg.set_spec["kind"]
     spec = {k: v for k, v in cfg.set_spec.items() if k != "kind"}
-    unknown = set(spec) - _SET_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown {kind} set keys: {sorted(unknown)}")
+    _refuse_unknown(spec, _SET_KEYS[kind], f"{kind} set")
     if kind == "interval":
         pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
         k = len(pts)
         mu = DiscreteMeasure(pts, np.full(k, 1.0 / k))
         return pts, mu, float(cfg.n), cfg.n == 1
-    level = _read(spec, "level", int, within=kind)
+    level = _read(spec, "level", _integer, within=kind)
     if kind == "cantor":
-        branches = _read(spec, "branches", int, within=kind)
-        ratio = _read(spec, "ratio", float, within=kind)
+        branches = _read(spec, "branches", _integer, within=kind)
+        ratio = _read(spec, "ratio", _real, within=kind)
         system = build_uniform_cantor(branches, ratio, level)
         mu = natural_measure(system, level)
         return mu.atoms, mu, system.params["similarity_dimension"], False
-    beta = _read(spec, "beta", float, within=kind)
-    delta0 = _read(spec, "delta0", float, 0.25, kind)
+    beta = _read(spec, "beta", _real, within=kind)
+    delta0 = _read(spec, "delta0", _real, 0.25, kind)
     symbolic = build_tx_system(beta, delta0, levels=max(level, 1))
     system = realize_explicit(symbolic, level)
     mu = natural_measure(system, level)

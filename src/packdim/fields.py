@@ -208,6 +208,8 @@ class SamplePath:
 def _mesh_points(count: int, n: int, t_max: float) -> np.ndarray:
     """The regular grid on [0, t_max]^n: ``count`` points on the line, else
     max(2, round(count^(1/n))) points per axis, rows in ij order."""
+    if count < 1 or n < 1:
+        raise InvalidArgumentError("a mesh needs at least one point and one domain axis")
     per_axis = count if n == 1 else max(2, round(count ** (1.0 / n)))
     mesh = np.meshgrid(*[np.linspace(0.0, t_max, per_axis)] * n, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

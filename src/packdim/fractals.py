@@ -157,6 +157,16 @@ class NestedIntervalSystem:
         return True
 
 
+def _children(lefts: np.ndarray, pitch: float, count: int) -> np.ndarray:
+    """Left ends of ``count`` children ``pitch`` apart from each parent's left end."""
+    return (lefts[:, None] + np.arange(count) * pitch).ravel()
+
+
+def _cantor_level(ratio: float, gap_factor: float, k: int) -> tuple[float, float]:
+    """Interval length and sibling gap at level k of a uniform Cantor system."""
+    return ratio**k, ratio ** (k - 1) * gap_factor
+
+
 def build_uniform_cantor(branches: int, ratio: float, levels: int) -> NestedIntervalSystem:
     """Self-similar system in [0, 1]: each interval splits into ``branches``
     children of relative length ``ratio`` spread with equal gaps so the first
@@ -176,12 +186,8 @@ def build_uniform_cantor(branches: int, ratio: float, levels: int) -> NestedInte
     specs = [LevelSpec(np.array([0.0]), 1.0, None, 1)]
     lefts = np.array([0.0])
     for k in range(1, levels + 1):
-        parent_len = ratio ** (k - 1)
-        length = ratio**k
-        gap = parent_len * gap_factor
-        pitch = length + gap
-        offsets = np.arange(branches) * pitch
-        lefts = (lefts[:, None] + offsets[None, :]).ravel()
+        length, gap = _cantor_level(ratio, gap_factor, k)
+        lefts = _children(lefts, length + gap, branches)
         specs.append(LevelSpec(lefts, length, gap, branches))
     sim_dim = math.log(branches) / math.log(1.0 / ratio)
     return NestedIntervalSystem(
@@ -225,12 +231,13 @@ class SymbolicScaleSystem:
     def depth(self) -> int:
         return len(self.H)
 
-    def check_invariants(self, rtol: float = 1e-9) -> None:
+    def check_invariants(self) -> None:
         """Assert the defining inequalities in log domain:
         0 < H_k < L_k, the two-scale link L_{k-1} = (1-beta) H_k - log 2,
         the mass cap sum_{j<=k} logm_j <= 2^{-(k+1)} L_k, and the packing
-        room logm_k + log(eta_k + delta_k) <= log delta_{k-1}.
+        room logm_k + log(eta_k + delta_k) <= log delta_{k-1}, to relative 1e-9.
         """
+        rtol = 1e-9
         run = 0.0
         for k in range(1, self.depth + 1):
             L_prev, L_k, H_k = self.L[k - 1], self.L[k], self.H[k - 1]
@@ -327,8 +334,7 @@ def realize_explicit(system: SymbolicScaleSystem, maxlevel: int) -> NestedInterv
         delta_k = math.exp(-system.L[k])
         eta_k = math.exp(-system.H[k - 1])
         m = system.m_exact[k - 1]
-        offsets = np.arange(m) * (delta_k + eta_k)
-        lefts = (lefts[:, None] + offsets[None, :]).ravel()
+        lefts = _children(lefts, delta_k + eta_k, m)
         specs.append(LevelSpec(lefts, delta_k, eta_k, m))
     out = NestedIntervalSystem(
         tuple(specs),
@@ -471,33 +477,26 @@ class ExtractedSubsystem:
             prod *= b
         return 1.0 / prod
 
-    def measure(self, level: int | None = None, refine: int = 0) -> DiscreteMeasure:
-        """Natural measure on the output intervals at ``level`` (default:
-        deepest).  ``refine`` descends that many extra base levels inside
-        every kept interval, splitting each atom into ``branches**refine``
-        children of equal weight; interval masses per output level are
-        unchanged, only the atom resolution doubles and redoubles.
+    def measure(self, refine: int = 0) -> DiscreteMeasure:
+        """Natural measure on the deepest output intervals.  ``refine``
+        descends that many extra base levels inside every kept interval,
+        splitting each atom into ``branches**refine`` children of equal
+        weight; interval masses per output level are unchanged, only the
+        atom resolution doubles and redoubles.
         """
-        if level is None:
-            level = self.system.depth
-        if not (1 <= level <= self.system.depth):
-            raise InvalidArgumentError("level out of range")
         if refine < 0:
             raise InvalidArgumentError("refine must be nonnegative")
-        lefts = self.system.lefts(level)
+        lefts = self.system.lefts(self.system.depth)
         if refine:
             N = self._base_params["branches"]
             ratio = self._base_params["ratio"]
             gap_factor = self._base_params["gap_factor"]
-            base_k = self.base_levels[level - 1]
             if N**refine * len(lefts) > _MAX_INTERVALS:
                 raise InvalidArgumentError("refined atom count exceeds 1e6")
-            for step in range(1, refine + 1):
-                k = base_k + step
-                length = ratio**k
-                gap = ratio ** (k - 1) * gap_factor
-                offsets = np.arange(N) * (length + gap)
-                lefts = (lefts[:, None] + offsets[None, :]).ravel()
+            base_k = self.base_levels[-1]
+            for k in range(base_k + 1, base_k + refine + 1):
+                length, gap = _cantor_level(ratio, gap_factor, k)
+                lefts = _children(lefts, length + gap, N)
         n = len(lefts)
         return DiscreteMeasure(lefts[:, None], np.full(n, 1.0 / n))
 
@@ -506,7 +505,6 @@ def extract_subsystem(
     base: NestedIntervalSystem,
     gamma: float,
     theta: float,
-    tight: bool = True,
 ) -> ExtractedSubsystem:
     """Carve a regular subsystem out of a uniform self-similar base.
 
@@ -514,11 +512,9 @@ def extract_subsystem(
     growth condition gap_n^theta < gap_{n-1} hold (for theta < 1 the stride
     accelerates; no fixed stride works for a self-similar base).  Within
     each kept interval the lexicographically first ``b_n`` descendants
-    survive.  With ``tight`` the counts are the smallest ones keeping every
-    interval mass at or below gap_n^gamma, which makes the mass ceiling a
-    meaningful witness downstream; otherwise all descendants are kept (the
-    ceiling then holds with lots of room because gamma is below the
-    similarity dimension).
+    survive, with ``b_n`` the smallest count keeping every interval mass at
+    or below gap_n^gamma, which makes the mass ceiling a meaningful witness
+    downstream.
     """
     if base.kind != "uniform_cantor":
         raise InvalidArgumentError("extraction needs a uniform self-similar base")
@@ -560,38 +556,23 @@ def extract_subsystem(
     prod_b = 1
     k_prev = 0
     for n, k_n in enumerate(ks, start=1):
-        dk = k_n - k_prev
-        capacity = N**dk
-        if tight:
-            target = math.exp(gamma * log_inv_gap(k_n))
-            needed = _guarded_ceil(target / prod_b)
-            b = min(capacity, needed)
-        else:
-            b = capacity
-        if prod_b * b < math.exp(gamma * log_inv_gap(k_n)) * (1 - 1e-9):
+        target = math.exp(gamma * log_inv_gap(k_n))
+        b = min(N ** (k_n - k_prev), _guarded_ceil(target / prod_b))
+        if prod_b * b < target * (1 - 1e-9):
             raise DepthExhaustedError(
                 f"output level {n}: even the full tree cannot push interval "
                 f"masses below gap^gamma (gamma {gamma:.4g} too demanding here)"
             )
         # Offsets of the lexicographically first b descendants, shared by
         # every kept parent.
-        offsets = np.zeros(b)
-        pitches = [
-            ratio**j + ratio ** (j - 1) * gap_factor for j in range(k_prev + 1, k_n + 1)
-        ]
-        for c in range(b):
-            rem, off = c, 0.0
-            for j in range(dk - 1, -1, -1):
-                digit = rem // (N**j)
-                rem -= digit * (N**j)
-                off += digit * pitches[dk - 1 - j]
-            offsets[c] = off
-        lefts = (lefts[:, None] + offsets[None, :]).ravel()
+        offsets = np.zeros(1)
+        for j in range(k_prev + 1, k_n + 1):
+            length, gap = _cantor_level(ratio, gap_factor, j)
+            offsets = _children(offsets, length + gap, N)
+        lefts = (lefts[:, None] + offsets[:b]).ravel()
         prod_b *= b
         branch_counts.append(b)
-        specs.append(
-            LevelSpec(lefts, ratio**k_n, ratio ** (k_n - 1) * gap_factor, b)
-        )
+        specs.append(LevelSpec(lefts, *_cantor_level(ratio, gap_factor, k_n), b))
         k_prev = k_n
 
     system = NestedIntervalSystem(

@@ -156,18 +156,13 @@ def _check_point(mu, x) -> np.ndarray:
     return x
 
 
-def ball_mass(mu, x, r: float, norm: str = "euclidean") -> float:
-    """Mass of the closed ball B(x, r) in the chosen norm."""
+def ball_mass(mu, x, r: float) -> float:
+    """Mass of the closed Euclidean ball B(x, r)."""
     x = _check_point(mu, x)
     if not (r >= 0):
         raise InvalidArgumentError("radius must be nonnegative")
     diff = mu.atoms - x
-    if norm == "euclidean":
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    elif norm == "max":
-        dist = np.abs(diff).max(axis=1)
-    else:
-        raise InvalidArgumentError(f"unknown norm {norm!r}")
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return float(mu.weights[dist <= r].sum())
 
 
@@ -185,21 +180,18 @@ def rect_mass(mu, x, halfwidths) -> float:
     return float(mu.weights[inside].sum())
 
 
-def slice_measure(mu: DiscreteMeasure, u, r: float, n: int | None = None) -> SubMeasure:
-    """Restrict to atoms whose first n coordinates lie in the max-norm box
-    D(u, r), then project onto the remaining coordinates.
+def slice_measure(mu: DiscreteMeasure, u, r: float) -> SubMeasure:
+    """Restrict to atoms whose first n = len(u) coordinates lie in the
+    max-norm box D(u, r), then project onto the remaining coordinates.
 
     Weights are kept as-is: the result is a sub-probability measure whose
-    total mass reports how much survived the slice.  n == 0 returns the
-    whole measure (the empty condition holds vacuously).
+    total mass reports how much survived the slice.  An empty ``u`` returns
+    the whole measure (the empty condition holds vacuously).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    if n is None:
-        n = u.size
-    if not (0 <= n < mu.dim):
-        raise InvalidArgumentError("need 0 <= n < mu.dim")
-    if u.size != n:
-        raise InvalidArgumentError("slice center must have length n")
+    n = u.size
+    if n >= mu.dim:
+        raise InvalidArgumentError("need len(u) < mu.dim")
     if not (r >= 0):
         raise InvalidArgumentError("slice radius must be nonnegative")
 

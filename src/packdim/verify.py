@@ -301,19 +301,17 @@ def _interval_bound_ratios(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]
     return ratios, maxima
 
 
-def check_gaussian_interval_bound(beta: float, n: int = 24) -> CheckReport:
+def check_gaussian_interval_bound(beta: float) -> CheckReport:
     """Scan of the probability-vs-power bound: the chance that a centered
     Gaussian of scale rho lands within r of a center a is at most a constant
     times r^beta / (a + rho^beta), for r below the beta-dependent cutoff.
-    The scan asserts sup ratio <= 8, requires the sup to be stable within
-    10% under doubling the grid, and reports the per-case maxima of the
-    proof's four regimes."""
+    The scan runs 24 and then 48 points per axis, asserts sup ratio <= 8,
+    requires the sup to be stable within 10% under that doubling, and
+    reports the per-case maxima of the proof's four regimes."""
     if not (0.0 < beta < 1.0):
         raise InvalidArgumentError("beta must lie in (0, 1)")
-    if n < 8:
-        raise InvalidArgumentError("need at least 8 grid points per axis")
-    ratios, maxima = _interval_bound_ratios(beta, n)
-    ratios2, maxima2 = _interval_bound_ratios(beta, 2 * n)
+    ratios, maxima = _interval_bound_ratios(beta, 24)
+    ratios2, maxima2 = _interval_bound_ratios(beta, 48)
     sup1 = float(np.max(ratios))
     sup2 = float(np.max(ratios2))
     violations = int(np.sum(ratios2 > 8.0))
@@ -349,7 +347,6 @@ def check_graph_expectation_bound(
     subsystem: ExtractedSubsystem,
     field: FieldSpec,
     refine: int = 0,
-    bound: float = 8.0,
 ) -> CheckReport:
     """On a subsystem with gap growth exponent theta and mass exponent
     gamma, the expected graph-ball mass at radius gap_n^theta must stay
@@ -357,7 +354,7 @@ def check_graph_expectation_bound(
 
     theta must equal 1 / (d + 1 - alpha d) for the field, the exponent the
     sharpness proof optimizes; drift-free graph mode; ratios are reported
-    per level and must not exceed ``bound``.  ``refine`` deepens the atom
+    per level and must not exceed 8.  ``refine`` deepens the atom
     resolution of the measure without changing interval masses, for
     stability checks.
 
@@ -391,7 +388,7 @@ def check_graph_expectation_bound(
     level_ratios = [float(x) for x in ratios.max(axis=0)]
     worst = max(level_ratios)
     trials = ratios.size
-    violations = int(np.count_nonzero(ratios > bound))
+    violations = int(np.count_nonzero(ratios > 8.0))
     return CheckReport(
         "graph-expectation-bound",
         trials,

@@ -68,7 +68,7 @@ def test_criterion_01_kernel_chain():
         mu = DiscreteMeasure(atoms, w / w.sum())
         x = rng.normal(0.0, 1.0, d)
         r = float(2.0 ** rng.uniform(-6, 1))
-        lo = ball_mass(mu, x, r, norm="euclidean")
+        lo = ball_mass(mu, x, r)
         mid = profile_kernel(mu, float(d), x, r)
         hi = slice_kernel(mu, 0, d, x, r)
         slack = min(mid - lo, hi - mid)

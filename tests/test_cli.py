@@ -100,6 +100,13 @@ class TestSimulate:
         assert proc.stderr.startswith(f"error: cannot parse drift {drift!r}")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [("--points", -5), ("-n", 0, "--points", 8)])
+    def test_empty_mesh_exits_two(self, argv):
+        proc = run_cli("simulate", "--alpha", 0.5, *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: a mesh needs at least one point")
+        assert "Traceback" not in proc.stderr
+
 
 class TestDimAndProfile:
     def test_dim_json_estimate(self, measure_csv):

@@ -132,6 +132,37 @@ class TestConfigParsing:
             ({"set": "interval"}, "set"),
             ({"drift": "zero"}, "drift"),
             ({"drift": {"kind": "constant", "values": ["up"]}}, "drift"),
+            # int() would read 1.7 and True as 1, giving two configs one
+            # hash, and str() would read null as the name "None"
+            ({"d": 1.7}, "'d'"),
+            ({"n": True}, "'n'"),
+            ({"resolution": 2048.5}, "resolution"),
+            ({"replicas": True}, "replicas"),
+            ({"seed": 2.9}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"grid": {"j_min": 3.9, "j_max": 9}}, "j_min"),
+            ({"grid": {"j_min": 4, "j_max": False}}, "j_max"),
+            ({"grid": {"j_min": 4, "j_max": 9, "base": True}}, "base"),
+            ({"alpha": True}, "alpha"),
+            ({"tolerance": True}, "tolerance"),
+            ({"name": None}, "name"),
+            ({"name": 7}, "name"),
+            # a key the drift kind does not read is refused, not dropped
+            ({"drift": {"kind": "zero", "values": [3.0]}}, r"zero drift keys: \['values'\]"),
+            (
+                {"drift": {"kind": "constant", "values": [1.0], "exponent": 2}},
+                r"constant drift keys: \['exponent'\]",
+            ),
+            (
+                {"drift": {"kind": "power", "direction": [1.0], "exponent": 0.5, "rows": []}},
+                r"power drift keys: \['rows'\]",
+            ),
+            (
+                {"drift": {"kind": "polynomial", "rows": [[1.0]], "values": [1.0]}},
+                r"polynomial drift keys: \['values'\]",
+            ),
+            ({"drift": {"kind": ["zero"]}}, "drift kind"),
+            ({"set": {"kind": ["interval"]}}, "set kind"),
         ],
     )
     def test_malformed_value_names_its_key(self, patch, key):
@@ -145,11 +176,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad.json"):
             ExperimentConfig.from_json(str(path))
 
-    def test_malformed_set_parameter_names_its_key(self):
-        cfg = ExperimentConfig.from_dict(
-            {**MINIMAL, "set": {"kind": "cantor", "branches": "two", "ratio": 0.3, "level": 4}}
-        )
-        with pytest.raises(ConfigError, match="branches"):
+    @pytest.mark.parametrize(
+        "set_spec, key",
+        [
+            ({"kind": "cantor", "branches": "two", "ratio": 0.3, "level": 4}, "branches"),
+            ({"kind": "cantor", "branches": 2.5, "ratio": 0.3, "level": 4}, "branches"),
+            ({"kind": "cantor", "branches": 2, "ratio": 0.3, "level": True}, "level"),
+            ({"kind": "cantor", "branches": 2, "ratio": True, "level": 4}, "ratio"),
+            ({"kind": "txset", "beta": 0.5, "level": 2.5}, "level"),
+        ],
+    )
+    def test_malformed_set_parameter_names_its_key(self, set_spec, key):
+        cfg = ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
+        with pytest.raises(ConfigError, match=key):
             run_experiment(cfg)
 
     def test_set_parameters_checked_at_build_time(self):
@@ -174,6 +213,12 @@ class TestConfigHash:
         for patch in ({"seed": 8}, {"tolerance": 0.36}, {"name": "other"}):
             other = ExperimentConfig.from_dict({**GRAPH_LINE, **patch})
             assert other.config_hash() != base
+
+    def test_integral_floats_load_as_integers(self):
+        as_int = ExperimentConfig.from_dict({**MINIMAL, "d": 1, "replicas": 2})
+        as_float = ExperimentConfig.from_dict({**MINIMAL, "d": 1.0, "replicas": 2.0})
+        assert as_float == as_int
+        assert as_float.config_hash() == as_int.config_hash()
 
     def test_round_trip_preserves_hash(self, tmp_path):
         cfg = ExperimentConfig.from_dict(GRAPH_LINE)

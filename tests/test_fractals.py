@@ -276,7 +276,3 @@ class TestExtraction:
     def test_gamma_above_similarity_dimension(self):
         with pytest.raises(InvalidArgumentError):
             extract_subsystem(thirds(12), 0.99, 2.0 / 3.0)
-
-    def test_loose_mode_keeps_everything(self):
-        sub = extract_subsystem(thirds(12), 0.3, 2.0 / 3.0, tight=False)
-        assert sub.branch_counts == (2, 2, 4, 8, 16)

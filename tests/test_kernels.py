@@ -253,7 +253,7 @@ class TestKernelChain:
             mu = random_measure(rng, 2)
             x = mu.atoms[int(rng.integers(mu.count))]
             r = float(rng.uniform(0.05, 1.0))
-            lo = ball_mass(mu, x, r, norm="euclidean")
+            lo = ball_mass(mu, x, r)
             mid = profile_kernel(mu, 2.0, x, r)
             hi = slice_kernel(mu, 0, 2, x, r)
             assert lo <= mid * (1.0 + 1e-12)

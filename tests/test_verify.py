@@ -213,8 +213,6 @@ class TestGaussianIntervalBound:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             check_gaussian_interval_bound(1.0)
-        with pytest.raises(InvalidArgumentError):
-            check_gaussian_interval_bound(0.5, n=4)
 
 
 class TestGraphExpectationBound:
