@@ -11,6 +11,12 @@ both rules and reads a whole (atoms x scales) log table at once;
 scaling_exponent and box_counting_dim (V = 1 / N) pass it one row.  The
 kernel formulas live in kernels.py in block form, and the measure and field
 estimators share one driver, _kernel_dim, that tabulates and fits them.
+The mass table comes from row blocks of the kernel tables (_mass_table),
+except in dim_field on a drift-free mesh context, where kernels._mesh_masses
+gives it from one probability per lattice offset; non-mesh atoms (Cantor
+and two-scale sets, centred grids), unequal weights, drifts that do not
+cancel and graph-mode meshes with a coordinate at a window edge take the
+blocks.
 
 Measure-a.e. quantifiers reduce the per-atom exponents to one atom's:
 reduce="min" is the literal finite-atom infimum, reduce="median" (default)
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from .fields import _as_points
 from .kernels import (
     KernelContext,
     _check_split,
+    _mesh_masses,
     ball_tables,
     field_tables,
     profile_tables,
@@ -238,11 +246,11 @@ def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
 
 
 def _kernel_dim(
-    mu: DiscreteMeasure, grid: ScaleGrid, tables, method: str, reduce: str
+    mu: DiscreteMeasure, grid: ScaleGrid, masses, method: str, reduce: str
 ) -> ExponentEstimate:
-    """The one estimator driver: tabulate V = _mass_table(mu, tables) on the
-    grid, fit every atom's exponent, and return the estimate of one
-    representative atom, tagged with its index.
+    """The one estimator driver: tabulate V = masses(radii), the (atoms x
+    radii) mass table, on the grid, fit every atom's exponent, and return
+    the estimate of one representative atom, tagged with its index.
 
     reduce="min" takes the smallest exponent over all atoms, the literal
     finite-atom reading of a mu-a.e. infimum.  At desk scales it is
@@ -259,7 +267,7 @@ def _kernel_dim(
     if reduce not in _REDUCTIONS:
         raise InvalidArgumentError(f"reduce must be one of {_REDUCTIONS}")
     radii = grid.radii
-    V = _mass_table(mu, tables, radii)
+    V = masses(radii)
     with np.errstate(divide="ignore"):
         values = _fit(np.log(radii), np.log(V), method)
     if reduce == "min":
@@ -283,9 +291,8 @@ def dim_ball_mass(
     """Exponent of r -> mu(B(x, r)) (Euclidean balls) at a representative
     atom x; the computable form of the ball-mass characterization of the
     packing dimension of a measure."""
-    return _kernel_dim(
-        mu, grid, lambda rows, radii: ball_tables(rows, mu.atoms, radii), method, reduce
-    )
+    masses = partial(_mass_table, mu, lambda rows, radii: ball_tables(rows, mu.atoms, radii))
+    return _kernel_dim(mu, grid, masses, method, reduce)
 
 
 def dim_profile(
@@ -298,10 +305,10 @@ def dim_profile(
     (r-ball term)."""
     if not (beta > 0):
         raise InvalidArgumentError("beta must be positive")
-    return _kernel_dim(
-        mu, grid, lambda rows, radii: profile_tables(rows, mu.atoms, beta, radii),
-        method, reduce,
+    masses = partial(
+        _mass_table, mu, lambda rows, radii: profile_tables(rows, mu.atoms, beta, radii)
     )
+    return _kernel_dim(mu, grid, masses, method, reduce)
 
 
 def dim_slice_kernel(
@@ -311,9 +318,8 @@ def dim_slice_kernel(
     """Exponent of the slice-then-product-kernel integral G_d at a
     representative atom; the graph-adapted characterization on R^{n+d}."""
     _check_split(n, d, mu.dim)
-    return _kernel_dim(
-        mu, grid, lambda rows, radii: slice_tables(rows, mu.atoms, n, radii), method, reduce
-    )
+    masses = partial(_mass_table, mu, lambda rows, radii: slice_tables(rows, mu.atoms, n, radii))
+    return _kernel_dim(mu, grid, masses, method, reduce)
 
 
 def dim_field(
@@ -325,10 +331,16 @@ def dim_field(
     """Exponent of r -> expected_ball_mass(ctx, t, r) at a representative
     atom t of the context measure: the computable packing dimension of the
     drifted field's image measure (image mode) or graph measure (graph
-    mode)."""
-    return _kernel_dim(
-        ctx.measure, grid, lambda rows, radii: field_tables(ctx, rows, radii), method, reduce
-    )
+    mode).  The mass table comes from kernels._mesh_masses where it
+    applies, else from the field_tables blocks."""
+
+    def masses(radii):
+        V = _mesh_masses(ctx, radii)
+        if V is None:
+            V = _mass_table(ctx.measure, lambda rows, rs: field_tables(ctx, rows, rs), radii)
+        return V
+
+    return _kernel_dim(ctx.measure, grid, masses, method, reduce)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ def _object(value) -> dict:
     return dict(value)
 
 
+def _grid_table(value) -> dict:
+    """A grid table with the keys it holds converted, j_min and j_max to
+    int and base to float, so that grids equal in value hash alike.
+    Absent keys stay absent and unknown keys stay for validate to refuse."""
+    table = _object(value)
+    for key, convert in (("j_min", _integer), ("j_max", _integer), ("base", _real)):
+        if key in table:
+            table[key] = _read(table, key, convert, within="grid")
+    return table
+
+
 def _config_hash(params: dict) -> str:
     """The config hash stamped on outputs: sha256 of the canonical JSON, cut to 12 hex."""
     canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
@@ -134,7 +145,7 @@ class ExperimentConfig:
             set_spec=_read(raw, "set", _object, {"kind": "interval"}),
             drift=None if raw.get("drift") is None else _read(raw, "drift", _object),
             resolution=_read(raw, "resolution", _integer, 4096),
-            grid=_read(raw, "grid", _object, {"j_min": 4, "j_max": 9, "base": 2.0}),
+            grid=_read(raw, "grid", _grid_table, {"j_min": 4, "j_max": 9, "base": 2.0}),
             replicas=_read(raw, "replicas", _integer, 1),
             seed=_read(raw, "seed", _integer),
             mode=str(raw.get("mode", "image")),

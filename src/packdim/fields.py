@@ -215,6 +215,19 @@ def _mesh_points(count: int, n: int, t_max: float) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _mesh_axes(points: np.ndarray) -> tuple[int, float] | None:
+    """(points per axis, t_max) when the (k, n) array ``points`` is exactly
+    _mesh_points(k, n, t_max), compared bit for bit; None otherwise."""
+    k, n = points.shape
+    per_axis = round(k ** (1.0 / n))
+    if per_axis**n != k:
+        return None
+    t_max = float(points[-1, 0])
+    if not np.array_equal(points, _mesh_points(k, n, t_max)):
+        return None
+    return per_axis, t_max
+
+
 def _check_sample_points(points, spec: FieldSpec) -> np.ndarray:
     p = _as_points(points)
     if p.shape[1] != spec.domain_dim:

@@ -235,7 +235,12 @@ class SymbolicScaleSystem:
         """Assert the defining inequalities in log domain:
         0 < H_k < L_k, the two-scale link L_{k-1} = (1-beta) H_k - log 2,
         the mass cap sum_{j<=k} logm_j <= 2^{-(k+1)} L_k, and the packing
-        room logm_k + log(eta_k + delta_k) <= log delta_{k-1}, to relative 1e-9.
+        room logm_k + log(eta_k + delta_k) <= log delta_{k-1}.  The link and
+        the cap hold to relative 1e-9.  The room is checked on its margin,
+        which by the link is (beta H_k - logm_k) + log 2 - log1p(delta_k /
+        eta_k), to absolute 1e-9: the two sides of the room inequality are
+        each about -L_{k-1}, whose ulp outgrows the margin of about log 2
+        once L_{k-1} passes 1e16.
         """
         rtol = 1e-9
         run = 0.0
@@ -249,9 +254,11 @@ class SymbolicScaleSystem:
             run += self.logm[k - 1]
             if run > L_k / (2.0 ** (k + 1)) * (1.0 + rtol) + 1e-12:
                 raise GeometryError(f"level {k}: mass cap exceeded")
-            # log(eta + delta) = -H + log1p(exp(H - L)); H < L so the exp is < 1.
-            log_eta_plus_delta = -H_k + math.log1p(math.exp(H_k - L_k))
-            if self.logm[k - 1] + log_eta_plus_delta > -L_prev + rtol:
+            # -L_prev - logm_k - log(eta + delta), with log(eta + delta) =
+            # -H + log1p(exp(H - L)) and -L_prev = -(1 - beta) H + log 2 from
+            # the link; H < L so the exp is < 1
+            room = (self.beta * H_k - self.logm[k - 1]) + math.log(2.0)
+            if room - math.log1p(math.exp(H_k - L_k)) < -rtol:
                 raise GeometryError(f"level {k}: packing room violated")
 
 

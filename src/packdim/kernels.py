@@ -21,6 +21,15 @@ the full (rows x atoms) grid take their distances from
 numerics._pair_distances; graph mode takes them from the band's
 differences.  The per-point functions are one-row calls of these; the
 estimators walk row blocks of them.
+
+One shortcut skips the pair tables.  When the measure is exactly a
+fields._mesh_points mesh (an interval or cube set) with equal weights and
+the drift cancels, the field kernel of a pair depends only on its lattice
+offset, and _mesh_masses gives the weighted sums of the field tables from
+one probability per offset and radius and prefix sums over the offsets:
+O(atoms) per radius instead of O(atoms^2).  Graph-mode meshes with a
+coordinate within a few ulps of a radius, any other atoms, unequal weights
+and drifts that do not cancel take the tables.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fields import DriftSpec, FieldSpec
+from .fields import DriftSpec, FieldSpec, _mesh_axes
 from .measures import (
     DiscreteMeasure,
     slice_measure,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
@@ -275,6 +284,54 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii):
             table.ravel()[written] = probs
             probs = table
         yield probs
+
+
+def _mesh_masses(ctx: KernelContext, radii) -> np.ndarray | None:
+    """The (atoms x radii) table V[i, j] = sum_k w_k K_{r_j}(x_i, x_k) of
+    field_tables contracted with the weights, computed without a pair
+    table; None where that does not apply.
+
+    It applies when the measure is exactly a fields._mesh_points mesh with
+    equal weights and the drift cancels.  Then the kernel of a pair depends
+    only on its lattice offset o, and only through |o|: g(o) is evaluated
+    once per offset and radius, on the distance from the first atom (all
+    zeros) to the atom at o, times |o|_inf <= r in graph mode.  The atoms
+    within the mesh from atom i have offsets -i <= o <= m-1-i per axis, so
+    per axis the sum is S(i) + S(m-1-i) - S(0) with S the prefix sum of g
+    from offset 0, and the n axes fold one after the other on the n-D
+    cumulative sum.  O(atoms x radii) work and memory.
+
+    In graph mode a pair's domain distance is the rounded difference of
+    its coordinates, not the offset's coordinate itself, so a mesh
+    coordinate within a few ulps of t_max of a radius could put the pair
+    on the other side of the window edge: such meshes return None."""
+    mu = ctx.measure
+    mesh = _mesh_axes(mu.atoms)
+    w = mu.weights
+    if mesh is None or not ctx._drift_cancels() or np.any(w != w[0]):
+        return None
+    m, t_max = mesh
+    atoms = mu.atoms
+    graph = ctx.mode == "graph"
+    if graph:
+        # atoms[:m, -1] holds the mesh coordinates along one axis
+        if np.any(np.abs(atoms[:m, -1, None] - radii) <= 8 * np.finfo(float).eps * abs(t_max)):
+            return None
+        dom = np.abs(atoms).max(axis=1)
+    rho = _pair_distances(atoms[:1], atoms)[0] ** ctx.field.alpha
+    shape = (m,) * ctx.field.domain_dim
+    V = np.empty((len(atoms), len(radii)))
+    for j, r in enumerate(radii):
+        g = gaussian_interval_prob(rho, 0.0, r) ** ctx.field.range_dim
+        if graph:
+            g[dom > r] = 0.0
+        s = g.reshape(shape)
+        for axis in range(s.ndim):
+            s = s.cumsum(axis)
+        for axis in range(s.ndim):
+            s = s + np.flip(s, axis) - s.take([0], axis=axis)
+        V[:, j] = w[0] * s.ravel()
+    return V
 
 
 def ball_mass_profile(ctx: KernelContext, t, radii) -> np.ndarray:

@@ -4,6 +4,10 @@ and box counting, each pinned on measures whose exponents are known."""
 import functools
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -266,6 +270,38 @@ class TestDimField:
             )
 
 
+THREADED_FIELD = """
+import hashlib
+import numpy as np
+from packdim import DiscreteMeasure, FieldSpec, KernelContext, ScaleGrid, dim_field, estimators
+tables = []
+fit = estimators._fit
+estimators._fit = lambda logr, logv, method: tables.append(logv.copy()) or fit(logr, logv, method)
+t = np.linspace(0.0, 1.0, 2500).reshape(-1, 1)
+ctx = KernelContext(FieldSpec(0.5), None, DiscreteMeasure(t, np.full(2500, 1 / 2500)), "image")
+est = dim_field(ctx, ScaleGrid(3, 7))
+print(hashlib.sha256(tables[0].tobytes()).hexdigest(), est.value.hex())
+"""
+
+
+def test_mesh_field_is_the_same_at_one_and_two_blas_threads():
+    # image dim_field on 2500 interval atoms: with the row-block tables
+    # the last block (196 rows) split across BLAS threads and V moved with
+    # the thread count; the lattice path uses no BLAS.  V is read as the
+    # log table _kernel_dim hands to the fit.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADED_FIELD],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 class TestBoundedMemory:
     # One dense float64 table over 4096 atoms takes 128 MiB; the estimators
     # must stay below that, whatever their kernel.
@@ -286,24 +322,27 @@ class TestBoundedMemory:
         plane = DiscreteMeasure(path, np.full(4096, 1.0 / 4096))
         grid = ScaleGrid(3, 6)
         ctx = KernelContext(FieldSpec(0.5), None, centered_grid(4096), "graph")
+        # linspace atoms with equal weights and no drift: the lattice path
+        interval = DiscreteMeasure(t.reshape(-1, 1), np.full(4096, 1.0 / 4096))
+        mesh = KernelContext(FieldSpec(0.5), None, interval, "image")
         runs = {
             "ball": lambda: dim_ball_mass(line, grid),
             "profile": lambda: dim_profile(line, 0.5, grid),
             "slice": lambda: dim_slice_kernel(plane, 1, 1, grid),
             "field": lambda: dim_field(ctx, grid),
+            "mesh-field": lambda: dim_field(mesh, grid),
         }
         peaks = {name: self.peak(run) for name, run in runs.items()}
         assert all(p < self.DENSE for p in peaks.values()), peaks
 
     def test_graph_field_keeps_one_table_per_block(self):
-        # graph dim_field on 4096 interval atoms, grid 3..7 (the line-graph
-        # benchmark's large op): 34.4 MiB when every radius allocates its
-        # own zero table and the window is cut from the full (rows x atoms)
-        # grid, 28.4 MiB with one table per row block and the window cut
-        # from the band
-        t = np.linspace(0.0, 1.0, 4096).reshape(-1, 1)
-        mu = DiscreteMeasure(t, np.full(4096, 1.0 / 4096))
-        ctx = KernelContext(FieldSpec(0.5), None, mu, "graph")
+        # graph dim_field on 4096 sorted atoms, grid 3..7 (the size of the
+        # line-graph benchmark's large op): 34.4 MiB on interval atoms when
+        # every radius allocated its own zero table and the window was cut
+        # from the full (rows x atoms) grid, 28.4 MiB with one table per
+        # row block and the window cut from the band.  Interval atoms take
+        # the lattice path (0.7 MiB), so the centred grid keeps the tables.
+        ctx = KernelContext(FieldSpec(0.5), None, centered_grid(4096), "graph")
         dim_field(ctx, ScaleGrid(3, 7))
         peak = self.peak(lambda: dim_field(ctx, ScaleGrid(3, 7)))
         assert peak < 32 * 2**20, peak

@@ -220,6 +220,21 @@ class TestConfigHash:
         assert as_float == as_int
         assert as_float.config_hash() == as_int.config_hash()
 
+    def test_pinned_hashes(self):
+        # the hashes these configs had before grid values were converted
+        # at load: configs written with canonical values keep theirs
+        hashes = [
+            ExperimentConfig.from_dict(raw).config_hash()
+            for raw in (GRAPH_LINE, MINIMAL, THIRDS_IMAGE)
+        ]
+        assert hashes == ["01138849c43c", "472d1ae966de", "a0dab1077b16"]
+
+    def test_integral_float_grid_loads_as_integers(self):
+        as_int = ExperimentConfig.from_dict({**MINIMAL, "grid": {"j_min": 4, "j_max": 7}})
+        as_float = ExperimentConfig.from_dict({**MINIMAL, "grid": {"j_min": 4.0, "j_max": 7}})
+        assert as_float == as_int
+        assert as_float.config_hash() == as_int.config_hash()
+
     def test_round_trip_preserves_hash(self, tmp_path):
         cfg = ExperimentConfig.from_dict(GRAPH_LINE)
         path = tmp_path / "cfg.json"

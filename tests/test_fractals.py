@@ -1,6 +1,7 @@
 """Nested interval systems: self-similar builds, the two-scale symbolic
 construction, covering counts, and regular subsystem extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,25 @@ class TestTxSystem:
         tx = build_tx_system(0.7, 0.25, 8)
         assert tx.check_invariants() is None
         assert tx.m_exact[0] >= 1
+
+    @pytest.mark.parametrize("delta0", [0.25, 0.45])
+    def test_every_beta_builds_at_default_levels(self, delta0):
+        # at beta 0.7 and 0.9 L_k passes 1e16 by level 9, where one ulp of
+        # -L_{k-1} outgrew an absolute slack on the packing room
+        for beta in np.arange(1, 20) / 20:
+            assert build_tx_system(float(beta), delta0).check_invariants() is None
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_doubled_branch_count_breaks_the_packing_room(self, beta):
+        # twice m_1 children of gap eta_1 fill 2 eta_1^(1 - beta) =
+        # delta_0 already, and each child adds its delta_1; L_1 is raised to
+        # keep the mass cap, so the room is the check that fails
+        tx = build_tx_system(beta, 0.25)
+        logm = (tx.logm[0] + math.log(2.0),) + tx.logm[1:]
+        L = (tx.L[0], 4.0 * logm[0]) + tx.L[2:]
+        doubled = dataclasses.replace(tx, logm=logm, L=L)
+        with pytest.raises(GeometryError, match="level 1: packing room violated"):
+            doubled.check_invariants()
 
 
 class TestRealizeExplicit:

@@ -16,6 +16,7 @@ from packdim import (
     ball_mass_profile,
     estimators,
     expected_ball_mass,
+    fields,
     increment_prob,
     kernels,
     product_kernel,
@@ -427,3 +428,108 @@ class TestFieldTablesBand:
         ctx = KernelContext(FieldSpec(0.4, n, 1), None, mu, "graph")
         for block in (rows, rows[:1], rows[1:2], rows[2:]):
             assert_tables_match(ctx, block, WINDOW_RADII)
+
+
+def mesh_context(mode, n, d, alpha, per_axis, drift=None, t_max=1.0, weights=None):
+    atoms = fields._mesh_points(per_axis**n, n, t_max)
+    if weights is None:
+        weights = np.full(len(atoms), 1.0 / len(atoms))
+    return KernelContext(
+        FieldSpec(alpha, n, d), drift, DiscreteMeasure(atoms, weights), mode
+    )
+
+
+def dense_masses(ctx, radii):
+    return estimators._mass_table(
+        ctx.measure, lambda rows, rs: kernels.field_tables(ctx, rows, rs), radii
+    )
+
+
+class TestMeshMasses:
+    # Per-axis counts whose mesh coordinates stay clear of the dyadic radii,
+    # one even and one odd per domain dimension.
+    COUNTS = {1: (250, 251), 2: (15, 16)}
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n, parity", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_matches_the_dense_tables(self, mode, alpha, d, n, parity):
+        ctx = mesh_context(mode, n, d, alpha, self.COUNTS[n][parity])
+        lattice = kernels._mesh_masses(ctx, WINDOW_RADII)
+        assert lattice is not None
+        np.testing.assert_allclose(lattice, dense_masses(ctx, WINDOW_RADII), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_constant_drift_is_bitwise_no_drift(self, mode, n):
+        plain = mesh_context(mode, n, 2, 0.5, self.COUNTS[n][0])
+        moved = mesh_context(
+            mode, n, 2, 0.5, self.COUNTS[n][0], drift=DriftSpec.constant([4.0, -1.5])
+        )
+        assert np.array_equal(
+            kernels._mesh_masses(plain, WINDOW_RADII), kernels._mesh_masses(moved, WINDOW_RADII)
+        )
+
+    @pytest.mark.parametrize("t_max", [1.0, np.nextafter(1.0, 2.0)], ids=["exact", "ulp-above"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dyadic_mesh_takes_the_tables_in_graph_mode(self, t_max, n):
+        # 2^j + 1 points per axis: the coordinates i / 2^j hit the dyadic
+        # radii, where the rounded difference of two atoms' coordinates may
+        # fall on either side of the window edge
+        per_axis = 65 if n == 1 else 17
+        graph = mesh_context("graph", n, 1, 0.5, per_axis, t_max=t_max)
+        assert kernels._mesh_masses(graph, WINDOW_RADII) is None
+        # without a window the offsets may hit the radii
+        image = mesh_context("image", n, 1, 0.5, per_axis, t_max=t_max)
+        np.testing.assert_allclose(
+            kernels._mesh_masses(image, WINDOW_RADII),
+            dense_masses(image, WINDOW_RADII),
+            rtol=1e-13,
+            atol=0,
+        )
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_probability_per_offset_and_radius(self, monkeypatch, mode, n):
+        elements = []
+
+        def counting(rho, a, r):
+            elements.append(np.broadcast(rho, a, r).size)
+            return gaussian_interval_prob(rho, a, r)
+
+        monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
+        ctx = mesh_context(mode, n, 2, 0.5, self.COUNTS[n][1])
+        kernels._mesh_masses(ctx, WINDOW_RADII)
+        assert sum(elements) == ctx.measure.count * len(WINDOW_RADII)
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    def test_dim_field_dispatch(self, monkeypatch, mode):
+        calls = []
+        real = estimators.field_tables
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "field_tables", spy)
+        grid = estimators.ScaleGrid(2, 5)
+        mesh = mesh_context(mode, 1, 1, 0.5, 250)
+        centred = np.arange(250) / 250 + 1 / 500
+        w = np.random.default_rng(5).random(250)
+        dense = {
+            "centred": KernelContext(
+                mesh.field, None, DiscreteMeasure(centred[:, None], mesh.measure.weights), mode
+            ),
+            "weights": mesh_context(mode, 1, 1, 0.5, 250, weights=w / w.sum()),
+            "power": mesh_context(mode, 1, 1, 0.5, 250, drift=DriftSpec.power([1.0], 1.5)),
+            "dyadic": mesh_context(mode, 1, 1, 0.5, 129),
+        }
+        if mode == "image":
+            del dense["dyadic"]
+        estimators.dim_field(mesh, grid)
+        assert not calls
+        for name, ctx in dense.items():
+            estimators.dim_field(ctx, grid)
+            assert calls, name
+            calls.clear()
