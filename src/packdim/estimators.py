@@ -11,12 +11,14 @@ both rules and reads a whole (atoms x scales) log table at once;
 scaling_exponent and box_counting_dim (V = 1 / N) pass it one row.  The
 kernel formulas live in kernels.py in block form, and the measure and field
 estimators share one driver, _kernel_dim, that tabulates and fits them.
-The mass table comes from row blocks of the kernel tables (_mass_table),
-except in dim_field on a drift-free mesh context, where kernels._mesh_masses
-gives it from one probability per lattice offset; non-mesh atoms (Cantor
-and two-scale sets, centred grids), unequal weights, drifts that do not
-cancel and graph-mode meshes with a coordinate at a window edge take the
-blocks.
+The mass table comes from a walk over the upper-triangle tiles of the
+kernel tables (_mass_table): every kernel is symmetric in its two atoms,
+so each tile is evaluated once and contracted with the weights on both
+sides.  dim_field on a drift-free mesh context is the exception, where
+kernels._mesh_masses gives the table from one probability per lattice
+offset; non-mesh atoms (Cantor and two-scale sets, centred grids), unequal
+weights, drifts that do not cancel and graph-mode meshes with a coordinate
+at a window edge take the tiles.
 
 Measure-a.e. quantifiers reduce the per-atom exponents to one atom's:
 reduce="min" is the literal finite-atom infimum, reduce="median" (default)
@@ -117,8 +119,13 @@ def _fit(logr: np.ndarray, logv: np.ndarray, method: str) -> np.ndarray:
     largest logv / logr over the finest ceil(third) of them, regression the
     least-squares slope.  Rows that share a mask of finite entries are
     fitted together on that mask's columns, so each row gets exactly the
-    value a fit of its finite entries alone gives."""
-    masks, which = np.unique(np.isfinite(logv), axis=0, return_inverse=True)
+    value a fit of its finite entries alone gives.  An all-finite table is
+    one group, found without sorting the masks."""
+    finite = np.isfinite(logv)
+    if finite.all():
+        masks, which = finite[:1], np.zeros(len(logv), dtype=np.intp)
+    else:
+        masks, which = np.unique(finite, axis=0, return_inverse=True)
     values = np.empty(len(logv))
     for p, mask in enumerate(masks):
         usable = int(mask.sum())
@@ -180,13 +187,9 @@ def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
 # ---------------------------------------------------------------------------
 
 
-# A row block of a kernel table holds at most this many entries (512 rows
-# at 2048 atoms), so each temporary stays within 8 MiB whatever the atom
-# count.  Block rows are a power of two, at most 512: BLAS splits a block's
-# rows across threads and sums the rows next to an unaligned split in
-# another order, so only aligned blocks give each row the bits of an
-# unblocked table @ weights.
-_BLOCK_ELEMENTS = 2**20
+# The tile side of _mass_table's walk, a power of two.  A tile's tables and
+# temporaries stay a few MiB whatever the atom count.
+_TILE = 128
 
 
 def _min_spacing(points: np.ndarray) -> float | None:
@@ -235,13 +238,26 @@ def _check_resolution(points: np.ndarray, grid: ScaleGrid):
 
 def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
     """V[i, j] = sum_k w_k K_{r_j}(x_i, x_k) over the atoms of mu, where
-    ``tables(rows, radii)`` is a kernel's block form.  Walks row blocks of
-    at most _BLOCK_ELEMENTS table entries, so memory is O(k), not O(k^2)."""
-    V = np.empty((mu.count, len(radii)))
-    step = 1 << min(9, (_BLOCK_ELEMENTS // mu.count).bit_length() - 1)
-    for lo in range(0, mu.count, step):
-        for j, table in enumerate(tables(mu.atoms[lo:lo + step], radii)):
-            V[lo:lo + step, j] = table @ mu.weights
+    ``tables(rows, atoms, radii)`` is a kernel's block form.
+
+    Every kernel here is symmetric bit for bit: the table on atom blocks
+    (I, K) is the transpose of the table on (K, I), since each entry reads
+    only |x_i - x_k| per coordinate, norms of it and the drift increment
+    up to sign.  So the walk takes the tiles (I, K) of _TILE atoms with
+    K >= I, evaluates each once and contracts it twice, V[I] += T @ w[K]
+    and, off the diagonal, V[K] += w[I] @ T: half the evaluations of the
+    full table, in O(tile) memory.  A block form that yields no tables
+    for a tile (an empty graph window) adds nothing."""
+    atoms, w = mu.atoms, mu.weights
+    V = np.zeros((mu.count, len(radii)))
+    for lo in range(0, mu.count, _TILE):
+        rows = slice(lo, lo + _TILE)
+        for hi in range(lo, mu.count, _TILE):
+            cols = slice(hi, hi + _TILE)
+            for j, table in enumerate(tables(atoms[rows], atoms[cols], radii)):
+                V[rows, j] += table @ w[cols]
+                if hi != lo:
+                    V[cols, j] += w[rows] @ table
     return V
 
 
@@ -291,7 +307,7 @@ def dim_ball_mass(
     """Exponent of r -> mu(B(x, r)) (Euclidean balls) at a representative
     atom x; the computable form of the ball-mass characterization of the
     packing dimension of a measure."""
-    masses = partial(_mass_table, mu, lambda rows, radii: ball_tables(rows, mu.atoms, radii))
+    masses = partial(_mass_table, mu, ball_tables)
     return _kernel_dim(mu, grid, masses, method, reduce)
 
 
@@ -306,7 +322,7 @@ def dim_profile(
     if not (beta > 0):
         raise InvalidArgumentError("beta must be positive")
     masses = partial(
-        _mass_table, mu, lambda rows, radii: profile_tables(rows, mu.atoms, beta, radii)
+        _mass_table, mu, lambda rows, atoms, radii: profile_tables(rows, atoms, beta, radii)
     )
     return _kernel_dim(mu, grid, masses, method, reduce)
 
@@ -318,7 +334,9 @@ def dim_slice_kernel(
     """Exponent of the slice-then-product-kernel integral G_d at a
     representative atom; the graph-adapted characterization on R^{n+d}."""
     _check_split(n, d, mu.dim)
-    masses = partial(_mass_table, mu, lambda rows, radii: slice_tables(rows, mu.atoms, n, radii))
+    masses = partial(
+        _mass_table, mu, lambda rows, atoms, radii: slice_tables(rows, atoms, n, radii)
+    )
     return _kernel_dim(mu, grid, masses, method, reduce)
 
 
@@ -332,12 +350,12 @@ def dim_field(
     atom t of the context measure: the computable packing dimension of the
     drifted field's image measure (image mode) or graph measure (graph
     mode).  The mass table comes from kernels._mesh_masses where it
-    applies, else from the field_tables blocks."""
+    applies, else from field_tables on tiles."""
 
     def masses(radii):
         V = _mesh_masses(ctx, radii)
         if V is None:
-            V = _mass_table(ctx.measure, lambda rows, rs: field_tables(ctx, rows, rs), radii)
+            V = _mass_table(ctx.measure, partial(field_tables, ctx), radii)
         return V
 
     return _kernel_dim(ctx.measure, grid, masses, method, reduce)

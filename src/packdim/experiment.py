@@ -14,6 +14,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,14 +92,21 @@ def _object(value) -> dict:
     return dict(value)
 
 
-def _grid_table(value) -> dict:
-    """A grid table with the keys it holds converted, j_min and j_max to
-    int and base to float, so that grids equal in value hash alike.
-    Absent keys stay absent and unknown keys stay for validate to refuse."""
+# the conversion of each grid and set parameter
+_GRID_PARAMS = {"j_min": _integer, "j_max": _integer, "base": _real}
+_SET_PARAMS = {
+    "level": _integer, "branches": _integer, "ratio": _real, "beta": _real, "delta0": _real,
+}
+
+
+def _table(params: dict, within: str, value) -> dict:
+    """A grid or set table with the parameters it holds converted by
+    ``params``, so that tables equal in value hash alike.  Absent keys stay
+    absent and unknown keys stay for validate to refuse."""
     table = _object(value)
-    for key, convert in (("j_min", _integer), ("j_max", _integer), ("base", _real)):
+    for key, convert in params.items():
         if key in table:
-            table[key] = _read(table, key, convert, within="grid")
+            table[key] = _read(table, key, convert, within=within)
     return table
 
 
@@ -142,10 +150,13 @@ class ExperimentConfig:
             alpha=_read(raw, "alpha", _real),
             d=_read(raw, "d", _integer),
             n=_read(raw, "n", _integer, 1),
-            set_spec=_read(raw, "set", _object, {"kind": "interval"}),
+            set_spec=_read(raw, "set", partial(_table, _SET_PARAMS, "set"), {"kind": "interval"}),
             drift=None if raw.get("drift") is None else _read(raw, "drift", _object),
             resolution=_read(raw, "resolution", _integer, 4096),
-            grid=_read(raw, "grid", _grid_table, {"j_min": 4, "j_max": 9, "base": 2.0}),
+            grid=_read(
+                raw, "grid", partial(_table, _GRID_PARAMS, "grid"),
+                {"j_min": 4, "j_max": 9, "base": 2.0},
+            ),
             replicas=_read(raw, "replicas", _integer, 1),
             seed=_read(raw, "seed", _integer),
             mode=str(raw.get("mode", "image")),
@@ -204,6 +215,7 @@ class ExperimentConfig:
         kind = self.set_spec.get("kind")
         if not isinstance(kind, str) or kind not in _SET_KEYS:
             raise ConfigError(f"set kind must be one of {tuple(_SET_KEYS)}")
+        _refuse_unknown(self.set_spec, _SET_KEYS[kind] | {"kind"}, f"{kind} set")
         if kind != "interval" and self.n != 1:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
         if not (1 <= self.resolution <= 2**14):
@@ -220,7 +232,7 @@ class ExperimentConfig:
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
-        _refuse_unknown(g, ("j_min", "j_max", "base"), "grid")
+        _refuse_unknown(g, _GRID_PARAMS, "grid")
         try:
             return ScaleGrid(
                 _read(g, "j_min", _integer, 4, "grid"),
@@ -257,9 +269,8 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     """Sample points, sampling measure, packing dimension of the set, and
     whether consecutive points trace a curve (so box counting may connect
     them)."""
-    kind = cfg.set_spec["kind"]
-    spec = {k: v for k, v in cfg.set_spec.items() if k != "kind"}
-    _refuse_unknown(spec, _SET_KEYS[kind], f"{kind} set")
+    spec = cfg.set_spec
+    kind = spec["kind"]
     if kind == "interval":
         pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
         k = len(pts)

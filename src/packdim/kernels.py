@@ -6,21 +6,27 @@ a ball around Z(t) is an exact integral of per-coordinate Gaussian interval
 probabilities.  R^d and R^{n+d} carry the maximum norm throughout.
 
 Each kernel formula lives here once, in block form: given query rows x_i
-and all atoms y_k it yields one (rows x atoms) table per radius.  They are
+and atoms y_k it yields one (rows x atoms) table per radius.  They are
 ball_tables, profile_tables, slice_tables and field_tables (the expected
-ball mass, home of its one image/graph x drift case split).
+ball mass, home of its one image/graph x drift case split).  Every one is
+symmetric bit for bit: an entry reads |x_i - y_k| per coordinate, norms
+of it and the drift increment f(x_i) - f(y_k), whose sign the Gaussian
+interval probability ignores, so the table on (rows, atoms) is the
+transpose of the table on (atoms, rows).  The estimators rely on that:
+they walk the upper-triangle tiles of the atoms' pair table and evaluate
+each unordered pair once (estimators._mass_table).
 In graph mode field_tables evaluates only the domain window, the pairs with
 |y_k - x_i| <= r, since a graph ball holds no other atom.  It finds the
 window on a band: the atoms, sorted once per call along the first
 coordinate, whose first coordinate lies within max(radii) of the rows'
-span, so row blocks of sorted atoms never touch the full (rows x atoms)
-grid.  Graph mode yields one table per call, cleared and rewritten per
-radius, and profile_tables one table per call, refilled per radius: their
-yielded tables are overwritten when the generator advances.  Tables over
-the full (rows x atoms) grid take their distances from
-numerics._pair_distances; graph mode takes them from the band's
-differences.  The per-point functions are one-row calls of these; the
-estimators walk row blocks of them.
+span, so tiles of sorted atoms never touch the full (rows x atoms) grid,
+and a tile with an empty window yields no table at all.  Graph mode
+yields one table per call, cleared and rewritten per radius, and
+profile_tables one table per call, refilled per radius: their yielded
+tables are overwritten when the generator advances.  Tables over the full
+(rows x atoms) grid take their distances from numerics._pair_distances;
+graph mode takes them from the band's differences.  The per-point
+functions are one-row calls of these.
 
 One shortcut skips the pair tables.  When the measure is exactly a
 fields._mesh_points mesh (an interval or cube set) with equal weights and
@@ -211,12 +217,13 @@ def _band(rows: np.ndarray, atoms: np.ndarray, top: float) -> np.ndarray:
     return order[np.searchsorted(keys, lo - pad):np.searchsorted(keys, hi + pad, side="right")]
 
 
-def field_tables(ctx: KernelContext, rows: np.ndarray, radii):
+def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii):
     """Yield, per radius r, the (rows x atoms) table of the probability
     that Z(y_k) lies in the max-norm radius-r ball around Z(x_i) (image
     mode), or that (y_k, Z(y_k)) lies in the ball around (x_i, Z(x_i))
     (graph mode): the product of coordinate interval probabilities, times
-    the domain-ball indicator in graph mode.
+    the domain-ball indicator in graph mode.  The drift is evaluated on
+    ``rows`` and ``atoms``; ``ctx.measure`` is not read.
 
     In graph mode only atoms within domain distance r of x_i can enter the
     ball.  The window of pairs within max(radii) is found on the band of
@@ -225,9 +232,9 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii):
     and they are scattered into one zero table per call: every other entry
     is the exact zero the indicator gives it.  That table is cleared and
     rewritten for the next radius, so a graph-mode table is overwritten
-    when the generator advances; use it before asking for the next.
+    when the generator advances; use it before asking for the next.  An
+    empty window yields no table at all, since every table would be zero.
     """
-    atoms = ctx.measure.atoms
     d = ctx.field.range_dim
     graph = ctx.mode == "graph"
     if graph:
@@ -241,6 +248,8 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, radii):
         for c in range(1, len(gap)):
             dom = np.maximum(dom, gap[c])
         window = np.flatnonzero(dom <= top)
+        if not len(window):
+            return
         dom = dom.ravel()[window]
         dist = np.linalg.norm(np.take(gap.reshape(len(gap), -1), window, axis=1), axis=0)
         # a generator keeps its locals across yields: drop the band-sized
@@ -342,8 +351,11 @@ def ball_mass_profile(ctx: KernelContext, t, radii) -> np.ndarray:
     if np.any(rs <= 0) or not np.all(np.isfinite(rs)):
         raise InvalidArgumentError("radii must be positive and finite")
     tv = _point(t, ctx.field.domain_dim)
-    w = ctx.measure.weights
-    return np.array([table[0] @ w for table in field_tables(ctx, tv[None, :], rs)])
+    mu = ctx.measure
+    masses = np.zeros(len(rs))
+    for j, table in enumerate(field_tables(ctx, tv[None, :], mu.atoms, rs)):
+        masses[j] = table[0] @ mu.weights
+    return masses
 
 
 def expected_ball_mass(ctx: KernelContext, t, r: float) -> float:

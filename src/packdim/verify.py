@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -383,7 +384,7 @@ def check_graph_expectation_bound(
     ctx = KernelContext(field, None, mu, "graph")
     etas = [system.gap(nlev) for nlev in levels]
     radii = np.array([eta**subsystem.theta for eta in etas])
-    V = _mass_table(mu, lambda rows, rs: field_tables(ctx, rows, rs), radii)
+    V = _mass_table(mu, partial(field_tables, ctx), radii)
     ratios = V / np.array([eta**subsystem.gamma for eta in etas])
     level_ratios = [float(x) for x in ratios.max(axis=0)]
     worst = max(level_ratios)

@@ -116,15 +116,20 @@ class TestScalingExponent:
         assert ratio == pytest.approx(1.5, rel=1e-12)
         assert est.window == tuple(range(6))
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(["regression", "tail-max"]))
-    def test_table_fit_matches_scaling_exponent(self, seed, method):
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(["regression", "tail-max"]),
+        st.sampled_from([0.0, 0.2]),
+    )
+    def test_table_fit_matches_scaling_exponent(self, seed, method, zeros):
         # the whole-table fit must give every row the exact bits that
-        # scaling_exponent gives it alone, zero entries included
+        # scaling_exponent gives it alone, on all-finite tables and with
+        # zero entries
         rng = np.random.default_rng(seed)
         scales = int(rng.integers(4, 12))
         radii = np.sort(rng.uniform(0.01, 0.9, scales))[::-1]
         V = rng.uniform(0.0, 1.0, (int(rng.integers(1, 30)), scales)) ** 3
-        V[:, :-4][rng.random((len(V), scales - 4)) < 0.2] = 0.0
+        V[:, :-4][rng.random((len(V), scales - 4)) < zeros] = 0.0
         with np.errstate(divide="ignore"):
             table = estimators._fit(np.log(radii), np.log(V), method)
         rows = [scaling_exponent(radii, v, method).value for v in V]
@@ -251,7 +256,7 @@ class TestDimField:
         ids=["graph-power", "image-none"],
     )
     def test_table_rows_match_ball_mass_profile(self, monkeypatch, mode, drift):
-        # 700 atoms: one full 512-row block plus a partial one
+        # 700 atoms: five full tiles plus a partial one
         tables = []
         real = estimators._mass_table
 
@@ -284,22 +289,52 @@ print(hashlib.sha256(tables[0].tobytes()).hexdigest(), est.value.hex())
 """
 
 
-def test_mesh_field_is_the_same_at_one_and_two_blas_threads():
-    # image dim_field on 2500 interval atoms: with the row-block tables
-    # the last block (196 rows) split across BLAS threads and V moved with
-    # the thread count; the lattice path uses no BLAS.  V is read as the
-    # log table _kernel_dim hands to the fit.
+# The tile walk on 2500 centred atoms, which no mesh fits: 19 tiles and a
+# partial one.  V is read as _mass_table returns it.
+THREADED_TILES = """
+import hashlib
+import numpy as np
+from packdim import DiscreteMeasure, FieldSpec, KernelContext, ScaleGrid, dim_field, estimators
+tables = []
+walk = estimators._mass_table
+estimators._mass_table = lambda *args: tables.append(walk(*args)) or tables[-1]
+k = 2500
+t = (np.arange(k) / k + 1 / (2 * k)).reshape(-1, 1)
+mu = DiscreteMeasure(t, np.full(k, 1 / k))
+for mode in ("image", "graph"):
+    est = dim_field(KernelContext(FieldSpec(0.5), None, mu, mode), ScaleGrid(3, 7))
+    print(mode, hashlib.sha256(tables[-1].tobytes()).hexdigest(), est.value.hex())
+"""
+
+
+def at_one_and_two_blas_threads(script):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-c", THREADED_FIELD],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_mesh_field_is_the_same_at_one_and_two_blas_threads():
+    # image dim_field on 2500 interval atoms: with the row-block tables
+    # the last block (196 rows) split across BLAS threads and V moved with
+    # the thread count; the lattice path uses no BLAS.  V is read as the
+    # log table _kernel_dim hands to the fit.
+    one, two = at_one_and_two_blas_threads(THREADED_FIELD)
+    assert one == two
+
+
+def test_tile_walk_is_the_same_at_one_and_two_blas_threads():
+    # the row-block walk this replaced gave another V at 2 threads in both
+    # modes; the tiles' contractions give the same bits
+    one, two = at_one_and_two_blas_threads(THREADED_TILES)
+    assert one == two
 
 
 class TestBoundedMemory:

@@ -184,16 +184,19 @@ class TestConfigParsing:
             ({"kind": "cantor", "branches": 2, "ratio": 0.3, "level": True}, "level"),
             ({"kind": "cantor", "branches": 2, "ratio": True, "level": 4}, "ratio"),
             ({"kind": "txset", "beta": 0.5, "level": 2.5}, "level"),
+            ({"kind": "cantor", "branches": 2, "ratio": 0.3, "level": "x"}, "level"),
+            ({"kind": "cantor", "branches": 2, "ratio": 0.3, "level": 4, "bogus": 1}, "bogus"),
+            ({"kind": "interval", "level": 4}, "level"),
         ],
     )
     def test_malformed_set_parameter_names_its_key(self, set_spec, key):
-        cfg = ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
+        # set parameters are converted, and unknown ones refused, at load
         with pytest.raises(ConfigError, match=key):
-            run_experiment(cfg)
+            ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
 
     def test_set_parameters_checked_at_build_time(self):
-        # kind membership is a parse-time check; per-kind parameters are
-        # read when the set is built
+        # present parameters are checked at load; a missing one is found
+        # when the set is built
         cfg = ExperimentConfig.from_dict(
             {**MINIMAL, "set": {"kind": "cantor", "branches": 2, "ratio": 0.3}}
         )
@@ -233,6 +236,14 @@ class TestConfigHash:
         as_int = ExperimentConfig.from_dict({**MINIMAL, "grid": {"j_min": 4, "j_max": 7}})
         as_float = ExperimentConfig.from_dict({**MINIMAL, "grid": {"j_min": 4.0, "j_max": 7}})
         assert as_float == as_int
+        assert as_float.config_hash() == as_int.config_hash()
+
+    def test_integral_float_set_level_loads_as_integer(self):
+        cantor = THIRDS_IMAGE["set"]
+        as_int = ExperimentConfig.from_dict({**THIRDS_IMAGE, "set": {**cantor, "level": 3}})
+        as_float = ExperimentConfig.from_dict({**THIRDS_IMAGE, "set": {**cantor, "level": 3.0}})
+        assert as_float == as_int
+        assert as_float.set_spec["level"] == 3 and isinstance(as_float.set_spec["level"], int)
         assert as_float.config_hash() == as_int.config_hash()
 
     def test_round_trip_preserves_hash(self, tmp_path):

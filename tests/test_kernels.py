@@ -1,6 +1,7 @@
 """Closed-form kernels and expected ball masses for drifted fields."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -217,6 +218,11 @@ class TestExpectedBallMass:
             1.0 / 3.0, rel=1e-15
         )
 
+    def test_graph_ball_far_from_the_atoms_is_empty(self):
+        # no atom within the largest radius: field_tables yields no table
+        ctx = context(mu=measure_on_line(0.0, 0.5, 1.0), mode="graph")
+        assert ball_mass_profile(ctx, [5.0], [0.1, 2.0]).tolist() == [0.0, 0.0]
+
     def test_constant_drift_bitwise(self, rng):
         mu = random_measure(rng, 1)
         t = mu.atoms[0]
@@ -262,10 +268,10 @@ class TestKernelChain:
 
 
 # Atoms on a dyadic lattice, so that domain distances tie with the dyadic
-# radii; 300 atoms are 9 blocks of 32 rows plus a partial one under the
-# block budget the window tests set.  Shuffled atoms give every block a band
+# radii; 300 atoms are 9 tiles of 32 atoms plus a partial one under the
+# tile side the window tests set.  Shuffled atoms give every tile a band
 # of full width; atoms sorted along the first coordinate, as interval sets
-# come, give each block a narrow band.
+# come, give each tile a narrow band.
 WINDOW_RADII = 2.0 ** -np.arange(2, 7)
 WINDOW_DRIFTS = {
     "none": None,
@@ -300,11 +306,10 @@ def window_context(mode, drift, n, d, order="shuffled"):
 def dense_field_tables(ctx):
     """The expected-ball-mass tables evaluated on every pair and then
     masked by the domain-ball indicator: the formula without a window."""
-    atoms = ctx.measure.atoms
     d = ctx.field.range_dim
     drift = ctx.drift or DriftSpec.zero(d)
 
-    def tables(rows, radii):
+    def tables(rows, atoms, radii):
         diff = rows[:, None, :] - atoms[None, :, :]
         rho = np.linalg.norm(diff, axis=2) ** ctx.field.alpha
         dom = np.max(np.abs(diff), axis=2)
@@ -320,9 +325,8 @@ def dense_field_tables(ctx):
 
 class TestFieldTablesWindow:
     @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        # 2^14 entries: 32-row blocks at 300 atoms
-        monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", 2**14)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_TILE", 32)
 
     @pytest.mark.parametrize("mode", ["image", "graph"])
     @pytest.mark.parametrize("order", WINDOW_ORDERS)
@@ -340,9 +344,7 @@ class TestFieldTablesWindow:
     def test_tables_match_dense_formula_bitwise(self, mode, order, drift, n, d):
         ctx = window_context(mode, drift, n, d, order)
         mu = ctx.measure
-        windowed = estimators._mass_table(
-            mu, lambda rows, rs: kernels.field_tables(ctx, rows, rs), WINDOW_RADII
-        )
+        windowed = estimators._mass_table(mu, partial(kernels.field_tables, ctx), WINDOW_RADII)
         dense = estimators._mass_table(mu, dense_field_tables(ctx), WINDOW_RADII)
         assert np.array_equal(windowed, dense)
 
@@ -359,14 +361,15 @@ class TestFieldTablesWindow:
         for mode in ("graph", "image"):
             ctx = window_context(mode, "none", n, 1, order)
             atoms = ctx.measure.atoms
-            estimators._mass_table(
-                ctx.measure, lambda rows, rs: kernels.field_tables(ctx, rows, rs), WINDOW_RADII
-            )
+            estimators._mass_table(ctx.measure, partial(kernels.field_tables, ctx), WINDOW_RADII)
+            # the walk evaluates the tiles (I, K) with K >= I once each
+            tile = np.arange(len(atoms)) // 32
+            walked = tile[:, None] <= tile[None, :]
             if mode == "graph":
                 dom = np.max(np.abs(atoms[:, None, :] - atoms[None, :, :]), axis=2)
-                expected = sum(int(np.count_nonzero(dom <= r)) for r in WINDOW_RADII)
+                expected = sum(int(np.count_nonzero(walked & (dom <= r))) for r in WINDOW_RADII)
             else:
-                expected = len(atoms) ** 2 * len(WINDOW_RADII)
+                expected = int(np.count_nonzero(walked)) * len(WINDOW_RADII)
             assert sum(elements) == expected, mode
             elements.clear()
 
@@ -374,8 +377,9 @@ class TestFieldTablesWindow:
 def assert_tables_match(ctx, rows, radii):
     # compare each table before the generator advances: graph mode
     # overwrites one table per call
-    dense = dense_field_tables(ctx)(rows, radii)
-    for table, expected in zip(kernels.field_tables(ctx, rows, radii), dense, strict=True):
+    atoms = ctx.measure.atoms
+    dense = dense_field_tables(ctx)(rows, atoms, radii)
+    for table, expected in zip(kernels.field_tables(ctx, rows, atoms, radii), dense, strict=True):
         assert np.array_equal(table, expected)
 
 
@@ -430,6 +434,95 @@ class TestFieldTablesBand:
             assert_tables_match(ctx, block, WINDOW_RADII)
 
 
+def block_forms(ctx):
+    """The four kernels' block forms as tables(rows, atoms, radii); the
+    slice kernel reads all but the last coordinate as its head."""
+    dim = ctx.measure.dim
+    return {
+        "ball": kernels.ball_tables,
+        "profile": lambda rows, atoms, radii: kernels.profile_tables(rows, atoms, 0.7, radii),
+        "slice": lambda rows, atoms, radii: kernels.slice_tables(rows, atoms, dim - 1, radii),
+        "field": partial(kernels.field_tables, ctx),
+    }
+
+
+def evaluated(tables, rows, atoms):
+    # copy each table before the generator advances: graph mode and the
+    # profile kernel overwrite one table per call
+    return [table.copy() for table in tables(rows, atoms, WINDOW_RADII)]
+
+
+def unblocked(mu, tables):
+    return np.stack([table @ mu.weights for table in tables(mu.atoms, mu.atoms, WINDOW_RADII)], 1)
+
+
+class TestTileWalk:
+    # The field kernel in both modes under every drift (the polynomial one
+    # lives on the line); the measure kernels read no context.
+    CASES = [
+        ("field", mode, drift, n)
+        for mode in ("image", "graph")
+        for drift in ("none", "constant", "power", "polynomial")
+        for n in (1, 2)
+        if drift != "polynomial" or n == 1
+    ] + [(form, "image", "none", n) for form in ("ball", "profile", "slice") for n in (1, 2)]
+
+    @pytest.mark.parametrize("order", WINDOW_ORDERS)
+    @pytest.mark.parametrize("form, mode, drift, n", CASES)
+    def test_tables_are_symmetric_bitwise(self, form, mode, drift, n, order):
+        # the walk evaluates (I, K) and reads (K, I) as its transpose
+        ctx = window_context(mode, drift, n, 2, order)
+        tables = block_forms(ctx)[form]
+        atoms = ctx.measure.atoms
+        blocks = [(atoms[:96], atoms[96:]), (atoms[100:140], atoms[140:200]), (atoms[:96],) * 2]
+        for rows, cols in blocks:
+            ik = evaluated(tables, rows, cols)
+            ki = evaluated(tables, cols, rows)
+            assert len(ik) == len(ki) == len(WINDOW_RADII)
+            assert all(np.array_equal(a, b.T) for a, b in zip(ik, ki))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_graph_tile_without_window_yields_no_table(self, n):
+        ctx = window_context("graph", "power", n, 1, "sorted")
+        atoms = ctx.measure.atoms
+        # the first and last tenth lie further apart than the largest radius
+        assert evaluated(partial(kernels.field_tables, ctx), atoms[:30], atoms[-30:]) == []
+
+    @pytest.mark.parametrize("tile", [32, estimators._TILE])
+    @pytest.mark.parametrize("order", WINDOW_ORDERS)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kernel", ["ball", "profile", "slice", "image", "graph"])
+    def test_walk_matches_one_unblocked_table(self, monkeypatch, kernel, n, order, tile):
+        # 300 atoms: a partial last tile at either side
+        monkeypatch.setattr(estimators, "_TILE", tile)
+        mode = "graph" if kernel == "graph" else "image"
+        ctx = window_context(mode, "power", n, 2, order)
+        tables = block_forms(ctx)["field" if kernel in ("image", "graph") else kernel]
+        walked = estimators._mass_table(ctx.measure, tables, WINDOW_RADII)
+        np.testing.assert_allclose(walked, unblocked(ctx.measure, tables), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    def test_dense_field_evaluates_each_unordered_pair_once(self, monkeypatch, mode):
+        elements = []
+
+        def counting(rho, a, r):
+            elements.append(np.broadcast(rho, a, r).size)
+            return gaussian_interval_prob(rho, a, r)
+
+        monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
+        k = 2 * estimators._TILE + 45
+        atoms = (np.arange(k) / k + 1 / (2 * k)).reshape(-1, 1)
+        mu = DiscreteMeasure(atoms, np.full(k, 1 / k))
+        ctx = KernelContext(FieldSpec(0.5), DriftSpec.power([1.0], 1.5), mu, mode)
+        grid = estimators.ScaleGrid(2, 5)
+        estimators.dim_field(ctx, grid)
+        tile = estimators._TILE
+        if mode == "image":
+            # (k^2 + the squared tile sizes) / 2 per radius
+            assert sum(elements) == (k * k + 2 * tile**2 + 45**2) // 2 * len(grid.radii)
+        assert sum(elements) <= (k * k + k * tile) // 2 * len(grid.radii)
+
+
 def mesh_context(mode, n, d, alpha, per_axis, drift=None, t_max=1.0, weights=None):
     atoms = fields._mesh_points(per_axis**n, n, t_max)
     if weights is None:
@@ -440,9 +533,7 @@ def mesh_context(mode, n, d, alpha, per_axis, drift=None, t_max=1.0, weights=Non
 
 
 def dense_masses(ctx, radii):
-    return estimators._mass_table(
-        ctx.measure, lambda rows, rs: kernels.field_tables(ctx, rows, rs), radii
-    )
+    return estimators._mass_table(ctx.measure, partial(kernels.field_tables, ctx), radii)
 
 
 class TestMeshMasses:
