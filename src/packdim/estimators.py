@@ -28,6 +28,12 @@ see _kernel_dim.  Resolution guards refuse scale grids finer than the
 atom spacing supports, where any finite approximant looks 0-dimensional.
 The spacing comes from an exact numpy sweep (_min_spacing), so box counting
 needs no scipy.
+
+box_counting_dim finds the occupied cells once, at the finest radius: the
+point cells, or the cells the polyline walk enters when ``connect`` is set.
+A coarser radius that is the next finer one times an exact power of two,
+2^m, takes the distinct rows of those cells shifted right by m, which are
+exactly its own cells; any other radius is counted on its own.
 """
 
 from __future__ import annotations
@@ -400,7 +406,7 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
 def box_count(points, eps: float) -> int:
     """Number of cells of the origin-anchored half-open grid of mesh eps
     that contain at least one of the points."""
-    return len(_distinct_rows(_grid_cells(_as_points(points), eps)))
+    return len(_distinct_cells(_as_points(points), eps, connect=False))
 
 
 def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
@@ -439,18 +445,15 @@ def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
     return walk[keep]
 
 
-def box_count_curve(points, eps: float) -> int:
-    """Cells hit by the polyline joining consecutive points: the box count
-    of the sampled curve rather than of the bare sample.  For images and
-    graphs of continuous paths this removes the undercount a finite point
-    sample suffers once eps drops below the typical interpoint move.
-
-    The count is exact: it is the number of cells of the origin-anchored
-    half-open grid of mesh eps that contain at least one point of the
-    closed polyline, a cell the polyline only clips at a corner included.
-    Inputs that cross more than _MAX_CROSSINGS grid lines are refused."""
-    p = _as_points(points)
+def _distinct_cells(p: np.ndarray, eps: float, connect: bool) -> np.ndarray:
+    """The distinct cells, in lexicographic order, of the origin-anchored
+    half-open grid of mesh eps that hold a point of p (from
+    fields._as_points) or, with ``connect`` set, that meet the polyline
+    through them.  Polylines that cross more than _MAX_CROSSINGS grid lines
+    are refused."""
     cells = _grid_cells(p, eps)
+    if not connect:
+        return _distinct_rows(cells)
     # summed in floating point, which cannot wrap around
     crossings = np.abs(np.diff(cells, axis=0)).sum(dtype=float)
     if crossings > _MAX_CROSSINGS:
@@ -461,7 +464,26 @@ def box_count_curve(points, eps: float) -> int:
     for lo in range(0, len(p) - 1, _SEGMENT_BLOCK):
         hi = lo + _SEGMENT_BLOCK + 1
         found.append(_distinct_rows(_walk_cells(p[lo:hi], cells[lo:hi], eps)))
-    return len(_distinct_rows(np.vstack(found)))
+    return _distinct_rows(np.vstack(found))
+
+
+def box_count_curve(points, eps: float) -> int:
+    """Cells hit by the polyline joining consecutive points: the box count
+    of the sampled curve rather than of the bare sample.  For images and
+    graphs of continuous paths this removes the undercount a finite point
+    sample suffers once eps drops below the typical interpoint move.
+
+    The count is exact: it is the number of cells of the origin-anchored
+    half-open grid of mesh eps that contain at least one point of the
+    closed polyline, a cell the polyline only clips at a corner included.
+    Inputs that cross more than _MAX_CROSSINGS grid lines are refused."""
+    return len(_distinct_cells(_as_points(points), eps, connect=True))
+
+
+def _dyadic_shift(finer: float, eps: float) -> int | None:
+    """m >= 1 with eps == finer * 2^m exactly, else None."""
+    m = math.frexp(eps / finer)[1] - 1
+    return m if m >= 1 and math.ldexp(finer, m) == eps else None
 
 
 def box_counting_dim(
@@ -475,14 +497,30 @@ def box_counting_dim(
     preferable for sets whose counts carry slowly varying corrections,
     where the slope of a concave log-log table understates the limsup.
     The sampling guard refuses grids finer than 4x the nearest-neighbor
-    spacing of the points."""
+    spacing of the points.
+
+    The cells are found once, at the finest radius, and every coarser
+    radius eps = 2^m * finer, the next finer radius times an exact power of
+    two (a dyadic grid, or base 4), takes the distinct rows of the finer
+    cells >> m.  The counts equal the one-scale counters': floor(p / eps)
+    is floor(p / finer) >> m, as division by 2^m is exact, and a half-open
+    coarse cell meets the polyline exactly when one of its fine children
+    does.  Any other radius (base 3, say) is counted on its own.  A
+    polyline is refused when a walked scale crosses more than
+    _MAX_CROSSINGS grid lines; a scale derived from it crosses no more,
+    as coarsening only removes crossings."""
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}")
     p = _as_points(points)
     _check_resolution(p, grid)
     radii = grid.radii
-    counter = box_count_curve if connect else box_count
-    counts = np.array([counter(p, eps) for eps in radii], dtype=float)
+    counts = np.empty(len(radii))
+    cells = finer = None
+    for j in reversed(range(len(radii))):
+        eps = float(radii[j])
+        m = None if finer is None else _dyadic_shift(finer, eps)
+        cells = _distinct_cells(p, eps, connect) if m is None else _distinct_rows(cells >> m)
+        counts[j], finer = len(cells), eps
     # N(eps) = 1 / V(eps): the fit of -log N against log eps is the box slope.
     logr = np.log(radii)
     value = float(_fit(logr, -np.log(counts)[None, :], method)[0])

@@ -19,10 +19,18 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, PackdimError
+from .errors import ConfigError, InvalidArgumentError, PackdimError
 from .estimators import _METHODS as _EST_METHODS
 from .estimators import ScaleGrid, box_counting_dim, dim_field
-from .fields import DriftSpec, FieldSpec, _mesh_points, graph_points, sample_many
+from .fields import (
+    DriftSpec,
+    FieldSpec,
+    _check_cholesky_budget,
+    _mesh_per_axis,
+    _mesh_points,
+    graph_points,
+    sample_many,
+)
 from .fractals import build_tx_system, build_uniform_cantor, natural_measure, realize_explicit
 from .kernels import KernelContext
 from .measures import DiscreteMeasure
@@ -31,10 +39,11 @@ from .theory import Regime, graph_lower, predict_graph_upper, predict_image
 
 __all__ = ["ExperimentConfig", "PredictionReport", "run_experiment", "run_suite"]
 
-# the parameters each set kind takes besides its kind
+# the parameters each set kind takes besides its kind, with their defaults
+# (... where the key is required)
 _SET_KEYS = {
-    "interval": set(), "cantor": {"branches", "ratio", "level"},
-    "txset": {"beta", "level", "delta0"},
+    "interval": {}, "cantor": {"branches": ..., "ratio": ..., "level": ...},
+    "txset": {"beta": ..., "level": ..., "delta0": 0.25},
 }
 # the parameters each drift kind takes besides its kind
 _DRIFT_KEYS = {
@@ -215,11 +224,20 @@ class ExperimentConfig:
         kind = self.set_spec.get("kind")
         if not isinstance(kind, str) or kind not in _SET_KEYS:
             raise ConfigError(f"set kind must be one of {tuple(_SET_KEYS)}")
-        _refuse_unknown(self.set_spec, _SET_KEYS[kind] | {"kind"}, f"{kind} set")
+        _refuse_unknown(self.set_spec, [*_SET_KEYS[kind], "kind"], f"{kind} set")
+        self.set_params()
         if kind != "interval" and self.n != 1:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
         if not (1 <= self.resolution <= 2**14):
             raise ConfigError("resolution must lie in [1, 2^14]")
+        if kind == "interval" and self.n > 1:
+            # a cube mesh is sampled by Cholesky on every point but the
+            # origin; on the line, fft takes over from 256 points
+            count = _mesh_per_axis(self.resolution, self.n) ** self.n
+            try:
+                _check_cholesky_budget(count - 1)
+            except InvalidArgumentError as exc:
+                raise ConfigError(f"interval mesh of {count} points: {exc}") from exc
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         for field_name, value in (("method", self.method), ("box_method", self.box_method)):
@@ -229,6 +247,15 @@ class ExperimentConfig:
         self.scale_grid()
         if self.drift is not None:
             self.drift_spec()
+
+    def set_params(self) -> dict:
+        """The set's parameters besides its kind, defaults filled in; a
+        missing required one is a ConfigError naming it."""
+        kind = self.set_spec["kind"]
+        return {
+            key: _read(self.set_spec, key, _SET_PARAMS[key], default, kind)
+            for key, default in _SET_KEYS[kind].items()
+        }
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
@@ -269,26 +296,22 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     """Sample points, sampling measure, packing dimension of the set, and
     whether consecutive points trace a curve (so box counting may connect
     them)."""
-    spec = cfg.set_spec
-    kind = spec["kind"]
+    kind = cfg.set_spec["kind"]
     if kind == "interval":
         pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
         k = len(pts)
         mu = DiscreteMeasure(pts, np.full(k, 1.0 / k))
         return pts, mu, float(cfg.n), cfg.n == 1
-    level = _read(spec, "level", _integer, within=kind)
+    params = cfg.set_params()
+    level = params["level"]
     if kind == "cantor":
-        branches = _read(spec, "branches", _integer, within=kind)
-        ratio = _read(spec, "ratio", _real, within=kind)
-        system = build_uniform_cantor(branches, ratio, level)
+        system = build_uniform_cantor(params["branches"], params["ratio"], level)
         mu = natural_measure(system, level)
         return mu.atoms, mu, system.params["similarity_dimension"], False
-    beta = _read(spec, "beta", _real, within=kind)
-    delta0 = _read(spec, "delta0", _real, 0.25, kind)
-    symbolic = build_tx_system(beta, delta0, levels=max(level, 1))
+    symbolic = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
     system = realize_explicit(symbolic, level)
     mu = natural_measure(system, level)
-    return mu.atoms, mu, beta, False
+    return mu.atoms, mu, params["beta"], False
 
 
 def _predictions(cfg: ExperimentConfig, beta_set: float) -> dict[str, float]:

@@ -205,12 +205,17 @@ class SamplePath:
         object.__setattr__(self, "values", v)
 
 
+def _mesh_per_axis(count: int, n: int) -> int:
+    """Points per axis of _mesh_points(count, n, t_max)."""
+    return count if n == 1 else max(2, round(count ** (1.0 / n)))
+
+
 def _mesh_points(count: int, n: int, t_max: float) -> np.ndarray:
     """The regular grid on [0, t_max]^n: ``count`` points on the line, else
     max(2, round(count^(1/n))) points per axis, rows in ij order."""
     if count < 1 or n < 1:
         raise InvalidArgumentError("a mesh needs at least one point and one domain axis")
-    per_axis = count if n == 1 else max(2, round(count ** (1.0 / n)))
+    per_axis = _mesh_per_axis(count, n)
     mesh = np.meshgrid(*[np.linspace(0.0, t_max, per_axis)] * n, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -282,6 +287,17 @@ def _sample_fft(gen, lam, m: int, dim: int, h: float, alpha: float) -> np.ndarra
     return vals
 
 
+def _check_cholesky_budget(count: int) -> None:
+    """Refuse a Cholesky sample on ``count`` points whose peak, counted as
+    48 count^2 bytes, is over _CHOLESKY_BUDGET.  Allocates nothing."""
+    need = 48 * count**2
+    if need > _CHOLESKY_BUDGET:
+        raise InvalidArgumentError(
+            f"cholesky on {count} points needs about {need} bytes, over the "
+            f"budget of {_CHOLESKY_BUDGET} bytes; use fft on a grid"
+        )
+
+
 class _Sampler:
     """Prepared sampler for one (field, points) pair; the factorization or
     eigenvalue work is done once and reused across replicas."""
@@ -307,12 +323,7 @@ class _Sampler:
             norms = np.linalg.norm(points, axis=1)
             self.nz = norms > 0.0
             sub = points[self.nz]
-            need = 48 * len(sub) ** 2
-            if need > _CHOLESKY_BUDGET:
-                raise InvalidArgumentError(
-                    f"cholesky on {len(sub)} points needs about {need} bytes, over the "
-                    f"budget of {_CHOLESKY_BUDGET} bytes; use fft on a grid"
-                )
+            _check_cholesky_budget(len(sub))
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
             dist = _pair_distances(sub, sub)

@@ -86,16 +86,17 @@ def profile_tables(rows: np.ndarray, atoms: np.ndarray, beta: float, radii):
     min(1, r^beta |x_i - y_k|^-beta) with Euclidean distances; an atom at
     x_i itself contributes 1.  One table per call is refilled for each
     radius, so a yielded table is overwritten when the generator advances;
-    use it before asking for the next."""
+    use it before asking for the next.  A zero distance gives 0^-beta = inf,
+    and fmin(inf * r^beta, 1) = 1, also where r^beta underflows to 0 and
+    the product is nan."""
     inv = _pair_distances(rows, atoms)
-    coincident = np.flatnonzero(inv == 0.0)
-    np.put(inv, coincident, np.inf)
-    inv **= -beta
+    with np.errstate(divide="ignore"):
+        inv **= -beta
     vals = np.empty(inv.shape)
     for r in radii:
-        np.multiply(inv, r**beta, out=vals)
-        np.minimum(vals, 1.0, out=vals)
-        np.put(vals, coincident, 1.0)
+        with np.errstate(invalid="ignore"):
+            np.multiply(inv, r**beta, out=vals)
+        np.fmin(vals, 1.0, out=vals)
         yield vals
 
 

@@ -36,6 +36,7 @@ from packdim import (
     dim_profile,
     dim_slice_kernel,
     estimators,
+    graph_points,
     natural_measure,
     sample,
     scaling_exponent,
@@ -590,6 +591,106 @@ class TestBoxCounting:
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
         with pytest.raises(InvalidArgumentError):
             box_counting_dim(seg, ScaleGrid(1, 6), method="chord")
+
+
+def guarded_cloud(points, grid):
+    """points scaled by a power of two, so that the resolution guard admits
+    the grid and dyadic vertices stay dyadic."""
+    spacing = estimators._min_spacing(points)
+    if spacing is None:
+        return points
+    return points * 2.0 ** math.floor(math.log2(grid.finest / (4.0 * spacing)))
+
+
+def one_scale_counts(points, grid, connect):
+    counter = box_count_curve if connect else box_count
+    return [counter(points, eps) for eps in grid.radii]
+
+
+def per_scale_counts(points, grid, connect):
+    return [row[1] for row in box_counting_dim(points, grid, connect=connect).per_scale]
+
+
+def spy_walks(monkeypatch):
+    """The list of the eps of every _walk_cells call from here on."""
+    walked = []
+    walk_cells = estimators._walk_cells
+    monkeypatch.setattr(
+        estimators, "_walk_cells",
+        lambda p, cells, eps: walked.append(eps) or walk_cells(p, cells, eps),
+    )
+    return walked
+
+
+class TestOneWalk:
+    """box_counting_dim finds the cells once at the finest radius and
+    coarsens them by shifts; its counts are the one-scale counters'."""
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([2.0, 4.0]), st.integers(1, 3))
+    def test_counts_match_the_one_scale_counters(self, seed, base, j_min):
+        rng = np.random.default_rng(seed)
+        grid = ScaleGrid(j_min, j_min + int(rng.integers(3, 6)), base)
+        m = int(rng.integers(1, 4))
+        # steps on the lattice Z/64 keep distinct points about 1/64 apart, so
+        # the guard's finest scale leaves few crossings; the random offset
+        # moves the walk off the grid lines
+        steps = rng.integers(-64, 65, (int(rng.integers(1, 60)), m)) / 64.0
+        walk = np.cumsum(steps, axis=0) - rng.uniform(0.0, 5.0, m)
+        for points in (lattice_polyline(seed)[0], walk):
+            points = guarded_cloud(points, grid)
+            for connect in (False, True):
+                expected = one_scale_counts(points, grid, connect)
+                assert per_scale_counts(points, grid, connect) == expected
+
+    def test_base_three_counts_every_scale_on_its_own(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        grid = ScaleGrid(2, 6, 3.0)
+        points = guarded_cloud(np.cumsum(rng.normal(0.0, 1.0, (500, 2)), axis=0), grid)
+        assert per_scale_counts(points, grid, False) == one_scale_counts(points, grid, False)
+        expected = one_scale_counts(points, grid, True)
+        walked = spy_walks(monkeypatch)
+        assert per_scale_counts(points, grid, True) == expected
+        # one segment block per scale, every scale walked
+        assert sorted(walked) == sorted(grid.radii)
+
+    def test_walks_only_the_finest_dyadic_scale(self, monkeypatch):
+        pts = np.linspace(0.0, 1.0, 2**13).reshape(-1, 1)
+        path = sample(FieldSpec(0.5, 1, 2), pts, Seed(7)).values
+        walked = spy_walks(monkeypatch)
+        box_counting_dim(path, ScaleGrid(4, 9), connect=True)
+        # two segment blocks of 2^12 at the finest scale, nothing coarser
+        assert walked == [2.0**-9] * 2
+
+    def test_oversize_polyline_is_refused_at_the_walked_scale(self):
+        # a zigzag across [0, 1] with one point 1e-6 from the origin, so the
+        # guard admits 2^-17: 40 sweeps cross 40 * 2^17 grid lines there,
+        # over _MAX_CROSSINGS, and half as many at 2^-16
+        points = np.array([[0.0], [1e-6]] + [[1.0], [0.0]] * 20)
+        grid = ScaleGrid(4, 17)
+        crossings = 40 * 2**17
+        assert estimators._MAX_CROSSINGS < crossings
+        message = rf"the polyline crosses {crossings} grid lines"
+        with pytest.raises(InvalidArgumentError, match=message):
+            box_counting_dim(points, grid, connect=True)
+        with pytest.raises(InvalidArgumentError, match=message):
+            box_count_curve(points, grid.finest)
+        assert box_counting_dim(points, grid).per_scale[-1][1] == 2
+
+    @pytest.mark.parametrize(
+        "d, connect, counts",
+        [
+            (1, True, [111, 304, 787, 2187, 5966, 15992]),
+            (1, False, [111, 304, 783, 2028, 4192, 6400]),
+            (2, True, [228, 725, 2300, 7055, 19960, 51122]),
+            (2, False, [226, 711, 2117, 4739, 6902, 7813]),
+        ],
+    )
+    def test_readme_quick_start_counts(self, d, connect, counts):
+        # the counts each scale had when it was counted on its own
+        pts = np.linspace(0.0, 1.0, 2**13).reshape(-1, 1)
+        path = sample(FieldSpec(0.5, 1, d), pts, Seed(7))
+        points = graph_points(path) if d == 1 else path.values
+        assert per_scale_counts(points, ScaleGrid(4, 9), connect) == counts
 
 
 def kd_spacing(points):

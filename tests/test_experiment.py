@@ -13,6 +13,7 @@ from packdim import (
     NotPositiveSemidefiniteError,
     ResolutionError,
     ScaleUnrepresentableError,
+    experiment,
     fields,
 )
 from packdim.experiment import ExperimentConfig, _stage, run_experiment, run_suite
@@ -194,14 +195,49 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
 
-    def test_set_parameters_checked_at_build_time(self):
-        # present parameters are checked at load; a missing one is found
-        # when the set is built
-        cfg = ExperimentConfig.from_dict(
-            {**MINIMAL, "set": {"kind": "cantor", "branches": 2, "ratio": 0.3}}
-        )
-        with pytest.raises(ConfigError, match="level"):
-            run_experiment(cfg)
+    @pytest.mark.parametrize(
+        "set_spec, key",
+        [
+            ({"kind": "cantor", "branches": 2, "ratio": 0.3}, "level"),
+            ({"kind": "cantor", "ratio": 0.3, "level": 4}, "branches"),
+            ({"kind": "cantor", "branches": 2, "level": 4}, "ratio"),
+            ({"kind": "txset", "level": 2}, "beta"),
+            ({"kind": "txset", "beta": 0.5, "delta0": 0.25}, "level"),
+        ],
+    )
+    def test_missing_set_parameter_is_refused_at_load(self, set_spec, key):
+        with pytest.raises(ConfigError, match=f"{set_spec['kind']} needs key '{key}'"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
+
+    def test_txset_delta0_has_a_default(self):
+        txset = {"kind": "txset", "beta": 0.5, "level": 2}
+        cfg = ExperimentConfig.from_dict({**MINIMAL, "set": txset})
+        assert cfg.set_params() == {"beta": 0.5, "level": 2, "delta0": 0.25}
+        assert "delta0" not in cfg.set_spec
+
+    def test_oversize_mesh_is_refused_at_load(self, monkeypatch):
+        # 128 x 128 mesh points, 16383 of them off the origin: 48 * 16383^2
+        # bytes against the 4 GiB budget; no k x k table is allocated
+        def no_table(*args, **kwargs):
+            raise AssertionError("k x k table allocated")
+
+        monkeypatch.setattr(fields.np, "zeros", no_table)
+        monkeypatch.setattr(fields.np, "empty", no_table)
+        mesh = {**MINIMAL, "n": 2, "d": 3, "resolution": 2**14}
+        need = r"needs about 12883329072 bytes, over the budget of 4294967296"
+        with pytest.raises(ConfigError, match=need):
+            ExperimentConfig.from_dict(mesh)
+        # 95 x 95 points: 48 * 9024^2 bytes fit
+        ExperimentConfig.from_dict({**mesh, "resolution": 9000})
+
+    def test_mesh_check_reads_the_sampler_budget(self, monkeypatch):
+        # a 4 x 4 mesh takes 15 Cholesky points; the line takes fft
+        monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 48 * 15**2)
+        square = {**MINIMAL, "n": 2, "d": 3, "resolution": 16}
+        ExperimentConfig.from_dict(square)
+        with pytest.raises(ConfigError, match="cholesky on 24 points"):
+            ExperimentConfig.from_dict({**square, "resolution": 25})
+        ExperimentConfig.from_dict({**MINIMAL, "resolution": 4096})
 
 
 class TestConfigHash:
@@ -404,6 +440,20 @@ class TestRunSuite:
         assert len(lines) == 5
         assert lines[2].startswith("bad,nan,") and lines[2].endswith(",error:ConfigError")
         assert lines[4].startswith("tiny,")
+
+    def test_configs_refused_at_load_are_not_sampled(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a refused config")
+
+        monkeypatch.setattr(experiment, "sample_many", no_sampling)
+        no_level = {"kind": "cantor", "branches": 2, "ratio": 0.3}
+        self.write_config(tmp_path, {**MINIMAL, "name": "no-level", "set": no_level})
+        big_mesh = {**MINIMAL, "name": "big-mesh", "n": 2, "d": 3, "resolution": 2**14}
+        self.write_config(tmp_path, big_mesh)
+        rows = run_suite(str(tmp_path))
+        assert [(r["name"], r["pass"]) for r in rows] == [
+            ("big-mesh", "error:ConfigError"), ("no-level", "error:ConfigError"),
+        ]
 
     def test_suite_records_stage_errors(self, tmp_path):
         self.write_config(tmp_path, UNDERSAMPLED)
