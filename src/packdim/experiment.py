@@ -230,14 +230,15 @@ class ExperimentConfig:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
         if not (1 <= self.resolution <= 2**14):
             raise ConfigError("resolution must lie in [1, 2^14]")
-        if kind == "interval" and self.n > 1:
-            # a cube mesh is sampled by Cholesky on every point but the
-            # origin; on the line, fft takes over from 256 points
-            count = _mesh_per_axis(self.resolution, self.n) ** self.n
+        if kind != "interval" or self.n > 1:
+            # Cantor and txset atoms and cube meshes are sampled by Cholesky
+            # on every point but the origin; on the line, fft takes over
+            # from 256 interval points
+            count = self._point_count(kind)
             try:
                 _check_cholesky_budget(count - 1)
             except InvalidArgumentError as exc:
-                raise ConfigError(f"interval mesh of {count} points: {exc}") from exc
+                raise ConfigError(f"{kind} set of {count} points: {exc}") from exc
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         for field_name, value in (("method", self.method), ("box_method", self.box_method)):
@@ -256,6 +257,31 @@ class ExperimentConfig:
             key: _read(self.set_spec, key, _SET_PARAMS[key], default, kind)
             for key, default in _SET_KEYS[kind].items()
         }
+
+    def _point_count(self, kind: str) -> int:
+        """The number of points the set will have, counted without building
+        it.  A txset whose branch counts are not exact integers (past 2^53)
+        is over any budget: a ConfigError, as are the errors of building its
+        scales."""
+        if kind == "interval":
+            return _mesh_per_axis(self.resolution, self.n) ** self.n
+        params = self.set_params()
+        level = params["level"]
+        if kind == "cantor":
+            # a set builds with two branches or more, so past 64 levels the
+            # count is over any budget and its power is not taken
+            return params["branches"] ** min(max(level, 0), 64)
+        try:
+            system = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
+        except PackdimError as exc:
+            raise ConfigError(f"txset set: {exc}") from exc
+        counts = system.m_exact[:level]
+        if None in counts:
+            raise ConfigError(
+                f"txset set: level {counts.index(None) + 1} has more than 2^53 "
+                "branches, over the cholesky budget"
+            )
+        return math.prod(counts)
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid

@@ -176,12 +176,6 @@ class DriftSpec:
         powers = t[:, None] ** np.arange(coef.shape[1])
         return powers @ coef.T
 
-    def increment(self, t, s) -> np.ndarray:
-        """f(t) - f(s) per coordinate; exact zeros for zero and constant
-        drifts."""
-        vals = self.evaluate(np.vstack([_as_points(t), _as_points(s)]))
-        return vals[0] - vals[1]
-
 
 @dataclass(frozen=True)
 class SamplePath:

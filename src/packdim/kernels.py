@@ -14,19 +14,15 @@ of it and the drift increment f(x_i) - f(y_k), whose sign the Gaussian
 interval probability ignores, so the table on (rows, atoms) is the
 transpose of the table on (atoms, rows).  The estimators rely on that:
 they walk the upper-triangle tiles of the atoms' pair table and evaluate
-each unordered pair once (estimators._mass_table).
-In graph mode field_tables evaluates only the domain window, the pairs with
-|y_k - x_i| <= r, since a graph ball holds no other atom.  It finds the
-window on a band: the atoms, sorted once per call along the first
-coordinate, whose first coordinate lies within max(radii) of the rows'
-span, so tiles of sorted atoms never touch the full (rows x atoms) grid,
-and a tile with an empty window yields no table at all.  Graph mode
-yields one table per call, cleared and rewritten per radius, and
-profile_tables one table per call, refilled per radius: their yielded
-tables are overwritten when the generator advances.  Tables over the full
-(rows x atoms) grid take their distances from numerics._pair_distances;
-graph mode takes them from the band's differences.  The per-point
-functions are one-row calls of these.
+each unordered pair once (estimators._mass_table), so the rows and atoms
+a block form sees are one tile.  Every table takes its Euclidean
+distances from numerics._pair_distances.  In graph mode field_tables
+evaluates only the domain window, the pairs with |y_k - x_i| <= r, since
+a graph ball holds no other atom, and a tile with an empty window yields
+no table at all.  profile_tables refills one table per call, so its
+yielded tables are overwritten when the generator advances.  The
+per-point functions, increment_prob among them, are one-row calls of
+these.
 
 One shortcut skips the pair tables.  When the measure is exactly a
 fields._mesh_points mesh (an interval or cube set) with equal weights and
@@ -190,32 +186,13 @@ def _point(t, n: int) -> np.ndarray:
 def increment_prob(ctx: KernelContext, t, s, r: float) -> float:
     """P(max_i |Z_i(t) - Z_i(s)| <= r) for the drifted field Z = X + f:
     the product over coordinates of Gaussian interval probabilities with
-    scale |t-s|^alpha and center f_i(t) - f_i(s).  Constant drift cancels
-    in the centers exactly, bit for bit."""
-    if r < 0:
-        raise InvalidArgumentError("r must be nonnegative")
+    scale |t-s|^alpha and center f_i(t) - f_i(s).  It is the (t, s) entry
+    of the image-mode field_tables on the pair, whatever ctx.mode says, so
+    a constant drift cancels bit for bit."""
     n = ctx.field.domain_dim
-    tv, sv = _point(t, n), _point(s, n)
-    rho = float(np.linalg.norm(tv - sv) ** ctx.field.alpha)
-    d = ctx.field.range_dim
-    if ctx._drift_cancels():
-        return float(gaussian_interval_prob(rho, 0.0, r)) ** d
-    centers = ctx.drift.increment(tv, sv)
-    probs = gaussian_interval_prob(np.full(d, rho), centers, float(r))
-    return float(np.prod(probs))
-
-
-def _band(rows: np.ndarray, atoms: np.ndarray, top: float) -> np.ndarray:
-    """The atom indices whose first coordinate lies within top of the rows'
-    span in that coordinate, padded by a few ulps for the rounding of the
-    differences.  A pair within max-norm domain distance top has
-    |x_i0 - y_k0| <= top, so its atom is among them; atoms sorted along the
-    first coordinate give a narrow band, unsorted ones the full width."""
-    order = np.argsort(atoms[:, 0], kind="stable")
-    keys = atoms[order, 0]
-    lo, hi = rows[:, 0].min(), rows[:, 0].max()
-    pad = top + 8 * np.finfo(float).eps * (top + max(abs(lo), abs(hi)))
-    return order[np.searchsorted(keys, lo - pad):np.searchsorted(keys, hi + pad, side="right")]
+    image = KernelContext(ctx.field, ctx.drift, ctx.measure)
+    (table,) = field_tables(image, _point(t, n)[None, :], _point(s, n)[None, :], [r])
+    return float(table[0, 0])
 
 
 def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii):
@@ -227,55 +204,27 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii)
     ``rows`` and ``atoms``; ``ctx.measure`` is not read.
 
     In graph mode only atoms within domain distance r of x_i can enter the
-    ball.  The window of pairs within max(radii) is found on the band of
-    atoms near the rows in the first coordinate (see _band), the
-    probabilities are evaluated per radius on the window pairs within r,
-    and they are scattered into one zero table per call: every other entry
-    is the exact zero the indicator gives it.  That table is cleared and
-    rewritten for the next radius, so a graph-mode table is overwritten
-    when the generator advances; use it before asking for the next.  An
-    empty window yields no table at all, since every table would be zero.
+    ball: the probabilities are evaluated on those pairs only and written
+    into a fresh zero table, every other entry being the exact zero the
+    indicator gives it.  When no pair lies within max(radii), every table
+    would be zero and none is yielded.
     """
     d = ctx.field.range_dim
     graph = ctx.mode == "graph"
     if graph:
-        top = np.max(radii, initial=0.0)
-        cols = _band(rows, atoms, top)
-        # |x_ic - y_kc| on the band, coordinate-major so that each
-        # coordinate's slice is contiguous; the domain distance is their
-        # maximum, the canonical metric their Euclidean norm
-        gap = np.abs(rows.T[:, :, None] - atoms[cols].T[:, None, :])
-        dom = gap[0]
-        for c in range(1, len(gap)):
-            dom = np.maximum(dom, gap[c])
-        window = np.flatnonzero(dom <= top)
-        if not len(window):
+        # the max-norm domain distance, one coordinate at a time
+        dom = np.abs(rows[:, None, 0] - atoms[None, :, 0])
+        for c in range(1, rows.shape[1]):
+            np.maximum(dom, np.abs(rows[:, None, c] - atoms[None, :, c]), out=dom)
+        if not np.any(dom <= np.max(radii, initial=0.0)):
             return
-        dom = dom.ravel()[window]
-        dist = np.linalg.norm(np.take(gap.reshape(len(gap), -1), window, axis=1), axis=0)
-        # a generator keeps its locals across yields: drop the band-sized
-        # temporaries before the table is allocated
-        del gap
-        at_row = window // len(cols)
-        at_atom = cols[window - at_row * len(cols)]
-        del window
-        # the window's positions in the flat (rows x atoms) table
-        flat = at_row * len(atoms) + at_atom
-    else:
-        dist = _pair_distances(rows, atoms)
-        at_row, at_atom = np.s_[:, None], np.s_[None, :]
-    # From here on the arrays run over the (rows x atoms) grid in image mode
-    # and over the flat window in graph mode; centers adds a last axis of
-    # value coordinates.
-    rho = dist ** ctx.field.alpha
-    del dist
+    rho = _pair_distances(rows, atoms)
+    rho **= ctx.field.alpha
     cancels = ctx._drift_cancels()
     if not cancels:
-        centers = ctx.drift.evaluate(rows)[at_row] - ctx.drift.evaluate(atoms)[at_atom]
-    del at_row, at_atom
-    table = written = None
+        centers = ctx.drift.evaluate(rows)[:, None, :] - ctx.drift.evaluate(atoms)[None, :, :]
     for r in radii:
-        # the window pairs inside this radius; in image mode, everything
+        # the pairs inside this radius's domain ball; in image mode, all
         lane = dom <= r if graph else ...
         rho_r = rho[lane]
         if cancels:
@@ -286,12 +235,8 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii)
             for c in range(1, d):
                 probs *= gaussian_interval_prob(rho_r, centers_r[..., c], r)
         if graph:
-            if table is None:
-                table = np.zeros((len(rows), len(atoms)))
-            else:
-                table.ravel()[written] = 0.0
-            written = flat[lane]
-            table.ravel()[written] = probs
+            table = np.zeros(rho.shape)
+            table[lane] = probs
             probs = table
         yield probs
 

@@ -9,7 +9,8 @@ Its general path, every drifted kernel table, works in place in three
 arrays of the broadcast shape and writes the point mass at rho = 0 only
 into the lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
-the full-grid kernel tables and the Cholesky sampler call it.
+every kernel table, in image and in graph mode, the lattice shortcut
+kernels._mesh_masses and the Cholesky sampler call it.
 cholesky_psd checks its input and copies its factor's lower triangle in
 row blocks: a factorization without jitter builds no square array besides
 LAPACK's copy and the factor.

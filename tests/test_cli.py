@@ -313,4 +313,5 @@ class TestExperiment:
         )
         proc = run_cli("experiment", "suite", tmp_path)
         assert proc.returncode == 1
-        assert "unbuildable: pass=error:ScaleUnrepresentableError" in proc.stdout
+        # refused at load: level 3 branches past 2^53
+        assert "unbuildable: pass=error:ConfigError" in proc.stdout

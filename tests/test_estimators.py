@@ -376,8 +376,10 @@ class TestBoundedMemory:
         # line-graph benchmark's large op): 34.4 MiB on interval atoms when
         # every radius allocated its own zero table and the window was cut
         # from the full (rows x atoms) grid, 28.4 MiB with one table per
-        # row block and the window cut from the band.  Interval atoms take
-        # the lattice path (0.7 MiB), so the centred grid keeps the tables.
+        # row block and the window cut from a band of sorted atoms, 1.18 MiB
+        # on 128 x 128 tiles with that band and 0.93 MiB without it.
+        # Interval atoms take the lattice path (0.7 MiB), so the centred
+        # grid keeps the tables.
         ctx = KernelContext(FieldSpec(0.5), None, centered_grid(4096), "graph")
         dim_field(ctx, ScaleGrid(3, 7))
         peak = self.peak(lambda: dim_field(ctx, ScaleGrid(3, 7)))

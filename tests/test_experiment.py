@@ -13,6 +13,7 @@ from packdim import (
     NotPositiveSemidefiniteError,
     ResolutionError,
     ScaleUnrepresentableError,
+    Seed,
     experiment,
     fields,
 )
@@ -210,9 +211,10 @@ class TestConfigParsing:
             ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
 
     def test_txset_delta0_has_a_default(self):
-        txset = {"kind": "txset", "beta": 0.5, "level": 2}
+        # level 1 has 8 points; level 2 has 65536, over the Cholesky budget
+        txset = {"kind": "txset", "beta": 0.5, "level": 1}
         cfg = ExperimentConfig.from_dict({**MINIMAL, "set": txset})
-        assert cfg.set_params() == {"beta": 0.5, "level": 2, "delta0": 0.25}
+        assert cfg.set_params() == {"beta": 0.5, "level": 1, "delta0": 0.25}
         assert "delta0" not in cfg.set_spec
 
     def test_oversize_mesh_is_refused_at_load(self, monkeypatch):
@@ -238,6 +240,50 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cholesky on 24 points"):
             ExperimentConfig.from_dict({**square, "resolution": 25})
         ExperimentConfig.from_dict({**MINIMAL, "resolution": 4096})
+
+    def test_oversize_fractal_sets_are_refused_at_load(self, monkeypatch):
+        def no_set(*args, **kwargs):
+            raise AssertionError("set built at load")
+
+        monkeypatch.setattr(experiment, "build_uniform_cantor", no_set)
+        monkeypatch.setattr(experiment, "realize_explicit", no_set)
+        # 2^14 Cantor atoms, 16383 of them off the origin: the mesh's bytes
+        cantor = {"kind": "cantor", "branches": 2, "ratio": 1.0 / 3.0, "level": 14}
+        need = r"needs about 12883329072 bytes, over the budget of 4294967296"
+        with pytest.raises(ConfigError, match=rf"cantor set of 16384 points: .*{need}"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": cantor})
+        with pytest.raises(ConfigError, match="cantor set of 2097152 points"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 21}})
+        with pytest.raises(ConfigError, match=r"cantor set of 18446744073709551616 points"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 10**9}})
+        ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 13}})
+        # 8 x 8192 txset points; level 3 branches past 2^53
+        txset = {"kind": "txset", "beta": 0.5, "level": 2}
+        with pytest.raises(ConfigError, match=r"txset set of 65536 points: cholesky on 65535"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": txset})
+        with pytest.raises(ConfigError, match=r"txset set: level 3 has more than 2\^53"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": {**txset, "level": 3}})
+        ExperimentConfig.from_dict({**MINIMAL, "set": {**txset, "beta": 0.45, "delta0": 0.45}})
+
+    @pytest.mark.parametrize(
+        "txset, message",
+        [
+            ({"beta": 0.5, "level": 61}, "levels must lie in"),
+            ({"beta": 1.5, "level": 1}, "beta must lie in"),
+            ({"beta": 0.5, "level": 1, "delta0": 0.5}, "delta0 must lie in"),
+        ],
+    )
+    def test_txset_scale_errors_are_config_errors(self, txset, message):
+        with pytest.raises(ConfigError, match=f"txset set: {message}"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": {"kind": "txset", **txset}})
+
+    def test_fractal_check_reads_the_sampler_budget(self, monkeypatch):
+        # 128 Cantor atoms take 127 Cholesky points
+        monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 48 * 127**2)
+        ExperimentConfig.from_dict(THIRDS_IMAGE)
+        cantor = {**THIRDS_IMAGE["set"], "level": 8}
+        with pytest.raises(ConfigError, match="cantor set of 256 points: cholesky on 255"):
+            ExperimentConfig.from_dict({**THIRDS_IMAGE, "set": cantor})
 
 
 class TestConfigHash:
@@ -361,18 +407,20 @@ class TestRunExperiment:
         assert payload["estimated"]["box"]["method"] == "regression"
         assert payload["pass"] is True
 
-    def test_stage_labelled_errors(self):
-        # an unrepresentable txset level fails in the set-building stage
-        cfg = ExperimentConfig.from_dict(
-            {
-                **MINIMAL,
-                "name": "too-deep",
-                "set": {"kind": "txset", "beta": 0.5, "level": 3},
-                "grid": {"j_min": 2, "j_max": 5},
-            }
-        )
+    def test_unrepresentable_txset_is_refused_at_load(self):
+        # level 3 of this txset branches past 2^53: its scales are not
+        # representable, and its points are over any Cholesky budget
+        raw = {
+            **MINIMAL,
+            "name": "too-deep",
+            "set": {"kind": "txset", "beta": 0.5, "level": 3},
+            "grid": {"j_min": 2, "j_max": 5},
+        }
+        with pytest.raises(ConfigError, match="txset set: level 3"):
+            ExperimentConfig.from_dict(raw)
+        symbolic = experiment.build_tx_system(0.5, 0.25, levels=3)
         with pytest.raises(ScaleUnrepresentableError):
-            run_experiment(cfg)
+            experiment.realize_explicit(symbolic, 3)
 
     def test_stage_error_keeps_class_and_attributes(self):
         # 64 points support scales down to 4/63; 2^-9 lies below that
@@ -383,13 +431,21 @@ class TestRunExperiment:
         assert info.value.scale == 2.0**-9
         assert str(info.value).startswith("kernel stage: finest scale")
 
-    def test_cholesky_budget_refuses_in_the_simulation_stage(self, monkeypatch):
+    def test_cholesky_budget_refuses_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a refused config")
+
+        cfg = ExperimentConfig.from_dict(THIRDS_IMAGE)
         monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 1024)
-        with pytest.raises(InvalidArgumentError) as info:
-            run_experiment(ExperimentConfig.from_dict(THIRDS_IMAGE))
+        monkeypatch.setattr(experiment, "sample_many", no_sampling)
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg)
         # 128 Cantor atoms; the one at 0 stays out of the factor
-        assert str(info.value).startswith("simulation stage: cholesky on 127 points")
+        assert str(info.value).startswith("cantor set of 128 points: cholesky on 127 points")
         assert "budget of 1024 bytes" in str(info.value)
+        # the sampler refuses the same points itself
+        with pytest.raises(InvalidArgumentError, match="cholesky on 127 points"):
+            fields.sample(cfg.field_spec(), experiment._build_set(cfg)[0], Seed(3))
 
     def test_stage_label_keeps_extra_constructor_arguments(self):
         with pytest.raises(NotPositiveSemidefiniteError) as info:
@@ -421,11 +477,12 @@ class TestRunSuite:
         assert len(rows) == 2
         by_name = {r["name"]: r for r in rows}
         assert by_name["thirds-image"]["pass"] is True
-        assert by_name["unbuildable"]["pass"] == "error:ScaleUnrepresentableError"
+        # refused at load: level 3 branches past 2^53
+        assert by_name["unbuildable"]["pass"] == "error:ConfigError"
         assert math.isnan(by_name["unbuildable"]["gap"])
         summary = (tmp_path / "summary.csv").read_text()
         assert "name,predicted,estimate_box,estimate_kernel,gap,pass" in summary
-        assert "error:ScaleUnrepresentableError" in summary
+        assert "unbuildable,nan,nan,nan,nan,error:ConfigError" in summary
 
     def test_malformed_configs_are_error_rows(self, tmp_path):
         tiny = {**MINIMAL, "name": "tiny", "resolution": 256, "grid": {"j_min": 2, "j_max": 5}}
@@ -453,6 +510,20 @@ class TestRunSuite:
         rows = run_suite(str(tmp_path))
         assert [(r["name"], r["pass"]) for r in rows] == [
             ("big-mesh", "error:ConfigError"), ("no-level", "error:ConfigError"),
+        ]
+
+    def test_oversize_fractal_sets_are_error_rows(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a refused config")
+
+        monkeypatch.setattr(experiment, "sample_many", no_sampling)
+        cantor = {"kind": "cantor", "branches": 2, "ratio": 1.0 / 3.0, "level": 14}
+        self.write_config(tmp_path, {**MINIMAL, "name": "big-cantor", "set": cantor})
+        txset = {"kind": "txset", "beta": 0.5, "level": 2}
+        self.write_config(tmp_path, {**MINIMAL, "name": "big-txset", "set": txset})
+        rows = run_suite(str(tmp_path))
+        assert [(r["name"], r["pass"]) for r in rows] == [
+            ("big-cantor", "error:ConfigError"), ("big-txset", "error:ConfigError"),
         ]
 
     def test_suite_records_stage_errors(self, tmp_path):

@@ -5,7 +5,9 @@ so with ``# noqa: F401`` on its line.
 
 The package also keeps one pairwise distance formula,
 numerics._pair_distances: no function under src/packdim takes
-np.linalg.norm of a broadcast rows-against-atoms difference."""
+np.linalg.norm of a broadcast rows-against-atoms difference.  And it writes
+the drift case split of the field kernel once: only kernels.field_tables
+and its lattice shortcut kernels._mesh_masses call _drift_cancels()."""
 
 import ast
 from pathlib import Path
@@ -146,3 +148,48 @@ def test_scan_flags_a_pairwise_norm(tmp_path):
         encoding="utf-8",
     )
     assert pairwise_norms(probe) == ["2: direct", "4: through_a_name"]
+
+
+def drift_split_callers(path: Path) -> list[str]:
+    """The innermost functions that call ``._drift_cancels()``; a call
+    outside every function is reported as <module>."""
+    hits = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{node.lineno}: {node.name}"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_drift_cancels"
+        ):
+            hits.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sorted(hits)
+
+
+def test_one_drift_case_split():
+    callers = {
+        (path.name, hit.split(": ")[-1]) for path in PACKAGE for hit in drift_split_callers(path)
+    }
+    assert callers == {("kernels.py", "field_tables"), ("kernels.py", "_mesh_masses")}
+
+
+def test_scan_flags_a_stray_drift_split(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def field_tables(ctx):\n"
+        "    return ctx._drift_cancels()\n"
+        "def stray(ctx):\n"
+        "    def inner():\n"
+        "        return ctx._drift_cancels()\n"
+        "    return inner\n"
+        "def reads_the_name(ctx):\n"
+        "    return ctx._drift_cancels\n"
+        "flag = KernelContext._drift_cancels(None)\n",
+        encoding="utf-8",
+    )
+    assert drift_split_callers(probe) == ["1: field_tables", "4: inner", "<module>"]

@@ -180,6 +180,43 @@ class TestIncrementProb:
             plain, [1.0], [0.0], 0.5
         )
 
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    # the drifts of WINDOW_DRIFTS; the polynomial one lives on the line
+    @pytest.mark.parametrize(
+        "drift, n",
+        [
+            (drift, n)
+            for drift in ("none", "zero", "constant", "power", "polynomial")
+            for n in (1, 2, 3)
+            if drift != "polynomial" or n == 1
+        ],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_is_the_image_table_entry_bitwise(self, drift, n, d, mode):
+        make = WINDOW_DRIFTS[drift]
+        mu = DiscreteMeasure(np.zeros((1, n)), np.ones(1))
+        ctx = KernelContext(FieldSpec(0.4, n, d), make and make(d), mu, mode)
+        image = KernelContext(ctx.field, ctx.drift, mu)
+        rng = np.random.default_rng(17 * n + d)
+        for _ in range(8):
+            t, s = rng.uniform(-1.0, 1.0, (2, n))
+            radii = [0.0, *rng.uniform(0.05, 2.0, 3)]
+            tables = kernels.field_tables(image, t[None, :], s[None, :], radii)
+            for r, table in zip(radii, tables, strict=True):
+                assert increment_prob(ctx, t, s, r) == table[0, 0]
+
+    def test_power_drift_on_the_plane(self):
+        # f(t) = |t|: the drift moves the increment between s = 0 and
+        # t = (0.6, 0.8) by f(t) - f(s) = 1, at scale |t - s|^alpha = 1
+        mu = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
+        ctx = KernelContext(FieldSpec(0.5, 2, 1), DriftSpec.power([1.0], 1.0), mu)
+        t, s = np.array([0.6, 0.8]), np.zeros(2)
+        expected = gaussian_interval_prob(
+            np.linalg.norm(t - s) ** 0.5, np.linalg.norm(t) - np.linalg.norm(s), 0.5
+        )
+        assert increment_prob(ctx, t, s, 0.5) == expected
+        assert expected == pytest.approx(0.2417303374571288, rel=1e-15)
+
 
 class TestExpectedBallMass:
     def test_self_atom_floor(self):
@@ -269,9 +306,9 @@ class TestKernelChain:
 
 # Atoms on a dyadic lattice, so that domain distances tie with the dyadic
 # radii; 300 atoms are 9 tiles of 32 atoms plus a partial one under the
-# tile side the window tests set.  Shuffled atoms give every tile a band
-# of full width; atoms sorted along the first coordinate, as interval sets
-# come, give each tile a narrow band.
+# tile side the window tests set.  Shuffled atoms spread every tile's
+# window over the whole tile; atoms sorted along the first coordinate, as
+# interval sets come, give each tile a narrow window or none.
 WINDOW_RADII = 2.0 ** -np.arange(2, 7)
 WINDOW_DRIFTS = {
     "none": None,
@@ -375,8 +412,7 @@ class TestFieldTablesWindow:
 
 
 def assert_tables_match(ctx, rows, radii):
-    # compare each table before the generator advances: graph mode
-    # overwrites one table per call
+    # every table of the call, in the order of the radii
     atoms = ctx.measure.atoms
     dense = dense_field_tables(ctx)(rows, atoms, radii)
     for table, expected in zip(kernels.field_tables(ctx, rows, atoms, radii), dense, strict=True):
@@ -387,7 +423,7 @@ def edge_measure(n, offset):
     """Rows x_i and, for every radius r, atoms whose first coordinate sits
     within 8 ulps of x_i0 +- r; the other coordinates repeat x_i's.  With
     a negative edge the difference x_i0 - y_k0 rounds, so atoms just
-    outside the exact band can still have a domain distance <= r."""
+    outside the exact window can still have a domain distance <= r."""
     rows = offset + np.random.default_rng(n).random((3, n)) - 0.5
     atoms = [rows]
     for r in WINDOW_RADII:
@@ -412,15 +448,15 @@ class TestFieldTablesBand:
     }
 
     @pytest.mark.parametrize("order", RADII)
-    # n = 3 sums three squares: the band's coordinate-major norms must add
-    # them in the order of the dense formula's last-axis norms
+    # n = 3 sums three squares: the running sum of _pair_distances must
+    # add them in the order of the dense formula's last-axis norms
     @pytest.mark.parametrize(
         "drift, n, d", [("none", 1, 1), ("power", 2, 2), ("polynomial", 1, 2), ("none", 3, 1)]
     )
     def test_any_radius_order_matches_dense_bitwise(self, order, drift, n, d):
         ctx = window_context("graph", drift, n, d)
         atoms = ctx.measure.atoms
-        # sorted rows give a narrow band, the measure's own order a wide one
+        # sorted rows meet a narrow window, the measure's own order a wide one
         by_first = atoms[np.argsort(atoms[:, 0], kind="stable")]
         for rows in (by_first[40:72], by_first[-16:], atoms[:32]):
             assert_tables_match(ctx, rows, self.RADII[order])
@@ -447,8 +483,8 @@ def block_forms(ctx):
 
 
 def evaluated(tables, rows, atoms):
-    # copy each table before the generator advances: graph mode and the
-    # profile kernel overwrite one table per call
+    # copy each table before the generator advances: the profile kernel
+    # refills one table per call
     return [table.copy() for table in tables(rows, atoms, WINDOW_RADII)]
 
 
