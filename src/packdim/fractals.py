@@ -130,7 +130,11 @@ class NestedIntervalSystem:
                 raise GeometryError(f"level {k} branching must be >= 1")
             if len(lev.lefts) != len(parent.lefts) * lev.branching:
                 raise GeometryError(f"level {k} interval count mismatch")
-            tol = 1e-9 * parent.length
+            # 1e-9 of the parent length, plus a few ulps of the largest end
+            # point: the gaps are differences of absolute left ends, which
+            # carry their rounding however short the parent is
+            ulps = 4.0 * float(np.spacing(np.abs(parent.lefts).max() + parent.length))
+            tol = 1e-9 * parent.length + ulps
             # Children sit inside their parent, in left-to-right blocks.
             kids = lev.lefts.reshape(len(parent.lefts), lev.branching)
             if np.any(kids[:, 0] < parent.lefts - tol):
@@ -139,10 +143,16 @@ class NestedIntervalSystem:
                 raise GeometryError(f"level {k} child escapes its parent on the right")
             spacing = np.diff(kids, axis=1) - lev.length
             if spacing.size:
+                if not (lev.gap > ulps):
+                    # siblings this close share their left ends in floats
+                    raise GeometryError(
+                        f"level {k} sibling gap {lev.gap:.3g} is below the rounding "
+                        f"{ulps:.3g} of its end points"
+                    )
                 if self.uniform:
                     if np.any(np.abs(spacing - lev.gap) > tol):
                         raise GeometryError(f"level {k} sibling gaps are not uniform")
-                elif np.any(spacing < lev.gap * (1.0 - 1e-9)):
+                elif np.any(spacing < lev.gap * (1.0 - 1e-9) - ulps):
                     raise GeometryError(f"level {k} sibling gap below the stored bound")
 
     def packing_slack_ok(self) -> bool:

@@ -11,9 +11,11 @@ into the lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
 every kernel table, in image and in graph mode, the lattice shortcut
 kernels._mesh_masses and the Cholesky sampler call it.
-cholesky_psd checks its input and copies its factor's lower triangle in
-row blocks: a factorization without jitter builds no square array besides
-LAPACK's copy and the factor.
+cholesky_psd checks its input in row blocks and factors one copy of it in
+place: LAPACK copies nothing, the factor is transposed into C order over
+the copy, and a factorization without jitter builds no other square array.
+The Cholesky sampler builds its covariance in row blocks of one array
+and has the same routine, _cholesky_in_place, factor that array in place.
 
 scipy (``special.ndtr``, ``linalg.lapack.dpotrf``) is imported inside the
 functions that call it, not at module level: importing packdim stays
@@ -38,7 +40,7 @@ _JITTER_REL = 1e-12
 _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 4
 
-# Row block of cholesky_psd's input checks and of its factor copy.
+# Row block of cholesky_psd's input checks, mirror and transposition.
 _BLOCK_ROWS = 64
 
 
@@ -130,8 +132,21 @@ def cholesky_psd(matrix) -> np.ndarray:
     diagonal jitter of 1e-12 * trace/dim is added and escalated by 10x for
     at most 4 retries; if the matrix still resists,
     NotPositiveSemidefiniteError is raised carrying the failing pivot index.
+
+    The lower triangle of ``matrix`` is what is factored, as LAPACK's dpotrf
+    reads it.  It is copied once, mirrored onto the copy's upper triangle,
+    and _cholesky_in_place factors that copy: ``matrix`` is never modified.
     """
     m = np.asarray(matrix, dtype=float)
+    _check_matrix(m)
+    work = np.array(m, order="C")
+    _mirror_lower(work, -0.0)
+    return _cholesky_in_place(work)
+
+
+def _check_matrix(m: np.ndarray) -> None:
+    """Refuse a float array that is not square, finite and symmetric to
+    1e-10 of its largest magnitude."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     dim = m.shape[0]
@@ -153,39 +168,71 @@ def cholesky_psd(matrix) -> np.ndarray:
     if asym > 1e-10 * (1.0 + scale):
         raise InvalidArgumentError("matrix must be symmetric")
 
+
+def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
+    """cholesky_psd's factor of ``work``, written over ``work`` itself.
+
+    ``work`` is a C-ordered, finite and exactly symmetric square float
+    array, so its transpose is a Fortran-ordered view with the same values.
+    dpotrf factors that view in place (overwrite_a, clean=0): LAPACK copies
+    nothing, writes the factor over the upper triangle of ``work`` and leaves
+    its strict lower triangle as it was.  A failed attempt is retried on
+    work + jitter * I, rebuilt from that lower triangle and the saved
+    diagonal.  The factor is then transposed into the lower triangle in row
+    blocks and the upper triangle zeroed: it comes back in C order, as
+    np.tril of LAPACK's factor, because a matrix product rounds differently
+    with the other memory order and samples would move in the last bits.
+    """
+    dim = work.shape[0]
     if dim == 0:
-        return np.zeros((0, 0))
-    base = _JITTER_REL * (np.trace(m) / dim)
+        return work
+    base = _JITTER_REL * (np.trace(work) / dim)
     if base <= 0:
         base = _JITTER_REL
+    diag = work.diagonal().copy()
 
     from scipy.linalg.lapack import dpotrf
 
     jitter = 0.0
     last_pivot = 0
     for attempt in range(_JITTER_RETRIES + 1):
-        c, info = dpotrf(m + jitter * np.eye(dim) if jitter else m, lower=1)
+        if jitter:
+            # the bits of m + jitter * I: 0.0 is added off the diagonal too
+            _mirror_lower(work, 0.0)
+            work.flat[:: dim + 1] = diag + jitter
+        _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return _lower_triangle(c)
+            _transpose_upper(work)
+            return work
         last_pivot = int(info) - 1  # LAPACK reports 1-based pivots
         jitter = base * (_JITTER_GROWTH ** attempt)
     raise NotPositiveSemidefiniteError(last_pivot)
 
 
-def _lower_triangle(c: np.ndarray) -> np.ndarray:
-    """np.tril(c) as a new C-ordered array, copying only the lower triangle.
-
-    dpotrf returns its factor in Fortran order.  The factor must come back
-    in C order, as np.tril gave it: a matrix product rounds differently
-    with the other memory order, and samples would move in the last bits."""
-    dim = c.shape[0]
-    out = np.empty((dim, dim))
+def _mirror_lower(work: np.ndarray, zero: float) -> None:
+    """Write the strict lower triangle of the square C-ordered ``work``,
+    plus ``zero``, over its strict upper triangle, in row blocks.  Adding
+    -0.0 keeps every bit; adding 0.0 turns -0.0 into +0.0, as the
+    off-diagonal entries of m + jitter * I do."""
+    dim = work.shape[0]
     for lo in range(0, dim, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, dim)
-        out[lo:hi, :lo] = c[lo:hi, :lo]
-        out[lo:hi, lo:hi] = np.tril(c[lo:hi, lo:hi])
-        out[lo:hi, hi:] = 0.0
-    return out
+        np.add(work[hi:, lo:hi].T, zero, out=work[lo:hi, hi:])
+        block = work[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        block[upper] = block.T[upper] + zero
+
+
+def _transpose_upper(work: np.ndarray) -> None:
+    """Overwrite the square C-ordered ``work`` with the transpose of its
+    upper triangle, zero above the diagonal, in row blocks."""
+    dim = work.shape[0]
+    for lo in range(0, dim, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, dim)
+        work[hi:, lo:hi] = work[lo:hi, hi:].T
+        work[lo:hi, hi:] = 0.0
+        block = work[lo:hi, lo:hi]
+        block[...] = np.tril(block.T)
 
 
 _MASTER_BOUND = 1 << 64

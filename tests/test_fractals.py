@@ -199,6 +199,33 @@ class TestRealizeExplicit:
         assert sys2.count(2) == 8 * 8192
         assert sys2.packing_slack_ok()
 
+    @pytest.mark.parametrize("beta, delta0, level", [(0.15, 0.1, 4), (0.15, 0.05, 4)])
+    def test_gaps_under_the_rounding_of_the_end_points_build(self, beta, delta0, level):
+        # sibling gaps of 1e-15 and 4e-18 beside left ends up to 0.005 and
+        # 0.002: their np.diff carries up to 5e-19 of rounding, far over
+        # 1e-9 of the parent length (3.5e-22 and 3.6e-24)
+        system = realize_explicit(build_tx_system(beta, delta0, level), level)
+        lefts = system.lefts(level)
+        assert len(np.unique(lefts)) == len(lefts) == system.count(level)
+
+    def test_a_gap_off_by_more_than_the_rounding_is_refused(self):
+        # the check is not vacuous: move one middle sibling by 1e-16, about
+        # 30 times the 3.5e-18 tolerance and a tenth of the 1e-15 gap
+        system = realize_explicit(build_tx_system(0.15, 0.1, 4), 4)
+        levels = list(system.levels)
+        lefts = levels[4].lefts.copy()
+        lefts[88] += 1e-16
+        levels[4] = dataclasses.replace(levels[4], lefts=lefts)
+        with pytest.raises(GeometryError, match="level 4 sibling gaps are not uniform"):
+            NestedIntervalSystem(tuple(levels))
+
+    @pytest.mark.parametrize("delta0", [0.05, 0.1])
+    def test_gaps_below_the_rounding_are_refused_by_name(self, delta0):
+        # beta 0.1, level 5: 3786 intervals, siblings 1e-28 apart beside
+        # left ends near 1e-3, have only 636 distinct left ends in floats
+        with pytest.raises(GeometryError, match="level 5 sibling gap 9.95e-29 is below"):
+            realize_explicit(build_tx_system(0.1, delta0, 5), 5)
+
     def test_third_level_is_unrepresentable(self):
         # delta_3 = exp(-2320 log 2) underflows any normal double
         tx = build_tx_system(0.5, 0.25, 12)

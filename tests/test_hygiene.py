@@ -7,7 +7,9 @@ The package also keeps one pairwise distance formula,
 numerics._pair_distances: no function under src/packdim takes
 np.linalg.norm of a broadcast rows-against-atoms difference.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
-and its lattice shortcut kernels._mesh_masses call _drift_cancels()."""
+and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
+it factors a matrix in one place: only numerics._cholesky_in_place calls
+LAPACK's dpotrf."""
 
 import ast
 from pathlib import Path
@@ -150,18 +152,17 @@ def test_scan_flags_a_pairwise_norm(tmp_path):
     assert pairwise_norms(probe) == ["2: direct", "4: through_a_name"]
 
 
-def drift_split_callers(path: Path) -> list[str]:
-    """The innermost functions that call ``._drift_cancels()``; a call
-    outside every function is reported as <module>."""
+def callers(path: Path, name: str) -> list[str]:
+    """The innermost functions that call ``name``, bare or as an attribute;
+    a call outside every function is reported as <module>."""
     hits = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{node.lineno}: {node.name}"
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_drift_cancels"
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "attr", None),
+            getattr(node.func, "id", None),
         ):
             hits.add(owner)
         for child in ast.iter_child_nodes(node):
@@ -171,11 +172,15 @@ def drift_split_callers(path: Path) -> list[str]:
     return sorted(hits)
 
 
+def _package_callers(name: str) -> set[tuple[str, str]]:
+    return {(path.name, hit.split(": ")[-1]) for path in PACKAGE for hit in callers(path, name)}
+
+
 def test_one_drift_case_split():
-    callers = {
-        (path.name, hit.split(": ")[-1]) for path in PACKAGE for hit in drift_split_callers(path)
+    assert _package_callers("_drift_cancels") == {
+        ("kernels.py", "field_tables"),
+        ("kernels.py", "_mesh_masses"),
     }
-    assert callers == {("kernels.py", "field_tables"), ("kernels.py", "_mesh_masses")}
 
 
 def test_scan_flags_a_stray_drift_split(tmp_path):
@@ -192,4 +197,25 @@ def test_scan_flags_a_stray_drift_split(tmp_path):
         "flag = KernelContext._drift_cancels(None)\n",
         encoding="utf-8",
     )
-    assert drift_split_callers(probe) == ["1: field_tables", "4: inner", "<module>"]
+    assert callers(probe, "_drift_cancels") == ["1: field_tables", "4: inner", "<module>"]
+
+
+def test_one_factorization_site():
+    assert _package_callers("dpotrf") == {("numerics.py", "_cholesky_in_place")}
+
+
+def test_scan_flags_a_stray_factorization(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from scipy.linalg import lapack\n"
+        "from scipy.linalg.lapack import dpotrf\n"
+        "def _cholesky_in_place(work):\n"
+        "    return dpotrf(work.T, lower=1)\n"
+        "def stray(m):\n"
+        "    return lapack.dpotrf(m)\n"
+        "def reads_the_name():\n"
+        "    return dpotrf\n"
+        "c, info = dpotrf([[1.0]])\n",
+        encoding="utf-8",
+    )
+    assert callers(probe, "dpotrf") == ["3: _cholesky_in_place", "5: stray", "<module>"]

@@ -6,10 +6,12 @@ digits and frozen here; the library must match them to near machine
 precision.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import scheduled_factor
 from hypothesis import given, strategies as st
 
 from packdim import (
@@ -217,6 +219,65 @@ class TestCholeskyPsd:
         low = cholesky_psd(m)
         assert low.flags.c_contiguous
         assert np.array_equal(low, np.tril(dpotrf(m, lower=1)[0]))
+
+    @pytest.mark.parametrize("dim, rank", [(60, 5), (130, 1), (200, 64)])
+    def test_jittered_factor_is_the_scheduled_one(self, rng, dim, rank):
+        # rank-deficient PSD matrices: plain dpotrf fails on them, and the
+        # factor is LAPACK's on m + jitter * I under the documented schedule
+        a = rng.normal(size=(dim, rank))
+        m = a @ a.T
+        expected, jitter = scheduled_factor(m)
+        assert jitter > 0 and expected is not None
+        low = cholesky_psd(m)
+        assert low.flags.c_contiguous
+        assert np.array_equal(low, expected)
+
+    @pytest.mark.parametrize("rank", [150, 8])
+    def test_factors_the_lower_triangle_of_a_nearly_symmetric_input(self, rng, rank):
+        # asymmetric within the 1e-10 tolerance, at full rank and in need of
+        # jitter: the lower triangle is what is factored, on every attempt
+        a = rng.normal(size=(150, rank))
+        m = a @ a.T
+        m[np.triu_indices(150, 1)] += 1e-12 * rng.random(150 * 149 // 2)
+        expected, jitter = scheduled_factor(m)
+        assert (jitter > 0) == (rank < 150) and expected is not None
+        assert np.array_equal(cholesky_psd(m), expected)
+        mirrored = np.tril(m) + np.tril(m, -1).T
+        assert np.array_equal(cholesky_psd(mirrored), expected)
+
+    @pytest.mark.parametrize("case", ["plain", "jitter", "refused"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_the_callers_matrix_as_it_was(self, rng, case, order):
+        a = rng.normal(size=(90, 90 if case == "plain" else 4))
+        m = a @ a.T
+        if case == "refused":
+            m[0, 0] = -1.0
+        m = np.array(m, order=order)
+        before = m.tobytes(order="A")
+        if case == "refused":
+            with pytest.raises(NotPositiveSemidefiniteError):
+                cholesky_psd(m)
+        else:
+            assert (scheduled_factor(m)[1] > 0) == (case == "jitter")
+            cholesky_psd(m)
+        assert m.flags.f_contiguous == (order == "F")
+        assert m.tobytes(order="A") == before
+
+    def test_holds_one_and_a_half_tables_beyond_its_input(self, rng):
+        # tracemalloc peak beyond the input: 2.0 k x k float64 arrays with
+        # LAPACK's copy and a new factor, 1.0 when one copy is factored in
+        # place
+        k = 1000
+        a = rng.normal(size=(k, k))
+        m = a @ a.T
+        cholesky_psd(m[:16, :16])  # load LAPACK first
+        tracemalloc.start()
+        try:
+            cholesky_psd(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * k * k, peak / (8 * k * k)
 
 
 class TestSeed:
