@@ -16,7 +16,6 @@ from .errors import (
     GeometryError,
     InsufficientScalesError,
     InvalidArgumentError,
-    InvalidMapError,
     NotPositiveSemidefiniteError,
     PackdimError,
     ResolutionError,
@@ -27,7 +26,6 @@ from .measures import (
     DiscreteMeasure,
     SubMeasure,
     ball_mass,
-    pushforward,
     read_measure_csv,
     rect_mass,
     slice_measure,
@@ -64,7 +62,6 @@ from .kernels import (
     ball_mass_profile,
     expected_ball_mass,
     increment_prob,
-    product_kernel,
     profile_kernel,
     slice_kernel,
 )
@@ -85,7 +82,6 @@ from .theory import (
     graph_lower,
     predict_graph_upper,
     predict_image,
-    predict_image_profile,
     solve_crossing,
     tx_lower,
 )
@@ -105,7 +101,6 @@ __all__ = [
     "PackdimError",
     "InvalidArgumentError",
     "NotPositiveSemidefiniteError",
-    "InvalidMapError",
     "GeometryError",
     "ScaleUnrepresentableError",
     "DepthExhaustedError",
@@ -123,7 +118,6 @@ __all__ = [
     "ball_mass",
     "rect_mass",
     "slice_measure",
-    "pushforward",
     "read_measure_csv",
     "write_measure_csv",
     # fractals
@@ -152,7 +146,6 @@ __all__ = [
     "graph_measure",
     # kernels
     "KernelContext",
-    "product_kernel",
     "profile_kernel",
     "slice_kernel",
     "increment_prob",
@@ -176,7 +169,6 @@ __all__ = [
     "tx_lower",
     "graph_lower",
     "solve_crossing",
-    "predict_image_profile",
     # verify
     "CheckReport",
     "check_doubling",

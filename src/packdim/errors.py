@@ -10,7 +10,6 @@ __all__ = [
     "PackdimError",
     "InvalidArgumentError",
     "NotPositiveSemidefiniteError",
-    "InvalidMapError",
     "GeometryError",
     "ScaleUnrepresentableError",
     "DepthExhaustedError",
@@ -36,10 +35,6 @@ class NotPositiveSemidefiniteError(PackdimError):
     def __init__(self, pivot: int, message: str | None = None):
         self.pivot = pivot
         super().__init__(message or f"matrix is not positive semidefinite (pivot {pivot})")
-
-
-class InvalidMapError(PackdimError, ValueError):
-    """A pushforward map produced non-finite coordinates."""
 
 
 class GeometryError(PackdimError):

@@ -31,7 +31,13 @@ from .fields import (
     graph_points,
     sample_many,
 )
-from .fractals import build_tx_system, build_uniform_cantor, natural_measure, realize_explicit
+from .fractals import (
+    NestedIntervalSystem,
+    build_tx_system,
+    build_uniform_cantor,
+    natural_measure,
+    realize_explicit,
+)
 from .kernels import KernelContext
 from .measures import DiscreteMeasure
 from .numerics import Seed
@@ -217,6 +223,10 @@ class ExperimentConfig:
             raise ConfigError("d and n must be positive")
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
+        try:
+            Seed(self.seed)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"seed: {exc}") from exc
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
         if self.mode == "graph" and self.n != 1:
@@ -239,6 +249,9 @@ class ExperimentConfig:
                 _check_cholesky_budget(count - 1)
             except InvalidArgumentError as exc:
                 raise ConfigError(f"{kind} set of {count} points: {exc}") from exc
+        if kind != "interval":
+            # within the budget this takes well under a millisecond
+            self._set_system()
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         for field_name, value in (("method", self.method), ("box_method", self.box_method)):
@@ -282,6 +295,20 @@ class ExperimentConfig:
                 "branches, over the cholesky budget"
             )
         return math.prod(counts)
+
+    def _set_system(self) -> NestedIntervalSystem:
+        """The nested interval system of a cantor or txset set, built to its
+        level; an error building it is a ConfigError naming the set kind."""
+        kind = self.set_spec["kind"]
+        params = self.set_params()
+        level = params["level"]
+        try:
+            if kind == "cantor":
+                return build_uniform_cantor(params["branches"], params["ratio"], level)
+            symbolic = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
+            return realize_explicit(symbolic, level)
+        except PackdimError as exc:
+            raise ConfigError(f"{kind} set: {exc}") from exc
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
@@ -328,16 +355,11 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
         k = len(pts)
         mu = DiscreteMeasure(pts, np.full(k, 1.0 / k))
         return pts, mu, float(cfg.n), cfg.n == 1
-    params = cfg.set_params()
-    level = params["level"]
+    system = cfg._set_system()
+    mu = natural_measure(system, system.depth)
     if kind == "cantor":
-        system = build_uniform_cantor(params["branches"], params["ratio"], level)
-        mu = natural_measure(system, level)
         return mu.atoms, mu, system.params["similarity_dimension"], False
-    symbolic = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
-    system = realize_explicit(symbolic, level)
-    mu = natural_measure(system, level)
-    return mu.atoms, mu, params["beta"], False
+    return mu.atoms, mu, cfg.set_params()["beta"], False
 
 
 def _predictions(cfg: ExperimentConfig, beta_set: float) -> dict[str, float]:

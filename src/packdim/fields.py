@@ -5,8 +5,10 @@ each with covariance 0.5 (|t|^{2a} + |s|^{2a} - |t-s|^{2a}) in the Euclidean
 norm, so every increment X_i(t) - X_i(s) is |t-s|^a times a standard normal
 and the canonical metric is |t-s|^a.  Exact simulation is by Cholesky
 factorization of the covariance on the given point set, with a circulant
-embedding FFT path for uniform 1-D grids anchored at zero (same law, much
-larger point budgets).
+embedding FFT path for the 1-D grids linspace(0, t_max, k), t_max > 0, taken
+bit for bit (same law, much larger point budgets).  The embedding is exact
+only on an exactly uniform grid: fft refuses, and "auto" sends to Cholesky,
+a grid that is uniform only within rounding.
 
 Drift enters twice.  Sample paths carry it additively.  Model-level kernel
 computations only ever see drift increments f(t) - f(s); zero and constant
@@ -246,16 +248,6 @@ def _check_sample_points(points, spec: FieldSpec) -> np.ndarray:
     return p
 
 
-def _is_uniform_grid_from_zero(p: np.ndarray) -> bool:
-    if p.shape[1] != 1 or p.shape[0] < 2:
-        return False
-    t = p[:, 0]
-    if t[0] != 0.0 or t[1] <= 0.0:
-        return False
-    h = t[1]
-    return bool(np.all(np.abs(t - h * np.arange(len(t))) <= 1e-12 * abs(t[-1])))
-
-
 def _fgn_eigenvalues(m: int, alpha: float) -> np.ndarray:
     # Circulant embedding of the unit-spacing increment covariance; the
     # embedding is nonnegative definite for every alpha in (0,1), so only
@@ -307,18 +299,19 @@ class _Sampler:
     def __init__(self, field: FieldSpec, points: np.ndarray, method: str):
         self.field = field
         self.points = points
+        k, n = points.shape
+        # fft takes the grids _mesh_axes recognises on the line, but not its
+        # single point [0] or its t_max <= 0
+        mesh = _mesh_axes(points) if n == 1 and k >= 2 else None
+        on_grid = mesh is not None and mesh[1] > 0.0
         if method == "auto":
-            method = (
-                "fft"
-                if len(points) >= 256 and _is_uniform_grid_from_zero(points)
-                else "cholesky"
-            )
+            method = "fft" if k >= 256 and on_grid else "cholesky"
         if method == "fft":
-            if not _is_uniform_grid_from_zero(points):
+            if not on_grid:
                 raise InvalidArgumentError(
                     "the fft method needs a uniform 1-D grid starting at 0"
                 )
-            self.m = len(points) - 1
+            self.m = k - 1
             self.h = float(points[1, 0])
             self.lam = _fgn_eigenvalues(self.m, field.alpha)
         elif method == "cholesky":
@@ -371,10 +364,12 @@ def sample(
 ) -> SamplePath:
     """One exact sample of the field on ``points``.
 
-    ``method`` is "cholesky" (any distinct points), "fft" (uniform 1-D grid
-    from 0, circulant embedding of the increments), or "auto".  The two
-    methods agree in law but not bitwise.  Points at the origin get value 0
-    exactly.  A zero drift leaves the values untouched, not merely adds 0.
+    ``method`` is "cholesky" (any distinct points), "fft" (circulant
+    embedding of the increments, on exactly ``linspace(0, t_max, k)`` with
+    k >= 2 and t_max > 0), or "auto" (fft on such a grid of 256 points or
+    more, else cholesky).  The two methods agree in law but not bitwise.
+    Points at the origin get value 0 exactly.  A zero drift leaves the
+    values untouched, not merely adds 0.
     """
     p = _check_sample_points(points, field)
     sampler = _Sampler(field, p, method)

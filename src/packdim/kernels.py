@@ -50,7 +50,6 @@ from .numerics import _pair_distances, gaussian_interval_prob
 
 __all__ = [
     "KernelContext",
-    "product_kernel",
     "profile_kernel",
     "slice_kernel",
     "increment_prob",
@@ -110,15 +109,6 @@ def slice_tables(rows: np.ndarray, atoms: np.ndarray, n: int, radii):
 def _check_split(n: int, d: int, dim: int) -> None:
     if n < 0 or d < 1 or n + d != dim:
         raise InvalidArgumentError("need n >= 0, d >= 1 with n + d matching the measure")
-
-
-def product_kernel(x) -> float:
-    """prod_i min(1, 1/|x_i|), with the value 1 on coordinates that vanish.
-    Equals 1 exactly when all |x_i| <= 1."""
-    v = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-    if not np.all(np.isfinite(v)):
-        raise InvalidArgumentError("kernel argument must be finite")
-    return float(np.prod(_capped_inverse(v)))
 
 
 def profile_kernel(mu: DiscreteMeasure, beta: float, x, r: float) -> float:

@@ -1,5 +1,5 @@
 """Finitely supported measures on R^m and the mass queries used everywhere
-downstream: balls, axis rectangles, coordinate slices, pushforwards.
+downstream: balls, axis rectangles and coordinate slices.
 
 A DiscreteMeasure is a probability measure (weights sum to 1).  Slicing
 produces a SubMeasure, which keeps the un-normalized total mass explicit
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidMapError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "DiscreteMeasure",
     "SubMeasure",
-    "pushforward",
     "ball_mass",
     "rect_mass",
     "slice_measure",
@@ -123,26 +122,6 @@ def _merge_equal(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     label = np.empty_like(order)
     label[order] = np.arange(len(order))
     return atoms[first[order]], np.bincount(label[inverse], weights=weights)
-
-
-def pushforward(mu: DiscreteMeasure, h) -> DiscreteMeasure:
-    """Image measure of mu under the map h.
-
-    ``h`` takes one atom (a length-m array) and returns a finite vector.
-    Atoms that land on exactly equal images are merged, their weights
-    summed in atom order; first-occurrence order is kept so the result is
-    deterministic.
-    """
-    images = []
-    for row in mu.atoms:
-        y = np.asarray(h(row), dtype=float).reshape(-1)
-        if y.size == 0 or not np.all(np.isfinite(y)):
-            raise InvalidMapError(f"map produced a non-finite image for atom {row!r}")
-        images.append(y)
-    width = images[0].size
-    if any(y.size != width for y in images):
-        raise InvalidMapError("map must produce images of one common dimension")
-    return DiscreteMeasure(*_merge_equal(np.vstack(images), mu.weights))
 
 
 def _check_point(mu, x) -> np.ndarray:

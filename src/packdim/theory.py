@@ -30,7 +30,6 @@ __all__ = [
     "tx_lower",
     "graph_lower",
     "solve_crossing",
-    "predict_image_profile",
 ]
 
 
@@ -137,18 +136,3 @@ def solve_crossing(regime: Regime) -> tuple[float, float]:
             f"{reference!r} beyond 1e-9"
         )
     return float(x_star), float(value)
-
-
-def predict_image_profile(alpha: float, d: int, profile_value: float) -> float:
-    """Image dimension from a packing-dimension profile at parameter
-    alpha d: profile / alpha.  Valid whenever the profile was taken at the
-    matching parameter, whence profile <= alpha d."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidArgumentError("alpha must lie in (0, 1)")
-    if not (1 <= int(d) == d):
-        raise InvalidArgumentError("d must be a positive integer")
-    if not (-1e-9 <= profile_value <= alpha * d + 1e-9):
-        raise InvalidArgumentError(
-            "a profile at parameter alpha*d cannot exceed alpha*d"
-        )
-    return max(0.0, profile_value) / alpha

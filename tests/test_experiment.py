@@ -256,13 +256,16 @@ class TestConfigParsing:
             ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 21}})
         with pytest.raises(ConfigError, match=r"cantor set of 18446744073709551616 points"):
             ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 10**9}})
-        ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 13}})
         # 8 x 8192 txset points; level 3 branches past 2^53
         txset = {"kind": "txset", "beta": 0.5, "level": 2}
         with pytest.raises(ConfigError, match=r"txset set of 65536 points: cholesky on 65535"):
             ExperimentConfig.from_dict({**MINIMAL, "set": txset})
         with pytest.raises(ConfigError, match=r"txset set: level 3 has more than 2\^53"):
             ExperimentConfig.from_dict({**MINIMAL, "set": {**txset, "level": 3}})
+        # a set within the budget is built at load, so that one that cannot
+        # be built is refused there
+        monkeypatch.undo()
+        ExperimentConfig.from_dict({**MINIMAL, "set": {**cantor, "level": 13}})
         ExperimentConfig.from_dict({**MINIMAL, "set": {**txset, "beta": 0.45, "delta0": 0.45}})
 
     @pytest.mark.parametrize(
@@ -276,6 +279,35 @@ class TestConfigParsing:
     def test_txset_scale_errors_are_config_errors(self, txset, message):
         with pytest.raises(ConfigError, match=f"txset set: {message}"):
             ExperimentConfig.from_dict({**MINIMAL, "set": {"kind": "txset", **txset}})
+
+    @pytest.mark.parametrize(
+        "set_spec, message",
+        [
+            (
+                {"kind": "txset", "beta": 0.1, "delta0": 0.1, "level": 5},
+                "level 5 sibling gap 9.95e-29 is below the rounding",
+            ),
+            ({"kind": "cantor", "branches": 2, "ratio": 0.9, "level": 3}, "ratio must lie in"),
+            ({"kind": "cantor", "branches": 2, "ratio": 0.5, "level": 3}, "ratio must lie in"),
+            ({"kind": "cantor", "branches": 3, "ratio": 0.5, "level": 3}, "ratio must lie in"),
+            ({"kind": "cantor", "branches": 1, "ratio": 0.3, "level": 3}, "at least two branches"),
+            (
+                {"kind": "cantor", "branches": 2, "ratio": 1e-200, "level": 3},
+                "level 2 length must shrink strictly",
+            ),
+        ],
+    )
+    def test_unbuildable_sets_are_refused_at_load(self, set_spec, message):
+        # each is within the budget, and building it fails
+        with pytest.raises(ConfigError, match=rf"^{set_spec['kind']} set: .*{message}"):
+            ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
+
+    def test_seed_is_a_64_bit_unsigned_integer(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="^seed: master seed must be a 64-bit"):
+                ExperimentConfig.from_dict({**MINIMAL, "seed": seed})
+        for seed in (0, 2**64 - 1):
+            assert ExperimentConfig.from_dict({**MINIMAL, "seed": seed}).seed == seed
 
     def test_fractal_check_reads_the_sampler_budget(self, monkeypatch):
         # 128 Cantor atoms take 127 Cholesky points
@@ -524,6 +556,23 @@ class TestRunSuite:
         rows = run_suite(str(tmp_path))
         assert [(r["name"], r["pass"]) for r in rows] == [
             ("big-cantor", "error:ConfigError"), ("big-txset", "error:ConfigError"),
+        ]
+
+    def test_unbuildable_sets_are_error_rows(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a refused config")
+
+        monkeypatch.setattr(experiment, "sample_many", no_sampling)
+        txset = {"kind": "txset", "beta": 0.1, "delta0": 0.1, "level": 5}
+        self.write_config(tmp_path, {**MINIMAL, "name": "narrow-txset", "set": txset})
+        cantor = {"kind": "cantor", "branches": 2, "ratio": 0.5, "level": 3}
+        self.write_config(tmp_path, {**MINIMAL, "name": "wide-cantor", "set": cantor})
+        self.write_config(tmp_path, {**MINIMAL, "name": "negative-seed", "seed": -1})
+        rows = run_suite(str(tmp_path))
+        assert [(r["name"], r["pass"]) for r in rows] == [
+            ("narrow-txset", "error:ConfigError"),
+            ("negative-seed", "error:ConfigError"),
+            ("wide-cantor", "error:ConfigError"),
         ]
 
     def test_suite_records_stage_errors(self, tmp_path):

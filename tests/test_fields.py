@@ -1,6 +1,7 @@
 """Gaussian field sampling: covariance structure, drift catalog, exact
 reproducibility, and the image/graph views of a path."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from packdim import (
     Seed,
     build_uniform_cantor,
     canonical_metric,
+    cli,
     fbm_covariance,
     fields,
     graph_measure,
@@ -207,6 +209,66 @@ class TestSampling:
         incs = np.array([p.values[1, 0] - p.values[2, 0] for p in paths])
         target = canonical_metric(spec, 0.25, 1.0) ** 2
         assert np.var(incs) == pytest.approx(target, rel=0.1)
+
+
+class TestFftGrid:
+    """fft takes exactly linspace(0, t_max, k), k >= 2 and t_max > 0, as
+    _mesh_axes recognises it bit for bit; "auto" takes fft there from 256
+    points."""
+
+    @staticmethod
+    def method(points, method="auto"):
+        return fields._Sampler(FieldSpec(0.5), points, method).method
+
+    @pytest.mark.parametrize("k", [256, 300, 1000, 4096, 2**14])
+    def test_auto_takes_fft_on_linspace_and_arange_grids(self, k):
+        assert self.method(np.linspace(0.0, 1.0, k)[:, None]) == "fft"
+        assert self.method((np.arange(k) * (1.0 / k))[:, None]) == "fft"
+        assert self.method((np.arange(k) * 2.0**-10)[:, None]) == "fft"
+        assert self.method(fields._mesh_points(k, 1, 3.0)) == "fft"
+
+    def test_quick_start_sample_keeps_its_bytes(self):
+        # the README quick start; the digest is of the values under the
+        # 1e-12 uniformity test this rule replaced
+        pts = np.linspace(0.0, 1.0, 2**13).reshape(-1, 1)
+        path = sample(FieldSpec(alpha=0.5), pts, Seed(7))
+        assert hashlib.sha256(path.values.tobytes()).hexdigest() == (
+            "9d9e7b965b398919d76c1b710862423bdcb82d879e195e0e8881efa33c85aa41"
+        )
+
+    def test_cli_simulate_keeps_its_bytes(self, capsys):
+        assert cli.main(["--seed", "7", "simulate", "--alpha", "0.5", "--points", "4096"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# config_hash=11ed0014132b ")
+        rows = out.split("\n", 1)[1]
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "50ab410182f6a498ec4104d8c82f8ae799c594e95b6bbaa6a261aa74f4091d95"
+        )
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.linspace(0.0, -1.0, 256)[:, None],
+            np.array([[0.0]]),
+            fields._mesh_points(256, 2, 1.0),
+        ],
+        ids=["negative-t-max", "one-point", "square-mesh"],
+    )
+    def test_never_fft(self, points):
+        assert self.method(points) == "cholesky"
+        with pytest.raises(InvalidArgumentError, match="needs a uniform 1-D grid"):
+            self.method(points, "fft")
+
+    def test_grid_uniform_within_rounding_is_refused(self):
+        # within 1e-12 of uniform, but not linspace(0, t_max, k) bit for bit
+        t = np.concatenate([[0.0], np.cumsum(np.full(299, 0.1))])
+        assert np.all(np.abs(t - t[1] * np.arange(300)) <= 1e-12 * t[-1])
+        assert not np.array_equal(t, np.linspace(0.0, t[-1], 300))
+        with pytest.raises(
+            InvalidArgumentError, match="^the fft method needs a uniform 1-D grid starting at 0$"
+        ):
+            self.method(t[:, None], "fft")
+        assert self.method(t[:, None]) == "cholesky"
 
 
 class TestDriftedPaths:

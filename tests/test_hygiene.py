@@ -9,7 +9,11 @@ np.linalg.norm of a broadcast rows-against-atoms difference.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
 and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
 it factors a matrix in one place: only numerics._cholesky_in_place calls
-LAPACK's dpotrf."""
+LAPACK's dpotrf.
+
+Every name in packdim.__all__ is read somewhere outside the tests: in the
+package's own modules, a demo or the benchmark, unless UNREACHED lists it
+with the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -219,3 +223,76 @@ def test_scan_flags_a_stray_factorization(tmp_path):
         encoding="utf-8",
     )
     assert callers(probe, "dpotrf") == ["3: _cholesky_in_place", "5: stray", "<module>"]
+
+
+# public names that no module outside the tests reads, each with why it stays
+UNREACHED = (
+    ("ball_mass", "the first term of criterion 01's kernel chain"),
+    ("profile_kernel", "the middle term of criterion 01's kernel chain"),
+    ("fbm_covariance", "the reference the Cholesky sampler's covariance is tested against"),
+    ("canonical_metric", "the paper's canonical metric |t - s|^alpha"),
+    ("image_measure", "the paper's image measure, beside graph_measure"),
+)
+
+
+def _reads(node: ast.AST, inside: frozenset, names: set[str]) -> None:
+    """Add to ``names`` each name and attribute ``node`` reads, except those
+    read inside the definition that binds them."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        read = node.id if isinstance(node, ast.Name) else node.attr
+        if read not in inside:
+            names.add(read)
+    for child in ast.iter_child_nodes(node):
+        _reads(child, inside, names)
+
+
+def unreached(root: Path) -> list[str]:
+    """The names in packdim.__all__ that nothing outside the tests reads.  A
+    read is a name or attribute in src/packdim (not __init__.py, not inside
+    its own definition), demos/ or bench/, or a dotted part of a string in
+    bench/, since the benchmark tracer binds by name."""
+    package = root / "src" / "packdim"
+    public = _exported(ast.parse((package / "__init__.py").read_text(encoding="utf-8")))
+    sources = [p for p in package.rglob("*.py") if p.name != "__init__.py"]
+    sources += [p for d in ("demos", "bench") for p in (root / d).rglob("*.py")]
+    names: set[str] = set()
+    for path in sources:
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _reads(tree, frozenset(), names)
+        if path.parent.name == "bench":
+            names |= {
+                part
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                for part in node.value.split(".")
+            }
+    return sorted(public - names)
+
+
+def test_every_public_name_is_reached():
+    assert unreached(ROOT) == sorted(name for name, _ in UNREACHED)
+
+
+def test_scan_flags_an_unreached_name(tmp_path):
+    files = {
+        "src/packdim/__init__.py": "from .core import *\n_ = lonely\n__all__ = "
+        "['used', 'attr', 'traced', 'demoed', 'lonely', 'recursive', 'tested', 'stored']\n",
+        "src/packdim/core.py": "__all__ = ['lonely']\n"
+        "def used(): return 1\n"
+        "def lonely(): return 2\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "stored = 3\n"
+        "def caller(): return used() + np.attr\n",
+        "demos/show.py": "import packdim\npackdim.demoed()\n",
+        "bench/worker.py": "wrap(core, 'core.traced')\n",
+        "bench/test_smoke.py": "import packdim\npackdim.tested()\n",
+        "tests/test_core.py": "from packdim import lonely\nlonely()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert unreached(tmp_path) == ["lonely", "recursive", "stored", "tested"]

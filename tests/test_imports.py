@@ -21,10 +21,13 @@ SUBMODULES = (
     "estimators", "theory", "verify", "experiment", "cli",
 )
 # helpers that named no object of the model and that no library code called,
-# and the Euclidean ball option of the field kernels
+# the Euclidean ball option of the field kernels, public names that only
+# their own tests reached, and the second uniform-grid test beside _mesh_axes
 SWEPT = (
     "LogValue", "gaussian_cdf", "increment_kernel", "kahane_dims", "add_drift",
     "_euclid_ball_prob", "_NORMS",
+    "pushforward", "InvalidMapError", "product_kernel", "predict_image_profile",
+    "_is_uniform_grid_from_zero",
 )
 # options no caller changed, each now fixed at its old default: the field
 # kernels measure balls in the maximum norm only, ball_mass in the Euclidean

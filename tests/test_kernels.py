@@ -1,6 +1,5 @@
 """Closed-form kernels and expected ball masses for drifted fields."""
 
-import math
 from functools import partial
 
 import numpy as np
@@ -20,7 +19,6 @@ from packdim import (
     fields,
     increment_prob,
     kernels,
-    product_kernel,
     profile_kernel,
     slice_kernel,
 )
@@ -36,23 +34,6 @@ def measure_on_line(*positions, weights=None):
     if weights is None:
         weights = np.full(len(pos), 1.0 / len(pos))
     return DiscreteMeasure(pos, np.asarray(weights, dtype=float))
-
-
-class TestProductKernel:
-    def test_inside_unit_box(self):
-        assert product_kernel(0.0) == 1.0
-        assert product_kernel([0.5, -1.0]) == 1.0
-
-    def test_mixed(self):
-        assert product_kernel([2.0, 0.5]) == pytest.approx(0.5, rel=1e-15)
-        assert product_kernel([10.0, 10.0]) == pytest.approx(0.01, rel=1e-15)
-
-    def test_sign_invariant(self):
-        assert product_kernel([-3.0]) == product_kernel([3.0])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidArgumentError):
-            product_kernel([math.inf])
 
 
 class TestProfileKernel:
@@ -112,15 +93,13 @@ class TestProfileKernel:
 class TestSliceKernel:
     def test_reduces_to_product_integral_when_no_slice(self, rng):
         # n = 0 leaves nothing to slice on: the value is the plain integral
-        # of the product kernel of (y - x) / r
+        # of the product kernel prod_j min(1, 1/|v_j|) at v = (y - x) / r
         for _ in range(20):
             mu = random_measure(rng, 2)
             x = rng.normal(size=2)
             r = float(rng.uniform(0.05, 1.0))
-            direct = sum(
-                w * product_kernel((y - x) / r)
-                for y, w in zip(mu.atoms, mu.weights)
-            )
+            v = np.abs((mu.atoms - x) / r)
+            direct = np.prod(np.where(v <= 1.0, 1.0, 1.0 / v), axis=1) @ mu.weights
             assert slice_kernel(mu, 0, 2, x, r) == pytest.approx(direct, rel=1e-12)
 
     def test_slice_drops_far_atoms(self):

@@ -1,15 +1,13 @@
-"""Discrete measures: masses of balls, rectangles and slices, pushforward,
-and the CSV round trip."""
+"""Discrete measures: masses of balls, rectangles and slices, and the CSV
+round trip."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from packdim import (
     DiscreteMeasure,
     InvalidArgumentError,
     ball_mass,
-    pushforward,
     read_measure_csv,
     rect_mass,
     slice_measure,
@@ -101,45 +99,6 @@ class TestSliceMeasure:
         out = slice_measure(mu, [0.0], 100.0)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-15)
         assert out.atoms.shape[1] == 2
-
-
-class TestPushforward:
-    def test_point_mass(self):
-        out = pushforward(delta([2.0]), lambda a: a + 1.0)
-        np.testing.assert_array_equal(out.atoms, [[3.0]])
-
-    def test_square_no_merge(self):
-        mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        out = pushforward(mu, lambda a: a**2)
-        assert out.atoms.shape == (2, 1)
-        np.testing.assert_array_equal(np.sort(out.atoms.ravel()), [0.0, 1.0])
-
-    def test_square_merges_symmetric_atoms(self):
-        mu = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-        out = pushforward(mu, lambda a: a**2)
-        assert out.atoms.shape == (1, 1)
-        assert out.atoms[0, 0] == 1.0
-        assert out.weights[0] == 1.0
-
-    def test_merges_keep_first_occurrence_order(self):
-        atoms = np.array([[0.3], [2.5], [0.1], [1.2], [0.7], [2.9], [-0.5]])
-        weights = np.array([0.125, 0.25, 0.0625, 0.125, 0.0625, 0.25, 0.125])
-        out = pushforward(DiscreteMeasure(atoms, weights), np.floor)
-        np.testing.assert_array_equal(out.atoms, [[0.0], [2.0], [1.0], [-1.0]])
-        assert out.weights.tolist() == [(0.125 + 0.0625) + 0.0625, 0.25 + 0.25, 0.125, 0.125]
-
-    @given(st.integers(0, 2**31 - 1))
-    def test_mass_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        mu = random_measure(rng, 2)
-        out = pushforward(mu, lambda a: np.round(a, 1))
-        assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_merge_needs_exact_equality(self):
-        eps = 1e-9
-        mu = DiscreteMeasure(np.array([[0.0], [eps]]), np.array([0.5, 0.5]))
-        out = pushforward(mu, lambda a: a)  # nearly equal, still two atoms
-        assert out.atoms.shape == (2, 1)
 
 
 class TestCsvRoundTrip:

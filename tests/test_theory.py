@@ -10,7 +10,6 @@ from packdim import (
     graph_lower,
     predict_graph_upper,
     predict_image,
-    predict_image_profile,
     solve_crossing,
     tx_lower,
 )
@@ -143,14 +142,3 @@ class TestSolveCrossing:
         with pytest.raises(InvalidArgumentError):
             solve_crossing(Regime(0.5, 1, 1.0))
 
-
-class TestPredictImageProfile:
-    def test_scales_profile(self):
-        assert predict_image_profile(0.5, 1, 0.3) == pytest.approx(0.6, rel=1e-15)
-
-    def test_profile_cannot_exceed_parameter(self):
-        with pytest.raises(InvalidArgumentError):
-            predict_image_profile(0.5, 1, 0.7)
-
-    def test_clamps_roundoff(self):
-        assert predict_image_profile(0.5, 1, -1e-12) == 0.0
