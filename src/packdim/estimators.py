@@ -33,7 +33,9 @@ box_counting_dim finds the occupied cells once, at the finest radius: the
 point cells, or the cells the polyline walk enters when ``connect`` is set.
 A coarser radius that is the next finer one times an exact power of two,
 2^m, takes the distinct rows of those cells shifted right by m, which are
-exactly its own cells; any other radius is counted on its own.
+exactly its own cells; any other radius is counted on its own.  The
+distinct rows come from numerics._distinct_rows, which sorts one packed
+int64 key per cell while the cells' column spans multiply to less than 2^62.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .kernels import (
     slice_tables,
 )
 from .measures import DiscreteMeasure
+from .numerics import _distinct_rows
 
 __all__ = [
     "ScaleGrid",
@@ -394,15 +397,6 @@ def _grid_cells(p: np.ndarray, eps: float) -> np.ndarray:
     return cells.astype(np.int64)
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a (k, m) array of integers or finite floats, in
-    lexicographic order.  Rows are compared by value, so -0.0 equals 0.0."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[fresh]
-
-
 def box_count(points, eps: float) -> int:
     """Number of cells of the origin-anchored half-open grid of mesh eps
     that contain at least one of the points."""
@@ -432,7 +426,12 @@ def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
     a = p[:-1].ravel()[lane]
     t = (k * eps - a) / (p[1:].ravel()[lane] - a)
     seg, axis = np.divmod(lane, p.shape[1])
-    step = np.sign(cb - ca).ravel()[lane]
+    # lexsort sorts every key stably, and integer keys of 16 bits or less by
+    # radix: the segment index and the step go in the narrowest types that
+    # hold them, and sort as int64 keys would.  A _SEGMENT_BLOCK block's
+    # segment indices take int16; a longer polyline gets a wider type.
+    seg = seg.astype(np.min_scalar_type(-len(p)))
+    step = np.sign(cb - ca).astype(np.int8).ravel()[lane]
     order = np.lexsort((-step, t, seg))
     seg, t, axis, step = seg[order], t[order], axis[order], step[order]
     walk = np.zeros((len(order), p.shape[1]), dtype=np.int64)
@@ -442,7 +441,8 @@ def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
     # skip a step followed by one of the same sign at the same crossing point
     keep = np.ones(len(order), dtype=bool)
     keep[:-1] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1]) | (step[1:] != step[:-1])
-    return walk[keep]
+    # np.compress picks rows several times faster than a boolean index does
+    return np.compress(keep, walk, axis=0)
 
 
 def _distinct_cells(p: np.ndarray, eps: float, connect: bool) -> np.ndarray:
@@ -508,7 +508,12 @@ def box_counting_dim(
     does.  Any other radius (base 3, say) is counted on its own.  A
     polyline is refused when a walked scale crosses more than
     _MAX_CROSSINGS grid lines; a scale derived from it crosses no more,
-    as coarsening only removes crossings."""
+    as coarsening only removes crossings.
+
+    Each scale's distinct cells are found by one sort of int64 keys: a
+    cell's indices, less their minima over the cells, packed mixed-radix
+    by the column spans, while the spans multiply to less than 2^62.  Wider
+    spans take a lexsort of the columns, with the same counts."""
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}")
     p = _as_points(points)

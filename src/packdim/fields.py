@@ -28,9 +28,9 @@ from .measures import DiscreteMeasure
 from .numerics import (
     _BLOCK_ROWS,
     Seed,
-    _check_matrix,
     _cholesky_in_place,
     _pair_distances,
+    _rows_are_distinct,
     cholesky_psd,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
 )
 
@@ -243,7 +243,7 @@ def _check_sample_points(points, spec: FieldSpec) -> np.ndarray:
         raise InvalidArgumentError("points do not match the field's domain dimension")
     if p.shape[0] > _MAX_POINTS:
         raise InvalidArgumentError(f"at most {_MAX_POINTS} points are supported")
-    if len(np.unique(p, axis=0)) != p.shape[0]:
+    if not _rows_are_distinct(p):
         raise InvalidArgumentError("points must be pairwise distinct")
     return p
 
@@ -322,7 +322,9 @@ class _Sampler:
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
             # cov = 0.5 (|s_i|^h2 + |s_k|^h2 - |s_i - s_k|^h2), built in row
-            # blocks of the one k x k array that is then factored in place
+            # blocks of the one k x k array that is then factored in place.
+            # It is symmetric by construction, so each block is checked only
+            # for an inf or NaN, from a power that overflowed.
             cov = np.empty((len(sub), len(sub)))
             for lo in range(0, len(sub), _BLOCK_ROWS):
                 block = cov[lo:lo + _BLOCK_ROWS]
@@ -330,7 +332,8 @@ class _Sampler:
                 block **= h2
                 np.subtract(sn[lo:lo + _BLOCK_ROWS, None] + sn, block, out=block)
                 block *= 0.5
-            _check_matrix(cov)
+                if not np.isfinite(block).all():
+                    raise InvalidArgumentError("matrix must be finite")
             self.factor = _cholesky_in_place(cov)
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .numerics import _rows_are_distinct
 
 __all__ = [
     "DiscreteMeasure",
@@ -43,7 +44,7 @@ def _validate_support(atoms: np.ndarray, weights: np.ndarray, *, require_prob: b
         raise InvalidArgumentError("atom coordinates must be finite")
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise InvalidArgumentError("weights must be finite and strictly positive")
-    if len(np.unique(atoms, axis=0)) != k:
+    if not _rows_are_distinct(atoms):
         raise InvalidArgumentError("atoms must be pairwise distinct")
     if require_prob and abs(float(weights.sum()) - 1.0) > _MASS_TOL:
         raise InvalidArgumentError(

@@ -10,7 +10,10 @@ arrays of the broadcast shape and writes the point mass at rho = 0 only
 into the lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
 every kernel table, in image and in graph mode, the lattice shortcut
-kernels._mesh_masses and the Cholesky sampler call it.
+kernels._mesh_masses and the Cholesky sampler call it.  _distinct_rows,
+the distinct rows of an array, serves box counting and the spacing guard,
+and through _rows_are_distinct the distinct-point checks of sample points
+and measure atoms.
 cholesky_psd checks its input in row blocks and factors one copy of it in
 place: LAPACK copies nothing, the factor is transposed into C order over
 the copy, and a factorization without jitter builds no other square array.
@@ -42,6 +45,10 @@ _JITTER_RETRIES = 4
 
 # Row block of cholesky_psd's input checks, mirror and transposition.
 _BLOCK_ROWS = 64
+
+# _distinct_rows packs an integer row into one int64 key while the product
+# of its column spans stays below this.
+_PACK_LIMIT = 2**62
 
 
 def gaussian_interval_prob(rho, a, r):
@@ -123,6 +130,52 @@ def _pair_distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         step *= step
         dist += step
     return np.sqrt(dist, out=dist)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (k, m) array of integers or finite floats, in
+    lexicographic order.  Rows are compared by value, so -0.0 equals 0.0.
+
+    Integer rows whose column spans, max - min + 1, multiply to less than
+    _PACK_LIMIT = 2^62 are packed into one int64 key each: the columns, less
+    their minima, as the digits of a mixed-radix number whose radices are
+    the spans, the first column most significant.  The keys order as the
+    rows do, so one np.sort of them, repeats dropped, unpacks to the answer.
+    Float rows, other integer types and wider spans take a lexsort of the
+    columns."""
+    if rows.dtype == np.int64 and len(rows):
+        # column by column: a reduction along axis 0 of a narrow array is slow
+        low = [int(c.min()) for c in rows.T]
+        spans = [int(c.max()) - lo + 1 for c, lo in zip(rows.T, low)]
+        if math.prod(spans) < _PACK_LIMIT:
+            key = rows[:, 0] - low[0]
+            for j in range(1, len(spans)):
+                key *= spans[j]
+                key += rows[:, j] - low[j]
+            key.sort()
+            fresh = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=fresh[1:])
+            key = key[fresh]
+            out = np.empty((len(key), len(spans)), dtype=np.int64)
+            for j in reversed(range(1, len(spans))):
+                key, out[:, j] = np.divmod(key, spans[j])
+                out[:, j] += low[j]
+            out[:, 0] = key + low[0]
+            return out
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[fresh]
+
+
+def _rows_are_distinct(rows: np.ndarray) -> bool:
+    """Whether the rows of a finite (k, m) float array are pairwise
+    distinct, compared by value, so -0.0 equals 0.0: one sort of a single
+    column, else _distinct_rows."""
+    if rows.shape[1] == 1:
+        line = np.sort(rows[:, 0])
+        return not np.any(line[1:] == line[:-1])
+    return len(_distinct_rows(rows)) == len(rows)
 
 
 def cholesky_psd(matrix) -> np.ndarray:

@@ -38,6 +38,7 @@ from packdim import (
     estimators,
     graph_points,
     natural_measure,
+    numerics,
     sample,
     scaling_exponent,
 )
@@ -568,13 +569,37 @@ class TestBoxCounting:
             monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", block)
             assert [[box_count_curve(c, eps) for eps in epss] for c in clouds] == whole
 
-    @given(st.integers(0, 2**31 - 1))
-    def test_distinct_rows_match_unique(self, seed):
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 3),
+        st.sampled_from(["small", "below", "at", "above"]),
+    )
+    def test_distinct_rows_match_unique(self, seed, m, spread):
+        # small: entries in -4..3, many repeats.  Otherwise column spans of
+        # 2^bits, bits summing to 62, the last one less 1, as is or plus 1:
+        # their product lies below the packing limit, at it or above it
         rng = np.random.default_rng(seed)
-        rows = rng.integers(-4, 4, (int(rng.integers(1, 200)), int(rng.integers(1, 4))))
+        k = int(rng.integers(1, 200))
+        if spread == "small":
+            rows = rng.integers(-4, 4, (k, m))
+        else:
+            cuts = np.sort(rng.choice(np.arange(1, 62), m - 1, replace=False))
+            spans = [2**int(b) for b in np.diff([0, *cuts, 62])]
+            spans[-1] += {"below": -1, "at": 0, "above": 1}[spread]
+            assert (math.prod(spans) < numerics._PACK_LIMIT) == (spread == "below")
+            lows = [int(rng.integers(-(2**62), 2**62 - s + 1)) for s in spans]
+            # five levels a column, its two ends among them, picked with repeats
+            levels = [
+                lo + np.array([0, s - 1, *rng.integers(0, s, 3)], dtype=np.int64)
+                for lo, s in zip(lows, spans)
+            ]
+            rows = np.stack([rng.choice(v, k + 2) for v in levels], axis=1)
+            rows[0], rows[1] = [v[0] for v in levels], [v[1] for v in levels]
         expected = np.unique(rows, axis=0)
-        assert np.array_equal(estimators._distinct_rows(rows), expected)
-        assert box_count(rows.astype(float), 1.0) == len(expected)
+        assert np.array_equal(numerics._distinct_rows(rows), expected)
+        if spread == "small":
+            assert np.array_equal(numerics._distinct_rows(rows.astype(float)), expected)
+            assert box_count(rows.astype(float), 1.0) == len(expected)
 
     def test_curve_refuses_oversize_input(self):
         # ~10^12 grid lines: refused from the endpoint cells, before any
@@ -693,6 +718,95 @@ class TestOneWalk:
         path = sample(FieldSpec(0.5, 1, d), pts, Seed(7))
         points = graph_points(path) if d == 1 else path.values
         assert per_scale_counts(points, ScaleGrid(4, 9), connect) == counts
+
+
+def int64_key_walk(p, cells, eps):
+    """_walk_cells as it was with int64 sort keys: every crossing's segment,
+    t and step, ordered by one lexsort of them, then the steps summed."""
+    ca, cb = cells[:-1], cells[1:]
+    counts = np.abs(cb - ca).ravel()
+    lane = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(len(lane)) - np.repeat(np.cumsum(counts) - counts, counts)
+    k += np.minimum(ca, cb).ravel()[lane] + 1
+    a = p[:-1].ravel()[lane]
+    t = (k * eps - a) / (p[1:].ravel()[lane] - a)
+    seg, axis = np.divmod(lane, p.shape[1])
+    step = np.sign(cb - ca).ravel()[lane]
+    order = np.lexsort((-step, t, seg))
+    seg, t, axis, step = seg[order], t[order], axis[order], step[order]
+    walk = np.zeros((len(order), p.shape[1]), dtype=np.int64)
+    walk[np.arange(len(order)), axis] = step
+    walk = np.cumsum(walk, axis=0) + cells[0]
+    keep = np.ones(len(order), dtype=bool)
+    keep[:-1] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1]) | (step[1:] != step[:-1])
+    return walk[keep]
+
+
+def spy_lexsorts(monkeypatch):
+    """The list of the key dtypes of every np.lexsort call from here on."""
+    seen = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(
+        np, "lexsort", lambda keys: seen.append([k.dtype for k in keys]) or lexsort(keys)
+    )
+    return seen
+
+
+class TestSingleKeySorts:
+    """Cells are ordered by one-key sorts: packed int64 cell keys, and the
+    walk's crossings on narrow integer keys, in the orders of the
+    multi-key int64 lexsorts they replace."""
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_walk_matches_int64_keys_through_grid_corners(self, seed):
+        # vertices on the half lattice and a mesh of 1/2 or 1: the segments
+        # pass grid corners and run along grid lines, so crossing times tie
+        rng = np.random.default_rng(seed)
+        k, m = int(rng.integers(2, 400)), int(rng.integers(1, 4))
+        walk = np.cumsum(rng.integers(-3, 4, (k, m)), axis=0) / 2.0
+        for points, eps in ((walk, float(rng.choice([0.5, 1.0]))), lattice_polyline(seed)):
+            cells = estimators._grid_cells(points, eps)
+            got = estimators._walk_cells(points, cells, eps)
+            assert np.array_equal(got, int64_key_walk(points, cells, eps))
+
+    def test_walk_on_a_diagonal_through_corners(self):
+        # every crossing of x = j is one of y = j: one cell per unit step
+        points = np.array([[0.5, 0.5], [3.5, 3.5], [0.5, 3.5]])
+        cells = estimators._grid_cells(points, 1.0)
+        got = estimators._walk_cells(points, cells, 1.0)
+        assert np.array_equal(got, int64_key_walk(points, cells, 1.0))
+        assert got.tolist() == [[1, 1], [2, 2], [3, 3], [2, 3], [1, 3], [0, 3]]
+
+    def test_a_full_block_sorts_on_int16_segments(self, monkeypatch):
+        # the one lexsort left per block: step int8, t, segment int16, which
+        # numpy radix-sorts; the cells' own sorts are single-key
+        block = estimators._SEGMENT_BLOCK
+        points = np.cumsum(np.random.default_rng(2).normal(0.0, 0.01, (block + 1, 2)), axis=0)
+        seen = spy_lexsorts(monkeypatch)
+        box_count_curve(points, 2.0**-8)
+        assert seen == [[np.int8, np.float64, np.int16]]
+
+    def test_a_larger_block_widens_the_segment_key(self, monkeypatch):
+        # 40000 segments overflow int16; a block that holds them gets int32
+        points = np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, (40001, 1)), axis=0)
+        expected = box_count_curve(points, 2.0**-8)
+        monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", 2**16)
+        seen = spy_lexsorts(monkeypatch)
+        assert box_count_curve(points, 2.0**-8) == expected
+        assert seen == [[np.int8, np.float64, np.int32]]
+
+    def test_lexsort_only_past_the_packing_limit(self, monkeypatch):
+        # spans (2^31 + 2^30) * 13 pack; (2^62 + 1) * 2 and float rows do not
+        narrow = np.array([[-(2**30), 5], [2**31 - 1, -7], [-(2**30), 5]])
+        wide = np.array([[-(2**61), 0], [2**61, 1], [-(2**61), 0]])
+        seen = spy_lexsorts(monkeypatch)
+        assert numerics._distinct_rows(narrow).tolist() == [[-(2**30), 5], [2**31 - 1, -7]]
+        assert seen == []
+        assert numerics._distinct_rows(wide).tolist() == [[-(2**61), 0], [2**61, 1]]
+        assert numerics._distinct_rows(narrow.astype(float)).tolist() == [
+            [-(2**30), 5], [2**31 - 1, -7]
+        ]
+        assert seen == [[np.int64, np.int64], [np.float64, np.float64]]
 
 
 def kd_spacing(points):

@@ -24,6 +24,7 @@ from packdim import (
     graph_measure,
     graph_points,
     image_measure,
+    numerics,
     sample,
     sample_many,
 )
@@ -320,6 +321,72 @@ class TestCholeskyBudget:
         pts = np.linspace(0.5, 1.0, 2**14)[:, None]
         with pytest.raises(InvalidArgumentError, match="cholesky on 16384 points"):
             sample(FieldSpec(0.5), pts, Seed(1), method="cholesky")
+
+
+class TestSamplePoints:
+    """Sample points must be pairwise distinct, compared by value."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[0.0], [0.5], [-0.0]], [[1.0], [0.25], [1.0]], [[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]]],
+    )
+    def test_repeats_are_refused(self, points):
+        spec = FieldSpec(0.5, domain_dim=len(points[0]))
+        with pytest.raises(InvalidArgumentError, match="^points must be pairwise distinct$"):
+            sample(spec, points, Seed(1))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3))
+    def test_refused_exactly_when_unique_finds_a_repeat(self, seed, n):
+        # values from a short list holding both zeros, so repeats are common
+        rng = np.random.default_rng(seed)
+        pts = rng.choice([-0.0, 0.0, 0.25, -1.5, 3.0], (int(rng.integers(1, 9)), n))
+        spec = FieldSpec(0.5, domain_dim=n)
+        if len(np.unique(pts, axis=0)) < len(pts):
+            with pytest.raises(InvalidArgumentError, match="pairwise distinct"):
+                fields._check_sample_points(pts, spec)
+        else:
+            assert np.array_equal(fields._check_sample_points(pts, spec), pts)
+
+
+class TestCholeskyCovarianceCheck:
+    """The sampler's covariance is symmetric by construction: it is checked
+    only for values that are not finite, block by block as it is built."""
+
+    @pytest.mark.parametrize("pts", [[[0.5], [1e200]], [[1.0, 2.0], [3.0, -1e200]]])
+    def test_overflowing_points_are_refused(self, pts):
+        # |s|^h2 is inf, and inf - inf NaN, in the last row block
+        spec = FieldSpec(0.9, domain_dim=len(pts[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidArgumentError, match="^matrix must be finite$"):
+                sample(spec, pts, Seed(1), method="cholesky")
+
+    def test_full_matrix_check_is_not_run(self, monkeypatch):
+        def full_check(m):
+            raise AssertionError("full matrix check")
+
+        monkeypatch.setattr(numerics, "_check_matrix", full_check)
+        # and under the name fields would bind it to, were it imported there
+        monkeypatch.setattr(fields, "_check_matrix", full_check, raising=False)
+        sample(FieldSpec(0.5), GRID, Seed(1), method="cholesky")
+        with pytest.raises(AssertionError, match="full matrix check"):
+            numerics.cholesky_psd(np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_samples_are_cholesky_psd_factor_times_normals(self, n):
+        # the factor of the fully checked cholesky_psd on the same covariance,
+        # times the seed's normals; points at the origin get 0
+        pts = build_uniform_cantor(2, 1.0 / 3.0, 7).lefts(7)[:, None]
+        if n == 2:
+            pts = np.hstack([pts, pts[::-1]])
+        spec = FieldSpec(0.7, domain_dim=n, range_dim=2)
+        path = sample(spec, pts, Seed(11), method="cholesky")
+        nz = np.linalg.norm(pts, axis=1) > 0
+        sub = pts[nz]
+        sn = np.linalg.norm(sub, axis=1) ** 1.4
+        cov = 0.5 * (sn[:, None] + sn[None, :] - numerics._pair_distances(sub, sub) ** 1.4)
+        z = Seed(11).generator().standard_normal((len(sub), 2))
+        assert np.array_equal(path.values[nz], numerics.cholesky_psd(cov) @ z)
+        assert not path.values[~nz].any()
 
 
 class TestCholeskyMemory:

@@ -9,7 +9,9 @@ np.linalg.norm of a broadcast rows-against-atoms difference.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
 and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
 it factors a matrix in one place: only numerics._cholesky_in_place calls
-LAPACK's dpotrf.
+LAPACK's dpotrf.  And it orders box-counting cells on single keys: np.lexsort
+is called only by estimators._walk_cells and numerics._distinct_rows, and
+a row-wise np.unique(..., axis=...) only where its inverse is read.
 
 Every name in packdim.__all__ is read somewhere outside the tests: in the
 package's own modules, a demo or the benchmark, unless UNREACHED lists it
@@ -156,17 +158,19 @@ def test_scan_flags_a_pairwise_norm(tmp_path):
     assert pairwise_norms(probe) == ["2: direct", "4: through_a_name"]
 
 
-def callers(path: Path, name: str) -> list[str]:
-    """The innermost functions that call ``name``, bare or as an attribute;
-    a call outside every function is reported as <module>."""
+def callers(path: Path, name: str, keyword: str | None = None) -> list[str]:
+    """The innermost functions that call ``name``, bare or as an attribute,
+    and, if ``keyword`` is given, pass that keyword argument; a call outside
+    every function is reported as <module>."""
     hits = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{node.lineno}: {node.name}"
-        if isinstance(node, ast.Call) and name in (
-            getattr(node.func, "attr", None),
-            getattr(node.func, "id", None),
+        if (
+            isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            and (keyword is None or any(k.arg == keyword for k in node.keywords))
         ):
             hits.add(owner)
         for child in ast.iter_child_nodes(node):
@@ -176,8 +180,12 @@ def callers(path: Path, name: str) -> list[str]:
     return sorted(hits)
 
 
-def _package_callers(name: str) -> set[tuple[str, str]]:
-    return {(path.name, hit.split(": ")[-1]) for path in PACKAGE for hit in callers(path, name)}
+def _package_callers(name: str, keyword: str | None = None) -> set[tuple[str, str]]:
+    return {
+        (path.name, hit.split(": ")[-1])
+        for path in PACKAGE
+        for hit in callers(path, name, keyword)
+    }
 
 
 def test_one_drift_case_split():
@@ -223,6 +231,43 @@ def test_scan_flags_a_stray_factorization(tmp_path):
         encoding="utf-8",
     )
     assert callers(probe, "dpotrf") == ["3: _cholesky_in_place", "5: stray", "<module>"]
+
+
+def test_cells_are_sorted_on_single_keys():
+    # box counting orders cells by one packed int64 key; the lexsorts left
+    # are the walk's crossing order and _distinct_rows' fallback for float
+    # rows and wide spans (test_estimators checks that packed rows take none)
+    assert _package_callers("lexsort") == {
+        ("estimators.py", "_walk_cells"),
+        ("numerics.py", "_distinct_rows"),
+    }
+    # the distinct-point checks of sample points and measure atoms go
+    # through numerics._rows_are_distinct; a row-wise np.unique is left only
+    # where its inverse is read
+    assert _package_callers("unique", keyword="axis") == {
+        ("estimators.py", "_fit"),
+        ("measures.py", "_merge_equal"),
+    }
+
+
+def test_scan_flags_a_stray_lexsort_and_row_unique(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def _distinct_rows(rows):\n"
+        "    return rows[np.lexsort(rows.T[::-1])]\n"
+        "def stray(a, b):\n"
+        "    return np.lexsort((a, b))\n"
+        "def distinct(p):\n"
+        "    return len(np.unique(p, axis=0)) == len(p)\n"
+        "def flat(p):\n"
+        "    return np.unique(p)\n"
+        "rows = np.unique([[1, 2]], return_counts=True, axis=1)\n",
+        encoding="utf-8",
+    )
+    assert callers(probe, "lexsort") == ["2: _distinct_rows", "4: stray"]
+    assert callers(probe, "unique", keyword="axis") == ["6: distinct", "<module>"]
+    assert callers(probe, "unique") == ["6: distinct", "8: flat", "<module>"]
 
 
 # public names that no module outside the tests reads, each with why it stays

@@ -25,6 +25,14 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError):
             DiscreteMeasure(np.array([[0.0]]), np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        "atoms", [[[0.0], [0.5], [-0.0]], [[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]]]
+    )
+    def test_repeated_atoms_rejected(self, atoms):
+        # atoms are compared by value: -0.0 and 0.0 are one atom
+        with pytest.raises(InvalidArgumentError, match="^atoms must be pairwise distinct$"):
+            DiscreteMeasure(np.array(atoms), np.full(3, 1.0 / 3.0))
+
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidArgumentError):
             DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))

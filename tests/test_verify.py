@@ -109,9 +109,32 @@ class TestCheckScaleDoubling:
             nu = DiscreteMeasure(rng.random((60, dim)), w / w.sum())
         args = (nu, 0.4, 0.2, 0.5, 6, (1.0, 1.5, 3.0))
         rep = check_scale_doubling(*args)
+        trials, atoms, worst, mass = scale_doubling_reference(*args)
+        assert (rep.trials, rep.violations, rep.details["exceptional_mass"]) == (trials, atoms, mass)
+        # a box's mass is summed in another order than rect_mass sums it; two
+        # sums of n positive terms differ by at most 2 (n - 1) units in the
+        # last place, relative, and a ratio of two such sums by twice that
+        assert rep.worst_ratio == pytest.approx(worst, rel=4 * nu.count * 2.0**-53)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dyadic_weights_match_rect_mass_loop_bit_for_bit(self, dim):
+        # weights k / 2^10 summing to 1: every box mass is an exact sum
+        rng = np.random.default_rng(dim)
+        cuts = np.sort(rng.choice(np.arange(1, 1024), 59, replace=False))
+        w = np.diff(np.concatenate([[0], cuts, [1024]])) / 1024.0
+        nu = DiscreteMeasure(rng.random((60, dim)), w)
+        args = (nu, 0.4, 0.2, 0.5, 6, (1.0, 1.5, 3.0))
+        rep = check_scale_doubling(*args)
         assert (rep.trials, rep.violations, rep.worst_ratio, rep.details["exceptional_mass"]) == (
             scale_doubling_reference(*args)
         )
+
+    def test_default_grid_keeps_its_report(self):
+        # the 256-atom grid of verify --check all, weights 2^-8
+        grid = np.arange(256, dtype=float)[:, None] / 256.0
+        rep = check_scale_doubling(DiscreteMeasure(grid, np.full(256, 1.0 / 256)), 0.5, 0.5, 0.125)
+        assert (rep.trials, rep.violations, rep.worst_ratio.hex()) == (10240, 0, "0x1.f45d1745d1746p-5")
+        assert rep.details == {"exceptional_mass": 0.0, "r0": 0.125}
 
     def test_point_mass(self):
         rep = check_scale_doubling(line_measure(0.5), 0.5, 0.5, 0.125, n_scales=4)
