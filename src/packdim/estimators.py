@@ -36,6 +36,8 @@ A coarser radius that is the next finer one times an exact power of two,
 exactly its own cells; any other radius is counted on its own.  The
 distinct rows come from numerics._distinct_rows, which sorts one packed
 int64 key per cell while the cells' column spans multiply to less than 2^62.
+The polyline walk orders its grid-line crossings by one packed int64 key
+too: the segment, the dense rank of the crossing time and the step's sign.
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ def _min_spacing(points: np.ndarray) -> float | None:
     k^((2m - 1)/m) checks, below the k^2 of a kernel table on the same
     points."""
     with np.errstate(over="ignore"):
-        axis = int(np.argmax(np.ptp(points, axis=0)))
+        # column by column: a reduction along axis 0 of a narrow array is slow
+        axis = int(np.argmax([c.max() - c.min() for c in points.T]))
         # lexicographic order with the sort coordinate first sorts along it
         order = np.roll(np.arange(points.shape[1]), -axis)
         p = _distinct_rows(points[:, order])
@@ -255,15 +258,19 @@ def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
     up to sign.  So the walk takes the tiles (I, K) of _TILE atoms with
     K >= I, evaluates each once and contracts it twice, V[I] += T @ w[K]
     and, off the diagonal, V[K] += w[I] @ T: half the evaluations of the
-    full table, in O(tile) memory.  A block form that yields no tables
-    for a tile (an empty graph window) adds nothing."""
+    full table, in O(tile) memory.  A diagonal tile passes its one block
+    as both arguments, so that field_tables can evaluate the tile's pairs
+    i <= k alone and mirror them.  A block form that yields no tables for
+    a tile (an empty graph window) adds nothing."""
     atoms, w = mu.atoms, mu.weights
     V = np.zeros((mu.count, len(radii)))
     for lo in range(0, mu.count, _TILE):
         rows = slice(lo, lo + _TILE)
+        block = atoms[rows]
         for hi in range(lo, mu.count, _TILE):
             cols = slice(hi, hi + _TILE)
-            for j, table in enumerate(tables(atoms[rows], atoms[cols], radii)):
+            others = block if hi == lo else atoms[cols]
+            for j, table in enumerate(tables(block, others, radii)):
                 V[rows, j] += table @ w[cols]
                 if hi != lo:
                     V[cols, j] += w[rows] @ table
@@ -426,21 +433,34 @@ def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
     a = p[:-1].ravel()[lane]
     t = (k * eps - a) / (p[1:].ravel()[lane] - a)
     seg, axis = np.divmod(lane, p.shape[1])
-    # lexsort sorts every key stably, and integer keys of 16 bits or less by
-    # radix: the segment index and the step go in the narrowest types that
-    # hold them, and sort as int64 keys would.  A _SEGMENT_BLOCK block's
-    # segment indices take int16; a longer polyline gets a wider type.
-    seg = seg.astype(np.min_scalar_type(-len(p)))
     step = np.sign(cb - ca).astype(np.int8).ravel()[lane]
-    order = np.lexsort((-step, t, seg))
-    seg, t, axis, step = seg[order], t[order], axis[order], step[order]
+    # dropped as soon as they are read, to keep the block's peak low
+    del lane, k, a
+    # The order of lexsort((-step, t, seg)), from one stable sort of an int64
+    # key: the segment, the dense rank of t and whether the step decreases,
+    # mixed-radix.  An unstable sort of t ranks it; equal keys keep their
+    # crossings' order, as lexsort does.
+    by_t = np.argsort(t)
+    t = t[by_t]
+    rank = np.zeros(len(t), dtype=np.int64)
+    np.not_equal(t[1:], t[:-1], out=rank[1:])
+    np.cumsum(rank, out=rank)
+    key = np.empty(len(t), dtype=np.int64)
+    key[by_t] = rank
+    del t, by_t, rank
+    key += seg * len(key)
+    key *= 2
+    key += step < 0
+    order = np.argsort(key, kind="stable")
+    key, axis, step = key[order], axis[order], step[order]
     walk = np.zeros((len(order), p.shape[1]), dtype=np.int64)
     walk[np.arange(len(order)), axis] = step
     np.cumsum(walk, axis=0, out=walk)
     walk += cells[0]
-    # skip a step followed by one of the same sign at the same crossing point
+    # skip a step followed by one of the same sign at the same crossing
+    # point: the same segment, t and step make the same key
     keep = np.ones(len(order), dtype=bool)
-    keep[:-1] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1]) | (step[1:] != step[:-1])
+    np.not_equal(key[1:], key[:-1], out=keep[:-1])
     # np.compress picks rows several times faster than a boolean index does
     return np.compress(keep, walk, axis=0)
 

@@ -15,11 +15,18 @@ interval probability ignores, so the table on (rows, atoms) is the
 transpose of the table on (atoms, rows).  The estimators rely on that:
 they walk the upper-triangle tiles of the atoms' pair table and evaluate
 each unordered pair once (estimators._mass_table), so the rows and atoms
-a block form sees are one tile.  Every table takes its Euclidean
-distances from numerics._pair_distances.  In graph mode field_tables
-evaluates only the domain window, the pairs with |y_k - x_i| <= r, since
-a graph ball holds no other atom, and a tile with an empty window yields
-no table at all.  profile_tables refills one table per call, so its
+a block form sees are one tile.  A diagonal tile passes one block as
+both, and field_tables then evaluates only its pairs i <= k and mirrors
+each to (k, i).  Every table takes its Euclidean distances from
+numerics._pair_distances.  In graph mode field_tables evaluates only the
+domain window, the pairs with |y_k - x_i| <= r, since a graph ball holds
+no other atom, and a tile with an empty window yields no table at all:
+one whose coordinate ranges lie further apart than every radius costs
+four reductions per coordinate.  field_tables holds the drift increments
+as one flat (rows x atoms) array per range coordinate, so a lane of pairs
+is one gather from each, and it computes the probabilities by calling
+its module-level name gaussian_interval_prob, the binding the benchmark
+wraps.  profile_tables refills one table per call, so its
 yielded tables are overwritten when the generator advances.  The
 per-point functions, increment_prob among them, are one-row calls of
 these.
@@ -37,6 +44,7 @@ and drifts that do not cancel take the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,37 +206,85 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii)
     into a fresh zero table, every other entry being the exact zero the
     indicator gives it.  When no pair lies within max(radii), every table
     would be zero and none is yielded.
+
+    When ``atoms`` is ``rows`` itself, a diagonal tile, the table is
+    symmetric bit for bit: only the pairs i <= k are evaluated, and each is
+    written to (i, k) and (k, i).  The drift increments f_c(x_i) - f_c(y_k)
+    are held as one (rows x atoms) array per coordinate c, so that a lane
+    of pairs is gathered from each with one flat index.
     """
     d = ctx.field.range_dim
     graph = ctx.mode == "graph"
     if graph:
+        reach = np.max(radii, initial=0.0)
+        for c in range(rows.shape[1]):
+            # coordinate ranges further apart than every radius: each pair's
+            # rounded difference in c is at least the rounded gap
+            x, y = rows[:, c], atoms[:, c]
+            if max(y.min(initial=np.inf) - x.max(initial=-np.inf),
+                   x.min(initial=np.inf) - y.max(initial=-np.inf)) > reach:
+                return
         # the max-norm domain distance, one coordinate at a time
         dom = np.abs(rows[:, None, 0] - atoms[None, :, 0])
         for c in range(1, rows.shape[1]):
             np.maximum(dom, np.abs(rows[:, None, c] - atoms[None, :, c]), out=dom)
-        if not np.any(dom <= np.max(radii, initial=0.0)):
+        if not np.any(dom <= reach):
             return
+        dom = dom.reshape(-1)
     rho = _pair_distances(rows, atoms)
     rho **= ctx.field.alpha
-    cancels = ctx._drift_cancels()
-    if not cancels:
-        centers = ctx.drift.evaluate(rows)[:, None, :] - ctx.drift.evaluate(atoms)[None, :, :]
+    shape = rho.shape
+    rho = rho.reshape(-1)
+    # the drift increments f_c(x_i) - f_c(y_k), one flat array per coordinate
+    centers = []
+    if not ctx._drift_cancels():
+        f_rows = ctx.drift.evaluate(rows)
+        f_atoms = f_rows if atoms is rows else ctx.drift.evaluate(atoms)
+        centers = [(f_rows[:, c, None] - f_atoms[None, :, c]).reshape(-1) for c in range(d)]
+    # a diagonal tile evaluates the pairs i <= k, found at the flat
+    # positions ``pairs`` and written to ``mirror`` too
+    pairs = mirror = None
+    if atoms is rows:
+        pairs, mirror = _upper_pairs(len(rows))
+        rho, centers = rho[pairs], [c[pairs] for c in centers]
+        if graph:
+            dom = dom[pairs]
     for r in radii:
-        # the pairs inside this radius's domain ball; in image mode, all
-        lane = dom <= r if graph else ...
-        rho_r = rho[lane]
-        if cancels:
+        # the evaluated pairs inside this radius's domain ball; None for all
+        inside = None
+        if graph:
+            inside = np.flatnonzero(dom <= r)
+            if len(inside) == len(dom):
+                inside = None
+        rho_r, *centers_r = (v if inside is None else v[inside] for v in (rho, *centers))
+        if not centers:
             probs = gaussian_interval_prob(rho_r, 0.0, r) ** d
         else:
-            centers_r = centers[lane]
-            probs = gaussian_interval_prob(rho_r, centers_r[..., 0], r)
-            for c in range(1, d):
-                probs *= gaussian_interval_prob(rho_r, centers_r[..., c], r)
-        if graph:
-            table = np.zeros(rho.shape)
-            table[lane] = probs
-            probs = table
-        yield probs
+            probs = gaussian_interval_prob(rho_r, centers_r[0], r)
+            for a in centers_r[1:]:
+                probs *= gaussian_interval_prob(rho_r, a, r)
+        if inside is None and pairs is None:
+            yield probs.reshape(shape)
+            continue
+        table = np.zeros(shape) if graph else np.empty(shape)
+        flat = table.reshape(-1)
+        if pairs is None:
+            flat[inside] = probs
+        else:
+            for at in (pairs, mirror):
+                flat[at if inside is None else at[inside]] = probs
+        yield table
+
+
+@lru_cache(maxsize=4)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices (i, k) -> i * size + k of the pairs i <= k of a
+    (size x size) table, row by row, and of their mirror images (k, i);
+    read-only, as they are shared between calls."""
+    i, k = np.triu_indices(size)
+    pairs, mirror = i * size + k, k * size + i
+    pairs.flags.writeable = mirror.flags.writeable = False
+    return pairs, mirror
 
 
 def _mesh_masses(ctx: KernelContext, radii) -> np.ndarray | None:

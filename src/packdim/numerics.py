@@ -2,12 +2,15 @@
 Cholesky factorization, and reproducible seed streams.
 
 Everything downstream funnels its floating-point risk through this module, so
-the contracts here are deliberately strict.  gaussian_interval_prob has a
-centred path for a = 0 with a scalar radius, the case of every kernel table
-whose drift cancels; it returns the general formula's values bit for bit.
-Its general path, every drifted kernel table, works in place in three
-arrays of the broadcast shape and writes the point mass at rho = 0 only
-into the lanes that need it.  _pair_distances, a running sum of squared
+the contracts here are deliberately strict.  gaussian_interval_prob writes
+each entry with two erf terms, or, a scale or more out in the tail, two
+erfc terms, so that no tail cancels: an entry of 1e-19 keeps its relative
+accuracy.  Its centred path, a = 0, the case of every kernel table whose
+drift cancels, takes one erf per entry and returns the general formula's
+values bit for bit.  The general path, every drifted kernel table,
+computes the form most entries take in place over all of them, and
+gathers the others; it writes the point mass at rho = 0 only into the
+lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
 every kernel table, in image and in graph mode, the lattice shortcut
 kernels._mesh_masses and the Cholesky sampler call it.  _distinct_rows,
@@ -20,8 +23,8 @@ the copy, and a factorization without jitter builds no other square array.
 The Cholesky sampler builds its covariance in row blocks of one array
 and has the same routine, _cholesky_in_place, factor that array in place.
 
-scipy (``special.ndtr``, ``linalg.lapack.dpotrf``) is imported inside the
-functions that call it, not at module level: importing packdim stays
+scipy (``special.erf`` and ``erfc``, ``linalg.lapack.dpotrf``) is imported
+inside the functions that call it, not at module level: importing packdim stays
 scipy-free, and a program that never evaluates a Gaussian probability or
 factors a matrix, such as box counting a sampled path, never loads it.
 """
@@ -50,6 +53,8 @@ _BLOCK_ROWS = 64
 # of its column spans stays below this.
 _PACK_LIMIT = 2**62
 
+_SQRT2 = math.sqrt(2.0)
+
 
 def gaussian_interval_prob(rho, a, r):
     """P(rho * N lies in the closed ball B(a, r)) for N standard normal.
@@ -58,60 +63,110 @@ def gaussian_interval_prob(rho, a, r):
     point mass at 0: the probability is 1 exactly when |a| <= r, else 0.
     Symmetric in a -> -a by construction (only |a| enters).
 
-    The general formula is ndtr((|a| + r) / rho) - ndtr((|a| - r) / rho),
-    computed in place in |a| and two arrays of the broadcast shape.  The
-    lanes where rho > 0 fails (0, -0 and NaN) divide by rho too, and are
-    then overwritten with the point mass; a call whose rho are all positive
-    skips that pass.  A division guarded with np.where would differ only on
-    those lanes, so the values are the same bit for bit.
+    With s = rho sqrt 2, an entry takes one of two forms of the same value:
 
-    The centred case, a the scalar 0 and r a scalar > 0, takes a short path:
-    ndtr(q) - ndtr(-q) with q = r / rho.  It equals the general formula bit
-    for bit, since 0 + r and 0 - r are exact, and rho == 0 gives
-    ndtr(inf) - ndtr(-inf) = 1, the point mass.
+        |a| - r <  s:  (erf((r + |a|) / s) + erf((r - |a|) / s)) / 2
+        |a| - r >= s:  (erfc((|a| - r) / s) - erfc((|a| + r) / s)) / 2
+
+    Neither cancels in a tail.  The erfc form takes the entries whose ball
+    lies a scale s or more from the centre, where both erf terms would be
+    near 1.  Below that the erf terms add where |a| <= r, and where they
+    subtract, erf((|a| - r) / s) < erf(1) ~ 0.84: the difference loses at
+    most 1 / erfc(1) ~ 6.4 times more than the erfc one would.  The erf
+    form is the cheaper there, as erf of an argument below 1 is a
+    polynomial and erfc is 1 - erf.  Each form is nondecreasing in r.
+
+    The form most entries take is computed in place over all of them; the
+    entries of the other form are gathered by their flat indices first and
+    computed apart.  The lanes where rho > 0 fails (0, -0 and NaN) divide
+    by rho too, and are then overwritten with the point mass; a call whose
+    rho are all positive skips that pass.
+
+    a the scalar 0 takes a short path with one special function per entry:
+    erf(r / s).  It equals the general formula bit for bit, as 0 + r and
+    r - 0 are exact, and the sum of two equal terms halved is the term.
 
     Broadcasts over array inputs; scalar inputs return a float.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    a_arr = np.asarray(a, dtype=float)
-    r_arr = np.asarray(r, dtype=float)
-    # NaN when rho holds one, and then the call takes the general path
-    rho_min = rho_arr.min(initial=math.inf)
+    rho = np.asarray(rho, dtype=float)
+    a = np.asarray(a, dtype=float)
+    r = np.asarray(r, dtype=float)
+    # NaN when rho holds one; its lanes get the point mass
+    rho_min = rho.min(initial=math.inf)
     if rho_min < 0:
         raise InvalidArgumentError("rho must be nonnegative")
-    if np.any(r_arr < 0):
+    if r.min(initial=math.inf) < 0:
         raise InvalidArgumentError("r must be nonnegative")
 
-    from scipy.special import ndtr
+    shape = np.broadcast(rho, a, r).shape
+    scale = np.multiply(rho, _SQRT2)
+    a = np.abs(a)
+    # the lanes where rho > 0 fails divide by 0, -0 or NaN here; the point
+    # mass overwrites them below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        high = np.add(r, a, out=np.empty(shape))
+        high /= scale
+        if a.ndim == 0 and a == 0:
+            from scipy.special import erf
 
-    centred = a_arr.ndim == 0 and a_arr == 0 and r_arr.ndim == 0 and r_arr > 0
-    if centred and not math.isnan(rho_min):
-        # in place: ndtr(q) - ndtr(-q) with two arrays of rho's size
-        with np.errstate(divide="ignore"):
-            q = np.divide(r_arr, rho_arr, out=np.empty(rho_arr.shape))
-        np.abs(q, out=q)  # rho == -0.0 gives q = -inf; it is the point mass too
-        lower = np.negative(q, out=np.empty(q.shape))
-        out = ndtr(q, out=q)
-        out -= ndtr(lower, out=lower)
-    else:
-        shape = np.broadcast_shapes(rho_arr.shape, a_arr.shape, r_arr.shape)
-        a_abs = np.abs(a_arr)
-        # the lanes where rho > 0 fails divide by 0, -0 or NaN here; the
-        # point mass overwrites them below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.add(a_abs, r_arr, out=np.empty(shape))
-            out /= rho_arr
-            lower = np.subtract(a_abs, r_arr, out=np.empty(shape))
-            lower /= rho_arr
-        ndtr(out, out=out)
-        out -= ndtr(lower, out=lower)
-        if not rho_min > 0:
-            dead = np.flatnonzero(np.broadcast_to(np.logical_not(rho_arr > 0), shape))
-            a_dead = np.broadcast_to(a_abs, shape).flat[dead]
-            out.flat[dead] = a_dead <= np.broadcast_to(r_arr, shape).flat[dead]
+            out = erf(high, out=high)
+        else:
+            low = np.subtract(r, a, out=np.empty(shape))
+            low /= scale
+            # the erf form where (r - |a|) / s > -1; a NaN, which fails both
+            # reductions, takes the erfc form
+            if low.min(initial=math.inf) > -1.0:
+                count = low.size
+            elif low.max(initial=-math.inf) <= -1.0:
+                count = 0
+            else:
+                by_erf = np.greater(low, -1.0)
+                count = np.count_nonzero(by_erf)
+            erf_first = 2 * count >= low.size
+            if not erf_first:
+                # the erfc form reads (|a| - r) / s, the exact negation
+                np.negative(low, out=low)
+            # the other form's entries are gathered, not masked: scipy
+            # 1.17's special ufuncs mishandle where= (wrong values, or a
+            # crash)
+            other = None
+            if 0 < count < low.size:
+                other = np.not_equal(by_erf, erf_first).reshape(-1).nonzero()[0]
+                other_high, other_low = high.reshape(-1)[other], low.reshape(-1)[other]
+                np.negative(other_low, out=other_low)
+                # 0, where erf and erfc are cheapest, until they are overwritten
+                high.reshape(-1)[other] = low.reshape(-1)[other] = 0.0
+            first, second = (_erf_form, _erfc_form) if erf_first else (_erfc_form, _erf_form)
+            out = first(high, low)
+            if other is not None:
+                out.reshape(-1)[other] = second(other_high, other_low)
+    if not rho_min > 0:
+        np.copyto(out, np.less_equal(a, r), where=np.logical_not(rho > 0))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _erf_form(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """(erf(high) + erf(low)) / 2, for high = (r + |a|) / s and low =
+    (r - |a|) / s, written over both; the result is ``high``."""
+    from scipy.special import erf
+
+    erf(high, out=high)
+    high += erf(low, out=low)
+    high *= 0.5
+    return high
+
+
+def _erfc_form(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """(erfc(low) - erfc(high)) / 2, for high = (|a| + r) / s and low =
+    (|a| - r) / s, written over both; the result is ``low``."""
+    from scipy.special import erfc
+
+    erfc(low, out=low)
+    low -= erfc(high, out=high)
+    low *= 0.5
+    return low
 
 
 def _pair_distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:

@@ -754,8 +754,8 @@ def spy_lexsorts(monkeypatch):
 
 class TestSingleKeySorts:
     """Cells are ordered by one-key sorts: packed int64 cell keys, and the
-    walk's crossings on narrow integer keys, in the orders of the
-    multi-key int64 lexsorts they replace."""
+    walk's crossings by packed (segment, rank of t, step) keys, in the
+    orders of the multi-key int64 lexsorts they replace."""
 
     @given(st.integers(0, 2**31 - 1))
     def test_walk_matches_int64_keys_through_grid_corners(self, seed):
@@ -777,23 +777,23 @@ class TestSingleKeySorts:
         assert np.array_equal(got, int64_key_walk(points, cells, 1.0))
         assert got.tolist() == [[1, 1], [2, 2], [3, 3], [2, 3], [1, 3], [0, 3]]
 
-    def test_a_full_block_sorts_on_int16_segments(self, monkeypatch):
-        # the one lexsort left per block: step int8, t, segment int16, which
-        # numpy radix-sorts; the cells' own sorts are single-key
+    def test_a_full_block_takes_no_lexsort(self, monkeypatch):
+        # the walk orders a block's crossings by one packed int64 key, and
+        # the cells' own sorts are single-key
         block = estimators._SEGMENT_BLOCK
         points = np.cumsum(np.random.default_rng(2).normal(0.0, 0.01, (block + 1, 2)), axis=0)
         seen = spy_lexsorts(monkeypatch)
         box_count_curve(points, 2.0**-8)
-        assert seen == [[np.int8, np.float64, np.int16]]
+        assert seen == []
 
-    def test_a_larger_block_widens_the_segment_key(self, monkeypatch):
-        # 40000 segments overflow int16; a block that holds them gets int32
+    def test_a_larger_block_counts_alike(self, monkeypatch):
+        # 40000 segments in one block: the packed key still holds them
         points = np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, (40001, 1)), axis=0)
         expected = box_count_curve(points, 2.0**-8)
         monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", 2**16)
         seen = spy_lexsorts(monkeypatch)
         assert box_count_curve(points, 2.0**-8) == expected
-        assert seen == [[np.int8, np.float64, np.int32]]
+        assert seen == []
 
     def test_lexsort_only_past_the_packing_limit(self, monkeypatch):
         # spans (2^31 + 2^30) * 13 pack; (2^62 + 1) * 2 and float rows do not

@@ -9,9 +9,11 @@ np.linalg.norm of a broadcast rows-against-atoms difference.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
 and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
 it factors a matrix in one place: only numerics._cholesky_in_place calls
-LAPACK's dpotrf.  And it orders box-counting cells on single keys: np.lexsort
-is called only by estimators._walk_cells and numerics._distinct_rows, and
-a row-wise np.unique(..., axis=...) only where its inverse is read.
+LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
+only by calling its module-level name gaussian_interval_prob, the binding
+the benchmark wraps.  And it orders box-counting cells on single keys: np.lexsort
+is called only by numerics._distinct_rows, and a row-wise
+np.unique(..., axis=...) only where its inverse is read.
 
 Every name in packdim.__all__ is read somewhere outside the tests: in the
 package's own modules, a demo or the benchmark, unless UNREACHED lists it
@@ -234,13 +236,10 @@ def test_scan_flags_a_stray_factorization(tmp_path):
 
 
 def test_cells_are_sorted_on_single_keys():
-    # box counting orders cells by one packed int64 key; the lexsorts left
-    # are the walk's crossing order and _distinct_rows' fallback for float
-    # rows and wide spans (test_estimators checks that packed rows take none)
-    assert _package_callers("lexsort") == {
-        ("estimators.py", "_walk_cells"),
-        ("numerics.py", "_distinct_rows"),
-    }
+    # box counting orders cells and the walk's crossings by packed int64
+    # keys; the one lexsort left is _distinct_rows' fallback for float rows
+    # and wide spans (test_estimators checks that packed rows take none)
+    assert _package_callers("lexsort") == {("numerics.py", "_distinct_rows")}
     # the distinct-point checks of sample points and measure atoms go
     # through numerics._rows_are_distinct; a row-wise np.unique is left only
     # where its inverse is read
@@ -268,6 +267,82 @@ def test_scan_flags_a_stray_lexsort_and_row_unique(tmp_path):
     assert callers(probe, "lexsort") == ["2: _distinct_rows", "4: stray"]
     assert callers(probe, "unique", keyword="axis") == ["6: distinct", "<module>"]
     assert callers(probe, "unique") == ["6: distinct", "8: flat", "<module>"]
+
+
+# what the probability is computed with below gaussian_interval_prob
+_PROBABILITY_PARTS = {"erf", "erfc", "ndtr", "_erf_form", "_erfc_form"}
+
+
+def probability_routes(path: Path) -> list[str]:
+    """The places where ``path`` reaches the Gaussian interval probability
+    other than by calling its module-level name gaussian_interval_prob, as
+    imported once at the top of the module: an aliased or nested import of
+    it, a rebinding of the name, a read of it that is not a call (a stored
+    or partially applied function keeps the binding it saw), an attribute
+    such as numerics.gaussian_interval_prob, and the special functions and
+    helpers under it.  A benchmark that wraps the module attribute sees
+    every call of the bare name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {
+        id(node.func) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    top = set(tree.body)
+    hits = set()
+    for node in ast.walk(tree):
+        where = f"{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "gaussian_interval_prob" and (alias.asname or node not in top):
+                    hits.add(f"{where}: import")
+                if alias.name in _PROBABILITY_PARTS:
+                    hits.add(f"{where}: {alias.name}")
+        elif isinstance(node, ast.Name) and node.id == "gaussian_interval_prob":
+            if not isinstance(node.ctx, ast.Load) or id(node) not in called:
+                hits.add(f"{where}: gaussian_interval_prob")
+        elif isinstance(node, ast.arg) and node.arg == "gaussian_interval_prob":
+            hits.add(f"{where}: argument")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "gaussian_interval_prob" or node.attr in _PROBABILITY_PARTS
+        ):
+            hits.add(f"{where}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in _PROBABILITY_PARTS:
+            hits.add(f"{where}: {node.id}")
+    return sorted(hits, key=lambda h: int(h.split(":")[0]))
+
+
+def test_kernels_reach_the_probability_through_one_name():
+    # bench/worker.py wraps kernels.gaussian_interval_prob for its
+    # numerics.gaussian_interval_prob spans; any other route bypasses them
+    kernels = ROOT / "src" / "packdim" / "kernels.py"
+    assert probability_routes(kernels) == []
+    assert "gaussian_interval_prob(" in kernels.read_text(encoding="utf-8")
+
+
+def test_scan_flags_a_stray_probability_route(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .numerics import gaussian_interval_prob\n"
+        "from . import numerics\n"
+        "def table(rho, a, r):\n"
+        "    return gaussian_interval_prob(rho, a, r)\n"
+        "def stored(rho):\n"
+        "    g = gaussian_interval_prob\n"
+        "    return g(rho, 0.0, 1.0)\n"
+        "def direct(rho):\n"
+        "    return numerics.gaussian_interval_prob(rho, 0.0, 1.0)\n"
+        "def nested(rho):\n"
+        "    from .numerics import gaussian_interval_prob as gip\n"
+        "    return gip(rho, 0.0, 1.0)\n"
+        "def special(x):\n"
+        "    from scipy.special import erf\n"
+        "    return erf(x)\n",
+        encoding="utf-8",
+    )
+    assert probability_routes(probe) == [
+        "6: gaussian_interval_prob", "9: .gaussian_interval_prob", "11: import",
+        "14: erf", "15: erf",
+    ]
 
 
 # public names that no module outside the tests reads, each with why it stays

@@ -378,9 +378,10 @@ class TestFieldTablesWindow:
             ctx = window_context(mode, "none", n, 1, order)
             atoms = ctx.measure.atoms
             estimators._mass_table(ctx.measure, partial(kernels.field_tables, ctx), WINDOW_RADII)
-            # the walk evaluates the tiles (I, K) with K >= I once each
-            tile = np.arange(len(atoms)) // 32
-            walked = tile[:, None] <= tile[None, :]
+            # the walk evaluates the tiles (I, K) with K > I once each, and
+            # the pairs i <= k of a diagonal tile: the pairs i <= k in all
+            index = np.arange(len(atoms))
+            walked = index[:, None] <= index[None, :]
             if mode == "graph":
                 dom = np.max(np.abs(atoms[:, None, :] - atoms[None, :, :]), axis=2)
                 expected = sum(int(np.count_nonzero(walked & (dom <= r))) for r in WINDOW_RADII)
@@ -531,11 +532,33 @@ class TestTileWalk:
         ctx = KernelContext(FieldSpec(0.5), DriftSpec.power([1.0], 1.5), mu, mode)
         grid = estimators.ScaleGrid(2, 5)
         estimators.dim_field(ctx, grid)
-        tile = estimators._TILE
         if mode == "image":
-            # (k^2 + the squared tile sizes) / 2 per radius
-            assert sum(elements) == (k * k + 2 * tile**2 + 45**2) // 2 * len(grid.radii)
-        assert sum(elements) <= (k * k + k * tile) // 2 * len(grid.radii)
+            # the pairs i <= k, once per radius
+            assert sum(elements) == k * (k + 1) // 2 * len(grid.radii)
+        assert sum(elements) <= k * (k + 1) // 2 * len(grid.radii)
+
+
+class TestDiagonalTiles:
+    """A diagonal tile passes one block as both rows and atoms:
+    field_tables evaluates the pairs i <= k and writes each to (i, k) and
+    (k, i), which the tables' symmetry makes the full table bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("order", WINDOW_ORDERS)
+    @pytest.mark.parametrize("drift", ["none", "constant", "power"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_two_sided_tables_bitwise(self, mode, order, drift, n, d):
+        ctx = window_context(mode, drift, n, d, order)
+        atoms = ctx.measure.atoms
+        for block in (atoms[:96], atoms[100:101], atoms[150:300]):
+            diagonal = evaluated(partial(kernels.field_tables, ctx), block, block)
+            # a copy of the block takes the two-sided path
+            two_sided = evaluated(partial(kernels.field_tables, ctx), block, block.copy())
+            dense = list(dense_field_tables(ctx)(block, block, WINDOW_RADII))
+            assert len(diagonal) == len(two_sided) == len(dense) == len(WINDOW_RADII)
+            for got, other, expected in zip(diagonal, two_sided, dense):
+                assert got.tobytes() == other.tobytes() == expected.tobytes()
 
 
 def mesh_context(mode, n, d, alpha, per_axis, drift=None, t_max=1.0, weights=None):
