@@ -248,9 +248,11 @@ def _check_resolution(points: np.ndarray, grid: ScaleGrid):
         raise ResolutionError(grid.finest, 4.0 * spacing)
 
 
-def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
+def _mass_table(mu: DiscreteMeasure, tables, radii, points=None) -> np.ndarray:
     """V[i, j] = sum_k w_k K_{r_j}(x_i, x_k) over the atoms of mu, where
-    ``tables(rows, atoms, radii)`` is a kernel's block form.
+    ``tables(rows, atoms, radii)`` is a kernel's block form.  The blocks
+    are rows of ``points``, the atoms by default; a block form may read
+    more columns from them (field_tables takes the drift values there).
 
     Every kernel here is symmetric bit for bit: the table on atom blocks
     (I, K) is the transpose of the table on (K, I), since each entry reads
@@ -261,8 +263,15 @@ def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
     full table, in O(tile) memory.  A diagonal tile passes its one block
     as both arguments, so that field_tables can evaluate the tile's pairs
     i <= k alone and mirror them.  A block form that yields no tables for
-    a tile (an empty graph window) adds nothing."""
-    atoms, w = mu.atoms, mu.weights
+    a tile (an empty graph window) adds nothing.
+
+    A constant table (kernels: zero strides, 0 or 1 everywhere) is not
+    contracted: a zero one adds nothing, and a one adds the tile's all-ones
+    contractions ones @ w[K] and w[I] @ ones, made at most once per tile.
+    They are the gemv a materialised table of ones takes, so V keeps its
+    bits."""
+    atoms = mu.atoms if points is None else points
+    w = mu.weights
     V = np.zeros((mu.count, len(radii)))
     for lo in range(0, mu.count, _TILE):
         rows = slice(lo, lo + _TILE)
@@ -270,10 +279,20 @@ def _mass_table(mu: DiscreteMeasure, tables, radii) -> np.ndarray:
         for hi in range(lo, mu.count, _TILE):
             cols = slice(hi, hi + _TILE)
             others = block if hi == lo else atoms[cols]
+            ones = None
             for j, table in enumerate(tables(block, others, radii)):
-                V[rows, j] += table @ w[cols]
+                if any(table.strides):
+                    masses = table @ w[cols], w[rows] @ table if hi != lo else None
+                elif table[0, 0]:
+                    if ones is None:
+                        full = np.ones(table.shape)
+                        ones = full @ w[cols], w[rows] @ full if hi != lo else None
+                    masses = ones
+                else:
+                    continue
+                V[rows, j] += masses[0]
                 if hi != lo:
-                    V[cols, j] += w[rows] @ table
+                    V[cols, j] += masses[1]
     return V
 
 
@@ -371,7 +390,15 @@ def dim_field(
     def masses(radii):
         V = _mesh_masses(ctx, radii)
         if V is None:
-            V = _mass_table(ctx.measure, partial(field_tables, ctx), radii)
+            points = atoms = ctx.measure.atoms
+            if ctx.drift is not None:
+                # the drift once per atom, as columns after the atoms where
+                # field_tables reads them (and ignores them if the drift
+                # cancels); evaluated on the walk's blocks, the arguments
+                # field_tables would evaluate it on, so it keeps its bits
+                f = [ctx.drift.evaluate(atoms[lo:lo + _TILE]) for lo in range(0, len(atoms), _TILE)]
+                points = np.hstack([atoms, np.vstack(f)])
+            V = _mass_table(ctx.measure, partial(field_tables, ctx), radii, points)
         return V
 
     return _kernel_dim(ctx.measure, grid, masses, method, reduce)

@@ -26,10 +26,33 @@ four reductions per coordinate.  field_tables holds the drift increments
 as one flat (rows x atoms) array per range coordinate, so a lane of pairs
 is one gather from each, and it computes the probabilities by calling
 its module-level name gaussian_interval_prob, the binding the benchmark
-wraps.  profile_tables refills one table per call, so its
-yielded tables are overwritten when the generator advances.  The
-per-point functions, increment_prob among them, are one-row calls of
+wraps.  It reads the drift values from d columns after the n domain
+coordinates of rows and atoms when they carry them, which lets a walk
+evaluate the drift once per atom.  profile_tables refills one table per
+call, so its yielded tables are overwritten when the generator advances.
+The per-point functions, increment_prob among them, are one-row calls of
 these.
+
+Constant tables.  A table that holds one value everywhere, 0 or 1, may
+be yielded as a read-only view with zero strides (_constant, shared
+between calls), and a materialised table never has zero strides, so a
+consumer tells them apart by ``not any(table.strides)``.  Each form
+decides this exactly, from values it already holds, and only where
+every entry of the table it would compute has that value:
+- ball_tables: zeros where r is below a lower bound on every rounded
+  distance, the coordinate ranges' gaps squared, summed and rooted as
+  _pair_distances does (then no distance table is built if that holds
+  for every radius); else zeros below the least distance and ones from
+  the greatest on.
+- profile_tables: ones where fl(least |x_i - y_k|^-beta * r^beta) >= 1;
+  where the greatest product is at most 1, no fmin pass is made.
+- slice_tables: zeros where the first n coordinates' ranges lie further
+  apart than r.
+- field_tables: zeros for a radius whose graph window is empty.
+estimators._mass_table skips a zero table and adds the tile's all-ones
+contraction for a one table, the gemv a materialised table takes, so the
+mass tables keep their bits; the per-point functions copy a constant row
+before contracting it, for the same reason.
 
 One shortcut skips the pair tables.  When the measure is exactly a
 fields._mesh_points mesh (an interval or cube set) with equal weights and
@@ -43,6 +66,7 @@ and drifts that do not cancel take the tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,12 +100,52 @@ def _capped_inverse(v: np.ndarray) -> np.ndarray:
         return np.where(v <= 1.0, 1.0, 1.0 / v)
 
 
+@lru_cache(maxsize=16)
+def _constant(value: float, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only table holding ``value`` everywhere, with zero strides;
+    shared between calls."""
+    return np.broadcast_to(np.float64(value), shape)
+
+
+def _range_gaps(rows: np.ndarray, atoms: np.ndarray, coords) -> list[float]:
+    """Per coordinate c, a lower bound on every pair's rounded |x_ic - y_kc|:
+    the rounded gap between the two blocks' ranges in c, 0 where they
+    overlap.  Rounding is monotone, so no pair's rounded difference is
+    below the rounded gap.  Python floats: an overflow is inf, no warning."""
+    gaps = []
+    for c in coords:
+        x, y = rows[:, c], atoms[:, c]
+        x_lo, x_hi = float(x.min(initial=np.inf)), float(x.max(initial=-np.inf))
+        y_lo, y_hi = float(y.min(initial=np.inf)), float(y.max(initial=-np.inf))
+        gaps.append(max(y_lo - x_hi, x_lo - y_hi, 0.0))
+    return gaps
+
+
 def ball_tables(rows: np.ndarray, atoms: np.ndarray, radii):
     """Yield, per radius r, the (rows x atoms) indicator of the closed
-    Euclidean ball: |x_i - y_k| <= r."""
+    Euclidean ball: |x_i - y_k| <= r.  Tables that are constant come as
+    views: zeros without a distance table when the coordinate ranges'
+    Euclidean gap exceeds every radius, else zeros below the least
+    distance and ones from the greatest on."""
+    # the gaps squared and summed in _pair_distances' order: no rounded
+    # distance is below this bound
+    bound = 0.0
+    for g in _range_gaps(rows, atoms, range(rows.shape[1])):
+        bound += g * g
+    shape = (len(rows), len(atoms))
+    if math.sqrt(bound) > np.max(radii, initial=0.0):
+        for r in radii:
+            yield _constant(0.0, shape)
+        return
     dist = _pair_distances(rows, atoms)
+    least, greatest = dist.min(), dist.max()
     for r in radii:
-        yield dist <= r
+        if r < least:
+            yield _constant(0.0, shape)
+        elif r >= greatest:
+            yield _constant(1.0, shape)
+        else:
+            yield dist <= r
 
 
 def profile_tables(rows: np.ndarray, atoms: np.ndarray, beta: float, radii):
@@ -91,27 +155,53 @@ def profile_tables(rows: np.ndarray, atoms: np.ndarray, beta: float, radii):
     radius, so a yielded table is overwritten when the generator advances;
     use it before asking for the next.  A zero distance gives 0^-beta = inf,
     and fmin(inf * r^beta, 1) = 1, also where r^beta underflows to 0 and
-    the product is nan."""
+    the product is nan.  Where even the least |x_i - y_k|^-beta times
+    r^beta rounds to 1 or more, the table is ones, a view; where the
+    greatest does not exceed 1, the fmin pass is skipped."""
     inv = _pair_distances(rows, atoms)
     with np.errstate(divide="ignore"):
         inv **= -beta
+    least, greatest = inv.min(), inv.max()
     vals = np.empty(inv.shape)
     for r in radii:
+        scale = r**beta
         with np.errstate(invalid="ignore"):
-            np.multiply(inv, r**beta, out=vals)
-        np.fmin(vals, 1.0, out=vals)
+            if least * scale >= 1.0:
+                yield _constant(1.0, inv.shape)
+                continue
+            np.multiply(inv, scale, out=vals)
+            if not greatest * scale <= 1.0:
+                np.fmin(vals, 1.0, out=vals)
         yield vals
 
 
 def slice_tables(rows: np.ndarray, atoms: np.ndarray, n: int, radii):
     """Yield, per radius r, the (rows x atoms) sliced product kernel: the
     indicator that the first n coordinates lie within max-norm distance r
-    of x_i's, times prod_j min(1, r / |x_ij - y_kj|) over the rest."""
+    of x_i's, times prod_j min(1, r / |x_ij - y_kj|) over the rest.  Where
+    the first n coordinates' ranges lie further apart than r, the table
+    is zeros, a view; no difference is built if that holds for every r."""
+    gap = max(_range_gaps(rows, atoms, range(n)), default=0.0)
+    shape = (len(rows), len(atoms))
+    if gap > np.max(radii, initial=0.0):
+        for r in radii:
+            yield _constant(0.0, shape)
+        return
     diff = np.abs(rows[:, None, :] - atoms[None, :, :])
     head = diff[:, :, :n].max(axis=2, initial=0.0)
     tail = diff[:, :, n:]
     for r in radii:
-        yield np.prod(_capped_inverse(tail / r), axis=2) * (head <= r)
+        if gap > r:
+            yield _constant(0.0, shape)
+        else:
+            yield np.prod(_capped_inverse(tail / r), axis=2) * (head <= r)
+
+
+def _row_mass(table: np.ndarray, weights: np.ndarray) -> float:
+    """The first row of a block form's table contracted with the weights.
+    A constant view is copied first: numpy dots a zero-stride row in its
+    own loop, which sums in another order than the BLAS dot of a table."""
+    return float(np.ascontiguousarray(table[0]) @ weights)
 
 
 def _check_split(n: int, d: int, dim: int) -> None:
@@ -131,7 +221,7 @@ def profile_kernel(mu: DiscreteMeasure, beta: float, x, r: float) -> float:
     if xv.shape != (mu.dim,):
         raise InvalidArgumentError("point dimension does not match the measure")
     (table,) = profile_tables(xv[None, :], mu.atoms, beta, [r])
-    return float(table[0] @ mu.weights)
+    return _row_mass(table, mu.weights)
 
 
 def slice_kernel(mu: DiscreteMeasure, n: int, d: int, x, r: float) -> float:
@@ -145,7 +235,7 @@ def slice_kernel(mu: DiscreteMeasure, n: int, d: int, x, r: float) -> float:
     if xv.shape != (n + d,):
         raise InvalidArgumentError("point dimension does not match the measure")
     (table,) = slice_tables(xv[None, :], mu.atoms, n, [r])
-    return float(table[0] @ mu.weights)
+    return _row_mass(table, mu.weights)
 
 
 @dataclass(frozen=True)
@@ -198,14 +288,17 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii)
     that Z(y_k) lies in the max-norm radius-r ball around Z(x_i) (image
     mode), or that (y_k, Z(y_k)) lies in the ball around (x_i, Z(x_i))
     (graph mode): the product of coordinate interval probabilities, times
-    the domain-ball indicator in graph mode.  The drift is evaluated on
-    ``rows`` and ``atoms``; ``ctx.measure`` is not read.
+    the domain-ball indicator in graph mode.  ``rows`` and ``atoms`` hold
+    the n domain coordinates, optionally followed by the d drift values
+    f(x); without them the drift is evaluated on the points.
+    ``ctx.measure`` is not read.
 
     In graph mode only atoms within domain distance r of x_i can enter the
     ball: the probabilities are evaluated on those pairs only and written
     into a fresh zero table, every other entry being the exact zero the
-    indicator gives it.  When no pair lies within max(radii), every table
-    would be zero and none is yielded.
+    indicator gives it.  A radius whose window is empty yields a constant
+    zero view.  When no pair lies within max(radii), every table would be
+    zero and none is yielded.
 
     When ``atoms`` is ``rows`` itself, a diagonal tile, the table is
     symmetric bit for bit: only the pairs i <= k are evaluated, and each is
@@ -213,38 +306,40 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii)
     are held as one (rows x atoms) array per coordinate c, so that a lane
     of pairs is gathered from each with one flat index.
     """
-    d = ctx.field.range_dim
+    n, d = ctx.field.domain_dim, ctx.field.range_dim
     graph = ctx.mode == "graph"
+    diagonal = atoms is rows
+    f_rows = f_atoms = None
+    if rows.shape[1] == n + d:
+        f_rows, f_atoms = rows[:, n:], atoms[:, n:]
+    rows, atoms = rows[:, :n], atoms[:, :n]
+    shape = (len(rows), len(atoms))
     if graph:
         reach = np.max(radii, initial=0.0)
-        for c in range(rows.shape[1]):
-            # coordinate ranges further apart than every radius: each pair's
-            # rounded difference in c is at least the rounded gap
-            x, y = rows[:, c], atoms[:, c]
-            if max(y.min(initial=np.inf) - x.max(initial=-np.inf),
-                   x.min(initial=np.inf) - y.max(initial=-np.inf)) > reach:
-                return
+        # coordinate ranges further apart than every radius: no window
+        if max(_range_gaps(rows, atoms, range(n))) > reach:
+            return
         # the max-norm domain distance, one coordinate at a time
         dom = np.abs(rows[:, None, 0] - atoms[None, :, 0])
-        for c in range(1, rows.shape[1]):
+        for c in range(1, n):
             np.maximum(dom, np.abs(rows[:, None, c] - atoms[None, :, c]), out=dom)
         if not np.any(dom <= reach):
             return
         dom = dom.reshape(-1)
     rho = _pair_distances(rows, atoms)
     rho **= ctx.field.alpha
-    shape = rho.shape
     rho = rho.reshape(-1)
     # the drift increments f_c(x_i) - f_c(y_k), one flat array per coordinate
     centers = []
     if not ctx._drift_cancels():
-        f_rows = ctx.drift.evaluate(rows)
-        f_atoms = f_rows if atoms is rows else ctx.drift.evaluate(atoms)
+        if f_rows is None:
+            f_rows = ctx.drift.evaluate(rows)
+            f_atoms = f_rows if diagonal else ctx.drift.evaluate(atoms)
         centers = [(f_rows[:, c, None] - f_atoms[None, :, c]).reshape(-1) for c in range(d)]
     # a diagonal tile evaluates the pairs i <= k, found at the flat
     # positions ``pairs`` and written to ``mirror`` too
     pairs = mirror = None
-    if atoms is rows:
+    if diagonal:
         pairs, mirror = _upper_pairs(len(rows))
         rho, centers = rho[pairs], [c[pairs] for c in centers]
         if graph:
@@ -254,6 +349,9 @@ def field_tables(ctx: KernelContext, rows: np.ndarray, atoms: np.ndarray, radii)
         inside = None
         if graph:
             inside = np.flatnonzero(dom <= r)
+            if not len(inside):
+                yield _constant(0.0, shape)
+                continue
             if len(inside) == len(dom):
                 inside = None
         rho_r, *centers_r = (v if inside is None else v[inside] for v in (rho, *centers))
@@ -346,7 +444,7 @@ def ball_mass_profile(ctx: KernelContext, t, radii) -> np.ndarray:
     mu = ctx.measure
     masses = np.zeros(len(rs))
     for j, table in enumerate(field_tables(ctx, tv[None, :], mu.atoms, rs)):
-        masses[j] = table[0] @ mu.weights
+        masses[j] = _row_mass(table, mu.weights)
     return masses
 
 

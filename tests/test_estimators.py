@@ -292,11 +292,16 @@ print(hashlib.sha256(tables[0].tobytes()).hexdigest(), est.value.hex())
 
 
 # The tile walk on 2500 centred atoms, which no mesh fits: 19 tiles and a
-# partial one.  V is read as _mass_table returns it.
+# partial one.  V is read as _mass_table returns it.  The ball and profile
+# walks on a 2048-atom Cantor measure, with its own and non-dyadic weights,
+# contract constant tables through the all-ones gemv.
 THREADED_TILES = """
 import hashlib
 import numpy as np
-from packdim import DiscreteMeasure, FieldSpec, KernelContext, ScaleGrid, dim_field, estimators
+from packdim import (
+    DiscreteMeasure, FieldSpec, KernelContext, ScaleGrid, dim_ball_mass, dim_field, dim_profile,
+    estimators, fractals,
+)
 tables = []
 walk = estimators._mass_table
 estimators._mass_table = lambda *args: tables.append(walk(*args)) or tables[-1]
@@ -306,6 +311,13 @@ mu = DiscreteMeasure(t, np.full(k, 1 / k))
 for mode in ("image", "graph"):
     est = dim_field(KernelContext(FieldSpec(0.5), None, mu, mode), ScaleGrid(3, 7))
     print(mode, hashlib.sha256(tables[-1].tobytes()).hexdigest(), est.value.hex())
+cantor = fractals.natural_measure(fractals.build_uniform_cantor(2, 1 / 3, 11), 11)
+w = np.random.default_rng(0).random(cantor.count)
+for mu in (cantor, DiscreteMeasure(cantor.atoms, w / w.sum())):
+    est = dim_ball_mass(mu, ScaleGrid(2, 9))
+    print("ball", hashlib.sha256(tables[-1].tobytes()).hexdigest(), est.value.hex())
+    est = dim_profile(mu, 0.5, ScaleGrid(2, 9))
+    print("profile", hashlib.sha256(tables[-1].tobytes()).hexdigest(), est.value.hex())
 """
 
 
@@ -336,6 +348,7 @@ def test_tile_walk_is_the_same_at_one_and_two_blas_threads():
     # the row-block walk this replaced gave another V at 2 threads in both
     # modes; the tiles' contractions give the same bits
     one, two = at_one_and_two_blas_threads(THREADED_TILES)
+    assert len(one.splitlines()) == 6
     assert one == two
 
 

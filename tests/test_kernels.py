@@ -19,6 +19,7 @@ from packdim import (
     fields,
     increment_prob,
     kernels,
+    numerics,
     profile_kernel,
     slice_kernel,
 )
@@ -68,17 +69,25 @@ class TestProfileKernel:
         dist = np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=2)
         coincident = dist == 0.0
         inv = np.where(coincident, np.inf, dist) ** -beta
-        # 1e-320 ** beta underflows to 0 for beta >= 1
-        radii = [0.05, 0.8, 1e-320, 3.0, 0.8]
+        # 1e-320 ** beta underflows to 0 for beta >= 1; at 1e3 every
+        # atom lies in the ball and the table is constant
+        radii = [0.05, 0.8, 1e-320, 3.0, 1e3, 0.8]
         seen = set()
+        constant = 0
         for table, r in zip(kernels.profile_tables(rows, atoms, beta, radii), radii, strict=True):
             expected = np.minimum(1.0, r**beta * inv)
             expected[coincident] = 1.0
             # compare before the generator advances: it refills one table
             assert table.tobytes() == expected.tobytes()
             assert table[4, 30] == 1.0
-            seen.add(id(table))
+            if any(table.strides):
+                seen.add(id(table))
+            else:
+                # a constant table is a read-only view with zero strides
+                assert table.shape == expected.shape and not table.flags.writeable
+                constant += 1
         assert len(seen) == 1
+        assert constant == 1
 
     def test_validation(self):
         mu = measure_on_line(0.0)
@@ -662,3 +671,301 @@ class TestMeshMasses:
             estimators.dim_field(ctx, grid)
             assert calls, name
             calls.clear()
+
+
+def materialised(tables):
+    """The block form with every table copied to a C-ordered float array
+    before the walk sees it, so that each is contracted as a table."""
+
+    def form(rows, atoms, radii):
+        for table in tables(rows, atoms, radii):
+            yield np.array(table, dtype=float)
+
+    return form
+
+
+def constant_value(table):
+    """0 or 1 for a constant view, None for a materialised table."""
+    return None if any(table.strides) else float(table[0, 0])
+
+
+def clustered_measure(n, order, offset):
+    """Eight clusters of 40 atoms, each within 0.02 per coordinate of its
+    centre, the centres 1.5 apart along the first axis.  Between clusters
+    the tiles lie further apart than every radius; inside one, the larger
+    radii hold every pair.  Non-dyadic weights; ``offset`` shifts the
+    atoms, to negative coordinates too."""
+    rng = np.random.default_rng(20 + n)
+    atoms = 0.02 * rng.random((320, n)) + offset
+    atoms[:, 0] += 1.5 * np.repeat(np.arange(8), 40)
+    if order == "shuffled":
+        atoms = rng.permutation(atoms)
+    w = rng.random(320)
+    return DiscreteMeasure(atoms, w / w.sum())
+
+
+# the window radii and the greatest distance inside the first cluster, a
+# radius equal to one pair's distance
+def constant_radii(mu):
+    first = mu.atoms[np.argsort(mu.atoms[:, 0], kind="stable")[:40]]
+    return np.append(WINDOW_RADII, numerics._pair_distances(first, first).max())
+
+
+def kind_of(table):
+    value = constant_value(table)
+    return "table" if value is None else ("zero", "one")[int(value)]
+
+
+class TestConstantTables:
+    """A block form yields a table that is 0 or 1 everywhere as a constant
+    view; the walk skips the zeros and contracts the ones once per tile,
+    with the bits of a walk that contracts every table."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_TILE", 32)
+
+    @pytest.mark.parametrize("offset", [0.0, -6.3, -1e5])
+    @pytest.mark.parametrize("order", WINDOW_ORDERS)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("form", ["ball", "profile", "slice", "field"])
+    def test_walk_matches_the_materialised_walk_bitwise(self, form, n, order, offset):
+        mu = clustered_measure(n, order, offset)
+        ctx = KernelContext(FieldSpec(0.4, n, 2), DriftSpec.power([1.0, -0.5], 1.5), mu, "graph")
+        tables = block_forms(ctx)[form]
+        radii = constant_radii(mu)
+        kinds = []
+
+        def watched(rows, atoms, radii):
+            for table in tables(rows, atoms, radii):
+                kinds.append(kind_of(table))
+                yield table
+
+        walked = estimators._mass_table(mu, watched, radii)
+        reference = estimators._mass_table(mu, materialised(tables), radii)
+        assert walked.tobytes() == reference.tobytes()
+        if order == "sorted":
+            # the clusters make constant tables of the kinds each form
+            # yields; the slice kernel has a head coordinate for n = 2
+            # only, and a graph window here is empty for all radii or none
+            expected = {
+                "ball": {"zero", "one"}, "profile": {"one"},
+                "slice": {"zero"} if n == 2 else set(), "field": set(),
+            }
+            assert expected[form] <= set(kinds)
+
+    @pytest.mark.parametrize("offset", [0.0, -7.25, -1e6])
+    def test_ball_radii_at_the_least_and_greatest_distance(self, offset):
+        rng = np.random.default_rng(3)
+        rows = offset + rng.random((5, 2))
+        atoms = offset + 0.5 + rng.random((7, 2))
+        dist = numerics._pair_distances(rows, atoms)
+        least, greatest = dist.min(), dist.max()
+        radii = [
+            np.nextafter(least, -np.inf), least, (least + greatest) / 2,
+            np.nextafter(greatest, -np.inf), greatest, 2 * greatest,
+        ]
+        kinds = []
+        for table, r in zip(kernels.ball_tables(rows, atoms, radii), radii, strict=True):
+            assert np.array(table, dtype=float).tobytes() == (dist <= r).astype(float).tobytes()
+            kinds.append(kind_of(table))
+        assert kinds == ["zero", "table", "table", "table", "one", "one"]
+
+    @pytest.mark.parametrize("offset", [0.0, -7.25, -1e6])
+    def test_ball_bound_equal_to_a_radius(self, monkeypatch, offset):
+        # the ranges' gaps are 3 and 4, so the bound is 5, the distance of
+        # the pair (x_1, y_0)
+        built = []
+        real = kernels._pair_distances
+        monkeypatch.setattr(
+            kernels, "_pair_distances", lambda x, y: built.append(1) or real(x, y)
+        )
+        rows = offset + np.array([[0.0, 0.0], [1.0, 1.0]])
+        atoms = offset + np.array([[4.0, 5.0], [6.0, 7.0]])
+        (table,) = kernels.ball_tables(rows, atoms, [5.0])
+        assert table.tolist() == [[False, False], [True, False]]
+        assert len(built) == 1
+        below = np.nextafter(5.0, 0.0)
+        tables = list(kernels.ball_tables(rows, atoms, [below, below / 2]))
+        assert [kind_of(t) for t in tables] == ["zero", "zero"]
+        assert len(built) == 1
+
+    def test_ball_bound_never_exceeds_a_rounded_distance(self):
+        # blocks far from the origin and at every scale, with radii at the
+        # bound and one ulp either side of it
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = int(rng.integers(1, 4))
+            scale, shift = 10.0 ** rng.uniform(-8, 6), rng.uniform(-1e6, 1e6, m)
+            rows = shift + scale * rng.random((3, m))
+            atoms = shift + scale * (rng.random((4, m)) + rng.uniform(0, 3, m))
+            gaps = kernels._range_gaps(rows, atoms, range(m))
+            bound = 0.0
+            for g in gaps:
+                bound += g * g
+            bound = np.sqrt(bound)
+            dist = numerics._pair_distances(rows, atoms)
+            assert bound <= dist.min()
+            radii = [np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)]
+            radii = [r for r in radii if r > 0]
+            for table, r in zip(kernels.ball_tables(rows, atoms, radii), radii, strict=True):
+                assert np.array_equal(table, dist <= r)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("offset", [0.0, -3.5])
+    def test_profile_coincident_atoms(self, beta, offset):
+        # a tile of one repeated point (every distance 0), and one with a
+        # single coincident pair; at 1e-320 ** beta = 0 for beta >= 1 the
+        # zero distances still give inf * 0 -> 1
+        point = offset + np.array([0.3, -0.2])
+        rng = np.random.default_rng(4)
+        same = np.tile(point, (4, 1))
+        mixed = np.vstack([point, offset + rng.random((5, 2))])
+        radii = [1e-320, 0.5, 1e-320, 40.0]
+        for rows, atoms in ((same, same.copy()), (same, mixed), (mixed, mixed.copy())):
+            dist = np.linalg.norm(rows[:, None, :] - atoms[None, :, :], axis=2)
+            coincident = dist == 0.0
+            with np.errstate(divide="ignore"):
+                inv = dist**-beta
+            kinds = []
+            for table, r in zip(kernels.profile_tables(rows, atoms, beta, radii), radii, strict=True):
+                with np.errstate(invalid="ignore"):
+                    expected = np.fmin(r**beta * inv, 1.0)
+                expected[coincident] = 1.0
+                assert table.tobytes() == expected.tobytes()
+                kinds.append(kind_of(table))
+            # all coincident, or every atom within 40: a constant view
+            assert kinds[1] == ("one" if rows is same and atoms is not mixed else "table")
+            assert kinds[3] == "one"
+            assert kinds[0] == kinds[2]
+            if 1e-320**beta == 0.0:
+                # the zero distances' products are nan: computed, not a view
+                assert kinds[0] == "table"
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.7, 2.0])
+    @pytest.mark.parametrize("offset", [0.0, -7.25, -1e6])
+    def test_profile_radii_at_the_least_and_greatest_distance(self, beta, offset):
+        # where r meets the greatest distance, the least product is within
+        # ulps of 1: ones only where every product rounds to 1 or more
+        rng = np.random.default_rng(5)
+        rows = offset + rng.random((5, 2))
+        atoms = offset + 0.5 + rng.random((7, 2))
+        dist = numerics._pair_distances(rows, atoms)
+        least, greatest = dist.min(), dist.max()
+        radii = [least, greatest] + [
+            step(edge, k) for edge in (least, greatest) for k in (1, 4) for step in (
+                lambda x, k: x + k * np.spacing(x), lambda x, k: x - k * np.spacing(x)
+            )
+        ]
+        inv = dist**-beta
+        kinds = []
+        for table, r in zip(kernels.profile_tables(rows, atoms, beta, radii), radii, strict=True):
+            assert table.tobytes() == np.fmin(r**beta * inv, 1.0).tobytes()
+            kinds.append(kind_of(table))
+        assert "one" in kinds and "table" in kinds
+
+    @pytest.mark.parametrize("offset", [0.0, -9.75, -1e6])
+    def test_slice_head_gap_equal_to_a_radius(self, offset):
+        rows = offset + np.array([[0.0, 0.3], [1.0, -0.4]])
+        atoms = offset + np.array([[3.0, 0.1], [3.5, 2.0], [4.0, -1.0]])
+        radii = [2.0, np.nextafter(2.0, 0.0), 0.5]
+        kinds = []
+        for table, r in zip(kernels.slice_tables(rows, atoms, 1, radii), radii, strict=True):
+            diff = np.abs(rows[:, None, :] - atoms[None, :, :])
+            expected = np.minimum(1.0, r / np.maximum(diff[:, :, 1], 1e-300)) * (diff[:, :, 0] <= r)
+            np.testing.assert_array_equal(table, expected)
+            kinds.append(kind_of(table))
+        assert kinds == ["table", "zero", "zero"]
+        assert constant_value(next(kernels.slice_tables(rows, atoms, 1, [1.0]))) == 0.0
+
+    @pytest.mark.parametrize("offset", [0.0, -5.0])
+    def test_field_empty_window_is_a_zero_view(self, offset):
+        mu = clustered_measure(1, "sorted", offset)
+        ctx = KernelContext(FieldSpec(0.4), DriftSpec.power([1.0], 1.5), mu, "graph")
+        rows, atoms = mu.atoms[30:40], mu.atoms[40:80]
+        least = np.abs(rows - atoms.T).min()
+        radii = [2.0, np.nextafter(least, 0.0), least, 0.01 * least]
+        dense = dense_field_tables(ctx)(rows, atoms, radii)
+        kinds = []
+        for table, expected in zip(kernels.field_tables(ctx, rows, atoms, radii), dense, strict=True):
+            assert np.array_equal(table, expected)
+            kinds.append(kind_of(table))
+        assert kinds == ["table", "zero", "table", "zero"]
+
+    @pytest.mark.parametrize("form", ["ball", "profile", "slice", "field"])
+    def test_constant_tables_cost_no_contraction(self, monkeypatch, form):
+        # the walk on the sorted clusters: every table the form yields is
+        # seen, and matmul and np.ones are watched while it runs
+        mu = clustered_measure(2, "sorted", 0.0)
+        ctx = KernelContext(FieldSpec(0.4, 2, 1), None, mu, "graph")
+        tables = block_forms(ctx)[form]
+        radii = constant_radii(mu)
+        reference = estimators._mass_table(mu, materialised(tables), radii)
+        built, contracted, ones, tiles = [], [], [], []
+
+        class Watched(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    contracted.append(kind_of(self))
+                args = [np.asarray(x) if isinstance(x, Watched) else x for x in inputs]
+                return getattr(ufunc, method)(*args, **kwargs)
+
+        def watched(rows, atoms, radii):
+            tiles.append([])
+            for table in tables(rows, atoms, radii):
+                tiles[-1].append(kind_of(table))
+                yield table.view(Watched)
+
+        real_distances, real_ones = kernels._pair_distances, np.ones
+        monkeypatch.setattr(
+            kernels, "_pair_distances", lambda x, y: built.append(1) or real_distances(x, y)
+        )
+        monkeypatch.setattr(
+            np, "ones", lambda *a, **k: ones.append(len(tiles)) or real_ones(*a, **k)
+        )
+        walked = estimators._mass_table(mu, watched, radii)
+        assert walked.tobytes() == reference.tobytes()
+        # no constant table is contracted; a materialised one twice off the
+        # diagonal and once on it
+        assert set(contracted) <= {"table"}
+        assert len(contracted) >= sum(kinds.count("table") for kinds in tiles)
+        # one all-ones contraction for each tile with a table of ones
+        with_ones = [i + 1 for i, kinds in enumerate(tiles) if "one" in kinds]
+        assert ones == with_ones
+        if form in ("ball", "slice"):
+            # tiles whose ranges lie further apart than every radius build
+            # no distance table
+            assert any(kinds == ["zero"] * len(radii) for kinds in tiles)
+        if form == "ball":
+            assert len(built) == sum(kinds != ["zero"] * len(radii) for kinds in tiles)
+            assert len(built) < len(tiles)
+
+
+class TestDriftOncePerAtom:
+    @pytest.mark.parametrize("tile", [32, estimators._TILE])
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("drift, n", [("power", 1), ("power", 2), ("polynomial", 1)])
+    def test_dim_field_evaluates_the_drift_once_per_atom(self, monkeypatch, drift, n, mode, tile):
+        monkeypatch.setattr(estimators, "_TILE", tile)
+        ctx = window_context(mode, drift, n, 2)
+        evaluated_rows, walks = [], []
+        real_evaluate, real_walk = DriftSpec.evaluate, estimators._mass_table
+        monkeypatch.setattr(
+            DriftSpec,
+            "evaluate",
+            lambda self, p: evaluated_rows.append(len(p)) or real_evaluate(self, p),
+        )
+        monkeypatch.setattr(
+            estimators, "_mass_table", lambda *args: walks.append(real_walk(*args)) or walks[-1]
+        )
+        # the 2-D lattice's spacing 1/64 admits radii down to 1/16
+        grid = estimators.ScaleGrid(1, 4)
+        estimators.dim_field(ctx, grid)
+        count = ctx.measure.count
+        # one call per block of the walk, each atom once
+        assert sum(evaluated_rows) == count
+        assert len(evaluated_rows) == -(-count // tile)
+        # field_tables evaluating the drift on every tile gives the same bits
+        reference = real_walk(ctx.measure, partial(kernels.field_tables, ctx), grid.radii)
+        assert len(evaluated_rows) > -(-count // tile)
+        assert walks[0].tobytes() == reference.tobytes()
