@@ -31,13 +31,16 @@ from .verify import (
     check_parts,
     check_scale_doubling,
 )
-from .experiment import ExperimentConfig, _config_hash, run_experiment, run_suite
+from .experiment import (
+    ExperimentConfig,
+    _config_hash,
+    _json_text,
+    _stamp,
+    run_experiment,
+    run_suite,
+)
 
 __all__ = ["main"]
-
-
-def _stamp(params: dict) -> str:
-    return f"# config_hash={_config_hash(params)} version={__version__}\n"
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -46,10 +49,6 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_drift(text: str | None, d: int) -> DriftSpec | None:
@@ -99,12 +98,11 @@ def _cmd_simulate(args) -> int:
         payload = dict(sidecar)
         payload["points"] = path.points.tolist()
         payload["values"] = path.values.tolist()
-        _write_or_print(_json_dumps(payload), args.out)
+        _write_or_print(_json_text(payload), args.out)
     else:
-        _write_or_print(_stamp(params) + "\n".join(rows) + "\n", args.out)
+        _write_or_print(_stamp(_config_hash(params)) + "\n".join(rows) + "\n", args.out)
         if args.out:
-            with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_json_dumps(sidecar))
+            _write_or_print(_json_text(sidecar), args.out + ".json")
     return 0
 
 
@@ -130,20 +128,18 @@ def _estimate_command(args, estimator, params_extra) -> int:
         "config_hash": _config_hash(params),
         "version": __version__,
     }
-    csv_text = _stamp(params) + "scale,V,ratio\n"
+    csv_text = _stamp(_config_hash(params)) + "scale,V,ratio\n"
     if est is not None:
         for r, v, ratio in est.per_scale:
             csv_text += f"{r!r},{v!r},{ratio!r}\n"
     if args.out:
-        with open(args.out + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_dumps(summary))
-        sys.stdout.write(_json_dumps(summary))
+        _write_or_print(csv_text, args.out + ".csv")
+        _write_or_print(_json_text(summary), args.out + ".json")
+        sys.stdout.write(_json_text(summary))
     elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:
-        sys.stdout.write(_json_dumps(summary))
+        sys.stdout.write(_json_text(summary))
     return 0 if est is not None else 1
 
 
@@ -189,9 +185,10 @@ def _cmd_txset(args) -> int:
         )
     if args.format == "json":
         payload = {"rows": rows, "config_hash": _config_hash(params), "version": __version__}
-        _write_or_print(_json_dumps(payload), args.out)
+        _write_or_print(_json_text(payload), args.out)
     else:
-        text = _stamp(params) + "k,log_inv_delta,log_inv_eta,log_m,ratio_at_eta,ratio_at_delta\n"
+        text = _stamp(_config_hash(params))
+        text += "k,log_inv_delta,log_inv_eta,log_m,ratio_at_eta,ratio_at_delta\n"
         for row in rows:
             text += (
                 f"{row['k']},{row['log_inv_delta']!r},{row['log_inv_eta']!r},"
@@ -220,9 +217,9 @@ def _cmd_predict(args) -> int:
         payload = dict(values)
         payload["config_hash"] = _config_hash(params)
         payload["version"] = __version__
-        _write_or_print(_json_dumps(payload), args.out)
+        _write_or_print(_json_text(payload), args.out)
     else:
-        text = _stamp(params) + "name,value\n"
+        text = _stamp(_config_hash(params)) + "name,value\n"
         for key in sorted(values):
             text += f"{key},{values[key]!r}\n"
         _write_or_print(text, args.out)
@@ -269,7 +266,7 @@ def _cmd_verify(args) -> int:
     reports = _default_checks(args.seed, names)
     params = {"cmd": "verify", "check": args.check, "seed": args.seed}
     if args.format == "csv":
-        text = _stamp(params) + "name,trials,violations,worst_ratio\n"
+        text = _stamp(_config_hash(params)) + "name,trials,violations,worst_ratio\n"
         for rep in reports:
             text += f"{rep.name},{rep.trials},{rep.violations},{rep.worst_ratio!r}\n"
         _write_or_print(text, args.out)
@@ -298,7 +295,7 @@ def _cmd_experiment(args) -> int:
     if args.action == "run":
         cfg = ExperimentConfig.from_json(args.path)
         report = run_experiment(cfg, out_dir=args.out)
-        sys.stdout.write(_json_dumps(report.to_dict()))
+        sys.stdout.write(_json_text(report.to_dict()))
         return 0 if report.passed else 1
     rows = run_suite(args.path, out_path=args.out)
     for row in rows:

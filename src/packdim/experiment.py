@@ -8,12 +8,14 @@ file embeds the config hash and package version.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 from functools import partial
 
 import numpy as np
@@ -56,10 +58,6 @@ _DRIFT_KEYS = {
     "zero": set(), "constant": {"values"}, "power": {"direction", "exponent"}, "polynomial": {"rows"},
 }
 _MODES = ("image", "graph")
-_KNOWN_KEYS = {
-    "name", "alpha", "d", "n", "set", "drift", "resolution",
-    "grid", "replicas", "seed", "mode", "method", "box_method", "tolerance",
-}
 
 
 def _read(table: dict, key: str, convert, default=..., within: str = "config"):
@@ -131,6 +129,16 @@ def _config_hash(params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def _stamp(config_hash: str) -> str:
+    """The comment line that opens every CSV output."""
+    return f"# config_hash={config_hash} version={__version__}\n"
+
+
+def _json_text(obj) -> str:
+    """The text of every JSON output: sorted keys, 2-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one simulation-vs-theory comparison.
@@ -156,7 +164,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _refuse_unknown(raw, _KNOWN_KEYS, "config")
+        _refuse_unknown(raw, _CONFIG_KEYS.values(), "config")
         name = _read(raw, "name", _string)
         if not name or any(ch in name for ch in ",\n\r"):
             raise ConfigError("name must be nonempty and free of commas/newlines")
@@ -191,27 +199,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "alpha": self.alpha,
-            "d": self.d,
-            "n": self.n,
-            "set": self.set_spec,
-            "drift": self.drift,
-            "resolution": self.resolution,
-            "grid": self.grid,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "mode": self.mode,
-            "method": self.method,
-            "box_method": self.box_method,
-            "tolerance": self.tolerance,
-        }
+        return {key: getattr(self, field) for field, key in _CONFIG_KEYS.items()}
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(self.to_dict()))
 
     def config_hash(self) -> str:
         return _config_hash(self.to_dict())
@@ -345,6 +337,12 @@ class ExperimentConfig:
             raise ConfigError(f"bad drift spec: {exc}") from exc
 
 
+# the config key of each field: its name, but "set" for set_spec
+_CONFIG_KEYS = {
+    f.name: "set" if f.name == "set_spec" else f.name for f in dataclass_fields(ExperimentConfig)
+}
+
+
 def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, float, bool]:
     """Sample points, sampling measure, packing dimension of the set, and
     whether consecutive points trace a curve (so box counting may connect
@@ -413,6 +411,10 @@ class PredictionReport:
         }
 
 
+# the columns of run_suite's summary, the keys of PredictionReport.summary_row
+_SUMMARY_COLUMNS = ("name", "predicted", "estimate_box", "estimate_kernel", "gap", "pass")
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -421,10 +423,9 @@ def _fmt(value) -> str:
 
 def _write_report_files(report: PredictionReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    stamp = f"# config_hash={report.config_hash} version={__version__}\n"
     csv_path = os.path.join(out_dir, f"{report.name}.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(stamp)
+        fh.write(_stamp(report.config_hash))
         fh.write("field,replica,value\n")
         for i, v in enumerate(report.estimated["box"]["replicas_values"]):
             fh.write(f"estimate_box,{i},{_fmt(v)}\n")
@@ -437,8 +438,7 @@ def _write_report_files(report: PredictionReport, out_dir: str) -> None:
         fh.write(f"pass,,{int(report.passed)}\n")
     json_path = os.path.join(out_dir, f"{report.name}.json")
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(report.to_dict()))
 
 
 @contextmanager
@@ -534,10 +534,7 @@ def run_suite(config_dir: str, out_path: str | None = None) -> list[dict]:
         except PackdimError as exc:
             row = {
                 "name": os.path.splitext(fname)[0],
-                "predicted": math.nan,
-                "estimate_box": math.nan,
-                "estimate_kernel": math.nan,
-                "gap": math.nan,
+                **dict.fromkeys(_SUMMARY_COLUMNS[1:-1], math.nan),
                 "pass": f"error:{type(exc).__name__}",
             }
         rows.append(row)
@@ -545,13 +542,13 @@ def run_suite(config_dir: str, out_path: str | None = None) -> list[dict]:
     if out_path is None:
         out_path = os.path.join(config_dir, "summary.csv")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={suite_hash} version={__version__}\n")
-        fh.write("name,predicted,estimate_box,estimate_kernel,gap,pass\n")
+        fh.write(_stamp(suite_hash))
+        # a name taken from a file name may hold a comma; the writer quotes it
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_SUMMARY_COLUMNS)
         for row in rows:
             passes = row["pass"]
             cell = passes if isinstance(passes, str) else str(bool(passes)).lower()
-            fh.write(
-                f"{row['name']},{_fmt(row['predicted'])},{_fmt(row['estimate_box'])},"
-                f"{_fmt(row['estimate_kernel'])},{_fmt(row['gap'])},{cell}\n"
-            )
+            values = [_fmt(row[key]) for key in _SUMMARY_COLUMNS[1:-1]]
+            writer.writerow([row["name"], *values, cell])
     return rows

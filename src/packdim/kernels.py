@@ -58,10 +58,11 @@ One shortcut skips the pair tables.  When the measure is exactly a
 fields._mesh_points mesh (an interval or cube set) with equal weights and
 the drift cancels, the field kernel of a pair depends only on its lattice
 offset, and _mesh_masses gives the weighted sums of the field tables from
-one probability per offset and radius and prefix sums over the offsets:
-O(atoms) per radius instead of O(atoms^2).  Graph-mode meshes with a
-coordinate within a few ulps of a radius, any other atoms, unequal weights
-and drifts that do not cancel take the tables.
+one probability per offset and radius, the first atom's row of
+field_tables, and prefix sums over the offsets: O(atoms) per radius
+instead of O(atoms^2).  Graph-mode meshes with a coordinate within a few
+ulps of a radius, any other atoms, unequal weights and drifts that do not
+cancel take the tables.
 """
 
 from __future__ import annotations
@@ -392,9 +393,9 @@ def _mesh_masses(ctx: KernelContext, radii) -> np.ndarray | None:
 
     It applies when the measure is exactly a fields._mesh_points mesh with
     equal weights and the drift cancels.  Then the kernel of a pair depends
-    only on its lattice offset o, and only through |o|: g(o) is evaluated
-    once per offset and radius, on the distance from the first atom (all
-    zeros) to the atom at o, times |o|_inf <= r in graph mode.  The atoms
+    only on its lattice offset o, and only through |o|: g(o) is the first
+    atom's (all zeros) row of field_tables, its entry at the atom at o,
+    which in graph mode holds the window |o|_inf <= r.  The atoms
     within the mesh from atom i have offsets -i <= o <= m-1-i per axis, so
     per axis the sum is S(i) + S(m-1-i) - S(0) with S the prefix sum of g
     from offset 0, and the n axes fold one after the other on the n-D
@@ -411,20 +412,15 @@ def _mesh_masses(ctx: KernelContext, radii) -> np.ndarray | None:
         return None
     m, t_max = mesh
     atoms = mu.atoms
-    graph = ctx.mode == "graph"
-    if graph:
+    if ctx.mode == "graph":
         # atoms[:m, -1] holds the mesh coordinates along one axis
         if np.any(np.abs(atoms[:m, -1, None] - radii) <= 8 * np.finfo(float).eps * abs(t_max)):
             return None
-        dom = np.abs(atoms).max(axis=1)
-    rho = _pair_distances(atoms[:1], atoms)[0] ** ctx.field.alpha
     shape = (m,) * ctx.field.domain_dim
     V = np.empty((len(atoms), len(radii)))
-    for j, r in enumerate(radii):
-        g = gaussian_interval_prob(rho, 0.0, r) ** ctx.field.range_dim
-        if graph:
-            g[dom > r] = 0.0
-        s = g.reshape(shape)
+    # the first atom is the origin, inside its own window at every radius
+    for j, table in enumerate(field_tables(ctx, atoms[:1], atoms, radii)):
+        s = table[0].reshape(shape)
         for axis in range(s.ndim):
             s = s.cumsum(axis)
         for axis in range(s.ndim):

@@ -12,11 +12,10 @@ computes the form most entries take in place over all of them, and
 gathers the others; it writes the point mass at rho = 0 only into the
 lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
-every kernel table, in image and in graph mode, the lattice shortcut
-kernels._mesh_masses and the Cholesky sampler call it.  _distinct_rows,
-the distinct rows of an array, serves box counting and the spacing guard,
-and through _rows_are_distinct the distinct-point checks of sample points
-and measure atoms.
+every kernel table, in image and in graph mode, and the Cholesky sampler
+call it.  _distinct_rows, the distinct rows of an array, serves box
+counting and the spacing guard, and through _rows_are_distinct the
+distinct-point checks of sample points and measure atoms.
 cholesky_psd checks its input in row blocks and factors one copy of it in
 place: LAPACK copies nothing, the factor is transposed into C order over
 the copy, and a factorization without jitter builds no other square array.
@@ -32,6 +31,7 @@ factors a matrix, such as box counting a sampled path, never loads it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,17 +358,26 @@ class Seed:
     with the counter starting at zero.  The rule is part of the public
     contract: the same (master, i) yields a bit-identical stream on any
     platform, and distinct (master, i) pairs never collide because master
-    and i occupy disjoint 64-bit halves of the 128-bit key.
+    and i occupy disjoint 64-bit halves of the 128-bit key.  Both are held
+    as Python ints: a float or a bool is refused, not truncated, and a
+    numpy integer cannot wrap in the shift by 64.
     """
 
     master: int
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.master < _MASTER_BOUND):
-            raise InvalidArgumentError("master seed must be a 64-bit unsigned integer")
-        if not (0 <= self.stream < _MASTER_BOUND):
-            raise InvalidArgumentError("stream index must be a 64-bit unsigned integer")
+        for attr, what in (("master", "master seed"), ("stream", "stream index")):
+            value = getattr(self, attr)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+            if not (0 <= value < _MASTER_BOUND):
+                raise InvalidArgumentError(f"{what} must be a 64-bit unsigned integer")
+            object.__setattr__(self, attr, value)
 
     def replica(self, i: int) -> "Seed":
         """The seed for replica ``i`` (stream derivation rule above)."""

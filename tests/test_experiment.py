@@ -1,6 +1,7 @@
 """Declarative experiment configs, the simulate-estimate-compare runner,
 and suite aggregation with per-row error capture."""
 
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from packdim import (
     ResolutionError,
     ScaleUnrepresentableError,
     Seed,
+    __version__,
     experiment,
     fields,
 )
@@ -80,6 +82,16 @@ class TestConfigParsing:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({**MINIMAL, "alfa": 0.5})
+
+    def test_keys_are_the_fields_with_set_for_set_spec(self):
+        cfg = ExperimentConfig.from_dict(GRAPH_LINE)
+        assert list(cfg.to_dict()) == [
+            "name", "alpha", "d", "n", "set", "drift", "resolution",
+            "grid", "replicas", "seed", "mode", "method", "box_method", "tolerance",
+        ]
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['set_spec'\]"):
+            ExperimentConfig.from_dict({**MINIMAL, "set_spec": {"kind": "interval"}})
 
     def test_missing_required_key(self):
         for key in ("name", "alpha", "d", "seed"):
@@ -529,6 +541,26 @@ class TestRunSuite:
         assert len(lines) == 5
         assert lines[2].startswith("bad,nan,") and lines[2].endswith(",error:ConfigError")
         assert lines[4].startswith("tiny,")
+        # the bytes the summary had when its rows were written by hand
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            f"# config_hash=d760d4e7691c version={__version__}\n"
+            "name,predicted,estimate_box,estimate_kernel,gap,pass\n"
+            "bad,nan,nan,nan,nan,error:ConfigError\n"
+            "broken,nan,nan,nan,nan,error:ConfigError\n"
+            "tiny,1.0,0.9334601924922472,0.8984501294130384,0.10154987058696163,true\n"
+        ).encode()
+
+    def test_a_comma_in_a_file_name_is_quoted(self, tmp_path):
+        (tmp_path / "bad,name.json").write_text("{")
+        (tmp_path / "plain.json").write_text("{")
+        rows = run_suite(str(tmp_path))
+        assert [r["name"] for r in rows] == ["bad,name", "plain"]
+        text = (tmp_path / "summary.csv").read_text()
+        assert '\n"bad,name",nan,nan,nan,nan,error:ConfigError\nplain,nan,' in text
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            records = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert [len(record) for record in records] == [6, 6, 6]
+        assert [record[0] for record in records] == ["name", "bad,name", "plain"]
 
     def test_configs_refused_at_load_are_not_sampled(self, tmp_path, monkeypatch):
         def no_sampling(*args, **kwargs):

@@ -11,18 +11,21 @@ and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
 it factors a matrix in one place: only numerics._cholesky_in_place calls
 LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
 only by calling its module-level name gaussian_interval_prob, the binding
-the benchmark wraps.  And it orders box-counting cells on single keys: np.lexsort
-is called only by numerics._distinct_rows, and a row-wise
-np.unique(..., axis=...) only where its inverse is read.
+the benchmark wraps, and only in field_tables.  And it orders box-counting
+cells on single keys: np.lexsort is called only by numerics._distinct_rows,
+and a row-wise np.unique(..., axis=...) only where its inverse is read.
 
-Every name in packdim.__all__ is read somewhere outside the tests: in the
-package's own modules, a demo or the benchmark, unless UNREACHED lists it
-with the reason it stays."""
+Every name packdim exports, its own __all__ and that of each module it
+star-imports, is read somewhere outside the tests: in the package's own
+modules, a demo or the benchmark, unless UNREACHED lists it with the
+reason it stays."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import packdim
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
@@ -316,7 +319,10 @@ def test_kernels_reach_the_probability_through_one_name():
     # numerics.gaussian_interval_prob spans; any other route bypasses them
     kernels = ROOT / "src" / "packdim" / "kernels.py"
     assert probability_routes(kernels) == []
-    assert "gaussian_interval_prob(" in kernels.read_text(encoding="utf-8")
+    # and field_tables alone calls it: the lattice shortcut reads its row
+    assert {hit.split(": ")[-1] for hit in callers(kernels, "gaussian_interval_prob")} == {
+        "field_tables"
+    }
 
 
 def test_scan_flags_a_stray_probability_route(tmp_path):
@@ -368,13 +374,25 @@ def _reads(node: ast.AST, inside: frozenset, names: set[str]) -> None:
         _reads(child, inside, names)
 
 
+def public_names(package: Path) -> set[str]:
+    """The names packdim exports: the strings in __init__.py's own __all__
+    and in the __all__ of each module it star-imports."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    public = _exported(init)
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]:
+            source = package / f"{node.module}.py"
+            public |= _exported(ast.parse(source.read_text(encoding="utf-8")))
+    return public
+
+
 def unreached(root: Path) -> list[str]:
-    """The names in packdim.__all__ that nothing outside the tests reads.  A
+    """The names packdim exports that nothing outside the tests reads.  A
     read is a name or attribute in src/packdim (not __init__.py, not inside
     its own definition), demos/ or bench/, or a dotted part of a string in
     bench/, since the benchmark tracer binds by name."""
     package = root / "src" / "packdim"
-    public = _exported(ast.parse((package / "__init__.py").read_text(encoding="utf-8")))
+    public = public_names(package)
     sources = [p for p in package.rglob("*.py") if p.name != "__init__.py"]
     sources += [p for d in ("demos", "bench") for p in (root / d).rglob("*.py")]
     names: set[str] = set()
@@ -397,16 +415,23 @@ def test_every_public_name_is_reached():
     assert unreached(ROOT) == sorted(name for name, _ in UNREACHED)
 
 
+def test_scan_sees_every_exported_name():
+    assert public_names(ROOT / "src" / "packdim") == set(packdim.__all__)
+
+
 def test_scan_flags_an_unreached_name(tmp_path):
     files = {
-        "src/packdim/__init__.py": "from .core import *\n_ = lonely\n__all__ = "
-        "['used', 'attr', 'traced', 'demoed', 'lonely', 'recursive', 'tested', 'stored']\n",
-        "src/packdim/core.py": "__all__ = ['lonely']\n"
+        "src/packdim/__init__.py": "from .core import *\nfrom .extra import *\n"
+        "from .hidden import lonely\n_ = lonely\n__all__ = ['own']\n"
+        "for m in (core, extra):\n    __all__ += m.__all__\n",
+        "src/packdim/core.py": "__all__ = ['used', 'attr', 'traced', 'demoed', 'lonely']\n"
         "def used(): return 1\n"
         "def lonely(): return 2\n"
         "def recursive(n): return recursive(n - 1) if n else 0\n"
         "stored = 3\n"
         "def caller(): return used() + np.attr\n",
+        "src/packdim/extra.py": "__all__ = ['recursive', 'tested', 'stored']\n",
+        "src/packdim/hidden.py": "__all__ = ['hidden']\n",
         "demos/show.py": "import packdim\npackdim.demoed()\n",
         "bench/worker.py": "wrap(core, 'core.traced')\n",
         "bench/test_smoke.py": "import packdim\npackdim.tested()\n",
@@ -415,4 +440,4 @@ def test_scan_flags_an_unreached_name(tmp_path):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text, encoding="utf-8")
-    assert unreached(tmp_path) == ["lonely", "recursive", "stored", "tested"]
+    assert unreached(tmp_path) == ["lonely", "own", "recursive", "stored", "tested"]

@@ -1,7 +1,9 @@
-"""The public surface and cold start: every exported name exists once,
-importing packdim and the CLI, a closed-form prediction and box counting of
-sampled paths load no scipy, and every function that imports scipy on first
-use works on that first call."""
+"""The public surface and cold start: every exported name exists once, the
+package re-exports each library module's names and loses none it had,
+importing packdim loads no CLI, importing packdim and the CLI, a
+closed-form prediction and box counting of sampled paths load no scipy,
+and every function that imports scipy on first use works on that first
+call."""
 
 import dataclasses
 import importlib
@@ -16,9 +18,32 @@ import pytest
 
 import packdim
 
-SUBMODULES = (
+# the library modules packdim re-exports, in import order, and the CLI
+LIBRARY = (
     "errors", "numerics", "measures", "fractals", "fields", "kernels",
-    "estimators", "theory", "verify", "experiment", "cli",
+    "estimators", "theory", "verify", "experiment",
+)
+SUBMODULES = LIBRARY + ("cli",)
+# the package's names when __init__.py listed them by hand; each stays
+SURFACE_BEFORE = (
+    "CheckReport", "ConfigError", "DegenerateRegimeError", "DepthExhaustedError",
+    "DiscreteMeasure", "DriftSpec", "ExperimentConfig", "ExponentEstimate",
+    "ExtractedSubsystem", "FieldSpec", "GeometryError", "InsufficientScalesError",
+    "InvalidArgumentError", "KernelContext", "MinkowskiBounds", "NestedIntervalSystem",
+    "NotPositiveSemidefiniteError", "PackdimError", "PredictionReport", "Regime",
+    "ResolutionError", "SamplePath", "ScaleGrid", "ScaleUnrepresentableError", "Seed",
+    "SubMeasure", "SymbolicScaleSystem", "__version__", "ball_mass", "ball_mass_profile",
+    "box_count", "box_count_curve", "box_counting_dim", "build_tx_system",
+    "build_uniform_cantor", "canonical_metric", "check_doubling",
+    "check_gaussian_interval_bound", "check_graph_expectation_bound", "check_parts",
+    "check_regularity_conditions", "check_scale_doubling", "cholesky_psd", "covering_count",
+    "dim_ball_mass", "dim_field", "dim_profile", "dim_slice_kernel", "expected_ball_mass",
+    "extract_subsystem", "fbm_covariance", "gaussian_interval_prob", "graph_lower",
+    "graph_measure", "graph_points", "image_measure", "increment_prob", "minkowski_bounds",
+    "natural_measure", "predict_graph_upper", "predict_image", "profile_kernel",
+    "read_measure_csv", "realize_explicit", "rect_mass", "run_experiment", "run_suite",
+    "sample", "sample_many", "scaling_exponent", "slice_kernel", "slice_measure",
+    "solve_crossing", "tx_lower", "write_measure_csv",
 )
 # helpers that named no object of the model and that no library code called,
 # the Euclidean ball option of the field kernels, public names that only
@@ -67,6 +92,21 @@ def test_public_surface(module):
     ] == []
 
 
+def test_package_exports_each_library_module():
+    lists = [importlib.import_module(f"packdim.{m}").__all__ for m in LIBRARY]
+    assert packdim.__all__ == ["__version__"] + [name for names in lists for name in names]
+    assert len(packdim.__all__) == len(set(packdim.__all__))
+
+
+def test_no_exported_name_is_lost():
+    assert len(SURFACE_BEFORE) == 75
+    assert [name for name in SURFACE_BEFORE if name not in packdim.__all__] == []
+    # the names the modules listed that the package did not re-export by hand
+    assert sorted(set(packdim.__all__) - set(SURFACE_BEFORE)) == [
+        "LevelSpec", "ball_tables", "field_tables", "profile_tables", "slice_tables",
+    ]
+
+
 def test_submeasure_fields():
     assert [f.name for f in dataclasses.fields(packdim.SubMeasure)] == ["atoms", "weights"]
 
@@ -107,6 +147,15 @@ def test_quick_start_path_loads_no_scipy():
     loaded = json.loads(run_fresh(code))
     assert len(loaded) == 4
     assert loaded == {stage: [] for stage in loaded}
+
+
+def test_import_loads_no_cli():
+    code = """
+    import json, sys
+    import packdim
+    print(json.dumps(sorted(m for m in sys.modules if m in ("argparse", "packdim.cli"))))
+    """
+    assert json.loads(run_fresh(code)) == []
 
 
 # Each site's first call.

@@ -639,7 +639,13 @@ class TestMeshMasses:
         monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
         ctx = mesh_context(mode, n, 2, 0.5, self.COUNTS[n][1])
         kernels._mesh_masses(ctx, WINDOW_RADII)
-        assert sum(elements) == ctx.measure.count * len(WINDOW_RADII)
+        # one per offset in the image, one per offset inside the window in a graph
+        reach = np.abs(ctx.measure.atoms).max(axis=1)
+        per_radius = [
+            ctx.measure.count if mode == "image" else np.count_nonzero(reach <= r)
+            for r in WINDOW_RADII
+        ]
+        assert sum(elements) == sum(per_radius)
 
     @pytest.mark.parametrize("mode", ["image", "graph"])
     def test_dim_field_dispatch(self, monkeypatch, mode):

@@ -348,3 +348,25 @@ class TestSeed:
         a = Seed(7).replica(3).generator().standard_normal(4)
         b = Seed(7).replica(3).generator().standard_normal(4)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("master", [1.5, 1.0, True, np.True_, np.float64(2.0), "3", None])
+    def test_master_must_be_an_integer(self, master):
+        # a float or bool master would otherwise draw an integer master's stream
+        with pytest.raises(InvalidArgumentError, match="master seed must be an integer"):
+            Seed(master)
+
+    @pytest.mark.parametrize("stream", [0.5, 1.0, True, np.float64(1.0)])
+    def test_stream_must_be_an_integer(self, stream):
+        with pytest.raises(InvalidArgumentError, match="stream index must be an integer"):
+            Seed(5, stream=stream)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+    def test_numpy_integers_are_held_as_ints(self, dtype):
+        # master + stream << 64 on a numpy integer wraps to master, so
+        # Seed(5, stream=int64(1)) drew the stream of Seed(5)
+        seed = Seed(dtype(5), stream=dtype(1))
+        assert type(seed.master) is int and type(seed.stream) is int
+        assert seed == Seed(5, 1)
+        draws = seed.generator().standard_normal(4)
+        np.testing.assert_array_equal(draws, Seed(5, 1).generator().standard_normal(4))
+        assert not np.array_equal(draws, Seed(5).generator().standard_normal(4))
