@@ -1,8 +1,11 @@
 """End-to-end command-line checks through real subprocesses."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,3 +318,169 @@ class TestExperiment:
         assert proc.returncode == 1
         # refused at load: level 3 branches past 2^53
         assert "unbuildable: pass=error:ConfigError" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: the sha256 of every output form, stdout and each file written
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 128 equal atoms at the odd multiples of 1/256: every number is dyadic
+GOLDEN_MEASURE = "x1,weight\n" + "".join(
+    f"{(2 * i + 1) / 256!r},{1 / 128!r}\n" for i in range(128)
+)
+# on the line from 256 interval points the sampler takes the fft, so no
+# output hangs on a Cholesky factor
+GOLDEN_CONFIG = {
+    "name": "line", "alpha": 0.5, "d": 1, "seed": 7, "set": {"kind": "interval"},
+    "resolution": 256, "grid": {"j_min": 2, "j_max": 5}, "replicas": 2,
+    "mode": "graph", "tolerance": 0.35,
+}
+SIM = ["simulate", "--alpha", "0.5", "--points", "256", "--method", "fft"]
+GRID = ["--j-min", "2", "--j-max", "5"]
+PROFILE = ["profile", "measure.csv", "--beta", "0.5", *GRID]
+
+# name: (argv, files written besides stdout)
+GOLDEN_CASES = {
+    "simulate-csv": (["--seed", "5", *SIM], []),
+    "simulate-json": (["--seed", "5", "--format", "json", *SIM], []),
+    "simulate-out": (
+        ["--seed", "5", "--out", "path.csv", *SIM, "--drift", "power:1.5:2.0"],
+        ["path.csv", "path.csv.json"],
+    ),
+    "dim-csv": (["dim", "measure.csv", *GRID], []),
+    "dim-json": (["--format", "json", "dim", "measure.csv", *GRID], []),
+    "dim-out": (["--out", "est", "dim", "measure.csv", *GRID], ["est.csv", "est.json"]),
+    "dim-refused": (
+        ["--out", "est", "dim", "measure.csv", "--j-min", "3", "--j-max", "9"],
+        ["est.csv", "est.json"],
+    ),
+    "profile-csv": (PROFILE, []),
+    "profile-json": (["--format", "json", *PROFILE], []),
+    "profile-out": (["--out", "est", *PROFILE], ["est.csv", "est.json"]),
+    "txset-csv": (["txset", "--beta", "0.5", "--levels", "6"], []),
+    "txset-json": (["--format", "json", "txset", "--beta", "0.5", "--levels", "6"], []),
+    "predict-csv": (["predict", "--alpha", "0.5", "-d", "1", "--beta", "0.5"], []),
+    "predict-json": (
+        ["--format", "json", "predict", "--alpha", "0.5", "-d", "1", "--beta", "0.5"], [],
+    ),
+    "verify-csv": (["--seed", "4", "verify"], []),
+    "verify-json": (["--seed", "4", "--format", "json", "verify"], []),
+    "experiment-run": (
+        ["--out", "results", "experiment", "run", "line.json"],
+        ["results/line.csv", "results/line.json"],
+    ),
+    "experiment-suite": (["experiment", "suite", "suite"], ["suite/summary.csv"]),
+}
+
+
+def golden_digests(tmp_path, argv, files) -> dict:
+    """Exit status and the sha256 of stdout and of each file, for the CLI
+    run in ``tmp_path`` on the golden inputs; stderr must stay empty."""
+    (tmp_path / "measure.csv").write_text(GOLDEN_MEASURE)
+    (tmp_path / "line.json").write_text(json.dumps(GOLDEN_CONFIG))
+    (tmp_path / "suite").mkdir()
+    (tmp_path / "suite" / "line.json").write_text(json.dumps(GOLDEN_CONFIG))
+    (tmp_path / "suite" / "bad,name.json").write_text("{")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(CLI + argv, capture_output=True, cwd=tmp_path, env=env)
+    assert proc.stderr == b""
+    digests = {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest()}
+    for name in files:
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    return digests
+
+
+# as the CLI wrote them when this test was added: a moved output byte shows here
+GOLDEN = {
+    "dim-csv": {
+        "exit": 0,
+        "stdout": "a85c1d9bcca69c587463bf0c5f192eefa7119f6e456b237b01b19864e629614c",
+    },
+    "dim-json": {
+        "exit": 0,
+        "stdout": "a70dc87d1cb88e953d5fae25cc794381366d65fae651862de2a2789889602331",
+    },
+    "dim-out": {
+        "exit": 0,
+        "stdout": "a70dc87d1cb88e953d5fae25cc794381366d65fae651862de2a2789889602331",
+        "est.csv": "a85c1d9bcca69c587463bf0c5f192eefa7119f6e456b237b01b19864e629614c",
+        "est.json": "a70dc87d1cb88e953d5fae25cc794381366d65fae651862de2a2789889602331",
+    },
+    "dim-refused": {
+        "exit": 1,
+        "stdout": "b3e12f343c565111e1a0d433e3cce38cbce9eb9027fa6bfde5bcd8f107decbf3",
+        "est.csv": "73d27abc8b7aac860a0a67735fe61f81f4461358388f2eefde533f365c30570d",
+        "est.json": "b3e12f343c565111e1a0d433e3cce38cbce9eb9027fa6bfde5bcd8f107decbf3",
+    },
+    "experiment-run": {
+        "exit": 0,
+        "stdout": "1efc53f23976082ef6e7eb68edb40a0e95a210ebb4cae46b4b783513b7a52b7e",
+        "results/line.csv": "3511565c879671a202a11cb95774ab06961bee7e6ef5eeb34c76082ef0a9112b",
+        "results/line.json": "1efc53f23976082ef6e7eb68edb40a0e95a210ebb4cae46b4b783513b7a52b7e",
+    },
+    "experiment-suite": {
+        "exit": 1,
+        "stdout": "ea4e7f4e36f482667a72a014251e12bd54bb06a3f89f8adb0b9929295c0a2a4c",
+        "suite/summary.csv": "66ade493b96c6f234bb6629fc37f1a61a848bd62c07b4031a3f5b77cf43fd1b9",
+    },
+    "predict-csv": {
+        "exit": 0,
+        "stdout": "1cc1a846a63ad52a9ce3ef33a743d25b1f165cb78c225935471ee2413df4cdea",
+    },
+    "predict-json": {
+        "exit": 0,
+        "stdout": "fe4eaf593ffd550b7f6d0ddb17c9cbd5edca8689c447ad22c5b7d64770f39ef1",
+    },
+    "profile-csv": {
+        "exit": 0,
+        "stdout": "fbf88cb63d81f81365c3ab95b48a279e1f8fe48a2b400f33eb1e809d02eb5155",
+    },
+    "profile-json": {
+        "exit": 0,
+        "stdout": "6d8a45510e2fa96a6058a99fda7bb68f93503c1dfe7ea38b4984d4b74331a953",
+    },
+    "profile-out": {
+        "exit": 0,
+        "stdout": "6d8a45510e2fa96a6058a99fda7bb68f93503c1dfe7ea38b4984d4b74331a953",
+        "est.csv": "fbf88cb63d81f81365c3ab95b48a279e1f8fe48a2b400f33eb1e809d02eb5155",
+        "est.json": "6d8a45510e2fa96a6058a99fda7bb68f93503c1dfe7ea38b4984d4b74331a953",
+    },
+    "simulate-csv": {
+        "exit": 0,
+        "stdout": "ae4099a00242da345e067356d10f9cfb3d3eb1947cbf32d6c1cf095bd0078208",
+    },
+    "simulate-json": {
+        "exit": 0,
+        "stdout": "b4bdf0b3f03262f76828ba847121f7c453b0ecfd6cb9da4761770f397a83aa8c",
+    },
+    "simulate-out": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "path.csv": "a80306087e540838742505aaaf1035db6b195b60b6e25117eb2a66139289c591",
+        "path.csv.json": "cf12959917b92f56454b030e2c9531d6f183de83e9de39251063ef7f24101dfd",
+    },
+    "txset-csv": {
+        "exit": 0,
+        "stdout": "2c10f41168352a232748eb2654136ba4f895e847110b9aab6142b33a650d4c0e",
+    },
+    "txset-json": {
+        "exit": 0,
+        "stdout": "e87a964b78cc2732401eca65cfd5ec94b233542e6d871efbb7d8889147cfc18f",
+    },
+    "verify-csv": {
+        "exit": 0,
+        "stdout": "3936f3a5540cfa9876db325a5c72cce4028b39bf577c19fe8e769dc387879438",
+    },
+    "verify-json": {
+        "exit": 0,
+        "stdout": "e4a80c3eb717b29fbb42e96e76d011e00862b5f37228a3c805c43c10409fcf60",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_bytes(tmp_path, case):
+    assert golden_digests(tmp_path, *GOLDEN_CASES[case]) == GOLDEN[case]
