@@ -2,10 +2,13 @@
 
 Subcommands: simulate, dim, profile, txset, predict, verify,
 experiment run / experiment suite.  Global flags --seed, --out,
---format apply before the subcommand name.  Every file written embeds a
-hash of the invocation parameters and the package version on a leading
-comment line.  Exit status is 0 only when every invoked check or
-comparison passes.
+--format apply before the subcommand name.  A CSV output opens with a
+``# config_hash=... version=...`` line; a JSON output carries
+``config_hash`` and ``version`` keys, but verify's JSON lines only
+``version``.  --out adds a JSON sidecar <out>.json only to a csv
+simulate, and dim and profile write the pair <out>.csv and <out>.json;
+txset, predict and verify write just the table.  Exit status is 0 only
+when every invoked check or comparison passes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,8 +38,10 @@ from .verify import (
 from .experiment import (
     ExperimentConfig,
     _config_hash,
+    _csv_text,
     _json_text,
-    _stamp,
+    _stamped,
+    _write,
     run_experiment,
     run_suite,
 )
@@ -45,10 +51,18 @@ __all__ = ["main"]
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(fmt: str, out: str | None, params: dict, columns, rows, payload: dict) -> None:
+    """A command's result to ``out`` or stdout: the CSV table of ``rows``,
+    or ``payload`` as JSON, either stamped with the hash of ``params``."""
+    if fmt == "json":
+        _write_or_print(_json_text(_stamped(_config_hash(params), payload)), out)
+    else:
+        _write_or_print(_csv_text(_config_hash(params), columns, rows), out)
 
 
 def _parse_drift(text: str | None, d: int) -> DriftSpec | None:
@@ -80,29 +94,20 @@ def _cmd_simulate(args) -> int:
     field = FieldSpec(args.alpha, domain_dim=n, range_dim=d)
     drift = _parse_drift(args.drift, d)
     path = sample(field, pts, Seed(args.seed), drift=drift, method=args.method)
-    params = {
-        "cmd": "simulate", "alpha": args.alpha, "domain_dim": n, "range_dim": d,
-        "points": args.points, "t_max": args.t_max, "drift": args.drift,
-        "seed": args.seed, "method": args.method,
-    }
-    header = ",".join([f"t{i + 1}" for i in range(n)] + [f"x{i + 1}" for i in range(d)])
-    rows = [header]
-    for t, x in zip(path.points, path.values):
-        rows.append(",".join(repr(float(v)) for v in (*t, *x)))
     sidecar = {
         "alpha": args.alpha, "domain_dim": n, "range_dim": d,
         "drift": args.drift, "seed": args.seed, "method": args.method,
-        "config_hash": _config_hash(params), "version": __version__,
     }
-    if args.format == "json":
-        payload = dict(sidecar)
-        payload["points"] = path.points.tolist()
-        payload["values"] = path.values.tolist()
-        _write_or_print(_json_text(payload), args.out)
-    else:
-        _write_or_print(_stamp(_config_hash(params)) + "\n".join(rows) + "\n", args.out)
-        if args.out:
-            _write_or_print(_json_text(sidecar), args.out + ".json")
+    params = {"cmd": "simulate", **sidecar, "points": args.points, "t_max": args.t_max}
+    points, values = path.points.tolist(), path.values.tolist()
+    _emit(
+        args.format, args.out, params,
+        [f"t{i + 1}" for i in range(n)] + [f"x{i + 1}" for i in range(d)],
+        ([*t, *x] for t, x in zip(points, values)),
+        {**sidecar, "points": points, "values": values},
+    )
+    if args.out and args.format == "csv":
+        _emit("json", args.out + ".json", params, (), (), sidecar)
     return 0
 
 
@@ -114,32 +119,21 @@ def _estimate_command(args, estimator, params_extra) -> int:
         "j_max": args.j_max, "base": args.base, "method": args.method,
         **params_extra,
     }
-    guard = "ok"
-    est = None
     try:
-        est = estimator(mu, grid)
+        est, guard = estimator(mu, grid), "ok"
     except ResolutionError as exc:
-        guard = str(exc)
+        est, guard = None, str(exc)
     summary = {
         "estimate": None if est is None else est.value,
         "method": args.method,
         "window": None if est is None else list(est.window),
         "guard_status": guard,
-        "config_hash": _config_hash(params),
-        "version": __version__,
     }
-    csv_text = _stamp(_config_hash(params)) + "scale,V,ratio\n"
-    if est is not None:
-        for r, v, ratio in est.per_scale:
-            csv_text += f"{r!r},{v!r},{ratio!r}\n"
+    table = (params, ("scale", "V", "ratio"), [] if est is None else est.per_scale, summary)
     if args.out:
-        _write_or_print(csv_text, args.out + ".csv")
-        _write_or_print(_json_text(summary), args.out + ".json")
-        sys.stdout.write(_json_text(summary))
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(_json_text(summary))
+        _emit("csv", args.out + ".csv", *table)
+        _emit("json", args.out + ".json", *table)
+    _emit("json" if args.out else args.format, None, *table)
     return 0 if est is not None else 1
 
 
@@ -163,38 +157,20 @@ def _cmd_profile(args) -> int:
 
 def _cmd_txset(args) -> int:
     system = build_tx_system(args.beta, args.delta0, levels=args.levels)
+    columns = ("k", "log_inv_delta", "log_inv_eta", "log_m", "ratio_at_eta", "ratio_at_delta")
     params = {
         "cmd": "txset", "beta": args.beta, "delta0": args.delta0, "levels": args.levels,
     }
     rows = []
     for k in range(1, args.levels + 1):
-        log_inv_delta = system.L[k]
-        log_inv_eta = system.H[k - 1]
-        log_m = system.logm[k - 1]
-        ratio_eta = covering_count(system, log_inv_eta) / log_inv_eta
-        ratio_delta = covering_count(system, log_inv_delta) / log_inv_delta
-        rows.append(
-            {
-                "k": k,
-                "log_inv_delta": log_inv_delta,
-                "log_inv_eta": log_inv_eta,
-                "log_m": log_m,
-                "ratio_at_eta": ratio_eta,
-                "ratio_at_delta": ratio_delta,
-            }
-        )
-    if args.format == "json":
-        payload = {"rows": rows, "config_hash": _config_hash(params), "version": __version__}
-        _write_or_print(_json_text(payload), args.out)
-    else:
-        text = _stamp(_config_hash(params))
-        text += "k,log_inv_delta,log_inv_eta,log_m,ratio_at_eta,ratio_at_delta\n"
-        for row in rows:
-            text += (
-                f"{row['k']},{row['log_inv_delta']!r},{row['log_inv_eta']!r},"
-                f"{row['log_m']!r},{row['ratio_at_eta']!r},{row['ratio_at_delta']!r}\n"
-            )
-        _write_or_print(text, args.out)
+        log_inv_delta, log_inv_eta = system.L[k], system.H[k - 1]
+        rows.append((
+            k, log_inv_delta, log_inv_eta, system.logm[k - 1],
+            covering_count(system, log_inv_eta) / log_inv_eta,
+            covering_count(system, log_inv_delta) / log_inv_delta,
+        ))
+    payload = {"rows": [dict(zip(columns, row)) for row in rows]}
+    _emit(args.format, args.out, params, columns, rows, payload)
     return 0
 
 
@@ -213,16 +189,7 @@ def _cmd_predict(args) -> int:
     except DegenerateRegimeError:
         pass
     params = {"cmd": "predict", "alpha": args.alpha, "d": args.range_dim, "beta": args.beta}
-    if args.format == "json":
-        payload = dict(values)
-        payload["config_hash"] = _config_hash(params)
-        payload["version"] = __version__
-        _write_or_print(_json_text(payload), args.out)
-    else:
-        text = _stamp(_config_hash(params)) + "name,value\n"
-        for key in sorted(values):
-            text += f"{key},{values[key]!r}\n"
-        _write_or_print(text, args.out)
+    _emit(args.format, args.out, params, ("name", "value"), sorted(values.items()), values)
     return 0
 
 
@@ -266,27 +233,13 @@ def _cmd_verify(args) -> int:
     reports = _default_checks(args.seed, names)
     params = {"cmd": "verify", "check": args.check, "seed": args.seed}
     if args.format == "csv":
-        text = _stamp(_config_hash(params)) + "name,trials,violations,worst_ratio\n"
-        for rep in reports:
-            text += f"{rep.name},{rep.trials},{rep.violations},{rep.worst_ratio!r}\n"
-        _write_or_print(text, args.out)
+        rows = [(rep.name, rep.trials, rep.violations, rep.worst_ratio) for rep in reports]
+        _emit("csv", args.out, params, ("name", "trials", "violations", "worst_ratio"), rows, {})
     else:
-        lines = []
-        for rep in reports:
-            lines.append(
-                json.dumps(
-                    {
-                        "name": rep.name,
-                        "trials": rep.trials,
-                        "violations": rep.violations,
-                        "worst_ratio": rep.worst_ratio,
-                        "witness": rep.witness,
-                        "details": rep.details,
-                        "version": __version__,
-                    },
-                    sort_keys=True,
-                )
-            )
+        lines = [
+            json.dumps({**asdict(rep), "version": __version__}, sort_keys=True)
+            for rep in reports
+        ]
         _write_or_print("\n".join(lines) + "\n", args.out)
     return 0 if all(rep.passed for rep in reports) else 1
 

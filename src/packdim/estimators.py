@@ -65,7 +65,7 @@ from .kernels import (
     slice_tables,
 )
 from .measures import DiscreteMeasure
-from .numerics import _distinct_rows
+from .numerics import _distinct_rows, _finest_third
 
 __all__ = [
     "ScaleGrid",
@@ -161,7 +161,7 @@ def _fit(logr: np.ndarray, logv: np.ndarray, method: str) -> np.ndarray:
 def _window(count: int, method: str) -> range:
     """Indices of the scales a fit over ``count`` usable scales reads: the
     finest ceil(third) for tail-max, all of them for regression."""
-    return range(count - math.ceil(count / 3) if method == "tail-max" else 0, count)
+    return _finest_third(count) if method == "tail-max" else range(count)
 
 
 def scaling_exponent(radii, values, method: str) -> ExponentEstimate:

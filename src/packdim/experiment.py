@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -134,9 +135,38 @@ def _stamp(config_hash: str) -> str:
     return f"# config_hash={config_hash} version={__version__}\n"
 
 
+def _fmt(value) -> str:
+    """A CSV cell: a float as its repr, a bool as JSON writes it."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _csv_text(config_hash: str, columns, rows) -> str:
+    """The text of every CSV output: the stamp, the header, then the rows,
+    each cell through _fmt.  Only a cell holding a comma is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(value) for value in row] for row in rows)
+    return _stamp(config_hash) + buf.getvalue()
+
+
+def _stamped(config_hash: str, payload: dict) -> dict:
+    """A JSON output's payload with its config hash and the package version."""
+    return {**payload, "config_hash": config_hash, "version": __version__}
+
+
 def _json_text(obj) -> str:
     """The text of every JSON output: sorted keys, 2-space indent, a final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -168,7 +198,7 @@ class ExperimentConfig:
         name = _read(raw, "name", _string)
         if not name or any(ch in name for ch in ",\n\r"):
             raise ConfigError("name must be nonempty and free of commas/newlines")
-        cfg = cls(
+        return cls(
             name=name,
             alpha=_read(raw, "alpha", _real),
             d=_read(raw, "d", _integer),
@@ -187,8 +217,6 @@ class ExperimentConfig:
             box_method=str(raw.get("box_method", raw.get("method", "regression"))),
             tolerance=_read(raw, "tolerance", _real, 0.25),
         )
-        cfg.validate()
-        return cfg
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -202,11 +230,13 @@ class ExperimentConfig:
         return {key: getattr(self, field) for field, key in _CONFIG_KEYS.items()}
 
     def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(self.to_dict()))
+        _write(path, _json_text(self.to_dict()))
 
     def config_hash(self) -> str:
         return _config_hash(self.to_dict())
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -400,45 +430,33 @@ class PredictionReport:
         }
 
     def to_dict(self) -> dict:
-        return {
+        return _stamped(self.config_hash, {
             "name": self.name,
-            "config_hash": self.config_hash,
-            "version": __version__,
             "predicted": self.predicted,
             "estimated": self.estimated,
             "gaps": self.gaps,
             "pass": self.passed,
-        }
+        })
 
 
 # the columns of run_suite's summary, the keys of PredictionReport.summary_row
 _SUMMARY_COLUMNS = ("name", "predicted", "estimate_box", "estimate_kernel", "gap", "pass")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_report_files(report: PredictionReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{report.name}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_stamp(report.config_hash))
-        fh.write("field,replica,value\n")
-        for i, v in enumerate(report.estimated["box"]["replicas_values"]):
-            fh.write(f"estimate_box,{i},{_fmt(v)}\n")
-        fh.write(f"estimate_box_mean,,{_fmt(report.estimated['box']['value'])}\n")
-        fh.write(f"estimate_kernel,,{_fmt(report.estimated['kernel']['value'])}\n")
-        for key in sorted(report.predicted):
-            fh.write(f"predicted_{key},,{_fmt(report.predicted[key])}\n")
-        for key in sorted(report.gaps):
-            fh.write(f"gap_{key},,{_fmt(report.gaps[key])}\n")
-        fh.write(f"pass,,{int(report.passed)}\n")
-    json_path = os.path.join(out_dir, f"{report.name}.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(report.to_dict()))
+    box = report.estimated["box"]
+    rows = [
+        *(("estimate_box", i, v) for i, v in enumerate(box["replicas_values"])),
+        ("estimate_box_mean", "", box["value"]),
+        ("estimate_kernel", "", report.estimated["kernel"]["value"]),
+        *((f"predicted_{key}", "", v) for key, v in sorted(report.predicted.items())),
+        *((f"gap_{key}", "", v) for key, v in sorted(report.gaps.items())),
+        ("pass", "", int(report.passed)),
+    ]
+    base = os.path.join(out_dir, report.name)
+    _write(base + ".csv", _csv_text(report.config_hash, ("field", "replica", "value"), rows))
+    _write(base + ".json", _json_text(report.to_dict()))
 
 
 @contextmanager
@@ -457,7 +475,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Pred
     the closed-form prediction.  Deterministic given the seed: replicas
     draw from indexed substreams and aggregate in index order.  With
     ``out_dir`` set, writes <name>.csv and <name>.json there."""
-    config.validate()
     pts, mu, beta_set, connect = _build_set(config)
     grid = config.scale_grid()
     field = config.field_spec()
@@ -515,8 +532,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Pred
 
 def run_suite(config_dir: str, out_path: str | None = None) -> list[dict]:
     """Run every *.json config in ``config_dir`` (sorted by filename) and
-    write one summary.csv row per experiment.  A failing experiment does
-    not stop the suite; its row records the error."""
+    write one summary.csv row per experiment.  A config that cannot be
+    read, loaded or run does not stop the suite; its row records the error
+    class."""
     files = sorted(
         f for f in os.listdir(config_dir) if f.endswith(".json")
     )
@@ -525,13 +543,11 @@ def run_suite(config_dir: str, out_path: str | None = None) -> list[dict]:
     rows = []
     hashes = []
     for fname in files:
-        path = os.path.join(config_dir, fname)
         try:
-            cfg = ExperimentConfig.from_json(path)
+            cfg = ExperimentConfig.from_json(os.path.join(config_dir, fname))
             hashes.append(cfg.config_hash())
-            report = run_experiment(cfg)
-            row = report.summary_row()
-        except PackdimError as exc:
+            row = run_experiment(cfg).summary_row()
+        except (PackdimError, OSError) as exc:
             row = {
                 "name": os.path.splitext(fname)[0],
                 **dict.fromkeys(_SUMMARY_COLUMNS[1:-1], math.nan),
@@ -541,14 +557,6 @@ def run_suite(config_dir: str, out_path: str | None = None) -> list[dict]:
     suite_hash = hashlib.sha256("".join(hashes).encode()).hexdigest()[:12]
     if out_path is None:
         out_path = os.path.join(config_dir, "summary.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_stamp(suite_hash))
-        # a name taken from a file name may hold a comma; the writer quotes it
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SUMMARY_COLUMNS)
-        for row in rows:
-            passes = row["pass"]
-            cell = passes if isinstance(passes, str) else str(bool(passes)).lower()
-            values = [_fmt(row[key]) for key in _SUMMARY_COLUMNS[1:-1]]
-            writer.writerow([row["name"], *values, cell])
+    cells = [[row[key] for key in _SUMMARY_COLUMNS] for row in rows]
+    _write(out_path, _csv_text(suite_hash, _SUMMARY_COLUMNS, cells))
     return rows

@@ -23,6 +23,7 @@ from .errors import (
     ScaleUnrepresentableError,
 )
 from .measures import DiscreteMeasure
+from .numerics import _finest_third
 
 __all__ = [
     "LevelSpec",
@@ -434,8 +435,7 @@ def minkowski_bounds(system, log_inv_eps_grid) -> MinkowskiBounds:
     for lie in grid:
         logn = covering_count(system, lie)
         rows.append((lie, logn, logn / lie if lie > 0 else math.nan))
-    tail = max(1, math.ceil(len(rows) / 3))
-    tail_ratios = [r[2] for r in rows[-tail:]]
+    tail_ratios = [rows[i][2] for i in _finest_third(len(rows))]
     return MinkowskiBounds(max(tail_ratios), min(tail_ratios), tuple(rows))
 
 

@@ -16,6 +16,7 @@ every kernel table, in image and in graph mode, and the Cholesky sampler
 call it.  _distinct_rows, the distinct rows of an array, serves box
 counting and the spacing guard, and through _rows_are_distinct the
 distinct-point checks of sample points and measure atoms.
+_finest_third is the one tail window of tail-max fits and Minkowski bounds.
 cholesky_psd checks its input in row blocks and factors one copy of it in
 place: LAPACK copies nothing, the factor is transposed into C order over
 the copy, and a factorization without jitter builds no other square array.
@@ -167,6 +168,11 @@ def _erfc_form(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     low -= erfc(high, out=high)
     low *= 0.5
     return low
+
+
+def _finest_third(count: int) -> range:
+    """Indices of the finest ceil(third) of ``count`` scales, coarse to fine."""
+    return range(count - math.ceil(count / 3), count)
 
 
 def _pair_distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:

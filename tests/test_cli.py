@@ -319,6 +319,15 @@ class TestExperiment:
         # refused at load: level 3 branches past 2^53
         assert "unbuildable: pass=error:ConfigError" in proc.stdout
 
+    def test_suite_runs_past_an_unreadable_entry(self, tmp_path):
+        self.write_config(tmp_path)
+        (tmp_path / "d.json").mkdir()
+        proc = run_cli("experiment", "suite", tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert proc.stdout == "cli-thirds: pass=True\nd: pass=error:IsADirectoryError\n"
+        assert (tmp_path / "summary.csv").exists()
+
 
 # ---------------------------------------------------------------------------
 # Golden bytes: the sha256 of every output form, stdout and each file written

@@ -2,6 +2,7 @@
 and suite aggregation with per-row error capture."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -70,6 +71,17 @@ class TestConfigParsing:
         assert cfg.method == "regression"
         assert cfg.box_method == "regression"
         assert cfg.tolerance == 0.25
+
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            ExperimentConfig(
+                name="t", alpha=1.5, d=1, n=1, set_spec={"kind": "interval"}, drift=None,
+                resolution=4096, grid={"j_min": 4, "j_max": 9, "base": 2.0}, replicas=1,
+                seed=1, mode="image", method="regression", box_method="regression",
+                tolerance=0.25,
+            )
+        with pytest.raises(ConfigError, match="mode"):
+            dataclasses.replace(ExperimentConfig.from_dict(MINIMAL), mode="shadow")
 
     def test_box_method_follows_method(self):
         cfg = ExperimentConfig.from_dict({**MINIMAL, "method": "tail-max"})
@@ -393,6 +405,21 @@ class TestRunExperiment:
         )
         assert rep.passed
 
+    def test_a_run_builds_its_set_once(self, monkeypatch):
+        # validated when it is made, the config is not validated again by
+        # the run, which would build its Cantor system a second time
+        cfg = ExperimentConfig.from_dict(THIRDS_IMAGE)
+        build = experiment.build_uniform_cantor
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(experiment, "build_uniform_cantor", counting)
+        run_experiment(cfg)
+        assert built == [(2, 1.0 / 3.0, 7)]
+
     def test_graph_floor_reported(self):
         cfg = ExperimentConfig.from_dict(
             {**THIRDS_IMAGE, "name": "thirds-graph", "mode": "graph", "tolerance": 2.0}
@@ -476,14 +503,11 @@ class TestRunExperiment:
         assert str(info.value).startswith("kernel stage: finest scale")
 
     def test_cholesky_budget_refuses_before_sampling(self, monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled a refused config")
-
         cfg = ExperimentConfig.from_dict(THIRDS_IMAGE)
         monkeypatch.setattr(fields, "_CHOLESKY_BUDGET", 1024)
-        monkeypatch.setattr(experiment, "sample_many", no_sampling)
+        # refused when the config is made, before any run can sample it
         with pytest.raises(ConfigError) as info:
-            run_experiment(cfg)
+            ExperimentConfig.from_dict(THIRDS_IMAGE)
         # 128 Cantor atoms; the one at 0 stays out of the factor
         assert str(info.value).startswith("cantor set of 128 points: cholesky on 127 points")
         assert "budget of 1024 bytes" in str(info.value)
@@ -606,6 +630,18 @@ class TestRunSuite:
             ("negative-seed", "error:ConfigError"),
             ("wide-cantor", "error:ConfigError"),
         ]
+
+    def test_unreadable_entry_is_an_error_row(self, tmp_path):
+        tiny = {**MINIMAL, "name": "tiny", "resolution": 256, "grid": {"j_min": 2, "j_max": 5}}
+        self.write_config(tmp_path, tiny)
+        (tmp_path / "d.json").mkdir()
+        rows = run_suite(str(tmp_path))
+        assert [r["name"] for r in rows] == ["d", "tiny"]
+        assert rows[0]["pass"] == "error:IsADirectoryError"
+        assert isinstance(rows[1]["pass"], bool)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert lines[2] == "d,nan,nan,nan,nan,error:IsADirectoryError"
+        assert lines[3].startswith("tiny,1.0,")
 
     def test_suite_records_stage_errors(self, tmp_path):
         self.write_config(tmp_path, UNDERSAMPLED)

@@ -21,7 +21,9 @@ from packdim import (
     natural_measure,
     realize_explicit,
 )
+from packdim.estimators import _window
 from packdim.fractals import LevelSpec
+from packdim.numerics import _finest_third
 
 # log 2 / log 3, mpmath mp.dps=25
 LOG2_OVER_LOG3 = 0.6309297535714574370995271
@@ -282,6 +284,18 @@ class TestMinkowskiBounds:
         assert mb.limsup == pytest.approx(LOG2_OVER_LOG3, abs=1e-12)
         assert mb.liminf == pytest.approx(LOG2_OVER_LOG3, abs=1e-12)
         assert len(mb.table) == 9
+
+    @pytest.mark.parametrize("count", range(3, 13))
+    def test_tail_is_the_finest_third(self, count):
+        # the tail the bounds read is the window of tail-max fits: the
+        # finest max(1, ceil(count / 3)) scales
+        tail = max(1, math.ceil(count / 3))
+        assert list(_finest_third(count)) == list(range(count))[-tail:]
+        assert _window(count, "tail-max") == _finest_third(count)
+        mb = minkowski_bounds(build_tx_system(0.5, 0.25, levels=4), np.linspace(2.0, 60.0, count))
+        ratios = [row[2] for row in mb.table]
+        assert mb.limsup == max(ratios[-tail:])
+        assert mb.liminf == min(ratios[-tail:])
 
     def test_needs_three_scales(self):
         with pytest.raises(InvalidArgumentError):

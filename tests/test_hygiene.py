@@ -14,6 +14,9 @@ only by calling its module-level name gaussian_interval_prob, the binding
 the benchmark wraps, and only in field_tables.  And it orders box-counting
 cells on single keys: np.lexsort is called only by numerics._distinct_rows,
 and a row-wise np.unique(..., axis=...) only where its inverse is read.
+And it stamps its outputs in one place each: only experiment._csv_text
+calls _stamp, the comment line that opens every CSV output, and only
+experiment._stamped writes a "config_hash" key.
 
 Every name packdim exports, its own __all__ and that of each module it
 star-imports, is read somewhere outside the tests: in the package's own
@@ -270,6 +273,59 @@ def test_scan_flags_a_stray_lexsort_and_row_unique(tmp_path):
     assert callers(probe, "lexsort") == ["2: _distinct_rows", "4: stray"]
     assert callers(probe, "unique", keyword="axis") == ["6: distinct", "<module>"]
     assert callers(probe, "unique") == ["6: distinct", "8: flat", "<module>"]
+
+
+def key_writers(path: Path, key: str) -> list[str]:
+    """The innermost functions that write the string ``key`` into a dict, as
+    a key of a dict display, a keyword of dict() or a subscript assigned
+    to; a write outside every function is reported as <module>."""
+    hits = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{node.lineno}: {node.name}"
+        keys = []
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [getattr(node.slice, "value", None)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = [k.arg for k in node.keywords]
+        if key in keys:
+            hits.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sorted(hits)
+
+
+def test_one_csv_writer_and_one_json_stamp():
+    assert _package_callers("_stamp") == {("experiment.py", "_csv_text")}
+    assert {
+        (path.name, hit.split(": ")[-1])
+        for path in PACKAGE
+        for hit in key_writers(path, "config_hash")
+    } == {("experiment.py", "_stamped")}
+
+
+def test_scan_flags_a_stray_stamp(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _csv_text(h):\n"
+        "    return _stamp(h)\n"
+        "def by_hand(h, payload):\n"
+        "    payload['config_hash'] = h\n"
+        "    return {'config_hash': h}\n"
+        "def as_keyword(h):\n"
+        "    return dict(config_hash=h)\n"
+        "def reads_it(payload):\n"
+        "    return payload['config_hash'], {'hash': 'config_hash'}\n"
+        "text = _stamp('0')\n",
+        encoding="utf-8",
+    )
+    assert callers(probe, "_stamp") == ["1: _csv_text", "<module>"]
+    assert key_writers(probe, "config_hash") == ["3: by_hand", "6: as_keyword"]
 
 
 # what the probability is computed with below gaussian_interval_prob
