@@ -237,6 +237,33 @@ class TestFftGrid:
             "9d9e7b965b398919d76c1b710862423bdcb82d879e195e0e8881efa33c85aa41"
         )
 
+    @pytest.mark.parametrize(
+        "d, digest",
+        [
+            (2, "ae40a2a13b79f68a35bf197878ccdef5b515c7ebf27e1d9600448473d2370c4f"),
+            (3, "7cdcfc330571e34f7359eca546a44294323d24aef713451f8ba65bc2edaaa563"),
+        ],
+    )
+    def test_quick_start_sample_keeps_its_bytes_in_d_coordinates(self, d, digest):
+        # coordinate i takes the i-th block of 2m normals from the stream
+        path = sample(FieldSpec(0.5, 1, d), np.linspace(0.0, 1.0, 2**13), Seed(7))
+        assert hashlib.sha256(path.values.tobytes()).hexdigest() == digest
+
+    def test_replicas_keep_their_bytes(self):
+        pts = np.arange(4096)[:, None] * 2.0**-10
+        paths = sample_many(FieldSpec(0.3, 1, 2), pts, Seed(11), 3)
+        values = np.concatenate([p.values for p in paths])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "32a74b6479ea1bbd78782d31883778c6d3d43fc304846741cefa0b7efb1a4dc9"
+        )
+
+    def test_two_point_draw_keeps_its_bytes(self):
+        # m = 1: the embedding has no conjugate half
+        path = sample(FieldSpec(0.5, 1, 2), np.linspace(0.0, 1.0, 2), Seed(5), method="fft")
+        assert hashlib.sha256(path.values.tobytes()).hexdigest() == (
+            "e28b53af8d78dc2c771f8032ec0642c7678fbe06b9b2e35896d9a8a8d00759f9"
+        )
+
     def test_cli_simulate_keeps_its_bytes(self, capsys):
         assert cli.main(["--seed", "7", "simulate", "--alpha", "0.5", "--points", "4096"]) == 0
         out = capsys.readouterr().out
