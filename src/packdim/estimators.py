@@ -27,15 +27,17 @@ but is dominated at any fixed window by atoms near the support boundary;
 see _kernel_dim.  Resolution guards refuse scale grids finer than the
 atom spacing supports, where any finite approximant looks 0-dimensional.
 The spacing comes from an exact numpy sweep (_min_spacing), so box counting
-needs no scipy.
+needs no scipy; it orders the points by one float sort of their widest
+coordinate when that coordinate has no ties.
 
 box_counting_dim finds the occupied cells once, at the finest radius: the
 point cells, or the cells the polyline walk enters when ``connect`` is set.
 A coarser radius that is the next finer one times an exact power of two,
 2^m, takes the distinct rows of those cells shifted right by m, which are
 exactly its own cells; any other radius is counted on its own.  The
-distinct rows come from numerics._distinct_rows, which sorts one packed
-int64 key per cell while the cells' column spans multiply to less than 2^62.
+distinct rows come from numerics._distinct_rows, which sorts one int64 key
+per cell, packed by the bit widths of the cells' columns while those total
+at most 62 bits.
 The polyline walk orders its grid-line crossings by one packed int64 key
 too: the segment, the dense rank of the crossing time and the step's sign.
 """
@@ -213,7 +215,10 @@ def _min_spacing(points: np.ndarray) -> float | None:
     after it.  A point drops out once its squared gap on the sort coordinate
     exceeds the smallest squared distance so far: that square is a term of
     each of its later distances, and rounded differences and sums of squares
-    are monotone, so the minimum is exact.  Squares are summed in coordinate
+    are monotone, so the minimum is exact.  One argsort of the sort
+    coordinate orders the points when it has no ties: they are then
+    distinct, in the order a lexsort with that coordinate first gives.
+    Otherwise _distinct_rows sorts them.  Squares are summed in coordinate
     order, as a kd-tree query does, and the result has its bits; a square
     beyond the float range is inf, as there.  Lattices cost the most: about
     k^((2m - 1)/m) checks, below the k^2 of a kernel table on the same
@@ -221,13 +226,18 @@ def _min_spacing(points: np.ndarray) -> float | None:
     with np.errstate(over="ignore"):
         # column by column: a reduction along axis 0 of a narrow array is slow
         axis = int(np.argmax([c.max() - c.min() for c in points.T]))
-        # lexicographic order with the sort coordinate first sorts along it
-        order = np.roll(np.arange(points.shape[1]), -axis)
-        p = _distinct_rows(points[:, order])
-        k = len(p)
+        by_axis = np.argsort(points[:, axis])
+        line = points[by_axis, axis]
+        if np.any(line[1:] == line[:-1]):
+            # lexicographic order with the sort coordinate first sorts along it
+            order = np.roll(np.arange(points.shape[1]), -axis)
+            p = _distinct_rows(points[:, order])
+            coords = [np.ascontiguousarray(p[:, j]) for j in np.argsort(order)]
+        else:
+            coords = [c[by_axis] for c in points.T]
+        k = len(coords[0])
         if k < 2:
             return None
-        coords = [np.ascontiguousarray(p[:, j]) for j in np.argsort(order)]
         best = np.inf
         live = np.arange(k - 1)
         for lag in range(1, k):
@@ -558,9 +568,9 @@ def box_counting_dim(
     as coarsening only removes crossings.
 
     Each scale's distinct cells are found by one sort of int64 keys: a
-    cell's indices, less their minima over the cells, packed mixed-radix
-    by the column spans, while the spans multiply to less than 2^62.  Wider
-    spans take a lexsort of the columns, with the same counts."""
+    cell's indices, less their minima over the cells, packed by the
+    columns' bit widths, while those total at most 62 bits.  Wider columns
+    take a lexsort of the columns, with the same counts."""
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}")
     p = _as_points(points)

@@ -185,12 +185,12 @@ def slice_measure(mu: DiscreteMeasure, u, r: float) -> SubMeasure:
 
 
 def write_measure_csv(mu, path) -> None:
-    """CSV with header x1,...,xm,weight and one row per atom."""
+    """CSV with header x1,...,xm,weight and one row per atom; csv writes
+    each float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(mu.dim)] + ["weight"])
-        for row, w in zip(mu.atoms, mu.weights):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(w))])
+        writer.writerows(np.column_stack([mu.atoms, mu.weights]).tolist())
 
 
 def read_measure_csv(path) -> DiscreteMeasure:

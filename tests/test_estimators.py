@@ -821,6 +821,19 @@ class TestSingleKeySorts:
         ]
         assert seen == [[np.int64, np.int64], [np.float64, np.float64]]
 
+    @pytest.mark.parametrize("high, packed", [(2**31 - 1, True), (2**31, False)])
+    def test_keys_pack_up_to_62_bits(self, monkeypatch, high, packed):
+        # first-column widths 31 and 32 beside a 31-bit column: 62 bits
+        # total pack, 63 take the lexsort
+        rng = np.random.default_rng(5)
+        rows = np.column_stack([rng.integers(0, high, 300), rng.integers(0, 2**31, 300)])
+        rows[0], rows[1] = [0, 0], [high, 2**31 - 1]
+        rows -= 2**40
+        rows = np.vstack([rows, rows[::3]])
+        seen = spy_lexsorts(monkeypatch)
+        assert np.array_equal(numerics._distinct_rows(rows), np.unique(rows, axis=0))
+        assert seen == ([] if packed else [[np.int64, np.int64]])
+
 
 def kd_spacing(points):
     """The kd-tree reference: nearest-neighbor spacing of np.unique's
@@ -899,6 +912,27 @@ class TestMinSpacing:
             if expected == np.inf:
                 with pytest.raises(ResolutionError):
                     box_counting_dim(points, ScaleGrid(1, 4))
+
+    @pytest.mark.parametrize("name", ["graph-path", "image-path"])
+    def test_quick_start_points_take_one_float_sort(self, monkeypatch, name):
+        points = spacing_shapes()[name]
+        expected = kd_spacing(points)
+        seen = spy_lexsorts(monkeypatch)
+        assert estimators._min_spacing(points) == expected
+        assert seen == []
+
+    def test_ties_on_the_sort_coordinate_take_the_fallback(self, monkeypatch):
+        # a vertical run, whose x ties, beside an outlier that makes x the
+        # widest coordinate; and the graph path with repeated points, which
+        # keeps the bare path's spacing
+        column = spacing_shapes()["column-plus-outlier"]
+        graph = spacing_shapes()["graph-path"]
+        repeated = np.vstack([graph, graph[::100]])
+        expected = [kd_spacing(column), estimators._min_spacing(graph)]
+        seen = spy_lexsorts(monkeypatch)
+        assert [estimators._min_spacing(p) for p in (column, repeated)] == expected
+        assert expected[1] == kd_spacing(repeated)
+        assert seen == [[np.float64, np.float64]] * 2
 
     def test_signed_zeros_are_one_point(self):
         assert estimators._min_spacing(np.array([[0.0, 1.0], [-0.0, 1.0]])) is None

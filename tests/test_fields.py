@@ -299,6 +299,79 @@ class TestFftGrid:
         assert self.method(t[:, None]) == "cholesky"
 
 
+class TestFftWork:
+    """One eigenvalue table per grid and alpha, kept read-only, and one FFT
+    call per draw over every coordinate."""
+
+    QUICK = np.linspace(0.0, 1.0, 2**13)[:, None]
+    M = 2 * (2**13 - 1)
+
+    @staticmethod
+    def spy_ffts(monkeypatch, transform=np.fft.fft):
+        """The list of the input shapes of every np.fft.fft call from here
+        on; ``transform`` does the work."""
+        seen = []
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(fields.np.fft, "fft", spy)
+        return seen
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_repeated_sample_makes_one_call(self, monkeypatch, d):
+        fields._fgn_eigenvalues.cache_clear()
+        seen = self.spy_ffts(monkeypatch)
+        first = sample(FieldSpec(0.5, 1, d), self.QUICK, Seed(7))
+        assert seen == [(self.M,), (d, self.M)]
+        seen.clear()
+        again = sample(FieldSpec(0.5, 1, d), self.QUICK, Seed(7))
+        assert seen == [(d, self.M)]
+        assert again.values.tobytes() == first.values.tobytes()
+
+    def test_a_new_alpha_recomputes_its_table(self, monkeypatch):
+        fields._fgn_eigenvalues.cache_clear()
+        seen = self.spy_ffts(monkeypatch)
+        for alpha in (0.5, 0.3, 0.3, 0.5):
+            sample(FieldSpec(alpha), self.QUICK, Seed(7))
+        table, draw = (self.M,), (1, self.M)
+        assert seen == [table, draw, table, draw, draw, table, draw]
+
+    def test_the_table_is_read_only(self):
+        lam = fields._fgn_eigenvalues(2**13 - 1, 0.5)
+        assert fields._fgn_eigenvalues(2**13 - 1, 0.5) is lam
+        with pytest.raises(ValueError, match="read-only"):
+            lam[0] = 1.0
+
+    def test_a_refusal_is_not_remembered(self, monkeypatch):
+        # negated eigenvalues: the embedding is refused on every call
+        fields._fgn_eigenvalues.cache_clear()
+        fft = np.fft.fft
+        seen = self.spy_ffts(monkeypatch, lambda a: -fft(a))
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError, match="circulant embedding failed"):
+                sample(FieldSpec(0.5), self.QUICK, Seed(7), method="fft")
+        assert seen == [(self.M,), (self.M,)]
+        monkeypatch.undo()
+        sample(FieldSpec(0.5), self.QUICK, Seed(7), method="fft")
+
+    def test_a_draw_holds_two_complex_arrays(self):
+        # the normals are dropped before the transform, whose input is
+        # dropped as it returns; the output is scaled in place
+        sampler = fields._Sampler(FieldSpec(0.5, 1, 3), self.QUICK, "fft")
+        sampler.draw(Seed(1))  # set up the transform first
+        tracemalloc.start()
+        try:
+            sampler.draw(Seed(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        complex_array = 3 * self.M * 16
+        # and a few KiB of generator and Python objects
+        assert peak <= 2 * complex_array + 2**14, peak / complex_array
+
+
 class TestDriftedPaths:
     def test_add_zero_drift_is_bitwise(self, monkeypatch):
         # the zero drift is never evaluated, so no -0.0 turns into +0.0

@@ -1,9 +1,9 @@
 """The public surface and cold start: every exported name exists once, the
 package re-exports each library module's names and loses none it had,
 importing packdim loads no CLI, importing packdim and the CLI, a
-closed-form prediction and box counting of sampled paths load no scipy,
-and every function that imports scipy on first use works on that first
-call."""
+closed-form prediction, box counting of sampled paths and a measure CSV
+write beside an fft sample load no scipy, and every function that imports
+scipy on first use works on that first call."""
 
 import dataclasses
 import importlib
@@ -147,6 +147,32 @@ def test_quick_start_path_loads_no_scipy():
     loaded = json.loads(run_fresh(code))
     assert len(loaded) == 4
     assert loaded == {stage: [] for stage in loaded}
+
+
+def test_benchmark_setup_path_loads_no_scipy(tmp_path):
+    # the library calls a sets-and-checks benchmark set-up times: a Cantor
+    # measure written to CSV, a 1024-point fft path and its graph measure
+    code = f"""
+    import json, sys
+    import numpy as np
+    from packdim import (
+        FieldSpec, Seed, build_uniform_cantor, graph_measure, natural_measure, sample,
+        write_measure_csv,
+    )
+    loaded = {{}}
+    system = build_uniform_cantor(2, 1.0 / 3.0, 12)
+    write_measure_csv(natural_measure(system, 12), {str(tmp_path / "cantor.csv")!r})
+    loaded["write_measure_csv"] = {SCIPY_LOADED}
+    path = sample(FieldSpec(0.5), np.linspace(0.0, 1.0, 1024)[:, None], Seed(5))
+    assert len(path.values) == 1024
+    graph_measure(path)
+    loaded["graph_measure(sample)"] = {SCIPY_LOADED}
+    print(json.dumps(loaded))
+    """
+    loaded = json.loads(run_fresh(code))
+    assert len(loaded) == 2
+    assert loaded == {stage: [] for stage in loaded}
+    assert (tmp_path / "cantor.csv").read_text().count("\n") == 1 + 2**12
 
 
 def test_import_loads_no_cli():

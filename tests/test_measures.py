@@ -132,6 +132,15 @@ class TestCsvRoundTrip:
         with pytest.raises(InvalidArgumentError, match=f"^{where} is not a number$"):
             read_measure_csv(p)
 
+    def test_cells_are_float_reprs(self, tmp_path):
+        # the bytes of a row-by-row writer of repr(float(v)) cells
+        atoms = np.array([[-0.0, 1e308], [5e-324, 0.1], [0.1, -0.0]])
+        p = tmp_path / "m.csv"
+        write_measure_csv(DiscreteMeasure(atoms, np.array([0.1, 0.3, 0.6])), p)
+        assert p.read_bytes() == (
+            b"x1,x2,weight\r\n-0.0,1e+308,0.1\r\n5e-324,0.1,0.3\r\n0.1,-0.0,0.6\r\n"
+        )
+
     def test_header_names_coordinates(self, tmp_path):
         mu = DiscreteMeasure(np.array([[0.25, 0.5]]), np.array([1.0]))
         p = tmp_path / "m.csv"
