@@ -290,10 +290,9 @@ def _sample_fft(gen, lam, m: int, dim: int, h: float, alpha: float) -> np.ndarra
         z.imag[:, 1:m] = g[:, m + 1 :]
         z[:, 1:m] *= np.sqrt(lam[1:m] / 2.0)
         np.conj(z[:, m - 1 : 0 : -1], out=z[:, m + 1 :])
-    # the normals go first and the input as the transform returns, and the
-    # output is scaled in place: at most two (dim, 2m) complex arrays
-    del g
-    z = np.fft.fft(z, axis=1)
+    # written over its input and scaled in place: the draw holds one
+    # (dim, 2m) complex array beside its normals
+    np.fft.fft(z, axis=1, out=z)
     z /= math.sqrt(M)
     vals = np.empty((m + 1, dim))
     vals[0] = 0.0

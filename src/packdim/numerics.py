@@ -204,8 +204,8 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     = 2^62: each column shifted left past the widths of the columns after
     it and or-ed in, the first column most significant.  The keys order as
     the rows do, so one np.sort of them, repeats dropped, unpacks by shift
-    and mask to the answer.  Float rows, other integer types and wider
-    columns take a lexsort of the columns."""
+    and mask to the answer, a column-major array.  Float rows, other
+    integer types and wider columns take a lexsort of the columns."""
     if rows.dtype == np.int64 and len(rows):
         # column by column: a reduction along axis 0 of a narrow array is slow
         low = [int(c.min()) for c in rows.T]
@@ -221,14 +221,15 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
             # np.compress picks entries several times faster than a boolean
             # index does
             key = np.compress(fresh, key)
-            columns = []
-            for j, lo in enumerate(low):
-                column = key >> sum(widths[j + 1:])
+            # unpacked column by column into the rows of the transpose, so
+            # every pass is contiguous and nothing is copied
+            out = np.empty((len(widths), len(key)), dtype=np.int64)
+            for j, column in enumerate(out):
+                np.right_shift(key, sum(widths[j + 1:]), out=column)
                 if j:
                     column &= (1 << widths[j]) - 1
-                column += lo
-                columns.append(column)
-            return np.column_stack(columns)
+                column += low[j]
+            return out.T
     rows = rows[np.lexsort(rows.T[::-1])]
     fresh = np.ones(len(rows), dtype=bool)
     fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
