@@ -3,11 +3,11 @@
 Subcommands: simulate, dim, profile, txset, predict, verify,
 experiment run / experiment suite.  Global flags --seed, --out,
 --format apply before the subcommand name.  A CSV output opens with a
-``# config_hash=... version=...`` line; a JSON output carries
-``config_hash`` and ``version`` keys, but verify's JSON lines only
-``version``.  --out adds a JSON sidecar <out>.json only to a csv
-simulate, and dim and profile write the pair <out>.csv and <out>.json;
-txset, predict and verify write just the table.  Exit status is 0 only
+``# config_hash=... version=...`` line; a JSON output, each of verify's
+JSON lines included, carries ``config_hash`` and ``version`` keys.  --out
+adds a JSON sidecar <out>.json only to a csv simulate, and dim and
+profile write the pair <out>.csv and <out>.json; txset, predict and
+verify write just the table.  Exit status is 0 only
 when every invoked check or comparison passes.
 """
 
@@ -20,12 +20,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._version import __version__
 from .errors import DegenerateRegimeError, InvalidArgumentError, PackdimError, ResolutionError
 from .estimators import ScaleGrid, dim_ball_mass, dim_profile
 from .fields import DriftSpec, FieldSpec, _mesh_points, sample
 from .fractals import build_tx_system, build_uniform_cantor, covering_count, extract_subsystem
-from .measures import DiscreteMeasure, read_measure_csv
+from .measures import DiscreteMeasure, _uniform, read_measure_csv
 from .numerics import Seed
 from .theory import Regime, graph_lower, predict_graph_upper, predict_image, solve_crossing, tx_lower
 from .verify import (
@@ -206,7 +205,7 @@ def _default_checks(seed: int, names: set[str]) -> list:
                 reports.append(check_doubling(nu, 0.05, [2.0] * d, 4.0))
     if "scale-doubling" in names:
         grid = np.arange(256, dtype=float)[:, None] / 256.0
-        nu = DiscreteMeasure(grid, np.full(256, 1.0 / 256))
+        nu = _uniform(grid)
         reports.append(check_scale_doubling(nu, 0.5, 0.5, 0.125))
     if "parts" in names:
         for d, f_name in ((1, "exp"), (2, "gauss")):
@@ -236,10 +235,8 @@ def _cmd_verify(args) -> int:
         rows = [(rep.name, rep.trials, rep.violations, rep.worst_ratio) for rep in reports]
         _emit("csv", args.out, params, ("name", "trials", "violations", "worst_ratio"), rows, {})
     else:
-        lines = [
-            json.dumps({**asdict(rep), "version": __version__}, sort_keys=True)
-            for rep in reports
-        ]
+        stamp = _config_hash(params)
+        lines = [json.dumps(_stamped(stamp, asdict(rep)), sort_keys=True) for rep in reports]
         _write_or_print("\n".join(lines) + "\n", args.out)
     return 0 if all(rep.passed for rep in reports) else 1
 

@@ -55,7 +55,6 @@ from .errors import (
     InvalidArgumentError,
     ResolutionError,
 )
-from .fields import _as_points
 from .kernels import (
     KernelContext,
     _check_split,
@@ -66,7 +65,7 @@ from .kernels import (
     slice_kernel,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
     slice_tables,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _as_points
 from .numerics import _distinct_rows, _finest_third
 
 __all__ = [
@@ -431,7 +430,7 @@ _MAX_CROSSINGS = 2**22
 
 def _grid_cells(p: np.ndarray, eps: float) -> np.ndarray:
     """Index rows floor(p / eps) of the origin-anchored half-open grid of
-    mesh eps, one per point of p, a (k, m) array from fields._as_points."""
+    mesh eps, one per point of p, a (k, m) array from measures._as_points."""
     if not (eps > 0) or not math.isfinite(eps):
         raise InvalidArgumentError("eps must be positive and finite")
     with np.errstate(over="ignore"):
@@ -505,7 +504,7 @@ def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
 def _distinct_cells(p: np.ndarray, eps: float, connect: bool) -> np.ndarray:
     """The distinct cells, in lexicographic order, of the origin-anchored
     half-open grid of mesh eps that hold a point of p (from
-    fields._as_points) or, with ``connect`` set, that meet the polyline
+    measures._as_points) or, with ``connect`` set, that meet the polyline
     through them.  Polylines that cross more than _MAX_CROSSINGS grid lines
     are refused."""
     cells = _grid_cells(p, eps)

@@ -42,7 +42,7 @@ from .fractals import (
     realize_explicit,
 )
 from .kernels import KernelContext
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _uniform
 from .numerics import Seed
 from .theory import Regime, graph_lower, predict_graph_upper, predict_image
 
@@ -380,9 +380,7 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     kind = cfg.set_spec["kind"]
     if kind == "interval":
         pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
-        k = len(pts)
-        mu = DiscreteMeasure(pts, np.full(k, 1.0 / k))
-        return pts, mu, float(cfg.n), cfg.n == 1
+        return pts, _uniform(pts), float(cfg.n), cfg.n == 1
     system = cfg._set_system()
     mu = natural_measure(system, system.depth)
     if kind == "cantor":

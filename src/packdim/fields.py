@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _as_points, _check_point, _uniform
 from .numerics import (
     _BLOCK_ROWS,
     Seed,
@@ -67,27 +67,12 @@ def _check_alpha(alpha: float):
         raise InvalidArgumentError("roughness index must lie in (0, 1)")
 
 
-def _as_points(points) -> np.ndarray:
-    """The points as a float (k, n) array; they must be nonempty, finite and
-    have n >= 1 coordinates.  A 1-D array holds k points on the line."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1, 1)
-    elif p.ndim == 1:
-        p = p[:, None]
-    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-        raise InvalidArgumentError("points must form a nonempty (k, n) array, n >= 1")
-    if not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("points must be finite")
-    return np.ascontiguousarray(p)
-
-
 def fbm_covariance(t, s, alpha: float) -> float:
     """Cov(X_i(t), X_i(s)) for one coordinate; t and s are domain points
-    (scalars on a 1-D domain)."""
+    (scalars on a 1-D domain) of one size, at least 1."""
     _check_alpha(alpha)
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    sv = np.atleast_1d(np.asarray(s, dtype=float))
+    tv = _check_point(t, max(np.size(t), 1))
+    sv = _check_point(s, tv.size)
     h2 = 2.0 * alpha
     nt = np.linalg.norm(tv) ** h2
     ns = np.linalg.norm(sv) ** h2
@@ -116,8 +101,8 @@ class FieldSpec:
 def canonical_metric(spec: FieldSpec, t, s) -> float:
     """Standard deviation of any coordinate increment X_i(t) - X_i(s):
     the Euclidean distance |t - s| raised to the roughness index."""
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    sv = np.atleast_1d(np.asarray(s, dtype=float))
+    tv = _check_point(t, spec.domain_dim)
+    sv = _check_point(s, spec.domain_dim)
     return float(np.linalg.norm(tv - sv) ** spec.alpha)
 
 
@@ -428,10 +413,8 @@ def graph_points(path: SamplePath) -> np.ndarray:
 def image_measure(path: SamplePath) -> DiscreteMeasure:
     """Uniform weights on the sampled values (the sampling measure on the
     points pushed through the path)."""
-    k = len(path.points)
-    return DiscreteMeasure(path.values.copy(), np.full(k, 1.0 / k))
+    return _uniform(path.values.copy())
 
 
 def graph_measure(path: SamplePath) -> DiscreteMeasure:
-    k = len(path.points)
-    return DiscreteMeasure(graph_points(path), np.full(k, 1.0 / k))
+    return _uniform(graph_points(path))

@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     ScaleUnrepresentableError,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _uniform
 from .numerics import _finest_third
 
 __all__ = [
@@ -212,9 +212,7 @@ def natural_measure(system: NestedIntervalSystem, level: int) -> DiscreteMeasure
     """Equal weight on the left endpoint of every level-``level`` interval."""
     if not (0 <= level <= system.depth):
         raise InvalidArgumentError(f"level must be in [0, {system.depth}]")
-    lefts = system.lefts(level)
-    n = len(lefts)
-    return DiscreteMeasure(lefts[:, None], np.full(n, 1.0 / n))
+    return _uniform(system.lefts(level)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +512,7 @@ class ExtractedSubsystem:
             for k in range(base_k + 1, base_k + refine + 1):
                 length, gap = _cantor_level(ratio, gap_factor, k)
                 lefts = _children(lefts, length + gap, N)
-        n = len(lefts)
-        return DiscreteMeasure(lefts[:, None], np.full(n, 1.0 / n))
+        return _uniform(lefts[:, None])
 
 
 def extract_subsystem(

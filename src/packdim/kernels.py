@@ -31,7 +31,7 @@ coordinates of rows and atoms when they carry them, which lets a walk
 evaluate the drift once per atom.  profile_tables refills one table per
 call, so its yielded tables are overwritten when the generator advances.
 The per-point functions, increment_prob among them, are one-row calls of
-these.
+these, each query point checked by measures._check_point.
 
 Constant tables.  A table that holds one value everywhere, 0 or 1, may
 be yielded as a read-only view with zero strides (_constant, shared
@@ -77,6 +77,7 @@ from .errors import InvalidArgumentError
 from .fields import DriftSpec, FieldSpec, _mesh_axes
 from .measures import (
     DiscreteMeasure,
+    _check_point,
     slice_measure,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
 )
 from .numerics import _pair_distances, gaussian_interval_prob
@@ -218,10 +219,7 @@ def profile_kernel(mu: DiscreteMeasure, beta: float, x, r: float) -> float:
         raise InvalidArgumentError("beta must be positive")
     if not (r > 0):
         raise InvalidArgumentError("r must be positive")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (mu.dim,):
-        raise InvalidArgumentError("point dimension does not match the measure")
-    (table,) = profile_tables(xv[None, :], mu.atoms, beta, [r])
+    (table,) = profile_tables(_check_point(x, mu.dim)[None, :], mu.atoms, beta, [r])
     return _row_mass(table, mu.weights)
 
 
@@ -232,10 +230,7 @@ def slice_kernel(mu: DiscreteMeasure, n: int, d: int, x, r: float) -> float:
     _check_split(n, d, mu.dim)
     if not (r > 0):
         raise InvalidArgumentError("r must be positive")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (n + d,):
-        raise InvalidArgumentError("point dimension does not match the measure")
-    (table,) = slice_tables(xv[None, :], mu.atoms, n, [r])
+    (table,) = slice_tables(_check_point(x, mu.dim)[None, :], mu.atoms, n, [r])
     return _row_mass(table, mu.weights)
 
 
@@ -265,13 +260,6 @@ class KernelContext:
         return self.drift is None or self.drift.kind in ("zero", "constant")
 
 
-def _point(t, n: int) -> np.ndarray:
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    if tv.shape != (n,):
-        raise InvalidArgumentError("point dimension does not match the domain")
-    return tv
-
-
 def increment_prob(ctx: KernelContext, t, s, r: float) -> float:
     """P(max_i |Z_i(t) - Z_i(s)| <= r) for the drifted field Z = X + f:
     the product over coordinates of Gaussian interval probabilities with
@@ -279,8 +267,9 @@ def increment_prob(ctx: KernelContext, t, s, r: float) -> float:
     of the image-mode field_tables on the pair, whatever ctx.mode says, so
     a constant drift cancels bit for bit."""
     n = ctx.field.domain_dim
+    tv, sv = _check_point(t, n), _check_point(s, n)
     image = KernelContext(ctx.field, ctx.drift, ctx.measure)
-    (table,) = field_tables(image, _point(t, n)[None, :], _point(s, n)[None, :], [r])
+    (table,) = field_tables(image, tv[None, :], sv[None, :], [r])
     return float(table[0, 0])
 
 
@@ -436,7 +425,7 @@ def ball_mass_profile(ctx: KernelContext, t, radii) -> np.ndarray:
     rs = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(rs <= 0) or not np.all(np.isfinite(rs)):
         raise InvalidArgumentError("radii must be positive and finite")
-    tv = _point(t, ctx.field.domain_dim)
+    tv = _check_point(t, ctx.field.domain_dim)
     mu = ctx.measure
     masses = np.zeros(len(rs))
     for j, table in enumerate(field_tables(ctx, tv[None, :], mu.atoms, rs)):

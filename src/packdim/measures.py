@@ -4,6 +4,17 @@ downstream: balls, axis rectangles and coordinate slices.
 A DiscreteMeasure is a probability measure (weights sum to 1).  Slicing
 produces a SubMeasure, which keeps the un-normalized total mass explicit
 instead of silently renormalizing.
+
+This module is also where outside input becomes points and measures, each
+coercion written once.  _as_points turns a point cloud into a finite
+(k, n) float array: the atoms of every measure, the points of a sample
+path and of a drift evaluation, and the points box counting reads.
+_check_point turns one query point into a flat array of finite
+coordinates of the size its space has: the centre of a ball or rectangle
+here, and the points of every per-point kernel, of canonical_metric and of
+fbm_covariance.  _uniform puts equal weights on a point cloud.  A query
+ball's distances come from numerics._pair_distances, so that ball_mass
+and the kernel tables read the same rounded |x - y|.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .numerics import _rows_are_distinct
+from .numerics import _pair_distances, _rows_are_distinct
 
 __all__ = [
     "DiscreteMeasure",
@@ -30,18 +41,44 @@ _MASS_TOL = 1e-12
 _MAX_ATOMS = 10**6
 
 
-def _validate_support(atoms: np.ndarray, weights: np.ndarray, *, require_prob: bool):
-    if atoms.ndim != 2:
-        raise InvalidArgumentError("atoms must be a (k, m) array")
-    k, m = atoms.shape
-    if k == 0 or m == 0:
-        raise InvalidArgumentError("measure needs at least one atom and one coordinate")
+def _as_points(points) -> np.ndarray:
+    """The points as a float (k, n) array; they must be nonempty, finite and
+    have n >= 1 coordinates.  A 1-D array holds k points on the line."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1, 1)
+    elif p.ndim == 1:
+        p = p[:, None]
+    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
+        raise InvalidArgumentError("points must form a nonempty (k, n) array, n >= 1")
+    if not np.all(np.isfinite(p)):
+        raise InvalidArgumentError("points must be finite")
+    return np.ascontiguousarray(p)
+
+
+def _check_point(x, dim: int) -> np.ndarray:
+    """The query point x as a flat float array of ``dim`` finite
+    coordinates; a scalar is a point on the line."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != dim:
+        raise InvalidArgumentError(f"point dimension {x.size} does not match dimension {dim}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("query point must be finite")
+    return x
+
+
+def _support(atoms, weights, *, require_prob: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms as an _as_points cloud and the weights as a float (k,)
+    array, refused unless the atoms are at most _MAX_ATOMS and pairwise
+    distinct and the weights finite and strictly positive, summing to 1
+    when ``require_prob`` is set."""
+    atoms = _as_points(atoms)
+    weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
+    k = len(atoms)
     if k > _MAX_ATOMS:
         raise InvalidArgumentError(f"atom count {k} exceeds the supported {_MAX_ATOMS}")
     if weights.shape != (k,):
         raise InvalidArgumentError("weights must be a (k,) array matching atoms")
-    if not np.all(np.isfinite(atoms)):
-        raise InvalidArgumentError("atom coordinates must be finite")
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise InvalidArgumentError("weights must be finite and strictly positive")
     if not _rows_are_distinct(atoms):
@@ -50,6 +87,7 @@ def _validate_support(atoms: np.ndarray, weights: np.ndarray, *, require_prob: b
         raise InvalidArgumentError(
             f"weights must sum to 1 within {_MASS_TOL}, got {float(weights.sum())!r}"
         )
+    return atoms, weights
 
 
 @dataclass(frozen=True)
@@ -60,11 +98,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        _validate_support(atoms, weights, require_prob=True)
+        atoms, weights = _support(self.atoms, self.weights, require_prob=True)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -90,14 +124,13 @@ class SubMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.shape[0] > 0:
-            _validate_support(atoms, weights, require_prob=False)
-        elif weights.shape != (0,):
-            raise InvalidArgumentError("empty support needs empty weights")
+        atoms = np.asarray(self.atoms, dtype=float)
+        if atoms.ndim == 2 and not len(atoms):
+            weights = np.asarray(self.weights, dtype=float)
+            if weights.shape != (0,):
+                raise InvalidArgumentError("empty support needs empty weights")
+        else:
+            atoms, weights = _support(atoms, self.weights, require_prob=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -125,30 +158,25 @@ def _merge_equal(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     return atoms[first[order]], np.bincount(label[inverse], weights=weights)
 
 
-def _check_point(mu, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != mu.dim:
-        raise InvalidArgumentError(
-            f"point dimension {x.size} does not match measure dimension {mu.dim}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("query point must be finite")
-    return x
+def _uniform(points) -> DiscreteMeasure:
+    """Equal weight 1 / k on each of the k points of an _as_points cloud."""
+    k = len(points)
+    return DiscreteMeasure(points, np.full(k, 1.0 / k))
 
 
 def ball_mass(mu, x, r: float) -> float:
-    """Mass of the closed Euclidean ball B(x, r)."""
-    x = _check_point(mu, x)
+    """Mass of the closed Euclidean ball B(x, r), its distances those of
+    numerics._pair_distances."""
+    x = _check_point(x, mu.dim)
     if not (r >= 0):
         raise InvalidArgumentError("radius must be nonnegative")
-    diff = mu.atoms - x
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = _pair_distances(x[None, :], mu.atoms)[0]
     return float(mu.weights[dist <= r].sum())
 
 
 def rect_mass(mu, x, halfwidths) -> float:
     """Mass of the closed axis rectangle prod_i [x_i - h_i, x_i + h_i]."""
-    x = _check_point(mu, x)
+    x = _check_point(x, mu.dim)
     h = np.asarray(halfwidths, dtype=float).reshape(-1)
     if h.size == 1 and mu.dim > 1:
         h = np.full(mu.dim, float(h[0]))

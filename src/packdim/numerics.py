@@ -12,8 +12,8 @@ computes the form most entries take in place over all of them, and
 gathers the others; it writes the point mass at rho = 0 only into the
 lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
-every kernel table, in image and in graph mode, and the Cholesky sampler
-call it.  _distinct_rows, the distinct rows of an array, serves box
+every kernel table, in image and in graph mode, measures.ball_mass and the
+Cholesky sampler call it.  _distinct_rows, the distinct rows of an array, serves box
 counting and the spacing guard, and through _rows_are_distinct the
 distinct-point checks of sample points and measure atoms.  It packs an
 integer row into one int64 key by its columns' bit widths, with shifts

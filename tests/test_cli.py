@@ -224,6 +224,13 @@ class TestVerify:
             assert rep["violations"] == 0
             assert rep["worst_ratio"] <= 0.91
 
+    def test_json_lines_carry_the_csv_stamp(self):
+        stamp = run_cli("verify", "--check", "parts", check=True).stdout.splitlines()[0]
+        proc = run_cli("--format", "json", "verify", "--check", "parts", check=True)
+        for line in proc.stdout.splitlines():
+            rep = json.loads(line)
+            assert stamp == f"# config_hash={rep['config_hash']} version={rep['version']}"
+
     def test_csv_report(self):
         proc = run_cli("verify", "--check", "parts", check=True)
         lines = proc.stdout.splitlines()
@@ -485,7 +492,7 @@ GOLDEN = {
     },
     "verify-json": {
         "exit": 0,
-        "stdout": "e4a80c3eb717b29fbb42e96e76d011e00862b5f37228a3c805c43c10409fcf60",
+        "stdout": "3210583c2225775a7e7c5b00864a5819ae1b62421e3f2ad50d27db34505aa7fb",
     },
 }
 

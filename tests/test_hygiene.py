@@ -5,7 +5,11 @@ so with ``# noqa: F401`` on its line.
 
 The package also keeps one pairwise distance formula,
 numerics._pair_distances: no function under src/packdim takes
-np.linalg.norm of a broadcast rows-against-atoms difference.  And it writes
+np.linalg.norm of a broadcast rows-against-atoms difference, or an
+np.einsum sum of squares.  And it builds equal weights in one place: only
+measures._uniform calls np.full with a fill value 1 / k.  And no
+scipy.special function is called with where=, which scipy 1.17
+mishandles.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
 and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
 it factors a matrix in one place: only numerics._cholesky_in_place calls
@@ -148,6 +152,8 @@ def pairwise_norms(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_one_pairwise_distance_formula(path):
     assert pairwise_norms(path) == []
+    # from 3 coordinates on, an einsum sum of squares rounds otherwise
+    assert owners(path, _squares) == []
 
 
 def test_scan_flags_a_pairwise_norm(tmp_path):
@@ -166,26 +172,61 @@ def test_scan_flags_a_pairwise_norm(tmp_path):
     assert pairwise_norms(probe) == ["2: direct", "4: through_a_name"]
 
 
-def callers(path: Path, name: str, keyword: str | None = None) -> list[str]:
-    """The innermost functions that call ``name``, bare or as an attribute,
-    and, if ``keyword`` is given, pass that keyword argument; a call outside
-    every function is reported as <module>."""
+def owners(path: Path, matches) -> list[str]:
+    """The innermost functions that hold a node for which ``matches`` is
+    true; a node outside every function is reported as <module>."""
     hits = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{node.lineno}: {node.name}"
-        if (
-            isinstance(node, ast.Call)
-            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
-            and (keyword is None or any(k.arg == keyword for k in node.keywords))
-        ):
+        if matches(node):
             hits.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     return sorted(hits)
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """A call of ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)
+    )
+
+
+def _squares(node: ast.AST) -> bool:
+    """An einsum with one operand twice, a sum of squares such as
+    einsum("ij,ij->i", diff, diff)."""
+    operands = [ast.dump(arg) for arg in node.args[1:]] if _calls(node, "einsum") else []
+    return len(set(operands)) < len(operands)
+
+
+def test_scan_flags_a_squared_einsum(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def norms(x, y):\n"
+        "    diff = x - y\n"
+        "    return np.sqrt(np.einsum('ij,ij->i', diff, diff))\n"
+        "def product(a, b):\n"
+        "    return np.einsum('ij,jk->ik', a, b)\n"
+        "sq = einsum('i,i', v[0], v[0])\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _squares) == ["2: norms", "<module>"]
+
+
+def callers(path: Path, name: str, keyword: str | None = None) -> list[str]:
+    """The innermost functions that call ``name``, bare or as an attribute,
+    and, if ``keyword`` is given, pass that keyword argument; a call outside
+    every function is reported as <module>."""
+    return owners(
+        path,
+        lambda node: _calls(node, name)
+        and (keyword is None or any(k.arg == keyword for k in node.keywords)),
+    )
 
 
 def _package_callers(name: str, keyword: str | None = None) -> set[tuple[str, str]]:
@@ -275,29 +316,119 @@ def test_scan_flags_a_stray_lexsort_and_row_unique(tmp_path):
     assert callers(probe, "unique") == ["6: distinct", "8: flat", "<module>"]
 
 
+def _uniform_weights(node: ast.AST) -> bool:
+    """A call of full with a fill value 1 / x, positional or by keyword."""
+    fill = []
+    if _calls(node, "full"):
+        fill = node.args[1:2] + [k.value for k in node.keywords if k.arg == "fill_value"]
+    return any(
+        isinstance(f, ast.BinOp)
+        and isinstance(f.op, ast.Div)
+        and getattr(f.left, "value", None) == 1
+        for f in fill
+    )
+
+
+def test_one_uniform_measure():
+    assert {
+        (path.name, hit.split(": ")[-1])
+        for path in PACKAGE
+        for hit in owners(path, _uniform_weights)
+    } == {("measures.py", "_uniform")}
+
+
+def test_scan_flags_a_stray_uniform_weight(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def _uniform(points):\n"
+        "    return np.full(len(points), 1.0 / len(points))\n"
+        "def by_keyword(k):\n"
+        "    return np.full(k, fill_value=1 / k)\n"
+        "def other_fill(k, h):\n"
+        "    return np.full(k, 2.0 / h), np.full(k, h)\n"
+        "w = full(8, 1.0 / 8)\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _uniform_weights) == ["2: _uniform", "4: by_keyword", "<module>"]
+
+
+def special_calls_with_where(path: Path) -> list[int]:
+    """The lines that call a scipy.special function with where=: a name
+    imported from scipy.special, or an attribute of scipy.special or of a
+    name bound to it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            names |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules |= {a.asname or a.name for a in node.names if a.name == "special"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names if alias.name == "scipy.special"}
+    modules.discard(None)
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not any(k.arg == "where" for k in node.keywords):
+            continue
+        f = node.func
+        special = isinstance(f, ast.Name) and f.id in names
+        if isinstance(f, ast.Attribute):
+            owner = f.value
+            special = (isinstance(owner, ast.Name) and owner.id in modules) or (
+                isinstance(owner, ast.Attribute)
+                and owner.attr == "special"
+                and getattr(owner.value, "id", None) == "scipy"
+            )
+        if special:
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_special_function_takes_where(path):
+    # scipy 1.17's special ufuncs mishandle where= (wrong values, or a
+    # crash): gaussian_interval_prob gathers its lanes instead
+    assert special_calls_with_where(path) == []
+
+
+def test_scan_flags_a_special_function_with_where(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "import scipy.special\n"
+        "import scipy.special as sp\n"
+        "from scipy import special\n"
+        "from scipy.special import erf, erfc as c\n"
+        "def masked(x, m):\n"
+        "    erf(x, out=x, where=m)\n"
+        "    c(x, where=m)\n"
+        "    special.ndtr(x, where=m)\n"
+        "    sp.erf(x, where=m)\n"
+        "    scipy.special.erfc(x, where=m)\n"
+        "    erf(x, out=x)\n"
+        "    np.copyto(x, 0.0, where=m)\n"
+        "    return np.sqrt(x, where=m)\n",
+        encoding="utf-8",
+    )
+    assert special_calls_with_where(probe) == [7, 8, 9, 10, 11]
+
+
 def key_writers(path: Path, key: str) -> list[str]:
     """The innermost functions that write the string ``key`` into a dict, as
     a key of a dict display, a keyword of dict() or a subscript assigned
     to; a write outside every function is reported as <module>."""
-    hits = set()
 
-    def visit(node: ast.AST, owner: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = f"{node.lineno}: {node.name}"
-        keys = []
+    def writes(node: ast.AST) -> bool:
         if isinstance(node, ast.Dict):
-            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
-        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-            keys = [getattr(node.slice, "value", None)]
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
-            keys = [k.arg for k in node.keywords]
-        if key in keys:
-            hits.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            return key in [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            return getattr(node.slice, "value", None) == key
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            return key in [k.arg for k in node.keywords]
+        return False
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return sorted(hits)
+    return owners(path, writes)
 
 
 def test_one_csv_writer_and_one_json_stamp():

@@ -6,13 +6,25 @@ import pytest
 
 from packdim import (
     DiscreteMeasure,
+    DriftSpec,
+    FieldSpec,
     InvalidArgumentError,
+    KernelContext,
     ball_mass,
+    ball_mass_profile,
+    ball_tables,
+    canonical_metric,
+    expected_ball_mass,
+    fbm_covariance,
+    increment_prob,
+    profile_kernel,
     read_measure_csv,
     rect_mass,
+    slice_kernel,
     slice_measure,
     write_measure_csv,
 )
+from packdim.numerics import _pair_distances
 from conftest import random_measure
 
 
@@ -53,6 +65,69 @@ class TestBallMass:
             r = float(rng.uniform(0, 2))
             inside = np.abs(mu.atoms[:, 0] - x[0]) <= r
             assert ball_mass(mu, x, r) == float(mu.weights[inside].sum())
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_equals_a_ball_tables_row(self, rng, m):
+        # every atom's distance is a radius, so each atom lies on the sphere
+        # of one of them: a distance rounded otherwise than the tables
+        # round it would drop or take that atom
+        for _ in range(4):
+            mu = random_measure(rng, m, max_atoms=500)
+            x = rng.normal(size=m)
+            radii = _pair_distances(x[None, :], mu.atoms)[0]
+            for r, table in zip(radii, ball_tables(x[None, :], mu.atoms, radii)):
+                inside = np.asarray(table[0], dtype=bool)
+                assert ball_mass(mu, x, r) == float(mu.weights[inside].sum())
+
+
+# every function that reads one query point, as (name, call on the point);
+# the point lives in R^2
+_MU2 = DiscreteMeasure(np.array([[0.0, 0.0], [0.5, 0.25]]), np.array([0.5, 0.5]))
+_CTX2 = KernelContext(
+    FieldSpec(0.5, domain_dim=2), DriftSpec.power([1.0], 1.5), _MU2, mode="graph"
+)
+_PER_POINT = {
+    "ball_mass": lambda x: ball_mass(_MU2, x, 0.3),
+    "rect_mass": lambda x: rect_mass(_MU2, x, 0.3),
+    "profile_kernel": lambda x: profile_kernel(_MU2, 0.5, x, 0.1),
+    "slice_kernel": lambda x: slice_kernel(_MU2, 1, 1, x, 0.1),
+    "increment_prob-t": lambda x: increment_prob(_CTX2, x, [0.5, 0.25], 0.1),
+    "increment_prob-s": lambda x: increment_prob(_CTX2, [0.0, 0.0], x, 0.1),
+    "ball_mass_profile": lambda x: ball_mass_profile(_CTX2, x, [0.1, 0.2]),
+    "expected_ball_mass": lambda x: expected_ball_mass(_CTX2, x, 0.1),
+    "canonical_metric-t": lambda x: canonical_metric(_CTX2.field, x, [0.5, 0.25]),
+    "canonical_metric-s": lambda x: canonical_metric(_CTX2.field, [0.0, 0.0], x),
+    "fbm_covariance-t": lambda x: fbm_covariance(x, [0.5, 0.25], 0.5),
+    "fbm_covariance-s": lambda x: fbm_covariance([0.0, 0.0], x, 0.5),
+}
+
+
+class TestQueryPoints:
+    @pytest.mark.parametrize("name", sorted(_PER_POINT))
+    def test_finite_point_is_taken(self, name):
+        assert np.isfinite(_PER_POINT[name]([0.2, 0.1])).all()
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.1], [0.2, np.inf], [-np.inf, np.nan]])
+    @pytest.mark.parametrize("name", sorted(_PER_POINT))
+    def test_non_finite_point_is_refused(self, name, bad):
+        with pytest.raises(InvalidArgumentError, match="^query point must be finite$"):
+            _PER_POINT[name](bad)
+
+    @pytest.mark.parametrize("bad", [0.2, [0.2, 0.1, 0.0]])
+    @pytest.mark.parametrize("name", sorted(_PER_POINT))
+    def test_point_of_another_size_is_refused(self, name, bad):
+        with pytest.raises(InvalidArgumentError, match="^point dimension"):
+            _PER_POINT[name](bad)
+
+    def test_an_empty_point_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="^point dimension 0 "):
+            fbm_covariance([], [], 0.5)
+
+    def test_a_scalar_is_a_point_on_the_line(self):
+        line = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        assert ball_mass(line, 0.0, 0.5) == ball_mass(line, [0.0], 0.5) == 0.5
+        assert canonical_metric(FieldSpec(0.5), 0.0, 0.25) == 0.5
+        assert fbm_covariance(0.25, 0.25, 0.5) == 0.25
 
 
 class TestRectMass:

@@ -7,6 +7,7 @@ precision.  The tail and centred interval probabilities are computed with
 mpmath at 50 digits when the tests run.
 """
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -193,6 +194,54 @@ class TestGeneralPathInPlace:
                     got = gaussian_interval_prob(rho, a, 0.7)
                     assert type(got) is float
                     assert np.float64(got).tobytes() == where_formula(rho, a, 0.7).tobytes()
+
+
+def _pin_inputs(name):
+    """(rho, a, r) of a drifted tile whose lanes all take the erf form, of
+    one whose lanes all take the erfc form, and of verify's interval-bound
+    grid at 48 points per axis, whose lanes split between the two, with
+    its rho = 0 lanes and one NaN rho."""
+    if name == "all-erf":
+        return np.geomspace(0.1, 1.0, 40)[:, None], np.linspace(-0.3, 0.3, 41)[None, :], 0.2
+    if name == "all-erfc":
+        a = np.concatenate([-np.linspace(1.0, 3.0, 20), np.linspace(1.0, 3.0, 21)])
+        return np.geomspace(1e-3, 0.05, 40)[:, None], a[None, :], 0.2
+    c = 2.0 ** (-1.0 / (1.0 - 0.5))
+    rhos = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 48), [np.nan]])
+    cents = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 48)])
+    rs = np.geomspace(1e-6, c * (1.0 - 1e-9), 48)
+    return tuple(np.meshgrid(rhos, cents, rs, indexing="ij"))
+
+
+class TestPinnedBytes:
+    """The sha256 of gaussian_interval_prob's output on fixed inputs, as
+    the function wrote them before its split path was rewritten."""
+
+    # name: (output shape, share of erf-form lanes, sha256 of the output)
+    PINS = {
+        "all-erf": (
+            (40, 41), 1.0, "7822c203ab5a599d800d09d81f4263121e6c01d49892f740c19e084d408d9198",
+        ),
+        "all-erfc": (
+            (40, 41), 0.0, "76479b52c91149c7ff519e1779013e7d840d9b425ee9d28e7e5b4a9286dbb543",
+        ),
+        "split": (
+            (50, 49, 48),
+            0.6134693877551021,
+            "29be7bd10a3cc24f77ee255879f6c7593dc2b4486b2b7957acafe9fd20fa932a",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_output_bytes(self, name):
+        shape, erf_share, digest = self.PINS[name]
+        rho, a, r = np.broadcast_arrays(*_pin_inputs(name))
+        # the share of lanes in the erf form, (r - |a|) / s > -1
+        with np.errstate(all="ignore"):
+            assert np.mean((r - np.abs(a)) / (rho * np.sqrt(2.0)) > -1.0) == erf_share
+        got = gaussian_interval_prob(*_pin_inputs(name))
+        assert got.shape == shape
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
 class TestPairDistances:
