@@ -204,6 +204,26 @@ class TestCheckParts:
                 rep = check_parts(shifted, f_name)
                 assert rep.passed, (f_name, rep.worst_ratio)
 
+    @pytest.mark.parametrize(
+        "dim, f_name, expected",
+        [
+            (1, "exp", "0x1.0788bb43ad07fp-52"),
+            (1, "gauss", "0x1.0179d4f913eccp-52"),
+            (2, "exp", "0x1.94c9c1b9f730fp-53"),
+            (2, "gauss", "0x1.b622e6fd116a8p-51"),
+        ],
+    )
+    def test_pinned_worst_ratio(self, dim, f_name, expected):
+        # the roundoff of the two sides, kept bit for bit
+        if dim == 1:
+            mu = line_measure(0.0, 0.5, 1.25, 3.0)
+        else:
+            mu = DiscreteMeasure(
+                np.array([[0.5, 0.75], [1.5, 0.25], [0.0, 2.0], [3.25, 1.125]]),
+                np.array([0.125, 0.5, 0.25, 0.125]),
+            )
+        assert check_parts(mu, f_name).worst_ratio.hex() == expected
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             check_parts(line_measure(1.0), "cube")
@@ -233,6 +253,37 @@ class TestGaussianIntervalBound:
         assert cm["III"] <= 4.0
         assert cm["IV"] <= 8.0
 
+    @pytest.mark.parametrize(
+        "beta, sups, maxima",
+        [
+            (
+                0.3,
+                ("0x1.ca9803fbececap-1", "0x1.cf849fa8dd099p-1"),
+                ("0x1.bea2209e63fe3p-2", "0x1.b211d986cecffp-1", "0x1.cf849fa8dd099p-1",
+                 "0x1.73228fa028921p-1", "0x1.c8758ed53d1c4p-2"),
+            ),
+            (
+                0.5,
+                ("0x1.995f38c7cf0f6p-1", "0x1.a03f969f87350p-1"),
+                ("0x1.d7031a225d26cp-2", "0x1.4acb890b0ebadp-1", "0x1.a03f969f87350p-1",
+                 "0x1.7a5b798deb8b8p-1", "0x1.d2fb720ac7b89p-2"),
+            ),
+            (
+                0.7,
+                ("0x1.88e8271dc7ba7p-1", "0x1.8d9228a71925ap-1"),
+                ("0x1.a839c27f16cbap-2", "0x1.32a023f04f2b3p-1", "0x1.8d9228a71925ap-1",
+                 "0x1.8d5fac6dce94cp-1", "0x1.de0013798f0a4p-2"),
+            ),
+        ],
+    )
+    def test_pinned_details(self, beta, sups, maxima):
+        rep = check_gaussian_interval_bound(beta)
+        d = rep.details
+        assert (rep.trials, rep.violations, d["stable"]) == (130248, 0, True)
+        assert (d["sup_coarse"].hex(), d["sup_fine"].hex()) == sups
+        assert list(d["case_maxima"]) == ["rho=0", "I", "II", "III", "IV"]
+        assert tuple(v.hex() for v in d["case_maxima"].values()) == maxima
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             check_gaussian_interval_bound(1.0)
@@ -255,6 +306,17 @@ class TestGraphExpectationBound:
         base = check_graph_expectation_bound(sub, field).worst_ratio
         fine = check_graph_expectation_bound(sub, field, refine=1).worst_ratio
         assert abs(fine - base) / base < 0.01
+
+    @pytest.mark.parametrize(
+        "refine, expected",
+        [
+            (0, ["0x1.cf105afd56de4p-1", "0x1.1850308a92897p+0", "0x1.deeaac76cc44dp-1"]),
+            (1, ["0x1.cf11566127aa3p-1", "0x1.185240d0cda11p+0", "0x1.dfd44970c28eap-1"]),
+        ],
+    )
+    def test_pinned_level_ratios(self, refine, expected):
+        rep = check_graph_expectation_bound(self.canonical(), FieldSpec(0.5, 1, 1), refine=refine)
+        assert [r.hex() for r in rep.details["level_ratios"]] == expected
 
     def test_shallow_subsystem_exhausts(self):
         shallow = extract_subsystem(
