@@ -4,7 +4,8 @@ Subcommands: simulate, dim, profile, txset, predict, verify,
 experiment run / experiment suite.  Global flags --seed, --out,
 --format apply before the subcommand name.  A CSV output opens with a
 ``# config_hash=... version=...`` line; a JSON output, each of verify's
-JSON lines included, carries ``config_hash`` and ``version`` keys.  --out
+JSON lines included, carries ``config_hash`` and ``version`` keys; dim
+and profile hash the measure they read, not its path.  --out
 adds a JSON sidecar <out>.json only to a csv simulate, and dim and
 profile write the pair <out>.csv and <out>.json; txset, predict and
 verify write just the table.  Exit status is 0 only
@@ -114,7 +115,9 @@ def _estimate_command(args, estimator, params_extra) -> int:
     mu = read_measure_csv(args.measure)
     grid = ScaleGrid(args.j_min, args.j_max, args.base)
     params = {
-        "cmd": args.command, "measure": args.measure, "j_min": args.j_min,
+        "cmd": args.command, "j_min": args.j_min,
+        # the measure read, not the path it was read from
+        "measure": _config_hash({"atoms": mu.atoms.tolist(), "weights": mu.weights.tolist()}),
         "j_max": args.j_max, "base": args.base, "method": args.method,
         **params_extra,
     }

@@ -14,11 +14,12 @@ estimators share one driver, _kernel_dim, that tabulates and fits them.
 The mass table comes from a walk over the upper-triangle tiles of the
 kernel tables (_mass_table): every kernel is symmetric in its two atoms,
 so each tile is evaluated once and contracted with the weights on both
-sides.  dim_field on a drift-free mesh context is the exception, where
-kernels._mesh_masses gives the table from one probability per lattice
-offset; non-mesh atoms (Cantor and two-scale sets, centred grids), unequal
-weights, drifts that do not cancel and graph-mode meshes with a coordinate
-at a window edge take the tiles.
+sides.  The field's expected-mass table is written once, in _field_masses,
+which dim_field and verify's graph bound both read.  On a drift-free mesh
+context it is the exception to the walk: kernels._mesh_masses gives the
+table from one probability per lattice offset; non-mesh atoms (Cantor and
+two-scale sets, centred grids), unequal weights, drifts that do not cancel
+and graph-mode meshes with a coordinate at a window edge take the tiles.
 
 Measure-a.e. quantifiers reduce the per-atom exponents to one atom's:
 reduce="min" is the literal finite-atom infimum, reduce="median" (default)
@@ -98,8 +99,8 @@ class ScaleGrid:
             raise InvalidArgumentError("j_min must be at least 1")
         if self.j_max - self.j_min < 3:
             raise InvalidArgumentError("need at least four scales (j_max - j_min >= 3)")
-        if not (self.base > 1.0):
-            raise InvalidArgumentError("base must exceed 1")
+        if not (1.0 < self.base < math.inf):
+            raise InvalidArgumentError("base must be finite and exceed 1")
 
     @property
     def radii(self) -> np.ndarray:
@@ -384,6 +385,25 @@ def dim_slice_kernel(
     return _kernel_dim(mu, grid, masses, method, reduce)
 
 
+def _field_masses(ctx: KernelContext, radii) -> np.ndarray:
+    """The (atoms x radii) table of expected ball masses of the context
+    measure, the one table behind dim_field and verify's graph bound: from
+    kernels._mesh_masses where it applies, else from field_tables on
+    _mass_table's tiles."""
+    V = _mesh_masses(ctx, radii)
+    if V is None:
+        points = atoms = ctx.measure.atoms
+        if ctx.drift is not None:
+            # the drift once per atom, as columns after the atoms where
+            # field_tables reads them (and ignores them if the drift
+            # cancels); evaluated on the walk's blocks, the arguments
+            # field_tables would evaluate it on, so it keeps its bits
+            f = [ctx.drift.evaluate(atoms[lo:lo + _TILE]) for lo in range(0, len(atoms), _TILE)]
+            points = np.hstack([atoms, np.vstack(f)])
+        V = _mass_table(ctx.measure, partial(field_tables, ctx), radii, points)
+    return V
+
+
 def dim_field(
     ctx: KernelContext,
     grid: ScaleGrid,
@@ -393,24 +413,8 @@ def dim_field(
     """Exponent of r -> expected_ball_mass(ctx, t, r) at a representative
     atom t of the context measure: the computable packing dimension of the
     drifted field's image measure (image mode) or graph measure (graph
-    mode).  The mass table comes from kernels._mesh_masses where it
-    applies, else from field_tables on tiles."""
-
-    def masses(radii):
-        V = _mesh_masses(ctx, radii)
-        if V is None:
-            points = atoms = ctx.measure.atoms
-            if ctx.drift is not None:
-                # the drift once per atom, as columns after the atoms where
-                # field_tables reads them (and ignores them if the drift
-                # cancels); evaluated on the walk's blocks, the arguments
-                # field_tables would evaluate it on, so it keeps its bits
-                f = [ctx.drift.evaluate(atoms[lo:lo + _TILE]) for lo in range(0, len(atoms), _TILE)]
-                points = np.hstack([atoms, np.vstack(f)])
-            V = _mass_table(ctx.measure, partial(field_tables, ctx), radii, points)
-        return V
-
-    return _kernel_dim(ctx.measure, grid, masses, method, reduce)
+    mode), fitted to the _field_masses table."""
+    return _kernel_dim(ctx.measure, grid, partial(_field_masses, ctx), method, reduce)
 
 
 # ---------------------------------------------------------------------------

@@ -274,8 +274,8 @@ class ExperimentConfig:
         if kind != "interval":
             # within the budget this takes well under a millisecond
             self._set_system()
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not (0 < self.tolerance < math.inf):
+            raise ConfigError("tolerance must be positive and finite")
         for field_name, value in (("method", self.method), ("box_method", self.box_method)):
             if value not in _EST_METHODS:
                 raise ConfigError(f"{field_name} must be one of {_EST_METHODS}")

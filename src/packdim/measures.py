@@ -182,7 +182,7 @@ def rect_mass(mu, x, halfwidths) -> float:
         h = np.full(mu.dim, float(h[0]))
     if h.size != mu.dim:
         raise InvalidArgumentError("halfwidths must match the measure dimension")
-    if np.any(h < 0):
+    if not np.all(h >= 0):
         raise InvalidArgumentError("halfwidths must be nonnegative")
     inside = np.all(np.abs(mu.atoms - x) <= h, axis=1)
     return float(mu.weights[inside].sum())

@@ -3,7 +3,9 @@
 Each checker returns a CheckReport rather than raising on mathematical
 failure: violations counts the offending inputs, worst_ratio records how
 close the sharpest input came to the bound, and details carries per-case
-diagnostics.  Invalid arguments still raise.
+diagnostics.  Invalid arguments still raise, a NaN or infinite bound
+among them.  The graph bound reads its expected masses from
+estimators._field_masses, the one table dim_field fits.
 """
 
 from __future__ import annotations
@@ -11,18 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .errors import DepthExhaustedError, InvalidArgumentError
-from .estimators import _mass_table
+from .estimators import _field_masses
 from .fields import FieldSpec
 from .fractals import ExtractedSubsystem
 from .kernels import (
     KernelContext,
     expected_ball_mass,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
-    field_tables,
 )
 from .measures import (
     DiscreteMeasure,
@@ -64,10 +64,7 @@ def _dyadic_ints(values) -> tuple[list[int], int]:
     is a dyadic rational, so (ints, scale) with value = int/scale is exact;
     the scale is the largest denominator (a power of two, hence the lcm)."""
     parts = [Fraction(float(v)) for v in values]
-    scale = 1
-    for f in parts:
-        if f.denominator > scale:
-            scale = f.denominator
+    scale = max((f.denominator for f in parts), default=1)
     return [int(f * scale) for f in parts], scale
 
 
@@ -79,10 +76,10 @@ def check_doubling(nu: DiscreteMeasure, r: float, lambdas, M: float) -> CheckRep
     membership, mass comparison, and the final bound test are exact; no
     tolerance enters the verdict.  Boxes are closed, as in rect_mass."""
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if lam.shape != (nu.dim,) or np.any(lam < 1.0):
-        raise InvalidArgumentError("need one lambda >= 1 per coordinate")
-    if not (r > 0) or not (M >= 1.0):
-        raise InvalidArgumentError("need r > 0 and M >= 1")
+    if lam.shape != (nu.dim,) or not np.all((1.0 <= lam) & (lam < math.inf)):
+        raise InvalidArgumentError("need one finite lambda >= 1 per coordinate")
+    if not (0 < r < math.inf) or not (1.0 <= M < math.inf):
+        raise InvalidArgumentError("need finite r > 0 and M >= 1")
     d = nu.dim
     flat, cs = _dyadic_ints(nu.atoms.reshape(-1).tolist())
     coords = [flat[i * d : (i + 1) * d] for i in range(nu.count)]
@@ -151,15 +148,15 @@ def check_scale_doubling(
     one box at a time would, and worst_ratio can move in its last bits."""
     if not (0.0 < a < 1.0):
         raise InvalidArgumentError("a must lie in (0, 1)")
-    if not (eps > 0):
-        raise InvalidArgumentError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise InvalidArgumentError("eps must be positive and finite")
     if not (0.0 < r0 <= 0.5):
         raise InvalidArgumentError("r0 must lie in (0, 1/2]")
     if n_scales < 2:
         raise InvalidArgumentError("need at least two scanned scales")
     mult = np.atleast_1d(np.asarray(h_multipliers, dtype=float))
-    if np.any(mult < 1.0):
-        raise InvalidArgumentError("h multipliers must be >= 1 (h_i >= r^a)")
+    if not np.all((1.0 <= mult) & (mult < math.inf)):
+        raise InvalidArgumentError("h multipliers must be finite and >= 1 (h_i >= r^a)")
     d = nu.dim
     combos = np.stack(
         np.meshgrid(*([mult] * d), indexing="ij"), axis=-1
@@ -203,6 +200,8 @@ _PARTS_CATALOG = {
     "exp": (lambda x: np.exp(-x), 40.0),
     "gauss": (lambda x: np.exp(-(x**2)), 8.0),
 }
+# the advertised relative tolerance per dimension d
+_PARTS_TOL = {1: 1e-6, 2: 1e-4}
 
 
 def check_parts(mu: DiscreteMeasure, f_name: str = "exp") -> CheckReport:
@@ -219,7 +218,7 @@ def check_parts(mu: DiscreteMeasure, f_name: str = "exp") -> CheckReport:
     if f_name not in _PARTS_CATALOG:
         raise InvalidArgumentError(f"test function must be one of {sorted(_PARTS_CATALOG)}")
     d = mu.dim
-    if d not in (1, 2):
+    if d not in _PARTS_TOL:
         raise InvalidArgumentError("the checker covers d in {1, 2}")
     if mu.count > 32:
         raise InvalidArgumentError("at most 32 atoms are supported")
@@ -238,15 +237,9 @@ def check_parts(mu: DiscreteMeasure, f_name: str = "exp") -> CheckReport:
     # Cell sum: g is constant inside each cell (no atom coordinate crosses
     # it), so g(midpoint) times the mixed difference of f is the exact
     # Stieltjes contribution of the cell.
-    diffs = [np.diff(phi(ax)) for ax in axes]
-    mids = [(ax[:-1] + ax[1:]) / 2.0 for ax in axes]
-    if d == 1:
-        mid_pts = mids[0][:, None]
-        delta = diffs[0]
-    else:
-        mx, my = np.meshgrid(mids[0], mids[1], indexing="ij")
-        mid_pts = np.stack([mx.ravel(), my.ravel()], axis=1)
-        delta = np.outer(diffs[0], diffs[1]).ravel()
+    mids = np.meshgrid(*[(ax[:-1] + ax[1:]) / 2.0 for ax in axes], indexing="ij")
+    mid_pts = np.stack([m.ravel() for m in mids], axis=1)
+    delta = np.prod(np.meshgrid(*[np.diff(phi(ax)) for ax in axes], indexing="ij"), axis=0).ravel()
     below = np.all(
         mu.atoms[None, :, :] < mid_pts[:, None, :], axis=2
     )  # half-open boxes [0, x): strict comparison
@@ -259,8 +252,7 @@ def check_parts(mu: DiscreteMeasure, f_name: str = "exp") -> CheckReport:
     rhs = (-1.0) ** d * (cell_sum + full - boxed)
 
     rel = abs(rhs - lhs) / max(abs(lhs), 1e-300)
-    tol = 1e-6 if d == 1 else 1e-4
-    violations = int(rel > tol)
+    violations = int(rel > _PARTS_TOL[d])
     witness = f"lhs={lhs!r} rhs={rhs!r}" if violations else ""
     return CheckReport(
         "integration-by-parts", 1, violations, rel, witness, {"f": f_name}
@@ -279,27 +271,23 @@ def _interval_bound_ratios(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]
     rs = np.geomspace(1e-6, c * (1.0 - 1e-9), n)
     R, A, RAD = np.meshgrid(rhos, cents, rs, indexing="ij")
     prob = gaussian_interval_prob(R, A, RAD)
+    rb, radb = R**beta, RAD**beta
     # a = rho = 0 sends the comparison power to infinity; the ratio there is
     # 0, which errstate keeps quiet.
     with np.errstate(divide="ignore"):
-        denom = RAD**beta / (A + R**beta)
-        ratios = prob / denom
+        ratios = prob / (radb / (A + rb))
     # Case split from the proof: I and II bound by 2, III by 4, IV by a
-    # constant below 8; rho = 0 is exact.
-    rb = R**beta
-    case = np.zeros(R.shape, dtype=int)  # 0: rho = 0
+    # constant below 8; rho = 0 is exact.  The first case that holds names
+    # the entry, 0 where none does or rho = 0.
     live = R > 0
-    case_i = live & (rb <= A) & (A <= RAD**beta)
-    case_ii = live & (A <= rb) & (R <= RAD)
-    case_iii = live & (A <= rb) & (RAD < R)
-    case_iv = live & (A >= np.maximum(rb, RAD**beta))
-    for k, mask in enumerate((case_i, case_ii, case_iii, case_iv), start=1):
-        case[mask & (case == 0)] = k
+    case = np.select(
+        [live & (rb <= A) & (A <= radb), live & (A <= rb) & (R <= RAD),
+         live & (A <= rb) & (RAD < R), live & (A >= np.maximum(rb, radb))],
+        [1, 2, 3, 4],
+    )
+    # the ratios are >= 0, so a case no entry falls in keeps its 0
     maxima = np.zeros(5)
-    for k in range(5):
-        sel = case == k
-        if np.any(sel):
-            maxima[k] = float(np.max(ratios[sel]))
+    np.maximum.at(maxima, case.ravel(), ratios.ravel())
     return ratios, maxima
 
 
@@ -329,13 +317,7 @@ def check_gaussian_interval_bound(beta: float) -> CheckReport:
             "sup_coarse": sup1,
             "sup_fine": sup2,
             "stable": stable,
-            "case_maxima": {
-                "rho=0": maxima2[0],
-                "I": maxima2[1],
-                "II": maxima2[2],
-                "III": maxima2[3],
-                "IV": maxima2[4],
-            },
+            "case_maxima": dict(zip(("rho=0", "I", "II", "III", "IV"), maxima2)),
         },
     )
 
@@ -381,11 +363,10 @@ def check_graph_expectation_bound(
     levels = list(range(2, system.depth))
     if not levels:
         raise DepthExhaustedError("no usable levels: the subsystem is too shallow")
-    mu = subsystem.measure(refine=refine)
-    ctx = KernelContext(field, None, mu, "graph")
+    ctx = KernelContext(field, None, subsystem.measure(refine=refine), "graph")
     etas = [system.gap(nlev) for nlev in levels]
     radii = np.array([eta**subsystem.theta for eta in etas])
-    V = _mass_table(mu, partial(field_tables, ctx), radii)
+    V = _field_masses(ctx, radii)
     ratios = V / np.array([eta**subsystem.gamma for eta in etas])
     level_ratios = [float(x) for x in ratios.max(axis=0)]
     worst = max(level_ratios)

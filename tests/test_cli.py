@@ -145,6 +145,28 @@ class TestDimAndProfile:
         # five coarse scales only, so the exponent sits a bit under beta
         assert 0.15 < payload["estimate"] < 0.30
 
+    def test_hash_names_the_measure_not_its_path(self, tmp_path, measure_csv):
+        # three spellings of one file stamp one hash; another measure, at the
+        # same kind of path, stamps another
+        other = tmp_path / "other.csv"
+        other.write_text("x1,weight\n0.25,0.5\n0.75,0.5\n")
+
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def stamp(path):
+            proc = subprocess.run(
+                CLI + ["dim", path, "--j-min", "2", "--j-max", "5"],
+                capture_output=True, text=True, cwd=tmp_path, env=env,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            return proc.stdout.splitlines()[0]
+
+        name = Path(measure_csv).name
+        spellings = {stamp(p) for p in (name, os.path.join(".", name), measure_csv)}
+        assert len(spellings) == 1
+        assert stamp(other.name) not in spellings
+
     def test_missing_measure_file_exits_two(self, tmp_path):
         proc = run_cli("dim", str(tmp_path / "nope.csv"))
         assert proc.returncode == 2
@@ -413,23 +435,23 @@ def golden_digests(tmp_path, argv, files) -> dict:
 GOLDEN = {
     "dim-csv": {
         "exit": 0,
-        "stdout": "a85c1d9bcca69c587463bf0c5f192eefa7119f6e456b237b01b19864e629614c",
+        "stdout": "d9fefef8460c6e6800af2e547f70510ea609cd10c87fb6e6c726aa20bc4a4b0c",
     },
     "dim-json": {
         "exit": 0,
-        "stdout": "a70dc87d1cb88e953d5fae25cc794381366d65fae651862de2a2789889602331",
+        "stdout": "c8573934aa1c19b84798b7145a7902faccabff0633f3cad45ede9211edd83c4a",
     },
     "dim-out": {
         "exit": 0,
-        "stdout": "a70dc87d1cb88e953d5fae25cc794381366d65fae651862de2a2789889602331",
-        "est.csv": "a85c1d9bcca69c587463bf0c5f192eefa7119f6e456b237b01b19864e629614c",
-        "est.json": "a70dc87d1cb88e953d5fae25cc794381366d65fae651862de2a2789889602331",
+        "stdout": "c8573934aa1c19b84798b7145a7902faccabff0633f3cad45ede9211edd83c4a",
+        "est.csv": "d9fefef8460c6e6800af2e547f70510ea609cd10c87fb6e6c726aa20bc4a4b0c",
+        "est.json": "c8573934aa1c19b84798b7145a7902faccabff0633f3cad45ede9211edd83c4a",
     },
     "dim-refused": {
         "exit": 1,
-        "stdout": "b3e12f343c565111e1a0d433e3cce38cbce9eb9027fa6bfde5bcd8f107decbf3",
-        "est.csv": "73d27abc8b7aac860a0a67735fe61f81f4461358388f2eefde533f365c30570d",
-        "est.json": "b3e12f343c565111e1a0d433e3cce38cbce9eb9027fa6bfde5bcd8f107decbf3",
+        "stdout": "fdf49030e155965346f450941d529df25099a2fe002c1b34ed7eaedac07e3704",
+        "est.csv": "5d948d94e29e482b1b47fe2aa2ae2b0396dfda4f8ccb8a78bbd292fde9e4552f",
+        "est.json": "fdf49030e155965346f450941d529df25099a2fe002c1b34ed7eaedac07e3704",
     },
     "experiment-run": {
         "exit": 0,
@@ -452,17 +474,17 @@ GOLDEN = {
     },
     "profile-csv": {
         "exit": 0,
-        "stdout": "fbf88cb63d81f81365c3ab95b48a279e1f8fe48a2b400f33eb1e809d02eb5155",
+        "stdout": "adf05182447a776610f6ec2410c627133c34ba1707ecfe27d8eaf1a926d660e9",
     },
     "profile-json": {
         "exit": 0,
-        "stdout": "6d8a45510e2fa96a6058a99fda7bb68f93503c1dfe7ea38b4984d4b74331a953",
+        "stdout": "84dc79abd4143c6178771666c7cb3d2c2d46da1b4080663114cd28979cbb6178",
     },
     "profile-out": {
         "exit": 0,
-        "stdout": "6d8a45510e2fa96a6058a99fda7bb68f93503c1dfe7ea38b4984d4b74331a953",
-        "est.csv": "fbf88cb63d81f81365c3ab95b48a279e1f8fe48a2b400f33eb1e809d02eb5155",
-        "est.json": "6d8a45510e2fa96a6058a99fda7bb68f93503c1dfe7ea38b4984d4b74331a953",
+        "stdout": "84dc79abd4143c6178771666c7cb3d2c2d46da1b4080663114cd28979cbb6178",
+        "est.csv": "adf05182447a776610f6ec2410c627133c34ba1707ecfe27d8eaf1a926d660e9",
+        "est.json": "84dc79abd4143c6178771666c7cb3d2c2d46da1b4080663114cd28979cbb6178",
     },
     "simulate-csv": {
         "exit": 0,

@@ -80,6 +80,12 @@ class TestScaleGrid:
         with pytest.raises(InvalidArgumentError):
             ScaleGrid(1, 5, 1.0)
 
+    @pytest.mark.parametrize("base", [math.inf, math.nan])
+    def test_non_finite_base_is_refused(self, base):
+        # an infinite base has every radius 0.0
+        with pytest.raises(InvalidArgumentError):
+            ScaleGrid(1, 4, base)
+
 
 class TestScalingExponent:
     def test_pure_power(self):

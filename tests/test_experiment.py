@@ -195,6 +195,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({**MINIMAL, **patch})
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('"tolerance": NaN', "tolerance"),
+            ('"tolerance": Infinity', "tolerance"),
+            ('"grid": {"j_min": 1, "j_max": 4, "base": Infinity}', "base"),
+        ],
+    )
+    def test_non_finite_values_are_refused_at_load(self, tmp_path, text, key):
+        # JSON as Python writes it reads NaN and Infinity; a NaN tolerance
+        # would fail every run, an infinite base make every radius 0.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(MINIMAL)[:-1] + ", " + text + "}")
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json(str(path))
+
     @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"", b"\xff{}"])
     def test_file_that_is_not_one_json_object(self, tmp_path, content):
         path = tmp_path / "bad.json"

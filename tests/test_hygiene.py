@@ -11,8 +11,9 @@ measures._uniform calls np.full with a fill value 1 / k.  And no
 scipy.special function is called with where=, which scipy 1.17
 mishandles.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
-and its lattice shortcut kernels._mesh_masses call _drift_cancels().  And
-it factors a matrix in one place: only numerics._cholesky_in_place calls
+and its lattice shortcut kernels._mesh_masses call _drift_cancels(), and
+only estimators._field_masses, the one expected-mass table, passes
+field_tables to _mass_table.  And it factors a matrix in one place: only numerics._cholesky_in_place calls
 LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
 only by calling its module-level name gaussian_interval_prob, the binding
 the benchmark wraps, and only in field_tables.  And it orders box-counting
@@ -259,6 +260,38 @@ def test_scan_flags_a_stray_drift_split(tmp_path):
         encoding="utf-8",
     )
     assert callers(probe, "_drift_cancels") == ["1: field_tables", "4: inner", "<module>"]
+
+
+def _field_walk(node: ast.AST) -> bool:
+    """A call of _mass_table with field_tables anywhere in its arguments."""
+    return _calls(node, "_mass_table") and any(
+        "field_tables" in (getattr(n, "id", None), getattr(n, "attr", None))
+        for arg in [*node.args, *(k.value for k in node.keywords)]
+        for n in ast.walk(arg)
+    )
+
+
+def test_one_expected_mass_table():
+    assert {
+        (path.name, hit.split(": ")[-1])
+        for path in PACKAGE
+        for hit in owners(path, _field_walk)
+    } == {("estimators.py", "_field_masses")}
+
+
+def test_scan_flags_a_stray_field_walk(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _field_masses(ctx, radii):\n"
+        "    return _mass_table(ctx.measure, partial(field_tables, ctx), radii)\n"
+        "def stray(mu, ctx, radii):\n"
+        "    return estimators._mass_table(mu, partial(kernels.field_tables, ctx), radii)\n"
+        "def balls(mu, radii):\n"
+        "    return _mass_table(mu, ball_tables, radii)\n"
+        "V = _mass_table(mu, tables=lambda r, a, x: field_tables(ctx, r, a, x), radii=radii)\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _field_walk) == ["1: _field_masses", "3: stray", "<module>"]
 
 
 def test_one_factorization_site():

@@ -153,6 +153,10 @@ class TestRectMass:
         mu = delta([0.2, 0.2])
         assert rect_mass(mu, [0.0, 0.0], 0.5) == 1.0
 
+    def test_nan_halfwidth_is_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            rect_mass(delta([0.0, 0.0]), [0.0, 0.0], (0.5, np.nan))
+
 
 class TestSliceMeasure:
     def test_empty_conditioning_returns_measure(self, rng):

@@ -2,6 +2,8 @@
 integration by parts, the Gaussian interval bound, and the graph
 expected-mass bound on extracted subsystems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ class TestCheckDoubling:
             check_doubling(mu, -1.0, [2.0], 2.0)
         with pytest.raises(InvalidArgumentError):
             check_doubling(mu, 0.25, [2.0], 0.5)
+
+    @pytest.mark.parametrize(
+        "r, lam, M",
+        [
+            (math.inf, 2.0, 2.0),
+            (0.25, math.inf, 2.0),
+            (0.25, math.nan, 2.0),
+            (0.25, 2.0, math.inf),
+        ],
+        ids=["r-inf", "lambda-inf", "lambda-nan", "M-inf"],
+    )
+    def test_non_finite_scalars_are_refused(self, r, lam, M):
+        # the exact integer form has no inf or NaN
+        with pytest.raises(InvalidArgumentError):
+            check_doubling(line_measure(0.5), r, [lam], M)
 
 
 def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
@@ -176,6 +193,14 @@ class TestCheckScaleDoubling:
             check_scale_doubling(mu, 0.5, 0.5, 0.75)
         with pytest.raises(InvalidArgumentError):
             check_scale_doubling(mu, 0.5, 0.5, 0.125, h_multipliers=(0.5,))
+
+    @pytest.mark.parametrize(
+        "eps, mult", [(0.5, (1.0, math.nan)), (math.inf, (1.0,))], ids=["nan-multiplier", "eps-inf"]
+    )
+    def test_non_finite_scalars_are_refused(self, eps, mult):
+        # either would report a vacuous pass
+        with pytest.raises(InvalidArgumentError):
+            check_scale_doubling(line_measure(0.5), 0.5, eps, 0.125, h_multipliers=mult)
 
 
 class TestCheckParts:
