@@ -457,8 +457,8 @@ def check_regularity_conditions(
     where gap_n is the (lower bound on the) spacing between level-n siblings
     and ``level_masses[n-1]`` is the largest mass a level-n interval carries.
     """
-    if gamma <= 0 or theta <= 0:
-        raise InvalidArgumentError("gamma and theta must be positive")
+    if not (0 < gamma < math.inf and 0 < theta < math.inf):
+        raise InvalidArgumentError("gamma and theta must be positive and finite")
     failures = []
     depth = system.depth
     if len(level_masses) != depth:
@@ -539,8 +539,8 @@ def extract_subsystem(
         raise InvalidArgumentError(
             f"gamma must lie strictly below the similarity dimension {sim_dim:.6g}"
         )
-    if theta <= 0:
-        raise InvalidArgumentError("theta must be positive")
+    if not (0 < theta < math.inf):
+        raise InvalidArgumentError("theta must be positive and finite")
 
     u = math.log(1.0 / ratio)
     gap_factor = (1.0 - N * ratio) / (N - 1)

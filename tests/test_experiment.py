@@ -204,8 +204,8 @@ class TestConfigParsing:
         ],
     )
     def test_non_finite_values_are_refused_at_load(self, tmp_path, text, key):
-        # JSON as Python writes it reads NaN and Infinity; a NaN tolerance
-        # would fail every run, an infinite base make every radius 0.0
+        # Python's json reads NaN and Infinity; a NaN tolerance would fail
+        # every run, and an infinite base would make every radius 0.0
         path = tmp_path / "c.json"
         path.write_text(json.dumps(MINIMAL)[:-1] + ", " + text + "}")
         with pytest.raises(ConfigError, match=key):

@@ -334,6 +334,21 @@ class TestExtraction:
         masses = [sub.interval_mass(n) for n in range(1, depth + 1)]
         assert check_regularity_conditions(sub.system, masses, 0.3, 2.0 / 3.0) == []
 
+    @pytest.mark.parametrize("gamma, theta", [(math.nan, 2.0 / 3.0), (0.3, math.inf)])
+    def test_regularity_refuses_non_finite_exponents(self, gamma, theta):
+        # a NaN gamma read as five mass violations, an infinite theta as a pass
+        sub = extract_subsystem(thirds(12), 0.3, 2.0 / 3.0)
+        masses = [sub.interval_mass(n) for n in range(1, sub.system.depth + 1)]
+        with pytest.raises(InvalidArgumentError):
+            check_regularity_conditions(sub.system, masses, gamma, theta)
+
     def test_gamma_above_similarity_dimension(self):
         with pytest.raises(InvalidArgumentError):
             extract_subsystem(thirds(12), 0.99, 2.0 / 3.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta_is_refused(self, theta):
+        # a NaN theta never meets the gap growth condition, so the level
+        # search would not end
+        with pytest.raises(InvalidArgumentError):
+            extract_subsystem(thirds(12), 0.3, theta)

@@ -13,8 +13,8 @@ mishandles.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
 and its lattice shortcut kernels._mesh_masses call _drift_cancels(), and
 only estimators._field_masses, the one expected-mass table, passes
-field_tables to _mass_table.  And it factors a matrix in one place: only numerics._cholesky_in_place calls
-LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
+field_tables to _mass_table.  And it factors a matrix in one place: only
+numerics._cholesky_in_place calls LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
 only by calling its module-level name gaussian_interval_prob, the binding
 the benchmark wraps, and only in field_tables.  And it orders box-counting
 cells on single keys: np.lexsort is called only by numerics._distinct_rows,
