@@ -15,11 +15,13 @@ The mass table comes from a walk over the upper-triangle tiles of the
 kernel tables (_mass_table): every kernel is symmetric in its two atoms,
 so each tile is evaluated once and contracted with the weights on both
 sides.  The field's expected-mass table is written once, in _field_masses,
-which dim_field and verify's graph bound both read.  On a drift-free mesh
-context it is the exception to the walk: kernels._mesh_masses gives the
-table from one probability per lattice offset; non-mesh atoms (Cantor and
-two-scale sets, centred grids), unequal weights, drifts that do not cancel
-and graph-mode meshes with a coordinate at a window edge take the tiles.
+which dim_field and verify's graph bound both read.  On a drift-free
+coded set with equal weights it is the exception to the walk:
+kernels._coded_masses gives the table from a few rows of probabilities
+per radius, one for a mesh and two for a two-level two-scale set.  Base-2
+Cantor sets, whose offsets cost more than the walk, other atoms (centred
+grids), unequal weights, drifts that do not cancel and graph-mode sets
+with an offset distance at a window edge take the tiles.
 
 Measure-a.e. quantifiers reduce the per-atom exponents to one atom's:
 reduce="min" is the literal finite-atom infimum, reduce="median" (default)
@@ -59,7 +61,7 @@ from .errors import (
 from .kernels import (
     KernelContext,
     _check_split,
-    _mesh_masses,
+    _coded_masses,
     ball_tables,
     field_tables,
     profile_tables,
@@ -388,9 +390,9 @@ def dim_slice_kernel(
 def _field_masses(ctx: KernelContext, radii) -> np.ndarray:
     """The (atoms x radii) table of expected ball masses of the context
     measure, the one table behind dim_field and verify's graph bound: from
-    kernels._mesh_masses where it applies, else from field_tables on
+    kernels._coded_masses where it applies, else from field_tables on
     _mass_table's tiles."""
-    V = _mesh_masses(ctx, radii)
+    V = _coded_masses(ctx, radii)
     if V is None:
         points = atoms = ctx.measure.atoms
         if ctx.drift is not None:

@@ -173,6 +173,37 @@ def _children(lefts: np.ndarray, pitch: float, count: int) -> np.ndarray:
     return (lefts[:, None] + np.arange(count) * pitch).ravel()
 
 
+def _digit_counts(points: np.ndarray) -> tuple[int, ...] | None:
+    """The branch counts (m_1, ..., m_L), first level first, when the (k, 1)
+    array ``points`` holds exactly the left ends that _children builds level
+    by level from the root [0.0]: atom sum_l j_l pitch_l over the digits
+    j_l < m_l, the first level's digit varying slowest.  Compared bit for
+    bit with that rebuild; None otherwise.
+
+    The levels are read off the points from the deepest up: its pitch is the
+    second point, m_L the length of the run of points equal to j * pitch,
+    and every m_L-th point, those whose deepest digit is 0, are the left
+    ends of the level above.  One point at 0 is the root alone, ()."""
+    if points.shape[1] != 1:
+        return None
+    levels = []
+    lefts = points[:, 0]
+    while len(lefts) > 1:
+        pitch = lefts[1]
+        off = np.flatnonzero(lefts != np.arange(len(lefts)) * pitch)
+        m = int(off[0]) if len(off) else len(lefts)
+        if m < 2 or len(lefts) % m:
+            return None
+        levels.insert(0, (m, pitch))
+        lefts = lefts[::m]
+    rebuilt = np.zeros(1)
+    for m, pitch in levels:
+        rebuilt = _children(rebuilt, pitch, m)
+    if not np.array_equal(rebuilt, points[:, 0]):
+        return None
+    return tuple(m for m, _ in levels)
+
+
 def _cantor_level(ratio: float, gap_factor: float, k: int) -> tuple[float, float]:
     """Interval length and sibling gap at level k of a uniform Cantor system."""
     return ratio**k, ratio ** (k - 1) * gap_factor
@@ -378,9 +409,11 @@ def covering_count(system, log_inv_eps) -> float:
 
     with k the level where delta_k <= eps < delta_{k-1}.  At eps >= delta_0
     one interval suffices.  Scales finer than the deepest level are out of
-    range and raise.
+    range and raise, as does a NaN log_inv_eps, with its own message.
     """
     lie = float(log_inv_eps)
+    if math.isnan(lie):
+        raise InvalidArgumentError("log_inv_eps is NaN")
     if isinstance(system, SymbolicScaleSystem):
         L = system.L
         logm = system.logm

@@ -54,19 +54,24 @@ contraction for a one table, the gemv a materialised table takes, so the
 mass tables keep their bits; the per-point functions copy a constant row
 before contracting it, for the same reason.
 
-One shortcut skips the pair tables.  When the measure is exactly a
-fields._mesh_points mesh (an interval or cube set) with equal weights and
-the drift cancels, the field kernel of a pair depends only on its lattice
-offset, and _mesh_masses gives the weighted sums of the field tables from
-one probability per offset and radius, the first atom's row of
-field_tables, and prefix sums over the offsets: O(atoms) per radius
-instead of O(atoms^2).  Graph-mode meshes with a coordinate within a few
-ulps of a radius, any other atoms, unequal weights and drifts that do not
-cancel take the tables.
+One shortcut skips the pair tables.  When the weights are equal, the
+drift cancels and the atoms are a coded set, atom = sum_l j_l P_l over
+digits j_l < m_l (a fields._mesh_points mesh, or on the line the left
+ends fractals._children builds, as in Cantor and two-scale sets), the
+field kernel of a pair depends only on its digit offset.  _coded_masses
+then gives the weighted sums of the field tables from the rows of
+field_tables at a few corner atoms, one for a mesh and two for a
+two-level two-scale set, and prefix sums over the offsets: O(atoms) per
+radius instead of O(atoms^2).  It is taken only where that work is below
+the tile walk's pair count, so base-2 Cantor sets, whose 2^L sign
+patterns make it quadratic, keep the tiles.  Graph-mode sets with an
+offset distance within a few ulps of a radius, any other atoms, unequal
+weights and drifts that do not cancel take the tables too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,6 +80,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fields import DriftSpec, FieldSpec, _mesh_axes
+from .fractals import _digit_counts
 from .measures import (
     DiscreteMeasure,
     _check_point,
@@ -265,7 +271,10 @@ def increment_prob(ctx: KernelContext, t, s, r: float) -> float:
     the product over coordinates of Gaussian interval probabilities with
     scale |t-s|^alpha and center f_i(t) - f_i(s).  It is the (t, s) entry
     of the image-mode field_tables on the pair, whatever ctx.mode says, so
-    a constant drift cancels bit for bit."""
+    a constant drift cancels bit for bit.  A NaN or negative r is
+    refused."""
+    if not (r >= 0):
+        raise InvalidArgumentError("r must be nonnegative")
     n = ctx.field.domain_dim
     tv, sv = _check_point(t, n), _check_point(s, n)
     image = KernelContext(ctx.field, ctx.drift, ctx.measure)
@@ -375,45 +384,107 @@ def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, mirror
 
 
-def _mesh_masses(ctx: KernelContext, radii) -> np.ndarray | None:
+def _digit_code(atoms: np.ndarray) -> list[tuple[int, ...]] | None:
+    """The digit counts of each domain axis when the (k, n) atoms are a
+    coded set, atom = sum_l j_l P_l over digits j_l < m_l in C order, each
+    pitch P_l along one axis: a fields._mesh_points mesh, one digit per axis,
+    or on the line the left ends of a nested uniform system
+    (fractals._digit_counts).  Both are recognised bit for bit; None
+    otherwise."""
+    mesh = _mesh_axes(atoms)
+    if mesh is not None:
+        return [(mesh[0],)] * atoms.shape[1]
+    counts = _digit_counts(atoms)
+    return None if counts is None else [counts]
+
+
+def _coded_masses(ctx: KernelContext, radii) -> np.ndarray | None:
     """The (atoms x radii) table V[i, j] = sum_k w_k K_{r_j}(x_i, x_k) of
     field_tables contracted with the weights, computed without a pair
     table; None where that does not apply.
 
-    It applies when the measure is exactly a fields._mesh_points mesh with
-    equal weights and the drift cancels.  Then the kernel of a pair depends
-    only on its lattice offset o, and only through |o|: g(o) is the first
-    atom's (all zeros) row of field_tables, its entry at the atom at o,
-    which in graph mode holds the window |o|_inf <= r.  The atoms
-    within the mesh from atom i have offsets -i <= o <= m-1-i per axis, so
-    per axis the sum is S(i) + S(m-1-i) - S(0) with S the prefix sum of g
-    from offset 0, and the n axes fold one after the other on the n-D
-    cumulative sum.  O(atoms x radii) work and memory.
+    It applies when the weights are equal, the drift cancels and the atoms
+    are a coded set (_digit_code) of L levels.  The kernel of a pair then
+    depends only on its digit offset o = j_k - j_i, and keeps its value
+    when the offsets of the levels along one axis all change sign.  So g(o)
+    is read from the rows of field_tables at the corner atoms, whose digits
+    are 0 or m_l - 1 with the first level of each axis at 0: the row of a
+    corner holds g on the offsets of one sign pattern, and sign changes per
+    axis give the others.  That is 2^(L - n) rows, one for a mesh.  g is
+    held as H[h, o] over the sign h_l and the magnitude 0 <= o_l < m_l of
+    every level, offset 0 in both halves.  After cumulative sums along each
+    magnitude in turn, atom i's sum over its offsets -i_l <= o_l <= m_l - 1
+    - i_l folds one level at a time: S(+, m_l - 1 - i_l) + S(-, i_l) - S(+,
+    0).  A level alone on its axis, as on a mesh, has equal halves and H
+    keeps one: its fold is S(i) + S(m - 1 - i) - S(0).
+
+    Its work per radius, the corner rows' probabilities plus the entries
+    of H (the atom count on a mesh, 2^L times it for L levels on the
+    line), must be below the k(k + 1) / 2 pairs the tile walk evaluates,
+    else None: base-2 Cantor sets, where 2^L is the atom count, keep the
+    tiles.
 
     In graph mode a pair's domain distance is the rounded difference of
-    its coordinates, not the offset's coordinate itself, so a mesh
-    coordinate within a few ulps of t_max of a radius could put the pair
-    on the other side of the window edge: such meshes return None."""
+    its coordinates, not a corner row's: a level's pitch times its digit is
+    rounded once and each partial sum once, so on an axis of c levels the
+    two stay within 4 (c + 1) ulps of the largest coordinate, and a set
+    with a corner row's distance that close to a radius returns None."""
     mu = ctx.measure
-    mesh = _mesh_axes(mu.atoms)
     w = mu.weights
-    if mesh is None or not ctx._drift_cancels() or np.any(w != w[0]):
+    code = _digit_code(mu.atoms) if ctx._drift_cancels() and np.all(w == w[0]) else None
+    if code is None:
         return None
-    m, t_max = mesh
+    counts = tuple(m for axis in code for m in axis)
+    levels, k = len(counts), mu.count
+    # the signs a corner takes per level: + for the first of each axis; the
+    # signs H holds: one for a level alone on its axis, its halves equal
+    signs = [(0, 1) if lev else (0,) for axis in code for lev in range(len(axis))]
+    sides = [2 if len(axis) > 1 else 1 for axis in code for _ in axis]
+    if not 2 * (math.prod(map(len, signs)) + math.prod(sides)) * k < k * (k + 1):
+        return None
+    corners = list(itertools.product(*signs))
     atoms = mu.atoms
+    digits = np.multiply(corners, np.subtract(counts, 1))
+    rows = atoms[np.ravel_multi_index(tuple(digits.T), counts)]
     if ctx.mode == "graph":
-        # atoms[:m, -1] holds the mesh coordinates along one axis
-        if np.any(np.abs(atoms[:m, -1, None] - radii) <= 8 * np.finfo(float).eps * abs(t_max)):
+        tol = 4 * (max(map(len, code)) + 1) * np.finfo(float).eps * np.abs(atoms).max()
+        dist = np.abs(rows[:, None, :] - atoms).reshape(-1, 1)
+        if np.any(np.abs(dist - radii) <= tol):
             return None
-    shape = (m,) * ctx.field.domain_dim
-    V = np.empty((len(atoms), len(radii)))
-    # the first atom is the origin, inside its own window at every radius
-    for j, table in enumerate(field_tables(ctx, atoms[:1], atoms, radii)):
-        s = table[0].reshape(shape)
-        for axis in range(s.ndim):
-            s = s.cumsum(axis)
-        for axis in range(s.ndim):
-            s = s + np.flip(s, axis) - s.take([0], axis=axis)
+    every, back = slice(None), slice(None, None, -1)
+    # a corner's row read as offsets from it: reversed where its sign is -
+    reads = [tuple(back if h else every for h in corner) for corner in corners]
+    # per axis of several levels, the sign changes that give its first
+    # level's - half
+    turns, first = [], 0
+    for axis in code:
+        if len(axis) > 1:
+            turns.append(((every,) * first + (1,), (every,) * first + (back,) * len(axis)))
+        first += len(axis)
+    # per level: its + and - halves, and its magnitudes reversed and at 0
+    folds = [
+        (
+            (every,) * lev + (slice(0, 1),),
+            (every,) * lev + (slice(-1, None),),
+            (every,) * (levels + lev) + (back,),
+            (every,) * (levels + lev) + (slice(0, 1),),
+        )
+        for lev in range(levels)
+    ]
+    H = np.empty((*sides, *counts))
+    V = np.empty((k, len(radii)))
+    # every corner row holds its own atom, inside its window at every radius
+    for j, table in enumerate(field_tables(ctx, rows, atoms, radii)):
+        for corner, read, row in zip(corners, reads, table):
+            H[corner] = row.reshape(counts)[read]
+        for turn, signs_changed in turns:
+            H[turn] = H[signs_changed][turn]
+        s = H
+        for lev in range(levels):
+            s = s.cumsum(levels + lev)
+        for pos_at, neg_at, reverse, zero in folds:
+            pos = s[pos_at]
+            s = pos[reverse] + s[neg_at] - pos[zero]
         V[:, j] = w[0] * s.ravel()
     return V
 

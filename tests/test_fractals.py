@@ -22,7 +22,7 @@ from packdim import (
     realize_explicit,
 )
 from packdim.estimators import _window
-from packdim.fractals import LevelSpec
+from packdim.fractals import LevelSpec, _digit_counts
 from packdim.numerics import _finest_third
 
 # log 2 / log 3, mpmath mp.dps=25
@@ -264,6 +264,16 @@ class TestCoveringCount:
         with pytest.raises(InvalidArgumentError):
             covering_count(mt, 10.0 * math.log(3.0))  # finer than depth 5
 
+    def test_nan_has_its_own_reason(self):
+        mt = thirds(5)
+        with pytest.raises(InvalidArgumentError, match="log_inv_eps is NaN"):
+            covering_count(mt, math.nan)
+        with pytest.raises(InvalidArgumentError, match="log_inv_eps is NaN"):
+            covering_count(build_tx_system(0.5, 0.25, 4), math.nan)
+        # an infinite one is finer than every level
+        with pytest.raises(InvalidArgumentError, match="finer than the deepest level"):
+            covering_count(mt, math.inf)
+
     def test_tx_symbolic(self):
         tx = build_tx_system(0.5, 0.25, 12)
         # at eps = delta_2 every level-2 interval is needed
@@ -300,6 +310,35 @@ class TestMinkowskiBounds:
     def test_needs_three_scales(self):
         with pytest.raises(InvalidArgumentError):
             minkowski_bounds(thirds(6), [math.log(3.0), 2 * math.log(3.0)])
+
+    def test_a_nan_scale_is_refused_as_covering_count_refuses_it(self):
+        with pytest.raises(InvalidArgumentError, match="log_inv_eps is NaN"):
+            minkowski_bounds(thirds(6), [math.log(3.0), math.nan, 2 * math.log(3.0)])
+
+
+class TestDigitCounts:
+    def test_reads_the_levels_of_built_systems(self):
+        two_scale = realize_explicit(build_tx_system(0.5, 0.45, 2), 2)
+        assert _digit_counts(natural_measure(two_scale, 2).atoms) == (4, 512)
+        assert _digit_counts(natural_measure(two_scale, 1).atoms) == (4,)
+        assert _digit_counts(natural_measure(thirds(5), 5).atoms) == (2,) * 5
+        quarters = build_uniform_cantor(3, 0.25, 4)
+        assert _digit_counts(natural_measure(quarters, 4).atoms) == (3,) * 4
+        assert _digit_counts(np.zeros((1, 1))) == ()
+
+    def test_refuses_other_points(self):
+        atoms = natural_measure(thirds(5), 5).atoms
+        nudged = atoms.copy()
+        nudged[-1, 0] = np.nextafter(nudged[-1, 0], 2.0)
+        for points in (
+            nudged,
+            atoms[::-1],
+            atoms + 0.5,
+            atoms[:-1],
+            np.hstack([atoms, atoms]),
+            (np.arange(250.0) / 250 + 1 / 500)[:, None],
+        ):
+            assert _digit_counts(points) is None
 
 
 class TestExtraction:

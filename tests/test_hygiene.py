@@ -11,7 +11,7 @@ measures._uniform calls np.full with a fill value 1 / k.  And no
 scipy.special function is called with where=, which scipy 1.17
 mishandles.  And it writes
 the drift case split of the field kernel once: only kernels.field_tables
-and its lattice shortcut kernels._mesh_masses call _drift_cancels(), and
+and its coded-set shortcut kernels._coded_masses call _drift_cancels(), and
 only estimators._field_masses, the one expected-mass table, passes
 field_tables to _mass_table.  And it factors a matrix in one place: only
 numerics._cholesky_in_place calls LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
@@ -241,7 +241,7 @@ def _package_callers(name: str, keyword: str | None = None) -> set[tuple[str, st
 def test_one_drift_case_split():
     assert _package_callers("_drift_cancels") == {
         ("kernels.py", "field_tables"),
-        ("kernels.py", "_mesh_masses"),
+        ("kernels.py", "_coded_masses"),
     }
 
 

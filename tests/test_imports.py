@@ -47,12 +47,13 @@ SURFACE_BEFORE = (
 )
 # helpers that named no object of the model and that no library code called,
 # the Euclidean ball option of the field kernels, public names that only
-# their own tests reached, and the second uniform-grid test beside _mesh_axes
+# their own tests reached, the second uniform-grid test beside _mesh_axes,
+# and the mesh-only expected-mass shortcut that kernels._coded_masses became
 SWEPT = (
     "LogValue", "gaussian_cdf", "increment_kernel", "kahane_dims", "add_drift",
     "_euclid_ball_prob", "_NORMS",
     "pushforward", "InvalidMapError", "product_kernel", "predict_image_profile",
-    "_is_uniform_grid_from_zero",
+    "_is_uniform_grid_from_zero", "_mesh_masses",
 )
 # options no caller changed, each now fixed at its old default: the field
 # kernels measure balls in the maximum norm only, ball_mass in the Euclidean

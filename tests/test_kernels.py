@@ -1,5 +1,7 @@
 """Closed-form kernels and expected ball masses for drifted fields."""
 
+import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -17,6 +19,7 @@ from packdim import (
     estimators,
     expected_ball_mass,
     fields,
+    fractals,
     increment_prob,
     kernels,
     numerics,
@@ -192,6 +195,11 @@ class TestIncrementProb:
             tables = kernels.field_tables(image, t[None, :], s[None, :], radii)
             for r, table in zip(radii, tables, strict=True):
                 assert increment_prob(ctx, t, s, r) == table[0, 0]
+
+    @pytest.mark.parametrize("r", [np.nan, -0.5, -np.inf])
+    def test_refuses_a_nan_or_negative_radius(self, r):
+        with pytest.raises(InvalidArgumentError, match="r must be nonnegative"):
+            increment_prob(context(), [0.0], [0.5], r)
 
     def test_power_drift_on_the_plane(self):
         # f(t) = |t|: the drift moves the increment between s = 0 and
@@ -594,7 +602,7 @@ class TestMeshMasses:
     @pytest.mark.parametrize("n, parity", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_matches_the_dense_tables(self, mode, alpha, d, n, parity):
         ctx = mesh_context(mode, n, d, alpha, self.COUNTS[n][parity])
-        lattice = kernels._mesh_masses(ctx, WINDOW_RADII)
+        lattice = kernels._coded_masses(ctx, WINDOW_RADII)
         assert lattice is not None
         np.testing.assert_allclose(lattice, dense_masses(ctx, WINDOW_RADII), rtol=1e-13, atol=0)
 
@@ -606,7 +614,7 @@ class TestMeshMasses:
             mode, n, 2, 0.5, self.COUNTS[n][0], drift=DriftSpec.constant([4.0, -1.5])
         )
         assert np.array_equal(
-            kernels._mesh_masses(plain, WINDOW_RADII), kernels._mesh_masses(moved, WINDOW_RADII)
+            kernels._coded_masses(plain, WINDOW_RADII), kernels._coded_masses(moved, WINDOW_RADII)
         )
 
     @pytest.mark.parametrize("t_max", [1.0, np.nextafter(1.0, 2.0)], ids=["exact", "ulp-above"])
@@ -617,11 +625,11 @@ class TestMeshMasses:
         # fall on either side of the window edge
         per_axis = 65 if n == 1 else 17
         graph = mesh_context("graph", n, 1, 0.5, per_axis, t_max=t_max)
-        assert kernels._mesh_masses(graph, WINDOW_RADII) is None
+        assert kernels._coded_masses(graph, WINDOW_RADII) is None
         # without a window the offsets may hit the radii
         image = mesh_context("image", n, 1, 0.5, per_axis, t_max=t_max)
         np.testing.assert_allclose(
-            kernels._mesh_masses(image, WINDOW_RADII),
+            kernels._coded_masses(image, WINDOW_RADII),
             dense_masses(image, WINDOW_RADII),
             rtol=1e-13,
             atol=0,
@@ -638,7 +646,7 @@ class TestMeshMasses:
 
         monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
         ctx = mesh_context(mode, n, 2, 0.5, self.COUNTS[n][1])
-        kernels._mesh_masses(ctx, WINDOW_RADII)
+        kernels._coded_masses(ctx, WINDOW_RADII)
         # one per offset in the image, one per offset inside the window in a graph
         reach = np.abs(ctx.measure.atoms).max(axis=1)
         per_radius = [
@@ -677,6 +685,123 @@ class TestMeshMasses:
             estimators.dim_field(ctx, grid)
             assert calls, name
             calls.clear()
+
+
+def two_scale_measure(beta, delta0, level):
+    system = fractals.realize_explicit(fractals.build_tx_system(beta, delta0, level), level)
+    return fractals.natural_measure(system, level)
+
+
+def cantor_measure(branches, ratio, level):
+    return fractals.natural_measure(fractals.build_uniform_cantor(branches, ratio, level), level)
+
+
+def coded_context(mu, mode, d=1, alpha=0.5, weights=None):
+    if weights is not None:
+        mu = DiscreteMeasure(mu.atoms, weights)
+    return KernelContext(FieldSpec(alpha, 1, d), None, mu, mode)
+
+
+class TestCodedMasses:
+    # Two-scale sets (beta, delta0, level) of 4 to 2048 atoms.  At level 2,
+    # beta 0.5 and delta0 0.25 give 65536 atoms, too many for the dense
+    # reference, and beta 0.7 has no realizable level 2.
+    TWO_SCALE = [
+        (0.45, 0.25, 1), (0.45, 0.25, 2), (0.45, 0.45, 2), (0.5, 0.25, 1),
+        (0.5, 0.45, 1), (0.5, 0.45, 2), (0.7, 0.25, 1), (0.7, 0.45, 1),
+    ]
+    # the txset-graph op of the benchmark's sets-and-checks workload
+    BENCH = (0.5, 0.45, 2)
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("system", TWO_SCALE, ids=str)
+    def test_matches_the_dense_tables(self, system, d, alpha, mode):
+        # 2e-13: pairs with one digit offset differ in their rounded
+        # distances, up to 1.1e-13 of V on (0.45, 0.25, 2) at alpha 0.3
+        # and d = 2 (see test_offsets_follow_the_construction)
+        ctx = coded_context(two_scale_measure(*system), mode, d, alpha)
+        coded = kernels._coded_masses(ctx, WINDOW_RADII)
+        assert coded is not None
+        np.testing.assert_allclose(coded, dense_masses(ctx, WINDOW_RADII), rtol=2e-13, atol=0)
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize("cantor", [(3, 0.25, 5), (4, 0.2, 4)], ids=str)
+    def test_many_levels(self, cantor, mode):
+        # 16 and 8 corner rows: wider Cantor sets pay off from a few levels
+        ctx = coded_context(cantor_measure(*cantor), mode, 2, 0.4)
+        coded = kernels._coded_masses(ctx, WINDOW_RADII)
+        assert coded is not None
+        np.testing.assert_allclose(coded, dense_masses(ctx, WINDOW_RADII), rtol=1e-13, atol=0)
+
+    def test_offsets_follow_the_construction(self):
+        # the atom and radius where the dense table moves furthest: the
+        # shortcut's row holds the kernel of each digit offset at the
+        # distance |o_1 p_1 + o_2 p_2| of the construction, rounded once,
+        # to 2 ulps; the dense walk's rounded pair differences move it more
+        ctx = coded_context(two_scale_measure(0.45, 0.25, 2), "graph", 2, 0.3)
+        atoms, w = ctx.measure.atoms, ctx.measure.weights
+        i, r, m = 1367, WINDOW_RADII[-1], 341
+        p1, p2 = Fraction(atoms[m, 0]), Fraction(atoms[1, 0])
+        exact = [
+            float(abs((b // m - i // m) * p1 + (b % m - i % m) * p2)) for b in range(len(atoms))
+        ]
+        (table,) = kernels.field_tables(ctx, np.zeros((1, 1)), np.array(exact)[:, None], [r])
+        construction = math.fsum(table[0] * w)
+        coded = kernels._coded_masses(ctx, WINDOW_RADII)[i, -1]
+        assert coded == pytest.approx(construction, rel=5e-16, abs=0)
+        assert dense_masses(ctx, WINDOW_RADII)[i, -1] != coded
+
+    @pytest.mark.parametrize("mode", ["image", "graph"])
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            cantor_measure(2, 1.0 / 3.0, 6),
+            cantor_measure(2, 0.25, 8),
+            # three atoms: a row of 3 and 3 prefix sums are no fewer than 6 pairs
+            two_scale_measure(0.45, 0.45, 1),
+            "weights",
+        ],
+        ids=["cantor-6", "cantor-8", "three-atoms", "weights"],
+    )
+    def test_other_sets_keep_the_tiles_bits(self, mu, mode):
+        if mu == "weights":
+            mu = two_scale_measure(*self.BENCH)
+            w = np.random.default_rng(3).random(mu.count)
+            ctx = coded_context(mu, mode, weights=w / w.sum())
+        else:
+            ctx = coded_context(mu, mode)
+        assert kernels._coded_masses(ctx, WINDOW_RADII) is None
+        assert np.array_equal(
+            estimators._field_masses(ctx, WINDOW_RADII), dense_masses(ctx, WINDOW_RADII)
+        )
+
+    @pytest.mark.parametrize("grid", [(2, 12), (8, 16)], ids=str)
+    def test_graph_ties_keep_the_tiles_bits(self, grid):
+        # offsets whose rounded distance may lie on either side of a radius
+        ctx = coded_context(two_scale_measure(*self.BENCH), "graph")
+        radii = estimators.ScaleGrid(*grid).radii
+        assert kernels._coded_masses(ctx, radii) is None
+        assert np.array_equal(estimators._field_masses(ctx, radii), dense_masses(ctx, radii))
+
+    def test_bench_set_takes_two_rows_per_radius(self, monkeypatch):
+        elements = []
+
+        def counting(rho, a, r):
+            elements.append(np.broadcast(rho, a, r).size)
+            return gaussian_interval_prob(rho, a, r)
+
+        monkeypatch.setattr(kernels, "gaussian_interval_prob", counting)
+        ctx = coded_context(two_scale_measure(*self.BENCH), "graph")
+        radii = estimators.ScaleGrid(2, 6).radii
+        estimators._field_masses(ctx, radii)
+        # 4 x 512 atoms: the rows of the first and the 512th atom, each
+        # evaluated inside its window only
+        atoms = ctx.measure.atoms
+        reach = np.abs(atoms[[0, 511]] - atoms.T)
+        assert sum(elements) == sum(np.count_nonzero(reach <= r) for r in radii)
+        assert sum(elements) <= 2 * len(atoms) * len(radii)
 
 
 def materialised(tables):
