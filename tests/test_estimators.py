@@ -27,8 +27,6 @@ from packdim import (
     ScaleGrid,
     Seed,
     ball_mass_profile,
-    box_count,
-    box_count_curve,
     box_counting_dim,
     build_uniform_cantor,
     dim_ball_mass,
@@ -42,6 +40,7 @@ from packdim import (
     sample,
     scaling_exponent,
 )
+from packdim.measures import _as_points
 
 LOG2_OVER_LOG3 = 0.6309297535714574370995271
 
@@ -71,6 +70,8 @@ class TestScaleGrid:
             [3.0**-2, 3.0**-3, 3.0**-4, 3.0**-5],
             rtol=1e-15,
         )
+        # a j that is a float with an integer value is taken
+        np.testing.assert_array_equal(ScaleGrid(1.0, 4.0).radii, ScaleGrid(1, 4).radii)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -85,6 +86,13 @@ class TestScaleGrid:
         # an infinite base has every radius 0.0
         with pytest.raises(InvalidArgumentError):
             ScaleGrid(1, 4, base)
+
+    @pytest.mark.parametrize("j", [(2.5, 6), (2, 6.5), (1, math.nan), (1, math.inf)])
+    def test_a_j_without_an_integer_value_is_refused(self, j):
+        # ScaleGrid(2.5, 6) had radii down to 2^-6.5 but finest 2^-6, so the
+        # resolution guard watched another scale than the finest radius
+        with pytest.raises(InvalidArgumentError, match="^j_min and j_max must be integers$"):
+            ScaleGrid(*j)
 
 
 class TestScalingExponent:
@@ -207,6 +215,11 @@ class TestDimProfile:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             dim_profile(thirds_measure(8), -1.0, ScaleGrid(2, 6, 3.0))
+
+    def test_infinite_beta_is_refused(self):
+        # r^beta underflows to 0, and every table used to read 1: value 0.0
+        with pytest.raises(InvalidArgumentError, match="^beta must be positive and finite$"):
+            dim_profile(thirds_measure(8), math.inf, ScaleGrid(2, 6, 3.0))
 
 
 class TestDimSliceKernel:
@@ -469,28 +482,35 @@ def exact_curve_count(points, eps):
     return len(found)
 
 
+def cell_count(points, eps, connect=False):
+    """box_counting_dim's N(eps) at the one radius eps: the number of cells
+    of the origin-anchored half-open grid of mesh eps that hold one of the
+    points or, with ``connect`` set, meet the closed polyline through them."""
+    return len(estimators._distinct_cells(_as_points(points), eps, connect))
+
+
 class TestBoxCounting:
     def test_unit_segment_counts(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
         # the endpoint at 1.0 opens a ninth cell
-        assert box_count(seg, 0.125) == 9
-        assert box_count(np.array([[0.3, 0.7]]), 0.5) == 1
+        assert cell_count(seg, 0.125) == 9
+        assert cell_count(np.array([[0.3, 0.7]]), 0.5) == 1
 
     def test_count_monotone_in_eps(self):
         pts = np.random.default_rng(0).uniform(size=(200, 2))
-        counts = [box_count(pts, e) for e in (0.5, 0.25, 0.125, 0.0625)]
+        counts = [cell_count(pts, e) for e in (0.5, 0.25, 0.125, 0.0625)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_curve_fills_gaps(self):
         two = np.array([[0.0], [1.0]])
-        assert box_count(two, 0.25) == 2
-        assert box_count_curve(two, 0.25) == 5
+        assert cell_count(two, 0.25) == 2
+        assert cell_count(two, 0.25, connect=True) == 5
 
     def test_one_dimensional_input_is_points_on_the_line(self):
         x = np.linspace(0.0, 1.0, 1000)
         column = x.reshape(-1, 1)
-        assert box_count(x, 0.25) == box_count(column, 0.25) == 5
-        assert box_count_curve(x, 0.25) == box_count_curve(column, 0.25) == 5
+        assert cell_count(x, 0.25) == cell_count(column, 0.25) == 5
+        assert cell_count(x, 0.25, connect=True) == cell_count(column, 0.25, connect=True) == 5
         for connect in (False, True):
             est = box_counting_dim(x, ScaleGrid(2, 6), connect=connect)
             assert est == box_counting_dim(column, ScaleGrid(2, 6), connect=connect)
@@ -531,7 +551,7 @@ class TestBoxCounting:
         # the segment passes through the corner of cell (0, 0), between its
         # endpoint cells (0, 1) and (1, 0)
         seg = np.array([[0.9, 1.05], [1.05, 0.9]])
-        assert box_count_curve(seg, 1.0) == 3
+        assert cell_count(seg, 1.0, connect=True) == 3
 
     @pytest.mark.parametrize(
         "points, cells",
@@ -550,20 +570,20 @@ class TestBoxCounting:
         ],
     )
     def test_curve_pinned_counts(self, points, cells):
-        assert box_count_curve(np.array(points), 1.0) == cells
+        assert cell_count(np.array(points), 1.0, connect=True) == cells
 
     @given(st.integers(0, 2**31 - 1))
     def test_curve_count_matches_exact_reference(self, seed):
         # lattice vertices make the sampled points exact, so every sampled
         # cell is one the polyline touches
         points, eps = lattice_polyline(seed)
-        n = box_count_curve(points, eps)
+        n = cell_count(points, eps, connect=True)
         assert n == exact_curve_count(points, eps)
         s = np.linspace(0.0, 1.0, 257)[:, None, None]
         dense = points[:-1] + s * (points[1:] - points[:-1])
         dense = np.vstack([points, dense.reshape(-1, points.shape[1])])
         span = np.floor(points.max(axis=0) / eps) - np.floor(points.min(axis=0) / eps) + 1
-        assert box_count(dense, eps) <= n <= np.prod(span)
+        assert cell_count(dense, eps) <= n <= np.prod(span)
 
     @given(st.integers(0, 2**31 - 1))
     def test_curve_count_bounds_on_random_floats(self, seed):
@@ -573,20 +593,20 @@ class TestBoxCounting:
         points = rng.normal(0.0, rng.uniform(0.1, 10.0), (int(rng.integers(1, 40)), m))
         eps = float(rng.choice([1.0, 0.3, 0.1, 2.0**-5]))
         cells = np.floor(points / eps)
-        n = box_count_curve(points, eps)
+        n = cell_count(points, eps, connect=True)
         span = cells.max(axis=0) - cells.min(axis=0) + 1
         crossings = np.abs(np.diff(cells, axis=0)).sum()
-        assert box_count(points, eps) <= n <= min(np.prod(span), 1 + crossings)
+        assert cell_count(points, eps) <= n <= min(np.prod(span), 1 + crossings)
 
     def test_segment_blocks_are_invisible(self, monkeypatch):
         rng = np.random.default_rng(5)
         clouds = [np.cumsum(rng.normal(0.0, 0.05, (300, m)), axis=0) for m in (1, 2, 3)]
         clouds += [lattice_polyline(seed)[0] for seed in range(20)]
         epss = [0.5, 0.125, 2.0**-5, 0.03]
-        whole = [[box_count_curve(c, eps) for eps in epss] for c in clouds]
+        whole = [[cell_count(c, eps, connect=True) for eps in epss] for c in clouds]
         for block in (1, 2, 3):
             monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", block)
-            assert [[box_count_curve(c, eps) for eps in epss] for c in clouds] == whole
+            assert [[cell_count(c, eps, connect=True) for eps in epss] for c in clouds] == whole
 
     @given(
         st.integers(0, 2**31 - 1),
@@ -618,20 +638,20 @@ class TestBoxCounting:
         assert np.array_equal(numerics._distinct_rows(rows), expected)
         if spread == "small":
             assert np.array_equal(numerics._distinct_rows(rows.astype(float)), expected)
-            assert box_count(rows.astype(float), 1.0) == len(expected)
+            assert cell_count(rows.astype(float), 1.0) == len(expected)
 
     def test_curve_refuses_oversize_input(self):
         # ~10^12 grid lines: refused from the endpoint cells, before any
         # crossing is built
         with pytest.raises(InvalidArgumentError, match=r"crosses \d{12,13} grid lines"):
-            box_count_curve([[0.0], [1.0]], 1e-12)
+            cell_count([[0.0], [1.0]], 1e-12, connect=True)
 
-    @pytest.mark.parametrize("counter", [box_count, box_count_curve])
-    def test_counters_refuse_bad_points(self, counter):
+    @pytest.mark.parametrize("connect", [False, True])
+    def test_counters_refuse_bad_points(self, connect):
         # cells beyond int64, and points without coordinates
         for points, eps in (([[1e300]], 1e-10), (np.zeros((3, 0)), 1.0)):
             with pytest.raises(InvalidArgumentError):
-                counter(points, eps)
+                cell_count(points, eps, connect)
 
     def test_unknown_method(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
@@ -649,8 +669,7 @@ def guarded_cloud(points, grid):
 
 
 def one_scale_counts(points, grid, connect):
-    counter = box_count_curve if connect else box_count
-    return [counter(points, eps) for eps in grid.radii]
+    return [cell_count(points, eps, connect) for eps in grid.radii]
 
 
 def per_scale_counts(points, grid, connect):
@@ -670,7 +689,8 @@ def spy_walks(monkeypatch):
 
 class TestOneWalk:
     """box_counting_dim finds the cells once at the finest radius and
-    coarsens them by shifts; its counts are the one-scale counters'."""
+    coarsens them by shifts; its counts are those of each radius counted
+    on its own."""
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2.0, 4.0]), st.integers(1, 3))
     def test_counts_match_the_one_scale_counters(self, seed, base, j_min):
@@ -719,7 +739,7 @@ class TestOneWalk:
         with pytest.raises(InvalidArgumentError, match=message):
             box_counting_dim(points, grid, connect=True)
         with pytest.raises(InvalidArgumentError, match=message):
-            box_count_curve(points, grid.finest)
+            cell_count(points, grid.finest, connect=True)
         assert box_counting_dim(points, grid).per_scale[-1][1] == 2
 
     @pytest.mark.parametrize(
@@ -802,16 +822,16 @@ class TestSingleKeySorts:
         block = estimators._SEGMENT_BLOCK
         points = np.cumsum(np.random.default_rng(2).normal(0.0, 0.01, (block + 1, 2)), axis=0)
         seen = spy_lexsorts(monkeypatch)
-        box_count_curve(points, 2.0**-8)
+        cell_count(points, 2.0**-8, connect=True)
         assert seen == []
 
     def test_a_larger_block_counts_alike(self, monkeypatch):
         # 40000 segments in one block: the packed key still holds them
         points = np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, (40001, 1)), axis=0)
-        expected = box_count_curve(points, 2.0**-8)
+        expected = cell_count(points, 2.0**-8, connect=True)
         monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", 2**16)
         seen = spy_lexsorts(monkeypatch)
-        assert box_count_curve(points, 2.0**-8) == expected
+        assert cell_count(points, 2.0**-8, connect=True) == expected
         assert seen == []
 
     def test_lexsort_only_past_the_packing_limit(self, monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses.  The scan is a stdlib AST walk, so it needs no linter.  An
-import kept on purpose, such as a binding the benchmark tracer wraps, says
-so with ``# noqa: F401`` on its line.
+import kept on purpose under tests/ or demos/ says so with ``# noqa: F401``
+on its line; under src/packdim none is kept, so no binding lives only for
+an outside tracer to wrap (__init__.py's star imports are exempt).
 
 The package also keeps one pairwise distance formula,
 numerics._pair_distances: no function under src/packdim takes
@@ -55,7 +56,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return names
 
 
-def unused_imports(path: Path) -> list[str]:
+def unused_imports(path: Path, allow_noqa: bool = True) -> list[str]:
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
@@ -68,7 +69,8 @@ def unused_imports(path: Path) -> list[str]:
             continue
         for alias in node.names:
             bound = (alias.asname or alias.name).split(".")[0]
-            if bound == "*" or bound in used or "noqa: F401" in lines[alias.lineno - 1]:
+            kept = allow_noqa and "noqa: F401" in lines[alias.lineno - 1]
+            if bound == "*" or bound in used or kept:
                 continue
             unused.append(f"{alias.lineno}: {bound}")
     return unused
@@ -84,6 +86,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_reads_every_name_it_imports(path):
+    assert unused_imports(path, allow_noqa=False) == []
+
+
 def test_scan_flags_an_unused_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
@@ -92,6 +99,7 @@ def test_scan_flags_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(probe) == ["1: math"]
+    assert unused_imports(probe, allow_noqa=False) == ["1: math", "2: os"]
 
 
 def _none_at(side: ast.expr, i: int) -> bool:
@@ -323,10 +331,7 @@ def test_cells_are_sorted_on_single_keys():
     # the distinct-point checks of sample points and measure atoms go
     # through numerics._rows_are_distinct; a row-wise np.unique is left only
     # where its inverse is read
-    assert _package_callers("unique", keyword="axis") == {
-        ("estimators.py", "_fit"),
-        ("measures.py", "_merge_equal"),
-    }
+    assert _package_callers("unique", keyword="axis") == {("estimators.py", "_fit")}
 
 
 def test_scan_flags_a_stray_lexsort_and_row_unique(tmp_path):
