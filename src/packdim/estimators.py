@@ -65,6 +65,7 @@ from .kernels import (
     ball_tables,
     field_tables,
     profile_tables,
+    slice_kernel,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
     slice_tables,
 )
 from .measures import DiscreteMeasure, _as_points
@@ -78,6 +79,8 @@ __all__ = [
     "dim_profile",
     "dim_slice_kernel",
     "dim_field",
+    "box_count",
+    "box_count_curve",
     "box_counting_dim",
 ]
 
@@ -428,7 +431,7 @@ def dim_field(
 # temporaries stay O(block) while the distinct cells accumulate.
 _SEGMENT_BLOCK = 2**12
 
-# The most grid-line crossings a curve box count traverses.  Each costs up to
+# The most grid-line crossings box_count_curve traverses.  Each costs up to
 # 120 bytes of temporaries in its block, so one long segment that crosses
 # them all peaks near 0.5 GiB.
 _MAX_CROSSINGS = 2**22
@@ -444,6 +447,12 @@ def _grid_cells(p: np.ndarray, eps: float) -> np.ndarray:
     if np.any(np.abs(cells) >= 2.0**62):
         raise InvalidArgumentError("points / eps must stay below 2^62 in magnitude")
     return cells.astype(np.int64)
+
+
+def box_count(points, eps: float) -> int:
+    """Number of cells of the origin-anchored half-open grid of mesh eps
+    that contain at least one of the points."""
+    return len(_distinct_cells(_as_points(points), eps, connect=False))
 
 
 def _walk_cells(p: np.ndarray, cells: np.ndarray, eps: float) -> np.ndarray:
@@ -523,6 +532,19 @@ def _distinct_cells(p: np.ndarray, eps: float, connect: bool) -> np.ndarray:
     return _distinct_rows(np.vstack(found))
 
 
+def box_count_curve(points, eps: float) -> int:
+    """Cells hit by the polyline joining consecutive points: the box count
+    of the sampled curve rather than of the bare sample.  For images and
+    graphs of continuous paths this removes the undercount a finite point
+    sample suffers once eps drops below the typical interpoint move.
+
+    The count is exact: it is the number of cells of the origin-anchored
+    half-open grid of mesh eps that contain at least one point of the
+    closed polyline, a cell the polyline only clips at a corner included.
+    Inputs that cross more than _MAX_CROSSINGS grid lines are refused."""
+    return len(_distinct_cells(_as_points(points), eps, connect=True))
+
+
 def _dyadic_shift(finer: float, eps: float) -> int | None:
     """m >= 1 with eps == finer * 2^m exactly, else None."""
     m = math.frexp(eps / finer)[1] - 1
@@ -532,34 +554,23 @@ def _dyadic_shift(finer: float, eps: float) -> int | None:
 def box_counting_dim(
     points, grid: ScaleGrid, connect: bool = False, method: str = "regression"
 ) -> ExponentEstimate:
-    """Exponent of log N(eps) against log(1/eps) over the grid.
-
-    N(eps) is exact: the number of cells of the origin-anchored half-open
-    grid of mesh eps that contain at least one of the points.  When
-    ``connect`` is set it counts the cells that contain at least one point
-    of the closed polyline joining consecutive points, a cell the polyline
-    only clips at a corner included.  That is the box count of the sampled
-    curve rather than of the bare sample; for images and graphs of
-    continuous paths it removes the undercount a finite point sample
-    suffers once eps drops below the typical interpoint move.  The
-    per_scale rows carry these counts.
-
-    "regression" fits the least-squares slope; "tail-max" takes the
-    largest ratio log N / log(1/eps) over the finest third of scales, the
-    direct discretization of the limsup that defines the upper box
-    dimension -- preferable for sets whose counts carry slowly varying
-    corrections, where the slope of a concave log-log table understates
-    the limsup.
+    """Exponent of log N(eps) against log(1/eps) over the grid, N being
+    box_count (or box_count_curve when ``connect`` is set).  "regression"
+    fits the least-squares slope; "tail-max" takes the largest ratio
+    log N / log(1/eps) over the finest third of scales, the direct
+    discretization of the limsup that defines the upper box dimension --
+    preferable for sets whose counts carry slowly varying corrections,
+    where the slope of a concave log-log table understates the limsup.
     The sampling guard refuses grids finer than 4x the nearest-neighbor
     spacing of the points.
 
     The cells are found once, at the finest radius, and every coarser
     radius eps = 2^m * finer, the next finer radius times an exact power of
     two (a dyadic grid, or base 4), takes the distinct rows of the finer
-    cells >> m.  Each count equals the count at that radius alone:
-    floor(p / eps) is floor(p / finer) >> m, as division by 2^m is exact,
-    and a half-open coarse cell meets the polyline exactly when one of its
-    fine children does.  Any other radius (base 3, say) is counted on its own.  A
+    cells >> m.  The counts equal the one-scale counters': floor(p / eps)
+    is floor(p / finer) >> m, as division by 2^m is exact, and a half-open
+    coarse cell meets the polyline exactly when one of its fine children
+    does.  Any other radius (base 3, say) is counted on its own.  A
     polyline is refused when a walked scale crosses more than
     _MAX_CROSSINGS grid lines; a scale derived from it crosses no more,
     as coarsening only removes crossings.

@@ -81,12 +81,17 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .fields import DriftSpec, FieldSpec, _mesh_axes
 from .fractals import _digit_counts
-from .measures import DiscreteMeasure, _check_point
+from .measures import (
+    DiscreteMeasure,
+    _check_point,
+    slice_measure,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
+)
 from .numerics import _pair_distances, gaussian_interval_prob
 
 __all__ = [
     "KernelContext",
     "profile_kernel",
+    "slice_kernel",
     "increment_prob",
     "expected_ball_mass",
     "ball_mass_profile",
@@ -221,6 +226,17 @@ def profile_kernel(mu: DiscreteMeasure, beta: float, x, r: float) -> float:
     if not (r > 0):
         raise InvalidArgumentError("r must be positive")
     (table,) = profile_tables(_check_point(x, mu.dim)[None, :], mu.atoms, beta, [r])
+    return _row_mass(table, mu.weights)
+
+
+def slice_kernel(mu: DiscreteMeasure, n: int, d: int, x, r: float) -> float:
+    """Slice the measure to the max-norm box around the first n coordinates
+    of x, then integrate the product kernel of the remaining d coordinates:
+    sum of w(y) prod_i min(1, r / |y_i - v_i|) over surviving atoms."""
+    _check_split(n, d, mu.dim)
+    if not (r > 0):
+        raise InvalidArgumentError("r must be positive")
+    (table,) = slice_tables(_check_point(x, mu.dim)[None, :], mu.atoms, n, [r])
     return _row_mass(table, mu.weights)
 
 

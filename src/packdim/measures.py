@@ -1,14 +1,17 @@
-"""Finitely supported measures on R^m and the ball mass query.
+"""Finitely supported measures on R^m and the mass queries used everywhere
+downstream: balls, axis rectangles and coordinate slices.
 
-A DiscreteMeasure is a probability measure (weights sum to 1).
+A DiscreteMeasure is a probability measure (weights sum to 1).  Slicing
+produces a SubMeasure, which keeps the un-normalized total mass explicit
+instead of silently renormalizing.
 
 This module is also where outside input becomes points and measures, each
 coercion written once.  _as_points turns a point cloud into a finite
 (k, n) float array: the atoms of every measure, the points of a sample
 path and of a drift evaluation, and the points box counting reads.
 _check_point turns one query point into a flat array of finite
-coordinates of the size its space has: the centre of a ball here, and
-the points of every per-point kernel, of canonical_metric and of
+coordinates of the size its space has: the centre of a ball or rectangle
+here, and the points of every per-point kernel, of canonical_metric and of
 fbm_covariance.  _uniform puts equal weights on a point cloud.  A query
 ball's distances come from numerics._pair_distances, so that ball_mass
 and the kernel tables read the same rounded |x - y|.
@@ -26,7 +29,10 @@ from .numerics import _pair_distances, _rows_are_distinct
 
 __all__ = [
     "DiscreteMeasure",
+    "SubMeasure",
     "ball_mass",
+    "rect_mass",
+    "slice_measure",
     "write_measure_csv",
     "read_measure_csv",
 ]
@@ -61,10 +67,11 @@ def _check_point(x, dim: int) -> np.ndarray:
     return x
 
 
-def _support(atoms, weights) -> tuple[np.ndarray, np.ndarray]:
+def _support(atoms, weights, *, require_prob: bool) -> tuple[np.ndarray, np.ndarray]:
     """The atoms as an _as_points cloud and the weights as a float (k,)
     array, refused unless the atoms are at most _MAX_ATOMS and pairwise
-    distinct and the weights finite and strictly positive, summing to 1."""
+    distinct and the weights finite and strictly positive, summing to 1
+    when ``require_prob`` is set."""
     atoms = _as_points(atoms)
     weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
     k = len(atoms)
@@ -76,7 +83,7 @@ def _support(atoms, weights) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError("weights must be finite and strictly positive")
     if not _rows_are_distinct(atoms):
         raise InvalidArgumentError("atoms must be pairwise distinct")
-    if abs(float(weights.sum()) - 1.0) > _MASS_TOL:
+    if require_prob and abs(float(weights.sum()) - 1.0) > _MASS_TOL:
         raise InvalidArgumentError(
             f"weights must sum to 1 within {_MASS_TOL}, got {float(weights.sum())!r}"
         )
@@ -91,7 +98,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms, weights = _support(self.atoms, self.weights)
+        atoms, weights = _support(self.atoms, self.weights, require_prob=True)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -108,6 +115,49 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
 
+@dataclass(frozen=True)
+class SubMeasure:
+    """Sub-probability measure: same layout, total mass in (0, 1] not
+    enforced to equal 1."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        atoms = np.asarray(self.atoms, dtype=float)
+        if atoms.ndim == 2 and not len(atoms):
+            weights = np.asarray(self.weights, dtype=float)
+            if weights.shape != (0,):
+                raise InvalidArgumentError("empty support needs empty weights")
+        else:
+            atoms, weights = _support(atoms, self.weights, require_prob=False)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def dim(self) -> int:
+        return self.atoms.shape[1]
+
+    @property
+    def count(self) -> int:
+        return self.atoms.shape[0]
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.weights.sum()) if self.count else 0.0
+
+
+def _merge_equal(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge exactly equal rows of ``atoms``, summing their weights one by
+    one in atom order (np.bincount).  Merged rows keep the order of their
+    first occurrence, so the result is deterministic."""
+    _, first, inverse = np.unique(atoms, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    label = np.empty_like(order)
+    label[order] = np.arange(len(order))
+    return atoms[first[order]], np.bincount(label[inverse], weights=weights)
+
+
 def _uniform(points) -> DiscreteMeasure:
     """Equal weight 1 / k on each of the k points of an _as_points cloud."""
     k = len(points)
@@ -122,6 +172,44 @@ def ball_mass(mu, x, r: float) -> float:
         raise InvalidArgumentError("radius must be nonnegative")
     dist = _pair_distances(x[None, :], mu.atoms)[0]
     return float(mu.weights[dist <= r].sum())
+
+
+def rect_mass(mu, x, halfwidths) -> float:
+    """Mass of the closed axis rectangle prod_i [x_i - h_i, x_i + h_i]."""
+    x = _check_point(x, mu.dim)
+    h = np.asarray(halfwidths, dtype=float).reshape(-1)
+    if h.size == 1 and mu.dim > 1:
+        h = np.full(mu.dim, float(h[0]))
+    if h.size != mu.dim:
+        raise InvalidArgumentError("halfwidths must match the measure dimension")
+    if not np.all(h >= 0):
+        raise InvalidArgumentError("halfwidths must be nonnegative")
+    inside = np.all(np.abs(mu.atoms - x) <= h, axis=1)
+    return float(mu.weights[inside].sum())
+
+
+def slice_measure(mu: DiscreteMeasure, u, r: float) -> SubMeasure:
+    """Restrict to atoms whose first n = len(u) coordinates lie in the
+    max-norm box D(u, r), then project onto the remaining coordinates.
+
+    Weights are kept as-is: the result is a sub-probability measure whose
+    total mass reports how much survived the slice.  An empty ``u`` returns
+    the whole measure (the empty condition holds vacuously).
+    """
+    u = np.asarray(u, dtype=float).reshape(-1)
+    n = u.size
+    if n >= mu.dim:
+        raise InvalidArgumentError("need len(u) < mu.dim")
+    if not (r >= 0):
+        raise InvalidArgumentError("slice radius must be nonnegative")
+
+    if n == 0:
+        return SubMeasure(mu.atoms.copy(), mu.weights.copy())
+
+    head = mu.atoms[:, :n]
+    keep = np.all(np.abs(head - u) <= r, axis=1)
+    # Distinct full atoms can project onto equal tails; merge them.
+    return SubMeasure(*_merge_equal(mu.atoms[keep, n:], mu.weights[keep]))
 
 
 def write_measure_csv(mu, path) -> None:

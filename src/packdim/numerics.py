@@ -19,11 +19,11 @@ distinct-point checks of sample points and measure atoms.  It packs an
 integer row into one int64 key by its columns' bit widths, with shifts
 and ors, sorts the keys once and unpacks them by shift and mask.
 _finest_third is the one tail window of tail-max fits and Minkowski bounds.
-_cholesky_in_place is the one factorization: the Cholesky sampler builds
-its covariance in row blocks of one array, and it factors that array in
-place.  LAPACK copies nothing, the factor is transposed into C order over
-the array, and a factorization without jitter builds no other square
-array.
+cholesky_psd checks its input in row blocks and factors one copy of it in
+place: LAPACK copies nothing, the factor is transposed into C order over
+the copy, and a factorization without jitter builds no other square array.
+The Cholesky sampler builds its covariance in row blocks of one array
+and has the same routine, _cholesky_in_place, factor that array in place.
 
 scipy (``special.erf`` and ``erfc``, ``linalg.lapack.dpotrf``) is imported
 inside the functions that call it, not at module level: importing packdim stays
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotPositiveSemidefiniteError
 
-__all__ = ["gaussian_interval_prob", "Seed"]
+__all__ = ["gaussian_interval_prob", "cholesky_psd", "Seed"]
 
 # Jitter schedule for nearly-semidefinite matrices: start at
 # 1e-12 * trace/dim, escalate by 10x, give up after 4 retries.
@@ -49,7 +49,7 @@ _JITTER_REL = 1e-12
 _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 4
 
-# Row block of the Cholesky covariance, mirror and transposition.
+# Row block of cholesky_psd's input checks, mirror and transposition.
 _BLOCK_ROWS = 64
 
 # _distinct_rows packs an integer row into one int64 key while the bit
@@ -246,14 +246,52 @@ def _rows_are_distinct(rows: np.ndarray) -> bool:
     return len(_distinct_rows(rows)) == len(rows)
 
 
-def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T reproducing ``work``, written over
-    ``work`` itself.
+def cholesky_psd(matrix) -> np.ndarray:
+    """Lower-triangular L with L @ L.T reproducing ``matrix``.
 
-    If plain factorization fails, a diagonal jitter of 1e-12 * trace/dim is
-    added and escalated by 10x for at most 4 retries; if the matrix still
-    resists, NotPositiveSemidefiniteError is raised carrying the failing
-    pivot index.
+    The input must be finite and symmetric.  If plain factorization fails, a
+    diagonal jitter of 1e-12 * trace/dim is added and escalated by 10x for
+    at most 4 retries; if the matrix still resists,
+    NotPositiveSemidefiniteError is raised carrying the failing pivot index.
+
+    The lower triangle of ``matrix`` is what is factored, as LAPACK's dpotrf
+    reads it.  It is copied once, mirrored onto the copy's upper triangle,
+    and _cholesky_in_place factors that copy: ``matrix`` is never modified.
+    """
+    m = np.asarray(matrix, dtype=float)
+    _check_matrix(m)
+    work = np.array(m, order="C")
+    _mirror_lower(work, -0.0)
+    return _cholesky_in_place(work)
+
+
+def _check_matrix(m: np.ndarray) -> None:
+    """Refuse a float array that is not square, finite and symmetric to
+    1e-10 of its largest magnitude."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidArgumentError("matrix must be square")
+    dim = m.shape[0]
+    # The largest magnitude, then the largest |m - m.T|, in row blocks so
+    # that no dim x dim temporary is built.  A NaN or inf shows in its
+    # block's extremes; |m - m.T| is symmetric, so the blocks of its upper
+    # triangle hold its maximum.
+    scale = 0.0
+    for lo in range(0, dim, _BLOCK_ROWS):
+        block = m[lo:lo + _BLOCK_ROWS]
+        low, high = block.min(), block.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise InvalidArgumentError("matrix must be finite")
+        scale = max(scale, high, -low)
+    asym = 0.0
+    for lo in range(0, dim, _BLOCK_ROWS):
+        gap = m[lo:lo + _BLOCK_ROWS, lo:] - m[lo:, lo:lo + _BLOCK_ROWS].T
+        asym = max(asym, gap.max(), -gap.min())
+    if asym > 1e-10 * (1.0 + scale):
+        raise InvalidArgumentError("matrix must be symmetric")
+
+
+def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
+    """cholesky_psd's factor of ``work``, written over ``work`` itself.
 
     ``work`` is a C-ordered, finite and exactly symmetric square float
     array, so its transpose is a Fortran-ordered view with the same values.
@@ -281,7 +319,7 @@ def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
     for attempt in range(_JITTER_RETRIES + 1):
         if jitter:
             # the bits of m + jitter * I: 0.0 is added off the diagonal too
-            _mirror_lower(work)
+            _mirror_lower(work, 0.0)
             work.flat[:: dim + 1] = diag + jitter
         _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
@@ -292,18 +330,18 @@ def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
     raise NotPositiveSemidefiniteError(last_pivot)
 
 
-def _mirror_lower(work: np.ndarray) -> None:
+def _mirror_lower(work: np.ndarray, zero: float) -> None:
     """Write the strict lower triangle of the square C-ordered ``work``,
-    plus 0.0, over its strict upper triangle, in row blocks.  Adding 0.0
-    turns -0.0 into +0.0, as the off-diagonal entries of m + jitter * I
-    do."""
+    plus ``zero``, over its strict upper triangle, in row blocks.  Adding
+    -0.0 keeps every bit; adding 0.0 turns -0.0 into +0.0, as the
+    off-diagonal entries of m + jitter * I do."""
     dim = work.shape[0]
     for lo in range(0, dim, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, dim)
-        np.add(work[hi:, lo:hi].T, 0.0, out=work[lo:hi, hi:])
+        np.add(work[hi:, lo:hi].T, zero, out=work[lo:hi, hi:])
         block = work[lo:hi, lo:hi]
         upper = np.triu_indices(hi - lo, 1)
-        block[upper] = block.T[upper] + 0.0
+        block[upper] = block.T[upper] + zero
 
 
 def _transpose_upper(work: np.ndarray) -> None:

@@ -20,8 +20,14 @@ from .errors import DepthExhaustedError, InvalidArgumentError
 from .estimators import _field_masses
 from .fields import FieldSpec
 from .fractals import ExtractedSubsystem
-from .kernels import KernelContext
-from .measures import DiscreteMeasure
+from .kernels import (
+    KernelContext,
+    expected_ball_mass,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
+)
+from .measures import (
+    DiscreteMeasure,
+    rect_mass,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
+)
 from .numerics import gaussian_interval_prob
 
 __all__ = [
@@ -68,8 +74,7 @@ def check_doubling(nu: DiscreteMeasure, r: float, lambdas, M: float) -> CheckRep
 
     Floats are dyadic rationals, so after rescaling to integers every box
     membership, mass comparison, and the final bound test are exact; no
-    tolerance enters the verdict.  Boxes are closed: the box D(x, h) holds
-    the atoms p with |p_j - x_j| <= h_j in every coordinate j."""
+    tolerance enters the verdict.  Boxes are closed, as in rect_mass."""
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if lam.shape != (nu.dim,) or not np.all((1.0 <= lam) & (lam < math.inf)):
         raise InvalidArgumentError("need one finite lambda >= 1 per coordinate")
@@ -165,8 +170,7 @@ def check_scale_doubling(
     sides = np.stack([combos * r**a for r in scales])
     factors = np.prod((4.0 * sides / scales[:, None, None]) ** (1.0 + eps), axis=2)
     for i in range(nu.count):
-        # the mass of the closed box D(x, h) is the weight of the atoms
-        # with dist <= h in every coordinate
+        # rect_mass(nu, x, h) is the weight of the atoms with dist <= h
         dist = np.abs(nu.atoms - nu.atoms[i])
         base = np.all(dist <= scales[:, None, None], axis=2) @ nu.weights
         lhs = np.all(dist <= sides[:, :, None, :], axis=3) @ nu.weights

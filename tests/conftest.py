@@ -24,7 +24,7 @@ def random_measure(rng, dim, max_atoms=16, spread=1.0):
 
 
 def scheduled_factor(m):
-    """The factor _cholesky_in_place documents for the matrix ``m`` and the jitter
+    """The factor cholesky_psd documents for the matrix ``m`` and the jitter
     it took: np.tril of dpotrf on m + jitter * I, with jitter 0, then
     1e-12 * trace/dim escalated by 10x for at most 4 retries.  The factor
     is None when every attempt fails."""

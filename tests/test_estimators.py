@@ -27,6 +27,8 @@ from packdim import (
     ScaleGrid,
     Seed,
     ball_mass_profile,
+    box_count,
+    box_count_curve,
     box_counting_dim,
     build_uniform_cantor,
     dim_ball_mass,
@@ -40,7 +42,6 @@ from packdim import (
     sample,
     scaling_exponent,
 )
-from packdim.measures import _as_points
 
 LOG2_OVER_LOG3 = 0.6309297535714574370995271
 
@@ -482,35 +483,28 @@ def exact_curve_count(points, eps):
     return len(found)
 
 
-def cell_count(points, eps, connect=False):
-    """box_counting_dim's N(eps) at the one radius eps: the number of cells
-    of the origin-anchored half-open grid of mesh eps that hold one of the
-    points or, with ``connect`` set, meet the closed polyline through them."""
-    return len(estimators._distinct_cells(_as_points(points), eps, connect))
-
-
 class TestBoxCounting:
     def test_unit_segment_counts(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
         # the endpoint at 1.0 opens a ninth cell
-        assert cell_count(seg, 0.125) == 9
-        assert cell_count(np.array([[0.3, 0.7]]), 0.5) == 1
+        assert box_count(seg, 0.125) == 9
+        assert box_count(np.array([[0.3, 0.7]]), 0.5) == 1
 
     def test_count_monotone_in_eps(self):
         pts = np.random.default_rng(0).uniform(size=(200, 2))
-        counts = [cell_count(pts, e) for e in (0.5, 0.25, 0.125, 0.0625)]
+        counts = [box_count(pts, e) for e in (0.5, 0.25, 0.125, 0.0625)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_curve_fills_gaps(self):
         two = np.array([[0.0], [1.0]])
-        assert cell_count(two, 0.25) == 2
-        assert cell_count(two, 0.25, connect=True) == 5
+        assert box_count(two, 0.25) == 2
+        assert box_count_curve(two, 0.25) == 5
 
     def test_one_dimensional_input_is_points_on_the_line(self):
         x = np.linspace(0.0, 1.0, 1000)
         column = x.reshape(-1, 1)
-        assert cell_count(x, 0.25) == cell_count(column, 0.25) == 5
-        assert cell_count(x, 0.25, connect=True) == cell_count(column, 0.25, connect=True) == 5
+        assert box_count(x, 0.25) == box_count(column, 0.25) == 5
+        assert box_count_curve(x, 0.25) == box_count_curve(column, 0.25) == 5
         for connect in (False, True):
             est = box_counting_dim(x, ScaleGrid(2, 6), connect=connect)
             assert est == box_counting_dim(column, ScaleGrid(2, 6), connect=connect)
@@ -551,7 +545,7 @@ class TestBoxCounting:
         # the segment passes through the corner of cell (0, 0), between its
         # endpoint cells (0, 1) and (1, 0)
         seg = np.array([[0.9, 1.05], [1.05, 0.9]])
-        assert cell_count(seg, 1.0, connect=True) == 3
+        assert box_count_curve(seg, 1.0) == 3
 
     @pytest.mark.parametrize(
         "points, cells",
@@ -570,20 +564,20 @@ class TestBoxCounting:
         ],
     )
     def test_curve_pinned_counts(self, points, cells):
-        assert cell_count(np.array(points), 1.0, connect=True) == cells
+        assert box_count_curve(np.array(points), 1.0) == cells
 
     @given(st.integers(0, 2**31 - 1))
     def test_curve_count_matches_exact_reference(self, seed):
         # lattice vertices make the sampled points exact, so every sampled
         # cell is one the polyline touches
         points, eps = lattice_polyline(seed)
-        n = cell_count(points, eps, connect=True)
+        n = box_count_curve(points, eps)
         assert n == exact_curve_count(points, eps)
         s = np.linspace(0.0, 1.0, 257)[:, None, None]
         dense = points[:-1] + s * (points[1:] - points[:-1])
         dense = np.vstack([points, dense.reshape(-1, points.shape[1])])
         span = np.floor(points.max(axis=0) / eps) - np.floor(points.min(axis=0) / eps) + 1
-        assert cell_count(dense, eps) <= n <= np.prod(span)
+        assert box_count(dense, eps) <= n <= np.prod(span)
 
     @given(st.integers(0, 2**31 - 1))
     def test_curve_count_bounds_on_random_floats(self, seed):
@@ -593,20 +587,20 @@ class TestBoxCounting:
         points = rng.normal(0.0, rng.uniform(0.1, 10.0), (int(rng.integers(1, 40)), m))
         eps = float(rng.choice([1.0, 0.3, 0.1, 2.0**-5]))
         cells = np.floor(points / eps)
-        n = cell_count(points, eps, connect=True)
+        n = box_count_curve(points, eps)
         span = cells.max(axis=0) - cells.min(axis=0) + 1
         crossings = np.abs(np.diff(cells, axis=0)).sum()
-        assert cell_count(points, eps) <= n <= min(np.prod(span), 1 + crossings)
+        assert box_count(points, eps) <= n <= min(np.prod(span), 1 + crossings)
 
     def test_segment_blocks_are_invisible(self, monkeypatch):
         rng = np.random.default_rng(5)
         clouds = [np.cumsum(rng.normal(0.0, 0.05, (300, m)), axis=0) for m in (1, 2, 3)]
         clouds += [lattice_polyline(seed)[0] for seed in range(20)]
         epss = [0.5, 0.125, 2.0**-5, 0.03]
-        whole = [[cell_count(c, eps, connect=True) for eps in epss] for c in clouds]
+        whole = [[box_count_curve(c, eps) for eps in epss] for c in clouds]
         for block in (1, 2, 3):
             monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", block)
-            assert [[cell_count(c, eps, connect=True) for eps in epss] for c in clouds] == whole
+            assert [[box_count_curve(c, eps) for eps in epss] for c in clouds] == whole
 
     @given(
         st.integers(0, 2**31 - 1),
@@ -638,20 +632,20 @@ class TestBoxCounting:
         assert np.array_equal(numerics._distinct_rows(rows), expected)
         if spread == "small":
             assert np.array_equal(numerics._distinct_rows(rows.astype(float)), expected)
-            assert cell_count(rows.astype(float), 1.0) == len(expected)
+            assert box_count(rows.astype(float), 1.0) == len(expected)
 
     def test_curve_refuses_oversize_input(self):
         # ~10^12 grid lines: refused from the endpoint cells, before any
         # crossing is built
         with pytest.raises(InvalidArgumentError, match=r"crosses \d{12,13} grid lines"):
-            cell_count([[0.0], [1.0]], 1e-12, connect=True)
+            box_count_curve([[0.0], [1.0]], 1e-12)
 
-    @pytest.mark.parametrize("connect", [False, True])
-    def test_counters_refuse_bad_points(self, connect):
+    @pytest.mark.parametrize("counter", [box_count, box_count_curve])
+    def test_counters_refuse_bad_points(self, counter):
         # cells beyond int64, and points without coordinates
         for points, eps in (([[1e300]], 1e-10), (np.zeros((3, 0)), 1.0)):
             with pytest.raises(InvalidArgumentError):
-                cell_count(points, eps, connect)
+                counter(points, eps)
 
     def test_unknown_method(self):
         seg = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
@@ -669,7 +663,8 @@ def guarded_cloud(points, grid):
 
 
 def one_scale_counts(points, grid, connect):
-    return [cell_count(points, eps, connect) for eps in grid.radii]
+    counter = box_count_curve if connect else box_count
+    return [counter(points, eps) for eps in grid.radii]
 
 
 def per_scale_counts(points, grid, connect):
@@ -689,8 +684,7 @@ def spy_walks(monkeypatch):
 
 class TestOneWalk:
     """box_counting_dim finds the cells once at the finest radius and
-    coarsens them by shifts; its counts are those of each radius counted
-    on its own."""
+    coarsens them by shifts; its counts are the one-scale counters'."""
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2.0, 4.0]), st.integers(1, 3))
     def test_counts_match_the_one_scale_counters(self, seed, base, j_min):
@@ -739,7 +733,7 @@ class TestOneWalk:
         with pytest.raises(InvalidArgumentError, match=message):
             box_counting_dim(points, grid, connect=True)
         with pytest.raises(InvalidArgumentError, match=message):
-            cell_count(points, grid.finest, connect=True)
+            box_count_curve(points, grid.finest)
         assert box_counting_dim(points, grid).per_scale[-1][1] == 2
 
     @pytest.mark.parametrize(
@@ -822,16 +816,16 @@ class TestSingleKeySorts:
         block = estimators._SEGMENT_BLOCK
         points = np.cumsum(np.random.default_rng(2).normal(0.0, 0.01, (block + 1, 2)), axis=0)
         seen = spy_lexsorts(monkeypatch)
-        cell_count(points, 2.0**-8, connect=True)
+        box_count_curve(points, 2.0**-8)
         assert seen == []
 
     def test_a_larger_block_counts_alike(self, monkeypatch):
         # 40000 segments in one block: the packed key still holds them
         points = np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, (40001, 1)), axis=0)
-        expected = cell_count(points, 2.0**-8, connect=True)
+        expected = box_count_curve(points, 2.0**-8)
         monkeypatch.setattr(estimators, "_SEGMENT_BLOCK", 2**16)
         seen = spy_lexsorts(monkeypatch)
-        assert cell_count(points, 2.0**-8, connect=True) == expected
+        assert box_count_curve(points, 2.0**-8) == expected
         assert seen == []
 
     def test_lexsort_only_past_the_packing_limit(self, monkeypatch):

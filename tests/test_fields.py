@@ -460,10 +460,21 @@ class TestCholeskyCovarianceCheck:
             with pytest.raises(InvalidArgumentError, match="^matrix must be finite$"):
                 sample(spec, pts, Seed(1), method="cholesky")
 
+    def test_full_matrix_check_is_not_run(self, monkeypatch):
+        def full_check(m):
+            raise AssertionError("full matrix check")
+
+        monkeypatch.setattr(numerics, "_check_matrix", full_check)
+        # and under the name fields would bind it to, were it imported there
+        monkeypatch.setattr(fields, "_check_matrix", full_check, raising=False)
+        sample(FieldSpec(0.5), GRID, Seed(1), method="cholesky")
+        with pytest.raises(AssertionError, match="full matrix check"):
+            numerics.cholesky_psd(np.eye(2))
+
     @pytest.mark.parametrize("n", [1, 2])
-    def test_samples_are_the_scheduled_factor_times_normals(self, n):
-        # LAPACK's factor of the same covariance under the documented jitter
-        # schedule, times the seed's normals; points at the origin get 0
+    def test_samples_are_cholesky_psd_factor_times_normals(self, n):
+        # the factor of the fully checked cholesky_psd on the same covariance,
+        # times the seed's normals; points at the origin get 0
         pts = build_uniform_cantor(2, 1.0 / 3.0, 7).lefts(7)[:, None]
         if n == 2:
             pts = np.hstack([pts, pts[::-1]])
@@ -474,8 +485,7 @@ class TestCholeskyCovarianceCheck:
         sn = np.linalg.norm(sub, axis=1) ** 1.4
         cov = 0.5 * (sn[:, None] + sn[None, :] - numerics._pair_distances(sub, sub) ** 1.4)
         z = Seed(11).generator().standard_normal((len(sub), 2))
-        expected, _ = scheduled_factor(cov)
-        assert np.array_equal(path.values[nz], expected @ z)
+        assert np.array_equal(path.values[nz], numerics.cholesky_psd(cov) @ z)
         assert not path.values[~nz].any()
 
 

@@ -24,6 +24,7 @@ from packdim import (
     kernels,
     numerics,
     profile_kernel,
+    slice_kernel,
 )
 from packdim.numerics import gaussian_interval_prob
 
@@ -109,37 +110,32 @@ class TestProfileKernel:
             profile_kernel(mu, math.inf, [0.0], 0.1)
 
 
-def product_kernel_mass(mu, x, r):
-    """The integral of the product kernel prod_j min(1, 1 / |v_j|) at
-    v = (y - x) / r, written out per atom."""
-    v = np.abs((mu.atoms - x) / r)
-    with np.errstate(divide="ignore"):
-        return np.prod(np.where(v <= 1.0, 1.0, 1.0 / v), axis=1) @ mu.weights
-
-
-def slice_mass(mu, n, x, r):
-    """The weight of slice_tables' row at x under mu."""
-    (table,) = kernels.slice_tables(np.asarray(x, dtype=float)[None, :], mu.atoms, n, [r])
-    return float(np.ascontiguousarray(table[0]) @ mu.weights)
-
-
-class TestSliceTables:
+class TestSliceKernel:
     def test_reduces_to_product_integral_when_no_slice(self, rng):
         # n = 0 leaves nothing to slice on: the value is the plain integral
-        # of the product kernel
+        # of the product kernel prod_j min(1, 1/|v_j|) at v = (y - x) / r
         for _ in range(20):
             mu = random_measure(rng, 2)
             x = rng.normal(size=2)
             r = float(rng.uniform(0.05, 1.0))
-            assert slice_mass(mu, 0, x, r) == pytest.approx(
-                product_kernel_mass(mu, x, r), rel=1e-12
-            )
+            v = np.abs((mu.atoms - x) / r)
+            direct = np.prod(np.where(v <= 1.0, 1.0, 1.0 / v), axis=1) @ mu.weights
+            assert slice_kernel(mu, 0, 2, x, r) == pytest.approx(direct, rel=1e-12)
 
     def test_slice_drops_far_atoms(self):
         atoms = np.array([[0.0, 0.0], [5.0, 0.0]])
         mu = DiscreteMeasure(atoms, np.array([0.5, 0.5]))
         # slicing on the first coordinate at 0 with r=1 keeps only the origin
-        assert slice_mass(mu, 1, [0.0, 0.0], 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert slice_kernel(mu, 1, 1, [0.0, 0.0], 1.0) == pytest.approx(
+            0.5, rel=1e-15
+        )
+
+    def test_validation(self):
+        mu = measure_on_line(0.0)
+        with pytest.raises(InvalidArgumentError):
+            slice_kernel(mu, 1, 1, [0.0], 1.0)  # n + d too large
+        with pytest.raises(InvalidArgumentError):
+            slice_kernel(mu, 0, 1, [0.0], -1.0)
 
 
 def context(alpha=0.5, d=1, mode="image", drift=None, mu=None):
@@ -307,7 +303,7 @@ class TestKernelChain:
             r = float(rng.uniform(0.05, 1.0))
             lo = ball_mass(mu, x, r)
             mid = profile_kernel(mu, 2.0, x, r)
-            hi = product_kernel_mass(mu, x, r)
+            hi = slice_kernel(mu, 0, 2, x, r)
             assert lo <= mid * (1.0 + 1e-12)
             assert mid <= hi * (1.0 + 1e-12)
 

@@ -1,4 +1,4 @@
-"""Discrete measures: masses of balls, the per-point queries, and the CSV
+"""Discrete measures: masses of balls, rectangles and slices, and the CSV
 round trip."""
 
 import numpy as np
@@ -19,6 +19,9 @@ from packdim import (
     increment_prob,
     profile_kernel,
     read_measure_csv,
+    rect_mass,
+    slice_kernel,
+    slice_measure,
     write_measure_csv,
 )
 from packdim.numerics import _pair_distances
@@ -85,7 +88,9 @@ _CTX2 = KernelContext(
 )
 _PER_POINT = {
     "ball_mass": lambda x: ball_mass(_MU2, x, 0.3),
+    "rect_mass": lambda x: rect_mass(_MU2, x, 0.3),
     "profile_kernel": lambda x: profile_kernel(_MU2, 0.5, x, 0.1),
+    "slice_kernel": lambda x: slice_kernel(_MU2, 1, 1, x, 0.1),
     "increment_prob-t": lambda x: increment_prob(_CTX2, x, [0.5, 0.25], 0.1),
     "increment_prob-s": lambda x: increment_prob(_CTX2, [0.0, 0.0], x, 0.1),
     "ball_mass_profile": lambda x: ball_mass_profile(_CTX2, x, [0.1, 0.2]),
@@ -123,6 +128,64 @@ class TestQueryPoints:
         assert ball_mass(line, 0.0, 0.5) == ball_mass(line, [0.0], 0.5) == 0.5
         assert canonical_metric(FieldSpec(0.5), 0.0, 0.25) == 0.5
         assert fbm_covariance(0.25, 0.25, 0.5) == 0.25
+
+
+class TestRectMass:
+    def test_point_in_unit_box(self):
+        assert rect_mass(delta([0.0, 0.0]), [0.0, 0.0], (1.0, 1.0)) == 1.0
+
+    def test_partial_cover(self):
+        mu = DiscreteMeasure(
+            np.arange(4.0).reshape(-1, 1), np.full(4, 0.25)
+        )
+        assert rect_mass(mu, [1.0], 1.0) == 0.75  # atoms 0, 1, 2
+
+    def test_equals_max_norm_ball(self, rng):
+        for _ in range(100):
+            d = int(rng.integers(1, 4))
+            mu = random_measure(rng, d)
+            x = rng.normal(size=d)
+            r = float(rng.uniform(0, 2))
+            inside = np.abs(mu.atoms - x).max(axis=1) <= r
+            assert rect_mass(mu, x, np.full(d, r)) == float(mu.weights[inside].sum())
+
+    def test_scalar_halfwidth_broadcasts(self):
+        mu = delta([0.2, 0.2])
+        assert rect_mass(mu, [0.0, 0.0], 0.5) == 1.0
+
+    def test_nan_halfwidth_is_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            rect_mass(delta([0.0, 0.0]), [0.0, 0.0], (0.5, np.nan))
+
+
+class TestSliceMeasure:
+    def test_empty_conditioning_returns_measure(self, rng):
+        mu = random_measure(rng, 2)
+        out = slice_measure(mu, [], 1.0)
+        np.testing.assert_array_equal(out.atoms, mu.atoms)
+        np.testing.assert_array_equal(out.weights, mu.weights)
+
+    def test_first_coordinate_filter(self):
+        mu = DiscreteMeasure(np.array([[0.0, 0.0], [2.0, 5.0]]), np.array([0.5, 0.5]))
+        out = slice_measure(mu, [0.0], 1.0)
+        assert out.atoms.shape == (1, 1)
+        assert out.atoms[0, 0] == 0.0
+        assert out.weights[0] == 0.5
+
+    def test_equal_tails_merge_in_first_occurrence_order(self):
+        atoms = np.array(
+            [[0.0, 3.0], [0.1, 1.0], [0.2, 3.0], [0.3, 2.0], [0.4, 1.0], [0.5, 3.0], [9.0, 2.0]]
+        )
+        weights = np.array([0.1, 0.2, 0.05, 0.15, 0.1, 0.3, 0.1])
+        out = slice_measure(DiscreteMeasure(atoms, weights), [0.25], 0.25)
+        np.testing.assert_array_equal(out.atoms, [[3.0], [1.0], [2.0]])
+        assert out.weights.tolist() == [(0.1 + 0.05) + 0.3, 0.2 + 0.1, 0.15]
+
+    def test_wide_slice_keeps_everything(self, rng):
+        mu = random_measure(rng, 3)
+        out = slice_measure(mu, [0.0], 100.0)
+        assert out.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert out.atoms.shape[1] == 2
 
 
 class TestCsvRoundTrip:

@@ -1,5 +1,5 @@
-"""Scalar numerics: Gaussian interval probabilities, the in-place Cholesky
-factorization, and seed streams.
+"""Scalar numerics: Gaussian interval probabilities, the PSD Cholesky
+wrapper, and seed streams.
 
 The high-precision reference constants were computed with mpmath at 50
 digits and frozen here; the library must match them to near machine
@@ -9,6 +9,7 @@ mpmath at 50 digits when the tests run.
 
 import hashlib
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,9 +21,10 @@ from packdim import (
     InvalidArgumentError,
     NotPositiveSemidefiniteError,
     Seed,
+    cholesky_psd,
     gaussian_interval_prob,
 )
-from packdim.numerics import _cholesky_in_place, _pair_distances
+from packdim.numerics import _pair_distances
 
 TWO_PHI_196 = 0.9500042097035591317268315  # 2*Phi(1.96) - 1
 PHI2_MINUS_PHI1 = 0.1359051219832778442144848
@@ -256,36 +258,56 @@ class TestPairDistances:
         assert got[5, 60] == got[17, 61] == 0.0
 
 
-def factor(m):
-    """_cholesky_in_place on a C-ordered copy of the symmetric ``m``."""
-    return _cholesky_in_place(np.array(m, dtype=float, order="C"))
-
-
-class TestCholeskyInPlace:
+class TestCholeskyPsd:
     def test_identity(self):
-        np.testing.assert_array_equal(factor(np.eye(3)), np.eye(3))
+        np.testing.assert_array_equal(cholesky_psd(np.eye(3)), np.eye(3))
 
     def test_hand_factor(self):
         m = np.array([[4.0, 2.0], [2.0, 5.0]])
         expected = np.array([[2.0, 0.0], [1.0, 2.0]])
-        np.testing.assert_allclose(factor(m), expected, atol=1e-14)
+        np.testing.assert_allclose(cholesky_psd(m), expected, atol=1e-14)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError):
-            factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_reconstruction_random_psd(self, rng):
         for _ in range(20):
             a = rng.normal(size=(5, 5))
             m = a @ a.T
-            low = factor(m)
+            low = cholesky_psd(m)
             np.testing.assert_allclose(low @ low.T, m, atol=1e-10)
 
     def test_zero_variance_row(self):
         # singular but PSD: one deterministic coordinate
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
-        low = factor(m)
+        low = cholesky_psd(m)
         np.testing.assert_allclose(low @ low.T, m, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[np.inf]], [[-np.inf]], [[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.0], [0.0, np.inf]],
+         # a symmetric pair of infinities outside the first row block
+         np.where(np.isin(np.arange(200 * 200).reshape(200, 200), [150 * 200 + 170, 170 * 200 + 150]),
+                  np.inf, np.eye(200))],
+    )
+    def test_non_finite_rejected(self, m):
+        # refused by name, before LAPACK or the symmetry test sees them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="matrix must be finite"):
+                cholesky_psd(np.array(m))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
+        # within 1e-10 of the largest magnitude counts as symmetric
+        cholesky_psd(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
+        # an asymmetric pair far from the first row block
+        m = np.eye(200)
+        m[170, 90] = 1e-6
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            cholesky_psd(m)
 
     def test_factor_is_the_c_ordered_lower_triangle(self, rng):
         # the exact lower triangle of LAPACK's factor, in C order as
@@ -295,9 +317,8 @@ class TestCholeskyInPlace:
 
         a = rng.normal(size=(150, 150))
         m = a @ a.T
-        work = np.array(m)
-        low = _cholesky_in_place(work)
-        assert low is work and low.flags.c_contiguous
+        low = cholesky_psd(m)
+        assert low.flags.c_contiguous
         assert np.array_equal(low, np.tril(dpotrf(m, lower=1)[0]))
 
     @pytest.mark.parametrize("dim, rank", [(60, 5), (130, 1), (200, 64)])
@@ -308,21 +329,52 @@ class TestCholeskyInPlace:
         m = a @ a.T
         expected, jitter = scheduled_factor(m)
         assert jitter > 0 and expected is not None
-        low = factor(m)
+        low = cholesky_psd(m)
         assert low.flags.c_contiguous
         assert np.array_equal(low, expected)
 
+    @pytest.mark.parametrize("rank", [150, 8])
+    def test_factors_the_lower_triangle_of_a_nearly_symmetric_input(self, rng, rank):
+        # asymmetric within the 1e-10 tolerance, at full rank and in need of
+        # jitter: the lower triangle is what is factored, on every attempt
+        a = rng.normal(size=(150, rank))
+        m = a @ a.T
+        m[np.triu_indices(150, 1)] += 1e-12 * rng.random(150 * 149 // 2)
+        expected, jitter = scheduled_factor(m)
+        assert (jitter > 0) == (rank < 150) and expected is not None
+        assert np.array_equal(cholesky_psd(m), expected)
+        mirrored = np.tril(m) + np.tril(m, -1).T
+        assert np.array_equal(cholesky_psd(mirrored), expected)
+
+    @pytest.mark.parametrize("case", ["plain", "jitter", "refused"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_the_callers_matrix_as_it_was(self, rng, case, order):
+        a = rng.normal(size=(90, 90 if case == "plain" else 4))
+        m = a @ a.T
+        if case == "refused":
+            m[0, 0] = -1.0
+        m = np.array(m, order=order)
+        before = m.tobytes(order="A")
+        if case == "refused":
+            with pytest.raises(NotPositiveSemidefiniteError):
+                cholesky_psd(m)
+        else:
+            assert (scheduled_factor(m)[1] > 0) == (case == "jitter")
+            cholesky_psd(m)
+        assert m.flags.f_contiguous == (order == "F")
+        assert m.tobytes(order="A") == before
+
     def test_holds_one_and_a_half_tables_beyond_its_input(self, rng):
-        # tracemalloc peak beyond the input, the copy factored included:
-        # 2.0 k x k float64 arrays with LAPACK's copy and a new factor,
-        # 1.0 when the copy is factored in place
+        # tracemalloc peak beyond the input: 2.0 k x k float64 arrays with
+        # LAPACK's copy and a new factor, 1.0 when one copy is factored in
+        # place
         k = 1000
         a = rng.normal(size=(k, k))
         m = a @ a.T
-        factor(m[:16, :16])  # load LAPACK first
+        cholesky_psd(m[:16, :16])  # load LAPACK first
         tracemalloc.start()
         try:
-            factor(m)
+            cholesky_psd(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

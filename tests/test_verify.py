@@ -21,6 +21,7 @@ from packdim import (
     check_scale_doubling,
     extract_subsystem,
     natural_measure,
+    rect_mass,
 )
 
 
@@ -87,13 +88,8 @@ class TestCheckDoubling:
             check_doubling(line_measure(0.5), r, [lam], M)
 
 
-def box_mass(nu, x, h):
-    """The mass of the closed box prod_j [x_j - h_j, x_j + h_j]."""
-    return float(nu.weights[np.all(np.abs(nu.atoms - x) <= h, axis=1)].sum())
-
-
 def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
-    """check_scale_doubling as a loop of box masses, one per box."""
+    """check_scale_doubling as a loop of rect_mass calls, one per box."""
     mult = np.asarray(h_multipliers, dtype=float)
     combos = np.stack(np.meshgrid(*([mult] * nu.dim), indexing="ij"), axis=-1).reshape(-1, nu.dim)
     scales = r0 * 2.0 ** -np.arange(1, n_scales + 1, dtype=float)
@@ -102,10 +98,10 @@ def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
         x = nu.atoms[i]
         violated = False
         for si, r in enumerate(scales, start=1):
-            base = box_mass(nu, x, r)
+            base = rect_mass(nu, x, r)
             for h in combos * r**a:
                 trials += 1
-                lhs = box_mass(nu, x, h)
+                lhs = rect_mass(nu, x, h)
                 rhs = base * float(np.prod((4.0 * h / r) ** (1.0 + eps)))
                 if rhs > 0:
                     worst = max(worst, lhs / rhs)
@@ -118,7 +114,7 @@ def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
 
 class TestCheckScaleDoubling:
     @pytest.mark.parametrize("dim", [0, 1, 2, 3])
-    def test_matches_box_mass_loop(self, dim):
+    def test_matches_rect_mass_loop(self, dim):
         if dim == 0:
             # concentrated at 0: exceptional atoms and a large worst ratio
             xs = 2.0 ** -np.arange(14.0)
@@ -132,13 +128,13 @@ class TestCheckScaleDoubling:
         rep = check_scale_doubling(*args)
         trials, atoms, worst, mass = scale_doubling_reference(*args)
         assert (rep.trials, rep.violations, rep.details["exceptional_mass"]) == (trials, atoms, mass)
-        # a box's mass is summed in another order than box_mass sums it; two
+        # a box's mass is summed in another order than rect_mass sums it; two
         # sums of n positive terms differ by at most 2 (n - 1) units in the
         # last place, relative, and a ratio of two such sums by twice that
         assert rep.worst_ratio == pytest.approx(worst, rel=4 * nu.count * 2.0**-53)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_dyadic_weights_match_box_mass_loop_bit_for_bit(self, dim):
+    def test_dyadic_weights_match_rect_mass_loop_bit_for_bit(self, dim):
         # weights k / 2^10 summing to 1: every box mass is an exact sum
         rng = np.random.default_rng(dim)
         cuts = np.sort(rng.choice(np.arange(1, 1024), 59, replace=False))
