@@ -1,9 +1,8 @@
 """Source hygiene: no module under src/, tests/ or demos/ imports a name it
 never uses.  The scan is a stdlib AST walk, so it needs no linter.  An
-import kept on purpose, such as a binding the benchmark tracer wraps, says
-so with ``# noqa: F401`` on its line.  Under src/packdim the only import
-kept unread is one that bench/worker.py still wraps by name, so a binding
-goes when the benchmark stops wrapping it.
+import is kept unread only when bench/worker.py still wraps its name and
+its line says so with ``# noqa: F401``, so a binding goes when the
+benchmark stops wrapping it.
 
 The package also keeps one pairwise distance formula,
 numerics._pair_distances: no function under src/packdim takes
@@ -62,7 +61,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return names
 
 
-def unused_imports(path: Path, allow_noqa: bool = True) -> list[str]:
+def unused_imports(path: Path) -> list[str]:
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
@@ -75,7 +74,7 @@ def unused_imports(path: Path, allow_noqa: bool = True) -> list[str]:
             continue
         for alias in node.names:
             bound = (alias.asname or alias.name).split(".")[0]
-            kept = allow_noqa and "noqa: F401" in lines[alias.lineno - 1]
+            kept = "noqa: F401" in lines[alias.lineno - 1] and bound in WRAPPED
             if bound == "*" or bound in used or kept:
                 continue
             unused.append(f"{alias.lineno}: {bound}")
@@ -92,26 +91,16 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_package_keeps_an_unread_import_only_for_the_tracer(path):
-    unread = [entry.split(": ")[1] for entry in unused_imports(path, allow_noqa=False)]
-    assert [name for name in unread if name not in WRAPPED] == []
-
-
-def test_wrapped_names_are_read_from_the_worker():
-    assert {"cholesky_psd", "slice_kernel", "slice_measure", "rect_mass"} <= WRAPPED
-    assert "math" not in WRAPPED
-
-
 def test_scan_flags_an_unused_import(tmp_path):
+    wrapped = sorted(WRAPPED)[0]
     probe = tmp_path / "probe.py"
     probe.write_text(
         "import math\nimport os  # noqa: F401\nfrom json import dumps, loads\n"
+        f"from json import load as {wrapped}  # noqa: F401\n"
         "__all__ = ['loads']\nprint(dumps)\n",
         encoding="utf-8",
     )
-    assert unused_imports(probe) == ["1: math"]
-    assert unused_imports(probe, allow_noqa=False) == ["1: math", "2: os"]
+    assert unused_imports(probe) == ["1: math", "2: os"]
 
 
 def _none_at(side: ast.expr, i: int) -> bool:
