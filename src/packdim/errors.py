@@ -32,9 +32,9 @@ class NotPositiveSemidefiniteError(PackdimError):
     """A matrix required to be positive semidefinite is not, even after the
     documented jitter schedule.  Carries the failing pivot index (0-based)."""
 
-    def __init__(self, pivot: int, message: str | None = None):
+    def __init__(self, pivot: int):
         self.pivot = pivot
-        super().__init__(message or f"matrix is not positive semidefinite (pivot {pivot})")
+        super().__init__(f"matrix is not positive semidefinite (pivot {pivot})")
 
 
 class GeometryError(PackdimError):
@@ -63,13 +63,10 @@ class ResolutionError(PackdimError):
     """A scale grid probes below the resolution supported by the data.
     Carries the offending scale."""
 
-    def __init__(self, scale: float, limit: float, message: str | None = None):
+    def __init__(self, scale: float, limit: float):
         self.scale = scale
         self.limit = limit
-        super().__init__(
-            message
-            or f"finest scale {scale:.3g} is below the resolution guard {limit:.3g}"
-        )
+        super().__init__(f"finest scale {scale:.3g} is below the resolution guard {limit:.3g}")
 
 
 class InsufficientScalesError(PackdimError):

@@ -7,10 +7,11 @@ the scales, the direct discretization of a limsup of ratios; it carries an
 O(1 / log r) bias from multiplicative constants.  "regression" fits a least
 squares slope to log V against log r, which cancels constants and is the
 default.  The method used is always recorded on the estimate.  _fit holds
-both rules and reads a whole (atoms x scales) log table at once;
-scaling_exponent and box_counting_dim (V = 1 / N) pass it one row.  The
-kernel formulas live in kernels.py in block form, and the measure and field
-estimators share one driver, _kernel_dim, that tabulates and fits them.
+both rules and reads a whole (atoms x scales) log table at once; _estimate,
+the one builder of an estimate, passes it the one row of scaling_exponent
+or of box_counting_dim (V = 1 / N).  The kernel formulas live in kernels.py
+in block form, and the measure and field estimators share one routine,
+_kernel_dim, that tabulates and fits them.
 The mass table comes from a walk over the upper-triangle tiles of the
 kernel tables (_mass_table): every kernel is symmetric in its two atoms,
 so each tile is evaluated once and contracted with the weights on both
@@ -188,16 +189,19 @@ def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
         raise InvalidArgumentError("scales must be strictly decreasing")
     if np.any(v < 0) or np.any(v > 1 + 1e-9):
         raise InvalidArgumentError("values must lie in [0, 1]")
-    flags = ()
     usable = v > 0
-    if not np.all(usable):
-        flags = ("dropped-zero-scales",)
-        r, v = r[usable], v[usable]
-    logr = np.log(r)
-    logv = np.log(v)
+    flags = () if usable.all() else ("dropped-zero-scales",)
+    return _estimate(r[usable], v[usable], np.log(v[usable]), method, flags)
+
+
+def _estimate(radii, column, logv, method: str, flags=()) -> ExponentEstimate:
+    """The one builder of an ExponentEstimate: the _fit of the one row
+    ``logv`` against log ``radii``, the per-scale rows (r, V, log V / log r)
+    with V read from ``column``, and the fit's _window."""
+    logr = np.log(radii)
     value = float(_fit(logr, logv[None, :], method)[0])
-    rows = tuple((float(a), float(b), float(c)) for a, b, c in zip(r, v, logv / logr))
-    return ExponentEstimate(value, rows, method, tuple(_window(len(r), method)), flags)
+    rows = tuple((float(a), float(b), float(c)) for a, b, c in zip(radii, column, logv / logr))
+    return ExponentEstimate(value, rows, method, tuple(_window(len(radii), method)), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +595,6 @@ def box_counting_dim(
         m = None if finer is None else _dyadic_shift(finer, eps)
         cells = _distinct_cells(p, eps, connect) if m is None else _distinct_rows(cells >> m)
         counts[j], finer = len(cells), eps
-    # N(eps) = 1 / V(eps): the fit of -log N against log eps is the box slope.
-    logr = np.log(radii)
-    value = float(_fit(logr, -np.log(counts)[None, :], method)[0])
-    ratios = np.log(counts) / -logr
-    rows = tuple(
-        (float(r), float(c), float(q)) for r, c, q in zip(radii, counts, ratios)
-    )
-    return ExponentEstimate(value, rows, method, tuple(_window(len(radii), method)))
+    # N(eps) = 1 / V(eps): the fit of -log N against log eps is the box
+    # slope, and (-log N) / log eps is log N / -log eps bit for bit
+    return _estimate(radii, counts, -np.log(counts), method)

@@ -67,11 +67,8 @@ def _read(table: dict, key: str, convert, default=..., within: str = "config"):
     is a ConfigError naming the key."""
     if key not in table and default is ...:
         raise ConfigError(f"{within} needs key {key!r}")
-    value = table.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{within} key {key!r}: {exc}") from exc
+    with _refused(f"{within} key {key!r}", (TypeError, ValueError, OverflowError)):
+        return convert(table.get(key, default))
 
 
 def _refuse_unknown(table: dict, known, what: str) -> None:
@@ -220,11 +217,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(_object(json.load(fh)))
-            except ValueError as exc:  # not JSON, not an object, or a bad config
-                raise ConfigError(f"{path}: {exc}") from exc
+        # not JSON, not an object, or a bad config
+        with open(path, encoding="utf-8") as fh, _refused(path, ValueError):
+            return cls.from_dict(_object(json.load(fh)))
 
     def to_dict(self) -> dict:
         return {key: getattr(self, field) for field, key in _CONFIG_KEYS.items()}
@@ -245,10 +240,8 @@ class ExperimentConfig:
             raise ConfigError("d and n must be positive")
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
-        try:
+        with _refused("seed", InvalidArgumentError):
             Seed(self.seed)
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"seed: {exc}") from exc
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
         if self.mode == "graph" and self.n != 1:
@@ -267,10 +260,8 @@ class ExperimentConfig:
             # on every point but the origin; on the line, fft takes over
             # from 256 interval points
             count = self._point_count(kind)
-            try:
+            with _refused(f"{kind} set of {count} points", InvalidArgumentError):
                 _check_cholesky_budget(count - 1)
-            except InvalidArgumentError as exc:
-                raise ConfigError(f"{kind} set of {count} points: {exc}") from exc
         if kind != "interval":
             # within the budget this takes well under a millisecond
             self._set_system()
@@ -306,10 +297,8 @@ class ExperimentConfig:
             # a set builds with two branches or more, so past 64 levels the
             # count is over any budget and its power is not taken
             return params["branches"] ** min(max(level, 0), 64)
-        try:
+        with _refused("txset set"):
             system = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
-        except PackdimError as exc:
-            raise ConfigError(f"txset set: {exc}") from exc
         counts = system.m_exact[:level]
         if None in counts:
             raise ConfigError(
@@ -324,25 +313,21 @@ class ExperimentConfig:
         kind = self.set_spec["kind"]
         params = self.set_params()
         level = params["level"]
-        try:
+        with _refused(f"{kind} set"):
             if kind == "cantor":
                 return build_uniform_cantor(params["branches"], params["ratio"], level)
             symbolic = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
             return realize_explicit(symbolic, level)
-        except PackdimError as exc:
-            raise ConfigError(f"{kind} set: {exc}") from exc
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
         _refuse_unknown(g, _GRID_PARAMS, "grid")
-        try:
+        with _refused("bad scale grid"):
             return ScaleGrid(
                 _read(g, "j_min", _integer, 4, "grid"),
                 _read(g, "j_max", _integer, 9, "grid"),
                 _read(g, "base", _real, 2.0, "grid"),
             )
-        except PackdimError as exc:
-            raise ConfigError(f"bad scale grid: {exc}") from exc
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(self.alpha, domain_dim=self.n, range_dim=self.d)
@@ -355,7 +340,7 @@ class ExperimentConfig:
         if not isinstance(kind, str) or kind not in _DRIFT_KEYS:
             raise ConfigError(f"unknown drift kind {kind!r}")
         _refuse_unknown(spec, _DRIFT_KEYS[kind], f"{kind} drift")
-        try:
+        with _refused("bad drift spec", (KeyError, TypeError, ValueError, PackdimError)):
             if kind == "zero":
                 return DriftSpec.zero(self.d)
             if kind == "constant":
@@ -363,8 +348,6 @@ class ExperimentConfig:
             if kind == "power":
                 return DriftSpec.power(spec["direction"], spec["exponent"])
             return DriftSpec.polynomial(spec["rows"])
-        except (KeyError, TypeError, ValueError, PackdimError) as exc:
-            raise ConfigError(f"bad drift spec: {exc}") from exc
 
 
 # the config key of each field: its name, but "set" for set_spec
@@ -455,6 +438,17 @@ def _write_report_files(report: PredictionReport, out_dir: str) -> None:
     base = os.path.join(out_dir, report.name)
     _write(base + ".csv", _csv_text(report.config_hash, ("field", "replica", "value"), rows))
     _write(base + ".json", _json_text(report.to_dict()))
+
+
+@contextmanager
+def _refused(label: str, errors=PackdimError):
+    """Turn an exception of the class or classes ``errors`` raised inside
+    into a ConfigError whose message is the label, a colon and the
+    exception's message."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 @contextmanager

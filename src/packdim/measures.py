@@ -1,7 +1,8 @@
 """Finitely supported measures on R^m and the mass queries used everywhere
 downstream: balls, axis rectangles and coordinate slices.
 
-A DiscreteMeasure is a probability measure (weights sum to 1).  Slicing
+A SubMeasure holds the atoms and weights; a DiscreteMeasure is the
+SubMeasure whose weights sum to 1, a probability measure.  Slicing
 produces a SubMeasure, which keeps the un-normalized total mass explicit
 instead of silently renormalizing.
 
@@ -91,34 +92,10 @@ def _support(atoms, weights, *, require_prob: bool) -> tuple[np.ndarray, np.ndar
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
-    """Probability measure with finitely many atoms in R^m."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        atoms, weights = _support(self.atoms, self.weights, require_prob=True)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def count(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
 class SubMeasure:
-    """Sub-probability measure: same layout, total mass in (0, 1] not
-    enforced to equal 1."""
+    """Sub-probability measure with finitely many atoms in R^m: weights
+    strictly positive, their total not required to be 1.  The support may
+    be empty, as a slice's is."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -131,6 +108,9 @@ class SubMeasure:
                 raise InvalidArgumentError("empty support needs empty weights")
         else:
             atoms, weights = _support(atoms, self.weights, require_prob=False)
+        self._hold(atoms, weights)
+
+    def _hold(self, atoms: np.ndarray, weights: np.ndarray) -> None:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -142,9 +122,14 @@ class SubMeasure:
     def count(self) -> int:
         return self.atoms.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum()) if self.count else 0.0
+
+@dataclass(frozen=True)
+class DiscreteMeasure(SubMeasure):
+    """Probability measure: a sub-probability measure whose weights sum to
+    1, so its support is not empty."""
+
+    def __post_init__(self):
+        self._hold(*_support(self.atoms, self.weights, require_prob=True))
 
 
 def _merge_equal(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

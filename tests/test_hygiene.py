@@ -22,12 +22,16 @@ cells on single keys: np.lexsort is called only by numerics._distinct_rows,
 and a row-wise np.unique(..., axis=...) only where its inverse is read.
 And it stamps its outputs in one place each: only experiment._csv_text
 calls _stamp, the comment line that opens every CSV output, and only
-experiment._stamped writes a "config_hash" key.
+experiment._stamped writes a "config_hash" key.  And it builds estimates
+in one place: only estimators._estimate calls ExponentEstimate.  And it
+turns a refusal into a ConfigError in one place: no except handler but
+experiment._refused's calls ConfigError.
 
 Every name packdim exports, its own __all__ and that of each module it
-star-imports, is read somewhere outside the tests: in the package's own
-modules, a demo or the benchmark, unless UNREACHED lists it with the
-reason it stays."""
+star-imports, and every public method and property of the classes among
+them, is read somewhere outside the tests: in the package's own modules, a
+demo or the benchmark, unless UNREACHED lists it with the reason it
+stays."""
 
 import ast
 import re
@@ -501,6 +505,70 @@ def test_scan_flags_a_stray_stamp(tmp_path):
     assert key_writers(probe, "config_hash") == ["3: by_hand", "6: as_keyword"]
 
 
+def test_one_estimate_builder():
+    assert _package_callers("ExponentEstimate") == {("estimators.py", "_estimate")}
+
+
+def test_scan_flags_a_stray_estimate(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _estimate(radii, column, logv, method):\n"
+        "    return ExponentEstimate(0.0, (), method, ())\n"
+        "def stray(value):\n"
+        "    return estimators.ExponentEstimate(value, (), 'regression', ())\n"
+        "def tagged(est):\n"
+        "    return replace(est, atom_index=0), ExponentEstimate\n"
+        "EMPTY = ExponentEstimate(0.0, (), 'regression', ())\n",
+        encoding="utf-8",
+    )
+    assert callers(probe, "ExponentEstimate") == ["1: _estimate", "3: stray", "<module>"]
+
+
+def _config_refusal(node: ast.AST) -> bool:
+    """An except handler that calls ConfigError anywhere in its body."""
+    return isinstance(node, ast.ExceptHandler) and any(
+        _calls(n, "ConfigError") for n in ast.walk(node)
+    )
+
+
+def test_one_config_refusal():
+    assert {
+        (path.name, hit.split(": ")[-1])
+        for path in PACKAGE
+        for hit in owners(path, _config_refusal)
+    } == {("experiment.py", "_refused")}
+
+
+def test_scan_flags_a_stray_config_refusal(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _refused(label, errors):\n"
+        "    try:\n"
+        "        yield\n"
+        "    except errors as exc:\n"
+        "        raise ConfigError(f'{label}: {exc}') from exc\n"
+        "def stray(seed):\n"
+        "    try:\n"
+        "        Seed(seed)\n"
+        "    except InvalidArgumentError as exc:\n"
+        "        raise errors.ConfigError(f'seed: {exc}') from exc\n"
+        "def plain(d):\n"
+        "    if d < 1:\n"
+        "        raise ConfigError('d must be positive')\n"
+        "def passes_on(text):\n"
+        "    try:\n"
+        "        return int(text)\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "try:\n"
+        "    import tomllib\n"
+        "except ImportError as exc:\n"
+        "    error = ConfigError(str(exc))\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _config_refusal) == ["1: _refused", "6: stray", "<module>"]
+
+
 # what the probability is computed with below gaussian_interval_prob
 _PROBABILITY_PARTS = {"erf", "erfc", "ndtr", "_erf_form", "_erfc_form"}
 
@@ -587,6 +655,10 @@ UNREACHED = (
     ("fbm_covariance", "the reference the Cholesky sampler's covariance is tested against"),
     ("canonical_metric", "the paper's canonical metric |t - s|^alpha"),
     ("image_measure", "the paper's image measure, beside graph_measure"),
+    (
+        "ExperimentConfig.to_json",
+        "from_json's inverse: it writes the canonical JSON the config hash is taken over",
+    ),
 )
 
 
@@ -615,21 +687,40 @@ def public_names(package: Path) -> set[str]:
     return public
 
 
+def _members(tree: ast.Module, public: set[str]) -> dict[str, str]:
+    """Class.member -> member for each public method and property of the
+    classes in ``public`` that ``tree`` defines."""
+    return {
+        f"{node.name}.{item.name}": item.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in public
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
 def unreached(root: Path) -> list[str]:
-    """The names packdim exports that nothing outside the tests reads.  A
-    read is a name or attribute in src/packdim (not __init__.py, not inside
-    its own definition), demos/ or bench/, or a dotted part of a string in
-    bench/, since the benchmark tracer binds by name."""
+    """The names packdim exports, and the public methods and properties of
+    its exported classes as Class.member, that nothing outside the tests
+    reads.  A read is a name or attribute in src/packdim (not __init__.py,
+    not inside its own definition), demos/ or bench/, or a dotted part of a
+    string in bench/, since the benchmark tracer binds by name.  A member
+    is read when its name is: the scan cannot tell the class of the object
+    an attribute is read from."""
     package = root / "src" / "packdim"
     public = public_names(package)
     sources = [p for p in package.rglob("*.py") if p.name != "__init__.py"]
     sources += [p for d in ("demos", "bench") for p in (root / d).rglob("*.py")]
     names: set[str] = set()
+    members: dict[str, str] = {}
     for path in sources:
         if path.name.startswith("test_"):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         _reads(tree, frozenset(), names)
+        if path.parent == package:
+            members |= _members(tree, public)
         if path.parent.name == "bench":
             names |= {
                 part
@@ -637,7 +728,7 @@ def unreached(root: Path) -> list[str]:
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
                 for part in node.value.split(".")
             }
-    return sorted(public - names)
+    return sorted([*(public - names), *(m for m, name in members.items() if name not in names)])
 
 
 def test_every_public_name_is_reached():
@@ -653,15 +744,24 @@ def test_scan_flags_an_unreached_name(tmp_path):
         "src/packdim/__init__.py": "from .core import *\nfrom .extra import *\n"
         "from .hidden import lonely\n_ = lonely\n__all__ = ['own']\n"
         "for m in (core, extra):\n    __all__ += m.__all__\n",
-        "src/packdim/core.py": "__all__ = ['used', 'attr', 'traced', 'demoed', 'lonely']\n"
+        "src/packdim/core.py":
+        "__all__ = ['used', 'attr', 'traced', 'demoed', 'lonely', 'Shape']\n"
         "def used(): return 1\n"
+        "class Shape:\n"
+        "    def called(self): return 1\n"
+        "    @property\n"
+        "    def size(self): return self.size\n"
+        "    def spare(self): return self.called()\n"
+        "    def _private(self): return 0\n"
+        "class Internal:\n"
+        "    def unseen(self): return 0\n"
         "def lonely(): return 2\n"
         "def recursive(n): return recursive(n - 1) if n else 0\n"
         "stored = 3\n"
         "def caller(): return used() + np.attr\n",
         "src/packdim/extra.py": "__all__ = ['recursive', 'tested', 'stored']\n",
         "src/packdim/hidden.py": "__all__ = ['hidden']\n",
-        "demos/show.py": "import packdim\npackdim.demoed()\n",
+        "demos/show.py": "import packdim\npackdim.demoed()\npackdim.Shape()\n",
         "bench/worker.py": "wrap(core, 'core.traced')\n",
         "bench/test_smoke.py": "import packdim\npackdim.tested()\n",
         "tests/test_core.py": "from packdim import lonely\nlonely()\n",
@@ -669,4 +769,6 @@ def test_scan_flags_an_unreached_name(tmp_path):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text, encoding="utf-8")
-    assert unreached(tmp_path) == ["lonely", "own", "recursive", "stored", "tested"]
+    assert unreached(tmp_path) == [
+        "Shape.size", "Shape.spare", "lonely", "own", "recursive", "stored", "tested",
+    ]

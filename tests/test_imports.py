@@ -3,7 +3,8 @@ package re-exports each library module's names and loses none it had,
 importing packdim loads no CLI, importing packdim and the CLI, a
 closed-form prediction, box counting of sampled paths and a measure CSV
 write beside an fft sample load no scipy, and every function that imports
-scipy on first use works on that first call."""
+scipy on first use works on that first call.  The version is written once,
+in packdim._version, and pyproject.toml reads it from there."""
 
 import dataclasses
 import importlib
@@ -12,6 +13,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,21 @@ def test_no_exported_name_is_lost():
 
 def test_submeasure_fields():
     assert [f.name for f in dataclasses.fields(packdim.SubMeasure)] == ["atoms", "weights"]
+    # a probability measure is a sub-probability measure with no field of its own
+    assert issubclass(packdim.DiscreteMeasure, packdim.SubMeasure)
+    assert dataclasses.fields(packdim.DiscreteMeasure) == dataclasses.fields(packdim.SubMeasure)
+
+
+def test_one_version_string():
+    # the build reads the version from packdim._version, the one place it is written
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    attr = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == packdim.__version__
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
