@@ -103,8 +103,9 @@ def _object(value) -> dict:
     return dict(value)
 
 
-# the conversion of each grid and set parameter
+# the conversion of each grid and set parameter, and the default grid
 _GRID_PARAMS = {"j_min": _integer, "j_max": _integer, "base": _real}
+_GRID_DEFAULTS = {"j_min": 4, "j_max": 9, "base": 2.0}
 _SET_PARAMS = {
     "level": _integer, "branches": _integer, "ratio": _real, "beta": _real, "delta0": _real,
 }
@@ -203,10 +204,7 @@ class ExperimentConfig:
             set_spec=_read(raw, "set", partial(_table, _SET_PARAMS, "set"), {"kind": "interval"}),
             drift=None if raw.get("drift") is None else _read(raw, "drift", _object),
             resolution=_read(raw, "resolution", _integer, 4096),
-            grid=_read(
-                raw, "grid", partial(_table, _GRID_PARAMS, "grid"),
-                {"j_min": 4, "j_max": 9, "base": 2.0},
-            ),
+            grid=_read(raw, "grid", partial(_table, _GRID_PARAMS, "grid"), _GRID_DEFAULTS),
             replicas=_read(raw, "replicas", _integer, 1),
             seed=_read(raw, "seed", _integer),
             mode=str(raw.get("mode", "image")),
@@ -250,21 +248,12 @@ class ExperimentConfig:
         if not isinstance(kind, str) or kind not in _SET_KEYS:
             raise ConfigError(f"set kind must be one of {tuple(_SET_KEYS)}")
         _refuse_unknown(self.set_spec, [*_SET_KEYS[kind], "kind"], f"{kind} set")
-        self.set_params()
+        params = self.set_params()
         if kind != "interval" and self.n != 1:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
         if not (1 <= self.resolution <= 2**14):
             raise ConfigError("resolution must lie in [1, 2^14]")
-        if kind != "interval" or self.n > 1:
-            # Cantor and txset atoms and cube meshes are sampled by Cholesky
-            # on every point but the origin; on the line, fft takes over
-            # from 256 interval points
-            count = self._point_count(kind)
-            with _refused(f"{kind} set of {count} points", InvalidArgumentError):
-                _check_cholesky_budget(count - 1)
-        if kind != "interval":
-            # within the budget this takes well under a millisecond
-            self._set_system()
+        object.__setattr__(self, "_system", self._set_system(kind, params))
         if not (0 < self.tolerance < math.inf):
             raise ConfigError("tolerance must be positive and finite")
         for field_name, value in (("method", self.method), ("box_method", self.box_method)):
@@ -272,8 +261,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{field_name} must be one of {_EST_METHODS}")
         # Constructing the grid validates j_min/j_max/base.
         self.scale_grid()
-        if self.drift is not None:
-            self.drift_spec()
+        drift = self.drift_spec()
+        if drift is not None and drift.range_dim != self.d:
+            raise ConfigError(f"drift has range dimension {drift.range_dim}, not d = {self.d}")
 
     def set_params(self) -> dict:
         """The set's parameters besides its kind, defaults filled in; a
@@ -284,50 +274,55 @@ class ExperimentConfig:
             for key, default in _SET_KEYS[kind].items()
         }
 
-    def _point_count(self, kind: str) -> int:
-        """The number of points the set will have, counted without building
-        it.  A txset whose branch counts are not exact integers (past 2^53)
-        is over any budget: a ConfigError, as are the errors of building its
-        scales."""
+    def _set_system(self, kind: str, params: dict) -> NestedIntervalSystem | None:
+        """The nested interval system of a cantor or txset set, None for an
+        interval mesh.  Its points are counted, and refused over the cholesky
+        budget, before it is built; an error building it, or fewer than two
+        points, is a ConfigError naming the set kind."""
+        level = params.get("level")
         if kind == "interval":
-            return _mesh_per_axis(self.resolution, self.n) ** self.n
-        params = self.set_params()
-        level = params["level"]
-        if kind == "cantor":
+            count = _mesh_per_axis(self.resolution, self.n) ** self.n
+        elif kind == "cantor":
             # a set builds with two branches or more, so past 64 levels the
             # count is over any budget and its power is not taken
-            return params["branches"] ** min(max(level, 0), 64)
-        with _refused("txset set"):
-            system = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
-        counts = system.m_exact[:level]
-        if None in counts:
-            raise ConfigError(
-                f"txset set: level {counts.index(None) + 1} has more than 2^53 "
-                "branches, over the cholesky budget"
-            )
-        return math.prod(counts)
-
-    def _set_system(self) -> NestedIntervalSystem:
-        """The nested interval system of a cantor or txset set, built to its
-        level; an error building it is a ConfigError naming the set kind."""
-        kind = self.set_spec["kind"]
-        params = self.set_params()
-        level = params["level"]
+            count = params["branches"] ** min(max(level, 0), 64)
+        else:
+            with _refused("txset set"):
+                symbolic = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
+            # branch counts past 2^53 are not exact integers: over any budget
+            counts = symbolic.m_exact[:level]
+            if None in counts:
+                raise ConfigError(
+                    f"txset set: level {counts.index(None) + 1} has more than 2^53 "
+                    "branches, over the cholesky budget"
+                )
+            count = math.prod(counts)
+        if kind != "interval" or self.n > 1:
+            # Cantor and txset atoms and cube meshes are sampled by Cholesky
+            # on every point but the origin; on the line, fft takes over
+            # from 256 interval points
+            with _refused(f"{kind} set of {count} points", InvalidArgumentError):
+                _check_cholesky_budget(count - 1)
+        system = None
+        # within the budget this takes well under a millisecond
         with _refused(f"{kind} set"):
             if kind == "cantor":
-                return build_uniform_cantor(params["branches"], params["ratio"], level)
-            symbolic = build_tx_system(params["beta"], params["delta0"], levels=max(level, 1))
-            return realize_explicit(symbolic, level)
+                system = build_uniform_cantor(params["branches"], params["ratio"], level)
+            elif kind == "txset":
+                system = realize_explicit(symbolic, level)
+        if count < 2:
+            # no scale is resolved: the estimates would read 0
+            raise ConfigError(f"{kind} set of {count} points: need at least 2")
+        return system
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
         _refuse_unknown(g, _GRID_PARAMS, "grid")
         with _refused("bad scale grid"):
-            return ScaleGrid(
-                _read(g, "j_min", _integer, 4, "grid"),
-                _read(g, "j_max", _integer, 9, "grid"),
-                _read(g, "base", _real, 2.0, "grid"),
-            )
+            return ScaleGrid(*(
+                _read(g, key, convert, _GRID_DEFAULTS[key], "grid")
+                for key, convert in _GRID_PARAMS.items()
+            ))
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(self.alpha, domain_dim=self.n, range_dim=self.d)
@@ -364,11 +359,10 @@ def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, floa
     if kind == "interval":
         pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
         return pts, _uniform(pts), float(cfg.n), cfg.n == 1
-    system = cfg._set_system()
+    system = cfg._system
     mu = natural_measure(system, system.depth)
-    if kind == "cantor":
-        return mu.atoms, mu, system.params["similarity_dimension"], False
-    return mu.atoms, mu, cfg.set_params()["beta"], False
+    beta_set = system.params["similarity_dimension" if kind == "cantor" else "beta"]
+    return mu.atoms, mu, beta_set, False
 
 
 def _predictions(cfg: ExperimentConfig, beta_set: float) -> dict[str, float]:

@@ -342,6 +342,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{set_spec['kind']} set: .*{message}"):
             ExperimentConfig.from_dict({**MINIMAL, "set": set_spec})
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"resolution": 1},
+            {"set": {"kind": "cantor", "branches": 2, "ratio": 0.3, "level": 0}},
+            {"set": {"kind": "txset", "beta": 0.5, "level": 0}},
+        ],
+    )
+    def test_sets_of_fewer_than_two_points_are_refused_at_load(self, patch):
+        # one point resolves no scale, and both estimates would read 0
+        kind = patch.get("set", {"kind": "interval"})["kind"]
+        with pytest.raises(ConfigError, match=rf"^{kind} set of 1 points: need at least 2$"):
+            ExperimentConfig.from_dict({**MINIMAL, **patch})
+
+    @pytest.mark.parametrize(
+        "d, drift, dim",
+        [
+            (1, {"kind": "constant", "values": [1.0, 2.0]}, 2),
+            (1, {"kind": "power", "direction": [1.0, 0.0, 1.0], "exponent": 0.5}, 3),
+            (1, {"kind": "polynomial", "rows": [[1.0, 0.5], [0.0, 1.0]]}, 2),
+            (2, {"kind": "constant", "values": [1.0]}, 1),
+        ],
+    )
+    def test_drift_of_another_dimension_is_refused_at_load(self, d, drift, dim):
+        message = rf"^drift has range dimension {dim}, not d = {d}$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({**MINIMAL, "d": d, "drift": drift})
+
     def test_seed_is_a_64_bit_unsigned_integer(self):
         for seed in (-1, 2**64):
             with pytest.raises(ConfigError, match="^seed: master seed must be a 64-bit"):
@@ -422,9 +450,8 @@ class TestRunExperiment:
         assert rep.passed
 
     def test_a_run_builds_its_set_once(self, monkeypatch):
-        # validated when it is made, the config is not validated again by
-        # the run, which would build its Cantor system a second time
-        cfg = ExperimentConfig.from_dict(THIRDS_IMAGE)
+        # the config builds its Cantor system when it is made, and the run
+        # reads that system in place of building it again
         build = experiment.build_uniform_cantor
         built = []
 
@@ -433,8 +460,29 @@ class TestRunExperiment:
             return build(*args)
 
         monkeypatch.setattr(experiment, "build_uniform_cantor", counting)
-        run_experiment(cfg)
+        run_experiment(ExperimentConfig.from_dict(THIRDS_IMAGE))
         assert built == [(2, 1.0 / 3.0, 7)]
+
+    def test_a_txset_run_builds_its_system_once(self, monkeypatch):
+        # one symbolic system is counted, budget-checked and realized at
+        # load; the run builds nothing
+        calls = []
+        for name in ("build_tx_system", "realize_explicit"):
+
+            def counting(*args, _name=name, _build=getattr(experiment, name), **kwargs):
+                calls.append((_name, args, kwargs))
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counting)
+        txset = {"kind": "txset", "beta": 0.5, "delta0": 0.45, "level": 2}
+        grid = {"j_min": 2, "j_max": 6}
+        run_experiment(
+            ExperimentConfig.from_dict({**MINIMAL, "set": txset, "grid": grid, "mode": "graph"})
+        )
+        assert [(name, args[1:], kwargs) for name, args, kwargs in calls] == [
+            ("build_tx_system", (0.45,), {"levels": 2}),
+            ("realize_explicit", (2,), {}),
+        ]
 
     def test_graph_floor_reported(self):
         cfg = ExperimentConfig.from_dict(
@@ -611,9 +659,13 @@ class TestRunSuite:
         self.write_config(tmp_path, {**MINIMAL, "name": "no-level", "set": no_level})
         big_mesh = {**MINIMAL, "name": "big-mesh", "n": 2, "d": 3, "resolution": 2**14}
         self.write_config(tmp_path, big_mesh)
+        self.write_config(tmp_path, {**MINIMAL, "name": "one-point", "resolution": 1})
+        wide = {"kind": "constant", "values": [1.0, 2.0]}
+        self.write_config(tmp_path, {**MINIMAL, "name": "wide-drift", "drift": wide})
         rows = run_suite(str(tmp_path))
         assert [(r["name"], r["pass"]) for r in rows] == [
             ("big-mesh", "error:ConfigError"), ("no-level", "error:ConfigError"),
+            ("one-point", "error:ConfigError"), ("wide-drift", "error:ConfigError"),
         ]
 
     def test_oversize_fractal_sets_are_error_rows(self, tmp_path, monkeypatch):

@@ -25,7 +25,9 @@ calls _stamp, the comment line that opens every CSV output, and only
 experiment._stamped writes a "config_hash" key.  And it builds estimates
 in one place: only estimators._estimate calls ExponentEstimate.  And it
 turns a refusal into a ConfigError in one place: no except handler but
-experiment._refused's calls ConfigError.
+experiment._refused's calls ConfigError.  And an experiment config builds
+its set in one place: in experiment.py only ExperimentConfig._set_system
+calls build_uniform_cantor, build_tx_system or realize_explicit.
 
 Every name packdim exports, its own __all__ and that of each module it
 star-imports, and every public method and property of the classes among
@@ -567,6 +569,36 @@ def test_scan_flags_a_stray_config_refusal(tmp_path):
         encoding="utf-8",
     )
     assert owners(probe, _config_refusal) == ["1: _refused", "6: stray", "<module>"]
+
+
+# the builders of an experiment's Cantor and txset sets
+_SET_BUILDERS = ("build_uniform_cantor", "build_tx_system", "realize_explicit")
+
+
+def _set_build(node: ast.AST) -> bool:
+    return any(_calls(node, name) for name in _SET_BUILDERS)
+
+
+def test_one_set_builder():
+    # a config counts, budget-checks and builds its set in one place, once
+    experiment = ROOT / "src" / "packdim" / "experiment.py"
+    assert [hit.split(": ")[-1] for hit in owners(experiment, _set_build)] == ["_set_system"]
+
+
+def test_scan_flags_a_stray_set_build(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _set_system(kind, params):\n"
+        "    symbolic = build_tx_system(params['beta'], levels=2)\n"
+        "    return realize_explicit(symbolic, 2)\n"
+        "def _build_set(cfg):\n"
+        "    return fractals.build_uniform_cantor(2, 1 / 3, 7)\n"
+        "def reads_it(cfg):\n"
+        "    return cfg._system, build_tx_system\n"
+        "SYSTEM = realize_explicit(build_tx_system(0.5), 1)\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _set_build) == ["1: _set_system", "4: _build_set", "<module>"]
 
 
 # what the probability is computed with below gaussian_interval_prob
