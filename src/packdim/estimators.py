@@ -107,6 +107,8 @@ class ScaleGrid:
             raise InvalidArgumentError("need at least four scales (j_max - j_min >= 3)")
         if not (1.0 < self.base < math.inf):
             raise InvalidArgumentError("base must be finite and exceed 1")
+        if self.finest < np.finfo(float).tiny:
+            raise InvalidArgumentError(f"j_max = {self.j_max} puts the finest radius below 2^-1022")
 
     @property
     def radii(self) -> np.ndarray:

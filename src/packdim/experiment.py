@@ -35,7 +35,6 @@ from .fields import (
     sample_many,
 )
 from .fractals import (
-    NestedIntervalSystem,
     build_tx_system,
     build_uniform_cantor,
     natural_measure,
@@ -253,17 +252,20 @@ class ExperimentConfig:
             raise ConfigError(f"{kind} sets live on the line; set n = 1")
         if not (1 <= self.resolution <= 2**14):
             raise ConfigError("resolution must lie in [1, 2^14]")
-        object.__setattr__(self, "_system", self._set_system(kind, params))
+        object.__setattr__(self, "_set", self._set_system(kind, params))
         if not (0 < self.tolerance < math.inf):
             raise ConfigError("tolerance must be positive and finite")
         for field_name, value in (("method", self.method), ("box_method", self.box_method)):
             if value not in _EST_METHODS:
                 raise ConfigError(f"{field_name} must be one of {_EST_METHODS}")
-        # Constructing the grid validates j_min/j_max/base.
-        self.scale_grid()
+        # the run reads the set, grid and drift held here, out of the hash
+        object.__setattr__(self, "_grid", self.scale_grid())
         drift = self.drift_spec()
         if drift is not None and drift.range_dim != self.d:
             raise ConfigError(f"drift has range dimension {drift.range_dim}, not d = {self.d}")
+        if drift is not None and drift.kind == "polynomial" and self.n != 1:
+            raise ConfigError(f"polynomial drift is defined on 1-D domains, not n = {self.n}")
+        object.__setattr__(self, "_drift", drift)
 
     def set_params(self) -> dict:
         """The set's parameters besides its kind, defaults filled in; a
@@ -274,11 +276,12 @@ class ExperimentConfig:
             for key, default in _SET_KEYS[kind].items()
         }
 
-    def _set_system(self, kind: str, params: dict) -> NestedIntervalSystem | None:
-        """The nested interval system of a cantor or txset set, None for an
-        interval mesh.  Its points are counted, and refused over the cholesky
-        budget, before it is built; an error building it, or fewer than two
-        points, is a ConfigError naming the set kind."""
+    def _set_system(self, kind: str, params: dict) -> tuple[np.ndarray, DiscreteMeasure, float, bool]:
+        """The set the run samples on: its points, their measure, its packing
+        dimension, and whether box counting may connect consecutive points.
+        Its points are counted, and refused over the cholesky budget, before
+        it is built; an error building it, or fewer than two points, is a
+        ConfigError naming the set kind."""
         level = params.get("level")
         if kind == "interval":
             count = _mesh_per_axis(self.resolution, self.n) ** self.n
@@ -303,17 +306,21 @@ class ExperimentConfig:
             # from 256 interval points
             with _refused(f"{kind} set of {count} points", InvalidArgumentError):
                 _check_cholesky_budget(count - 1)
-        system = None
-        # within the budget this takes well under a millisecond
+        # within the budget this takes about a millisecond
         with _refused(f"{kind} set"):
-            if kind == "cantor":
-                system = build_uniform_cantor(params["branches"], params["ratio"], level)
-            elif kind == "txset":
-                system = realize_explicit(symbolic, level)
+            if kind == "interval":
+                mu, beta_set = _uniform(_mesh_points(self.resolution, self.n, 1.0)), float(self.n)
+            else:
+                if kind == "cantor":
+                    system = build_uniform_cantor(params["branches"], params["ratio"], level)
+                else:
+                    system = realize_explicit(symbolic, level)
+                mu = natural_measure(system, system.depth)
+                beta_set = system.params["similarity_dimension" if kind == "cantor" else "beta"]
         if count < 2:
             # no scale is resolved: the estimates would read 0
             raise ConfigError(f"{kind} set of {count} points: need at least 2")
-        return system
+        return mu.atoms, mu, beta_set, kind == "interval" and self.n == 1
 
     def scale_grid(self) -> ScaleGrid:
         g = self.grid
@@ -349,20 +356,6 @@ class ExperimentConfig:
 _CONFIG_KEYS = {
     f.name: "set" if f.name == "set_spec" else f.name for f in dataclass_fields(ExperimentConfig)
 }
-
-
-def _build_set(cfg: ExperimentConfig) -> tuple[np.ndarray, DiscreteMeasure, float, bool]:
-    """Sample points, sampling measure, packing dimension of the set, and
-    whether consecutive points trace a curve (so box counting may connect
-    them)."""
-    kind = cfg.set_spec["kind"]
-    if kind == "interval":
-        pts = _mesh_points(cfg.resolution, cfg.n, 1.0)
-        return pts, _uniform(pts), float(cfg.n), cfg.n == 1
-    system = cfg._system
-    mu = natural_measure(system, system.depth)
-    beta_set = system.params["similarity_dimension" if kind == "cantor" else "beta"]
-    return mu.atoms, mu, beta_set, False
 
 
 def _predictions(cfg: ExperimentConfig, beta_set: float) -> dict[str, float]:
@@ -461,10 +454,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Pred
     the closed-form prediction.  Deterministic given the seed: replicas
     draw from indexed substreams and aggregate in index order.  With
     ``out_dir`` set, writes <name>.csv and <name>.json there."""
-    pts, mu, beta_set, connect = _build_set(config)
-    grid = config.scale_grid()
+    pts, mu, beta_set, connect = config._set
+    grid, drift = config._grid, config._drift
     field = config.field_spec()
-    drift = config.drift_spec()
     predicted = _predictions(config, beta_set)
 
     with _stage("simulation"):

@@ -126,6 +126,10 @@ class DriftSpec:
         coef = tuple(tuple(float(c) for c in row) for row in self.coefficients)
         if not coef:
             raise InvalidArgumentError("drift needs at least one coordinate row")
+        if not all(coef):
+            raise InvalidArgumentError("drift coordinate rows must be nonempty")
+        if self.kind != "polynomial" and any(len(row) > 1 for row in coef):
+            raise InvalidArgumentError(f"a {self.kind} drift takes one coefficient per row")
         if any(not math.isfinite(c) for row in coef for c in row):
             raise InvalidArgumentError("drift coefficients must be finite")
         e = float(self.exponent)

@@ -95,6 +95,17 @@ class TestScaleGrid:
         with pytest.raises(InvalidArgumentError, match="^j_min and j_max must be integers$"):
             ScaleGrid(*j)
 
+    @pytest.mark.parametrize("j_max, base", [(1023, 2.0), (1100, 2.0), (10**12, 2.0), (1760, 1.5)])
+    def test_a_finest_radius_below_the_normal_doubles_is_refused(self, j_max, base):
+        # ScaleGrid(2, 1100) had finest 0.0 and trailing zero radii, and
+        # ScaleGrid(1, 10**12).radii asked numpy for terabytes
+        with pytest.raises(InvalidArgumentError, match=rf"^j_max = {j_max} puts the finest"):
+            ScaleGrid(1, j_max, base)
+
+    def test_the_finest_normal_radius_is_taken(self):
+        assert ScaleGrid(1, 1022).finest == 2.0**-1022
+        assert ScaleGrid(1, 1022).radii[-1] == 2.0**-1022
+
 
 class TestScalingExponent:
     def test_pure_power(self):

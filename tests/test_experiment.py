@@ -11,9 +11,11 @@ import pytest
 
 from packdim import (
     ConfigError,
+    DriftSpec,
     InvalidArgumentError,
     NotPositiveSemidefiniteError,
     ResolutionError,
+    ScaleGrid,
     ScaleUnrepresentableError,
     Seed,
     __version__,
@@ -36,6 +38,13 @@ GRAPH_LINE = {
     "mode": "graph",
     "method": "regression",
     "tolerance": 0.35,
+}
+
+# the benchmark's drifted line-graph experiment
+GRAPH_LINE_POWER = {
+    **GRAPH_LINE,
+    "name": "graph-line-power",
+    "drift": {"kind": "power", "direction": [1.0], "exponent": 1.5},
 }
 
 UNDERSAMPLED = {
@@ -370,6 +379,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict({**MINIMAL, "d": d, "drift": drift})
 
+    def test_polynomial_drift_on_a_cube_is_refused_at_load(self):
+        # it loaded, and the run failed at the simulation stage
+        drift = {"kind": "polynomial", "rows": [[1.0, 2.0]]}
+        message = "^polynomial drift is defined on 1-D domains, not n = 2$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({**MINIMAL, "n": 2, "drift": drift})
+
+    @pytest.mark.parametrize("rows", [[[]], []])
+    def test_an_empty_polynomial_row_is_refused_at_load(self, rows):
+        # it loaded as a zero drift that the kernels walked as a drifted one
+        drift = {"kind": "polynomial", "rows": rows}
+        message = "^bad drift spec: drift coordinate rows must be nonempty$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({**MINIMAL, "drift": drift})
+
+    def test_a_grid_whose_finest_radius_underflows_is_refused_at_load(self):
+        # it loaded with finest 0.0 and failed only at the box-count stage
+        grid = {"j_min": 2, "j_max": 1100}
+        with pytest.raises(ConfigError, match="^bad scale grid: j_max = 1100 puts the finest"):
+            ExperimentConfig.from_dict({**MINIMAL, "grid": grid})
+
     def test_seed_is_a_64_bit_unsigned_integer(self):
         for seed in (-1, 2**64):
             with pytest.raises(ConfigError, match="^seed: master seed must be a 64-bit"):
@@ -484,6 +514,31 @@ class TestRunExperiment:
             ("realize_explicit", (2,), {}),
         ]
 
+    def test_the_load_builds_the_set_grid_and_drift_once_and_the_run_reads_them(
+        self, monkeypatch
+    ):
+        built = []
+
+        def counting(name, build):
+            def count(*args, **kwargs):
+                built.append(name)
+                return build(*args, **kwargs)
+
+            return count
+
+        for cls in (ScaleGrid, DriftSpec):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        for name in ("_mesh_points", "_uniform", "natural_measure"):
+            monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+        cfg = ExperimentConfig.from_dict(GRAPH_LINE_POWER)
+        assert sorted(built) == ["DriftSpec", "ScaleGrid", "_mesh_points", "_uniform"]
+        built.clear()
+        run_experiment(cfg)
+        assert built == []
+        # the builders stay, and give what the load holds
+        assert cfg.scale_grid() == cfg._grid
+        assert cfg.drift_spec() == cfg._drift
+
     def test_graph_floor_reported(self):
         cfg = ExperimentConfig.from_dict(
             {**THIRDS_IMAGE, "name": "thirds-graph", "mode": "graph", "tolerance": 2.0}
@@ -577,7 +632,7 @@ class TestRunExperiment:
         assert "budget of 1024 bytes" in str(info.value)
         # the sampler refuses the same points itself
         with pytest.raises(InvalidArgumentError, match="cholesky on 127 points"):
-            fields.sample(cfg.field_spec(), experiment._build_set(cfg)[0], Seed(3))
+            fields.sample(cfg.field_spec(), cfg._set[0], Seed(3))
 
     def test_stage_label_keeps_extra_constructor_arguments(self):
         with pytest.raises(NotPositiveSemidefiniteError) as info:
@@ -662,9 +717,13 @@ class TestRunSuite:
         self.write_config(tmp_path, {**MINIMAL, "name": "one-point", "resolution": 1})
         wide = {"kind": "constant", "values": [1.0, 2.0]}
         self.write_config(tmp_path, {**MINIMAL, "name": "wide-drift", "drift": wide})
+        # its row read error:InvalidArgumentError, from the simulation stage
+        cube = {"kind": "polynomial", "rows": [[1.0, 2.0]]}
+        self.write_config(tmp_path, {**MINIMAL, "name": "cube-polynomial", "n": 2, "drift": cube})
         rows = run_suite(str(tmp_path))
         assert [(r["name"], r["pass"]) for r in rows] == [
-            ("big-mesh", "error:ConfigError"), ("no-level", "error:ConfigError"),
+            ("big-mesh", "error:ConfigError"), ("cube-polynomial", "error:ConfigError"),
+            ("no-level", "error:ConfigError"),
             ("one-point", "error:ConfigError"), ("wide-drift", "error:ConfigError"),
         ]
 

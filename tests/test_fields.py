@@ -131,6 +131,29 @@ class TestDrift:
         with pytest.raises(InvalidArgumentError):
             d.evaluate(np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DriftSpec.polynomial([]),
+            lambda: DriftSpec.polynomial([[]]),
+            lambda: DriftSpec("polynomial", ((1.0, 2.0), ())),
+            lambda: DriftSpec("zero", ((),)),
+            lambda: DriftSpec("constant", ((),)),
+            lambda: DriftSpec("power", ((),), 1.0),
+        ],
+    )
+    def test_an_empty_row_is_refused(self, make):
+        # an empty polynomial row was a zero drift the kernels did not
+        # recognise, and an empty constant or power row an IndexError
+        with pytest.raises(InvalidArgumentError, match="^drift coordinate rows must be nonempty$"):
+            make()
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "power"])
+    def test_a_row_of_more_than_one_value_is_refused(self, kind):
+        # a constant drift dropped the 2.0 without a word
+        with pytest.raises(InvalidArgumentError, match=rf"^a {kind} drift takes one coefficient"):
+            DriftSpec(kind, ((1.0,), (1.0, 2.0)), 1.0)
+
 
 class TestSampling:
     def test_zero_at_origin_exactly(self):

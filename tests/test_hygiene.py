@@ -27,7 +27,9 @@ in one place: only estimators._estimate calls ExponentEstimate.  And it
 turns a refusal into a ConfigError in one place: no except handler but
 experiment._refused's calls ConfigError.  And an experiment config builds
 its set in one place: in experiment.py only ExperimentConfig._set_system
-calls build_uniform_cantor, build_tx_system or realize_explicit.
+calls build_uniform_cantor, build_tx_system or realize_explicit.  And the
+run reads what the load built: in experiment.py only validate and
+_set_system call scale_grid, drift_spec, _mesh_points or natural_measure.
 
 Every name packdim exports, its own __all__ and that of each module it
 star-imports, and every public method and property of the classes among
@@ -599,6 +601,37 @@ def test_scan_flags_a_stray_set_build(tmp_path):
         encoding="utf-8",
     )
     assert owners(probe, _set_build) == ["1: _set_system", "4: _build_set", "<module>"]
+
+
+# what an experiment's grid, drift, points and measure are built with
+_INPUT_BUILDERS = ("scale_grid", "drift_spec", "_mesh_points", "natural_measure")
+
+
+def _input_build(node: ast.AST) -> bool:
+    return any(_calls(node, name) for name in _INPUT_BUILDERS)
+
+
+def test_the_run_reads_what_the_load_built():
+    # validate builds a config's grid and drift and _set_system its points
+    # and measure; run_experiment reads what they hold
+    experiment = ROOT / "src" / "packdim" / "experiment.py"
+    hits = {hit.split(": ")[-1] for hit in owners(experiment, _input_build)}
+    assert hits == {"_set_system", "validate"}
+
+
+def test_scan_flags_a_stray_input_build(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def validate(self):\n"
+        "    self._grid = self.scale_grid()\n"
+        "def run_experiment(config):\n"
+        "    grid, drift = config._grid, config.drift_spec()\n"
+        "    return fields.natural_measure(system, 2), _mesh_points(8, 1, 1.0)\n"
+        "def reads_it(config):\n"
+        "    return config._grid, config.scale_grid\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _input_build) == ["1: validate", "3: run_experiment"]
 
 
 # what the probability is computed with below gaussian_interval_prob
