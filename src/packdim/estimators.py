@@ -89,10 +89,15 @@ _METHODS = ("tail-max", "regression")
 _REDUCTIONS = ("min", "median")
 
 
+# The most scales a ScaleGrid takes, and so the most radii a table has.
+_MAX_SCALES = 4096
+
+
 @dataclass(frozen=True)
 class ScaleGrid:
     """Geometric radii base**-j for j = j_min..j_max (dyadic by default).
-    Each j must have an integer value."""
+    Each j must have an integer value; a grid has at most _MAX_SCALES
+    scales, and its finest radius is a normal double."""
 
     j_min: int
     j_max: int
@@ -107,7 +112,11 @@ class ScaleGrid:
             raise InvalidArgumentError("need at least four scales (j_max - j_min >= 3)")
         if not (1.0 < self.base < math.inf):
             raise InvalidArgumentError("base must be finite and exceed 1")
-        if self.finest < np.finfo(float).tiny:
+        if self.j_max - self.j_min >= _MAX_SCALES:
+            raise InvalidArgumentError(f"at most {_MAX_SCALES} scales are supported")
+        # a j_max past the floats overflows the power, and from 2^62 on
+        # every base > 1 puts the finest radius below 2^-1022
+        if self.j_max >= 2**62 or self.finest < np.finfo(float).tiny:
             raise InvalidArgumentError(f"j_max = {self.j_max} puts the finest radius below 2^-1022")
 
     @property
@@ -185,11 +194,12 @@ def scaling_exponent(radii, values, method: str) -> ExponentEstimate:
     v = np.asarray(values, dtype=float)
     if r.shape != v.shape or r.ndim != 1:
         raise InvalidArgumentError("radii and values must be matching 1-D arrays")
-    if np.any(r <= 0) or np.any(r >= 1):
+    # written as not (...) so that a NaN fails each test
+    if not np.all((r > 0) & (r < 1)):
         raise InvalidArgumentError("scales must lie in (0, 1)")
-    if np.any(np.diff(r) >= 0):
+    if not np.all(np.diff(r) < 0):
         raise InvalidArgumentError("scales must be strictly decreasing")
-    if np.any(v < 0) or np.any(v > 1 + 1e-9):
+    if not np.all((v >= 0) & (v <= 1 + 1e-9)):
         raise InvalidArgumentError("values must lie in [0, 1]")
     usable = v > 0
     flags = () if usable.all() else ("dropped-zero-scales",)

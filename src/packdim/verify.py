@@ -6,6 +6,13 @@ close the sharpest input came to the bound, and details carries per-case
 diagnostics.  Invalid arguments still raise, a NaN or infinite bound
 among them.  The graph bound reads its expected masses from
 estimators._field_masses, the one table dim_field fits.
+
+Both doubling checks read their closed-box masses from one table,
+_box_masses, which takes the atoms in row blocks whose masks hold at most
+_BLOCK_ENTRIES entries: O(k^2) time, memory linear in the atoms k.
+check_doubling hands it integer keys and weights, so every membership,
+sum and comparison is exact; check_scale_doubling hands it the float
+atoms and weights, which it compares as rect_mass does.
 """
 
 from __future__ import annotations
@@ -59,13 +66,33 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_ints(values) -> tuple[list[int], int]:
-    """Common-denominator integer form of a float list.  Every binary float
-    is a dyadic rational, so (ints, scale) with value = int/scale is exact;
-    the scale is the largest denominator (a power of two, hence the lcm)."""
+def _dyadic_ints(values) -> tuple[np.ndarray, int]:
+    """Common-denominator integer form of a float list, as an object array
+    of Python ints.  Every binary float is a dyadic rational, so (ints,
+    scale) with value = int/scale is exact; the scale is the largest
+    denominator (a power of two, hence the lcm)."""
     parts = [Fraction(float(v)) for v in values]
     scale = max((f.denominator for f in parts), default=1)
-    return [int(f * scale) for f in parts], scale
+    return np.array([int(f * scale) for f in parts], dtype=object), scale
+
+
+# The mask and difference entries one row block of _box_masses holds.
+_BLOCK_ENTRIES = 2**16
+
+
+def _box_masses(keys: np.ndarray, weights: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The (atoms x boxes) table whose entry (i, b) is the total weight of
+    the atoms k with |keys[k] - keys[i]| <= halves[b] in every coordinate,
+    in the arrays' own dtype.  A block's mask holds at most _BLOCK_ENTRIES
+    entries, or one row where a row alone holds more."""
+    k, d = keys.shape
+    step = max(1, _BLOCK_ENTRIES // (len(halves) * k * d))
+    blocks = []
+    for lo in range(0, k, step):
+        dist = np.abs(keys[None, :, :] - keys[lo : lo + step, None, :])
+        inside = np.all(dist[:, None] <= halves[:, None, :], axis=3)
+        blocks.append(inside @ weights)
+    return np.concatenate(blocks)
 
 
 def check_doubling(nu: DiscreteMeasure, r: float, lambdas, M: float) -> CheckReport:
@@ -82,41 +109,17 @@ def check_doubling(nu: DiscreteMeasure, r: float, lambdas, M: float) -> CheckRep
         raise InvalidArgumentError("need finite r > 0 and M >= 1")
     d = nu.dim
     flat, cs = _dyadic_ints(nu.atoms.reshape(-1).tolist())
-    coords = [flat[i * d : (i + 1) * d] for i in range(nu.count)]
     weights, ws = _dyadic_ints(nu.weights.tolist())
     (r_int,), rs = _dyadic_ints([float(r)])
     lam_ints, ls = _dyadic_ints([float(v) for v in lam])
     (m_int,), ms = _dyadic_ints([float(M)])
     # |p_j - c_j| <= h_j with h = r resp. lam_j r; cross-multiplied so both
     # sides sit at scale cs * rs * ls.
-    diff_scale = rs * ls
-    small_rhs = [r_int * ls * cs] * d
-    big_rhs = [r_int * lv * cs for lv in lam_ints]
-    lhs_int = 0
-    for i in range(nu.count):
-        center = coords[i]
-        small = 0
-        big = 0
-        for p, w in zip(coords, weights):
-            inside_big = True
-            inside_small = True
-            for j in range(d):
-                diff = (p[j] - center[j]) * diff_scale
-                if diff < 0:
-                    diff = -diff
-                if diff > big_rhs[j]:
-                    inside_big = False
-                    inside_small = False
-                    break
-                if diff > small_rhs[j]:
-                    inside_small = False
-            if inside_big:
-                big += w
-            if inside_small:
-                small += w
-        # big/ws >= (m/ms) * small/ws
-        if big * ms >= m_int * small:
-            lhs_int += weights[i]
+    keys = flat.reshape(-1, d) * (rs * ls)
+    halves = r_int * cs * np.array([[ls] * d, lam_ints], dtype=object)
+    small, big = _box_masses(keys, weights, halves).T
+    # big/ws >= (m/ms) * small/ws
+    lhs_int = int(weights[big * ms >= m_int * small].sum())
     lam_prod = math.prod(lam_ints)
     # lhs/ws > 4^d * (lam_prod / ls^d) * (ms / m_int), cross-multiplied.
     lhs_side = lhs_int * ls**d * m_int
@@ -142,10 +145,11 @@ def check_scale_doubling(
     i.e. no threshold within the scan works; the bound being checked says
     the exceptional mass vanishes as r0 does.
 
-    Each atom weighs all its boxes at once, as their masks times the
-    weights.  Those sums are exact for dyadic weights such as the 2^-8 of
-    ``verify --check all``; other weights are summed in another order than
-    one box at a time would, and worst_ratio can move in its last bits."""
+    A box's mass is its mask times the weights, in one product per row
+    block of _box_masses.  Those sums are exact for dyadic weights such as
+    the 2^-8 of ``verify --check all``; other weights are summed in another
+    order than rect_mass sums them, and worst_ratio can move in its last
+    bits."""
     if not (0.0 < a < 1.0):
         raise InvalidArgumentError("a must lie in (0, 1)")
     if not (0 < eps < math.inf):
@@ -162,34 +166,21 @@ def check_scale_doubling(
         np.meshgrid(*([mult] * d), indexing="ij"), axis=-1
     ).reshape(-1, d)
     scales = r0 * 2.0 ** -np.arange(1, n_scales + 1, dtype=float)
-    worst = 0.0
-    exceptional_mass = 0.0
-    exceptional_atoms = 0
-    trials = 0
     # the boxes' sides and right-hand-side factors depend on the scale alone
     sides = np.stack([combos * r**a for r in scales])
     factors = np.prod((4.0 * sides / scales[:, None, None]) ** (1.0 + eps), axis=2)
-    for i in range(nu.count):
-        # rect_mass(nu, x, h) is the weight of the atoms with dist <= h
-        dist = np.abs(nu.atoms - nu.atoms[i])
-        base = np.all(dist <= scales[:, None, None], axis=2) @ nu.weights
-        lhs = np.all(dist <= sides[:, :, None, :], axis=3) @ nu.weights
-        rhs = base[:, None] * factors
-        trials += lhs.size
-        live = rhs > 0
-        if live.any():
-            worst = max(worst, float((lhs[live] / rhs[live]).max()))
-        # a violation at the last two scales, the finest octave
-        if np.any(lhs[-2:] > rhs[-2:] * (1.0 + 1e-12)):
-            exceptional_atoms += 1
-            exceptional_mass += nu.weights[i]
-    return CheckReport(
-        "scale-doubling",
-        trials,
-        exceptional_atoms,
-        worst,
-        details={"exceptional_mass": exceptional_mass, "r0": r0},
-    )
+    halves = np.concatenate([np.repeat(scales[:, None], d, axis=1), sides.reshape(-1, d)])
+    masses = _box_masses(nu.atoms, nu.weights, halves)
+    base, lhs = masses[:, :n_scales], masses[:, n_scales:].reshape(-1, *factors.shape)
+    rhs = base[:, :, None] * factors
+    live = rhs > 0
+    worst = float((lhs[live] / rhs[live]).max()) if live.any() else 0.0
+    # a violation at the last two scales, the finest octave
+    exceptional = np.any(lhs[:, -2:] > rhs[:, -2:] * (1.0 + 1e-12), axis=(1, 2))
+    # in atom order, one weight at a time: np.sum's pairwise order can move bits
+    mass = float(np.cumsum(np.where(exceptional, nu.weights, 0.0))[-1])
+    details = {"exceptional_mass": mass, "r0": r0}
+    return CheckReport("scale-doubling", lhs.size, int(exceptional.sum()), worst, details=details)
 
 
 # ---------------------------------------------------------------------------

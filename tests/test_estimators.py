@@ -95,12 +95,34 @@ class TestScaleGrid:
         with pytest.raises(InvalidArgumentError, match="^j_min and j_max must be integers$"):
             ScaleGrid(*j)
 
-    @pytest.mark.parametrize("j_max, base", [(1023, 2.0), (1100, 2.0), (10**12, 2.0), (1760, 1.5)])
+    @pytest.mark.parametrize("j_max, base", [(1023, 2.0), (1100, 2.0), (1760, 1.5)])
     def test_a_finest_radius_below_the_normal_doubles_is_refused(self, j_max, base):
-        # ScaleGrid(2, 1100) had finest 0.0 and trailing zero radii, and
-        # ScaleGrid(1, 10**12).radii asked numpy for terabytes
+        # ScaleGrid(2, 1100) had finest 0.0 and trailing zero radii
         with pytest.raises(InvalidArgumentError, match=rf"^j_max = {j_max} puts the finest"):
             ScaleGrid(1, j_max, base)
+
+    @pytest.mark.parametrize(
+        "j, base",
+        [((1, 4097), 1.0 + 1e-13), ((2, 4098), 2.0), ((1, 10**12), 2.0),
+         ((1, 10**12), 1.0 + 1e-13), ((1, 10**400), 2.0)],
+        ids=["4097-near-1", "4097-dyadic", "1e12-dyadic", "1e12-near-1", "1e400-dyadic"],
+    )
+    def test_more_than_the_most_scales_is_refused(self, j, base):
+        # ScaleGrid(1, 10**12, 1 + 1e-13) had a normal finest radius (0.905)
+        # and asked numpy for terabytes of radii; ScaleGrid(1, 10**400)
+        # raised OverflowError computing its finest radius.  The count is
+        # refused first, so ScaleGrid(1, 10**12) names it too.
+        with pytest.raises(InvalidArgumentError, match=r"^at most 4096 scales are supported$"):
+            ScaleGrid(*j, base)
+
+    def test_a_j_past_the_floats_is_refused(self):
+        # four scales, but computing the finest radius raised OverflowError
+        with pytest.raises(InvalidArgumentError, match=r"^j_max = 10{399}3 puts the finest"):
+            ScaleGrid(10**400, 10**400 + 3)
+
+    def test_the_most_scales_are_taken(self):
+        assert len(ScaleGrid(1, 4096, 1.0 + 1e-13).radii) == 4096
+        assert len(ScaleGrid(5, 4100, 1.0 + 1e-13).radii) == 4096
 
     def test_the_finest_normal_radius_is_taken(self):
         assert ScaleGrid(1, 1022).finest == 2.0**-1022

@@ -30,6 +30,8 @@ its set in one place: in experiment.py only ExperimentConfig._set_system
 calls build_uniform_cantor, build_tx_system or realize_explicit.  And the
 run reads what the load built: in experiment.py only validate and
 _set_system call scale_grid, drift_spec, _mesh_points or natural_measure.
+And verify weighs closed boxes around atoms in one place: in verify.py
+only _box_masses takes a difference of atoms against atoms.
 
 Every name packdim exports, its own __all__ and that of each module it
 star-imports, and every public method and property of the classes among
@@ -632,6 +634,49 @@ def test_scan_flags_a_stray_input_build(tmp_path):
         encoding="utf-8",
     )
     assert owners(probe, _input_build) == ["1: validate", "3: run_experiment"]
+
+
+def _root(side: ast.expr) -> str:
+    while isinstance(side, ast.Subscript):
+        side = side.value
+    return ast.dump(side)
+
+
+def _atom_difference(node: ast.AST) -> bool:
+    """A difference of atoms against atoms, the offsets a box mask compares
+    with its half-widths: one array minus itself up to subscripts, as in
+    nu.atoms - nu.atoms[i], or two rows read at one loop index, as in
+    p[j] - center[j]."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    indices = [
+        side.slice.id
+        for side in (node.left, node.right)
+        if isinstance(side, ast.Subscript) and isinstance(side.slice, ast.Name)
+    ]
+    return _root(node.left) == _root(node.right) or (len(indices) == 2 and len(set(indices)) == 1)
+
+
+def test_one_box_mass_table():
+    # both doubling checks read their box masses from _box_masses
+    verify = ROOT / "src" / "packdim" / "verify.py"
+    assert [hit.split(": ")[-1] for hit in owners(verify, _atom_difference)] == ["_box_masses"]
+
+
+def test_scan_flags_a_stray_box_mask(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _box_masses(keys, weights, halves):\n"
+        "    return np.abs(keys[None, :, :] - keys[:4, None, :])\n"
+        "def stray(nu, i, h):\n"
+        "    return np.all(np.abs(nu.atoms - nu.atoms[i]) <= h, axis=1) @ nu.weights\n"
+        "def pairs(coords, center, j):\n"
+        "    return [abs(p[j] - center[j]) for p in coords]\n"
+        "def scalars(a, b, phi):\n"
+        "    return abs(a - b), phi(a)[0] - phi(b)[0], a[1:] + a[:-1], a[0] - b[1]\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _atom_difference) == ["1: _box_masses", "3: stray", "5: pairs"]
 
 
 # what the probability is computed with below gaussian_interval_prob

@@ -74,6 +74,15 @@ CASES = {
         lambda: scaling_exponent(DYADIC, [2.0, *DYADIC[1:]], "regression"),
         InvalidArgumentError, "values must lie in [0, 1]",
     ),
+    # a NaN value was dropped as a zero scale, a NaN radius gave a NaN estimate
+    "scaling_exponent NaN value": (
+        lambda: scaling_exponent(DYADIC, [math.nan, *DYADIC[1:]], "regression"),
+        InvalidArgumentError, "values must lie in [0, 1]",
+    ),
+    "scaling_exponent NaN radius": (
+        lambda: scaling_exponent([*DYADIC[:2], math.nan, *DYADIC[3:]], DYADIC, "regression"),
+        InvalidArgumentError, "scales must lie in (0, 1)",
+    ),
     "config d below 1": (
         lambda: ExperimentConfig.from_dict({"name": "t", "alpha": 0.5, "d": 0, "seed": 1}),
         ConfigError, "d and n must be positive",

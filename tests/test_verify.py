@@ -3,11 +3,13 @@ integration by parts, the Gaussian interval bound, and the graph
 expected-mass bound on extracted subsystems."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_measure
+from packdim import verify
 from packdim import (
     DepthExhaustedError,
     DiscreteMeasure,
@@ -86,6 +88,92 @@ class TestCheckDoubling:
         # the exact integer form has no inf or NaN
         with pytest.raises(InvalidArgumentError):
             check_doubling(line_measure(0.5), r, [lam], M)
+
+
+def doubling_reference(nu, r, lambdas, M):
+    """check_doubling as a loop over atom pairs in exact Fractions: the
+    mass of the atoms whose closed (lambda r)-box holds at least M times
+    the mass of their closed r-box, against 4^d lambda_1 ... lambda_d / M."""
+    atoms = [[Fraction(c) for c in row] for row in nu.atoms.tolist()]
+    weights = [Fraction(w) for w in nu.weights.tolist()]
+    lam = [Fraction(v) for v in np.atleast_1d(np.asarray(lambdas, dtype=float)).tolist()]
+    small_h = [Fraction(r)] * nu.dim
+    big_h = [v * Fraction(r) for v in lam]
+
+    def box(center, h):
+        return sum(
+            (w for p, w in zip(atoms, weights)
+             if all(abs(pj - cj) <= hj for pj, cj, hj in zip(p, center, h))),
+            Fraction(0),
+        )
+
+    lhs = sum(
+        (w for x, w in zip(atoms, weights) if box(x, big_h) >= Fraction(M) * box(x, small_h)),
+        Fraction(0),
+    )
+    bound = 4**nu.dim * math.prod(lam) / Fraction(M)
+    ratio = float(lhs / bound)
+    witness = f"lhs={lhs} bound_ratio={ratio!r}" if lhs > bound else ""
+    return nu.count, int(lhs > bound), ratio.hex(), witness
+
+
+def doubling_cases():
+    """Random measures at d = 1, 2 and 3, and lattices of pitch r/2 whose
+    atoms sit at distances of exactly r and lambda r, some of them nudged
+    one ulp outward or inward."""
+    rng = np.random.default_rng(32)
+    for dim in (1, 2, 3):
+        for _ in range(6):
+            mu = random_measure(rng, dim, max_atoms=24, spread=0.5)
+            lam = rng.choice([1.0, 1.5, 2.0, 3.0], size=dim)
+            yield mu, float(rng.uniform(0.05, 1.0)), lam, float(rng.choice([1.0, 1.5, 2.0, 4.0]))
+        side = {1: 16, 2: 5, 3: 3}[dim]
+        grid = np.stack(np.meshgrid(*[np.arange(side) / 16.0] * dim, indexing="ij"), -1)
+        atoms = grid.reshape(-1, dim)
+        nudged = atoms.copy()
+        nudged[::3] = np.nextafter(nudged[::3], 1.0)
+        nudged[1::3] = np.nextafter(nudged[1::3], -1.0)
+        w = rng.random(len(atoms)) + 0.1
+        for pts in (atoms, nudged):
+            nu = DiscreteMeasure(pts, w / w.sum())
+            for lam, M in ((1.0, 1.0), (2.0, 2.0), (1.5, 1.5), (2.0, 4.0)):
+                yield nu, 0.125, [lam] * dim, M
+
+
+def report_bits(rep):
+    details = {k: v.hex() if isinstance(v, float) else v for k, v in rep.details.items()}
+    return rep.trials, rep.violations, rep.worst_ratio.hex(), rep.witness, details
+
+
+class TestDoublingAgainstFractions:
+    def test_matches_the_exact_pair_loop(self):
+        seen = set()
+        for nu, r, lam, M in doubling_cases():
+            rep = check_doubling(nu, r, lam, M)
+            assert report_bits(rep)[:4] == doubling_reference(nu, r, lam, M)
+            assert rep.details == {}
+            seen.add((nu.dim, rep.worst_ratio > 0))
+        # every dimension has cases with and without exceptional atoms
+        assert seen == {(d, hit) for d in (1, 2, 3) for hit in (False, True)}
+
+    def test_block_boundaries_keep_the_reports(self, monkeypatch):
+        # one row per block puts a block boundary between every two atoms
+        rng = np.random.default_rng(7)
+        calls = [(check_doubling, (nu, r, lam, M)) for nu, r, lam, M in doubling_cases()]
+        # concentrated at 0, with many exceptional atoms, and random
+        xs = 2.0 ** -np.arange(14.0)
+        ws = 2.0 ** -(np.arange(14.0) ** 2 / 4.0)
+        measures = [DiscreteMeasure(xs.reshape(-1, 1), ws / ws.sum())]
+        for dim in (1, 2, 3):
+            w = rng.random(50) + 0.05
+            measures.append(DiscreteMeasure(rng.random((50, dim)), w / w.sum()))
+        calls += [(check_scale_doubling, (nu, 0.4, 0.2, 0.5, 6, (1.0, 1.5, 3.0))) for nu in measures]
+        grid = np.arange(256, dtype=float)[:, None] / 256.0
+        uniform = DiscreteMeasure(grid, np.full(256, 1.0 / 256))
+        calls.append((check_scale_doubling, (uniform, 0.5, 0.5, 0.125)))
+        blocked = [report_bits(check(*args)) for check, args in calls]
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1)
+        assert [report_bits(check(*args)) for check, args in calls] == blocked
 
 
 def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
