@@ -30,7 +30,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .measures import DiscreteMeasure, _as_points, _check_point, _uniform
 from .numerics import (
-    _BLOCK_ROWS,
     Seed,
     _cholesky_in_place,
     _pair_distances,
@@ -53,9 +52,9 @@ __all__ = [
 
 _MAX_POINTS = 2**20
 # Bytes the Cholesky sampler may hold at its peak.  On k points that peak is
-# about 1.1 k x k float64 arrays: the covariance, built in row blocks and
-# factored and transposed in place (peak RSS at k = 4095, n = 1 and 2;
-# tracemalloc gives 1.07 at 2047 Cantor points).  It is still counted as 6,
+# about 1.1 k x k float64 arrays: the covariance's upper triangle, filled in
+# row blocks and factored and transposed in place (peak RSS at k = 4095,
+# n = 1 and 2; tracemalloc gives 1.04 at 2047 and 1.02 at 4095 Cantor points).  It is still counted as 6,
 # i.e. 48 k^2 bytes, so the point counts admitted stay as they were.  Half
 # of an 8 GB machine, 4 GiB admits up to 9459 points; the 2^14 points that
 # exhaust such a machine are refused.
@@ -330,20 +329,15 @@ class _Sampler:
             _check_cholesky_budget(len(sub))
             h2 = 2.0 * field.alpha
             sn = np.linalg.norm(sub, axis=1) ** h2
-            # cov = 0.5 (|s_i|^h2 + |s_k|^h2 - |s_i - s_k|^h2), built in row
-            # blocks of the one k x k array that is then factored in place.
-            # It is symmetric by construction, so each block is checked only
-            # for an inf or NaN, from a power that overflowed.
-            cov = np.empty((len(sub), len(sub)))
-            for lo in range(0, len(sub), _BLOCK_ROWS):
-                block = cov[lo:lo + _BLOCK_ROWS]
-                block[...] = _pair_distances(sub[lo:lo + _BLOCK_ROWS], sub)
-                block **= h2
-                np.subtract(sn[lo:lo + _BLOCK_ROWS, None] + sn, block, out=block)
-                block *= 0.5
-                if not np.isfinite(block).all():
-                    raise InvalidArgumentError("matrix must be finite")
-            self.factor = _cholesky_in_place(cov)
+
+            def covariance(lo, hi, out):
+                # 0.5 (|s_i|^h2 + |s_k|^h2 - |s_i - s_k|^h2), from the diagonal on
+                out[...] = _pair_distances(sub[lo:hi], sub[lo:])
+                out **= h2
+                np.subtract(sn[lo:hi, None] + sn[lo:], out, out=out)
+                out *= 0.5
+
+            self.factor = _cholesky_in_place(len(sub), covariance)
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")
         self.method = method

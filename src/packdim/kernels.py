@@ -28,8 +28,9 @@ is one gather from each, and it computes the probabilities by calling
 its module-level name gaussian_interval_prob, the binding the benchmark
 wraps.  It reads the drift values from d columns after the n domain
 coordinates of rows and atoms when they carry them, which lets a walk
-evaluate the drift once per atom.  profile_tables refills one table per
-call, so its yielded tables are overwritten when the generator advances.
+evaluate the drift once per atom.  ball_tables and profile_tables refill
+one table per call, so their yielded tables are overwritten when the
+generator advances.
 The per-point functions, increment_prob among them, are one-row calls of
 these, each query point checked by measures._check_point.
 
@@ -131,8 +132,9 @@ def _range_gaps(rows: np.ndarray, atoms: np.ndarray, coords) -> list[float]:
 
 def ball_tables(rows: np.ndarray, atoms: np.ndarray, radii):
     """Yield, per radius r, the (rows x atoms) indicator of the closed
-    Euclidean ball: |x_i - y_k| <= r.  Tables that are constant come as
-    views: zeros without a distance table when the coordinate ranges'
+    Euclidean ball, |x_i - y_k| <= r, as float 0/1 that no contraction
+    casts; one table is refilled per radius.  Tables that are constant come
+    as views: zeros without a distance table when the coordinate ranges'
     Euclidean gap exceeds every radius, else zeros below the least
     distance and ones from the greatest on."""
     # the gaps squared and summed in _pair_distances' order: no rounded
@@ -147,13 +149,14 @@ def ball_tables(rows: np.ndarray, atoms: np.ndarray, radii):
         return
     dist = _pair_distances(rows, atoms)
     least, greatest = dist.min(), dist.max()
+    table = np.empty_like(dist)
     for r in radii:
         if r < least:
             yield _constant(0.0, shape)
         elif r >= greatest:
             yield _constant(1.0, shape)
         else:
-            yield dist <= r
+            yield np.less_equal(dist, r, out=table)
 
 
 def profile_tables(rows: np.ndarray, atoms: np.ndarray, beta: float, radii):

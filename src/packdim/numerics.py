@@ -19,11 +19,11 @@ distinct-point checks of sample points and measure atoms.  It packs an
 integer row into one int64 key by its columns' bit widths, with shifts
 and ors, sorts the keys once and unpacks them by shift and mask.
 _finest_third is the one tail window of tail-max fits and Minkowski bounds.
-cholesky_psd checks its input in row blocks and factors one copy of it in
-place: LAPACK copies nothing, the factor is transposed into C order over
-the copy, and a factorization without jitter builds no other square array.
-The Cholesky sampler builds its covariance in row blocks of one array
-and has the same routine, _cholesky_in_place, factor that array in place.
+_cholesky_in_place allocates the one array a Cholesky factor is written
+in, has its caller fill the triangle LAPACK reads in row blocks (again for
+each jitter retry), factors it in place and transposes the factor into C
+order over it: cholesky_psd copies its checked input's lower triangle, and
+the sampler computes only its covariance's rows from the diagonal on.
 
 scipy (``special.erf`` and ``erfc``, ``linalg.lapack.dpotrf``) is imported
 inside the functions that call it, not at module level: importing packdim stays
@@ -49,7 +49,8 @@ _JITTER_REL = 1e-12
 _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 4
 
-# Row block of cholesky_psd's input checks, mirror and transposition.
+# Row block of cholesky_psd's input checks and of _cholesky_in_place's
+# fill and transposition.
 _BLOCK_ROWS = 64
 
 # _distinct_rows packs an integer row into one int64 key while the bit
@@ -255,14 +256,14 @@ def cholesky_psd(matrix) -> np.ndarray:
     NotPositiveSemidefiniteError is raised carrying the failing pivot index.
 
     The lower triangle of ``matrix`` is what is factored, as LAPACK's dpotrf
-    reads it.  It is copied once, mirrored onto the copy's upper triangle,
-    and _cholesky_in_place factors that copy: ``matrix`` is never modified.
+    reads it, on every attempt.  _cholesky_in_place copies it, row block by
+    row block, into the one array it factors: ``matrix`` is never modified,
+    and no full copy of it is made first.  Off the diagonal the factored
+    entries keep the input's bits, so an input -0.0 stays -0.0.
     """
     m = np.asarray(matrix, dtype=float)
     _check_matrix(m)
-    work = np.array(m, order="C")
-    _mirror_lower(work, -0.0)
-    return _cholesky_in_place(work)
+    return _cholesky_in_place(len(m), lambda lo, hi, out: np.copyto(out, m[lo:, lo:hi].T))
 
 
 def _check_matrix(m: np.ndarray) -> None:
@@ -290,37 +291,46 @@ def _check_matrix(m: np.ndarray) -> None:
         raise InvalidArgumentError("matrix must be symmetric")
 
 
-def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
-    """cholesky_psd's factor of ``work``, written over ``work`` itself.
+def _cholesky_in_place(dim: int, fill) -> np.ndarray:
+    """cholesky_psd's factor of a symmetric dim x dim matrix, in the one
+    C-ordered array ``work`` this allocates.
 
-    ``work`` is a C-ordered, finite and exactly symmetric square float
-    array, so its transpose is a Fortran-ordered view with the same values.
-    dpotrf factors that view in place (overwrite_a, clean=0): LAPACK copies
-    nothing, writes the factor over the upper triangle of ``work`` and leaves
-    its strict lower triangle as it was.  A failed attempt is retried on
-    work + jitter * I, rebuilt from that lower triangle and the saved
-    diagonal.  The factor is then transposed into the lower triangle in row
-    blocks and the upper triangle zeroed: it comes back in C order, as
-    np.tril of LAPACK's factor, because a matrix product rounds differently
-    with the other memory order and samples would move in the last bits.
+    For each row block [lo, hi) of _BLOCK_ROWS rows, ``fill(lo, hi, out)``
+    writes the matrix's rows lo..hi-1 from column lo on into ``out`` =
+    work[lo:hi, lo:], and a block holding an inf or NaN is refused.  Their
+    upper triangle is the lower triangle of the Fortran-ordered transpose
+    that dpotrf factors in place (overwrite_a, clean=0): LAPACK copies
+    nothing, reads that triangle alone and writes the factor over it, and
+    nothing reads the entries below the blocks.  A failed attempt fills
+    the array again and adds the jitter to its diagonal alone, so the
+    off-diagonal entries keep the bits ``fill`` writes.  The factor is then
+    transposed into the lower triangle in row blocks and the upper triangle
+    zeroed: it comes back in C order, as np.tril of LAPACK's factor,
+    because a matrix product rounds differently with the other memory
+    order and samples would move in the last bits.
     """
-    dim = work.shape[0]
+    work = np.empty((dim, dim))
     if dim == 0:
         return work
-    base = _JITTER_REL * (np.trace(work) / dim)
-    if base <= 0:
-        base = _JITTER_REL
-    diag = work.diagonal().copy()
 
     from scipy.linalg.lapack import dpotrf
 
     jitter = 0.0
     last_pivot = 0
     for attempt in range(_JITTER_RETRIES + 1):
+        for lo in range(0, dim, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, dim)
+            out = work[lo:hi, lo:]
+            fill(lo, hi, out)
+            if not np.isfinite(out).all():
+                raise InvalidArgumentError("matrix must be finite")
         if jitter:
-            # the bits of m + jitter * I: 0.0 is added off the diagonal too
-            _mirror_lower(work, 0.0)
-            work.flat[:: dim + 1] = diag + jitter
+            work.flat[:: dim + 1] += jitter
+        else:
+            # the jitter's scale, from the trace before the first attempt
+            base = _JITTER_REL * (np.trace(work) / dim)
+            if base <= 0:
+                base = _JITTER_REL
         _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             _transpose_upper(work)
@@ -328,20 +338,6 @@ def _cholesky_in_place(work: np.ndarray) -> np.ndarray:
         last_pivot = int(info) - 1  # LAPACK reports 1-based pivots
         jitter = base * (_JITTER_GROWTH ** attempt)
     raise NotPositiveSemidefiniteError(last_pivot)
-
-
-def _mirror_lower(work: np.ndarray, zero: float) -> None:
-    """Write the strict lower triangle of the square C-ordered ``work``,
-    plus ``zero``, over its strict upper triangle, in row blocks.  Adding
-    -0.0 keeps every bit; adding 0.0 turns -0.0 into +0.0, as the
-    off-diagonal entries of m + jitter * I do."""
-    dim = work.shape[0]
-    for lo in range(0, dim, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, dim)
-        np.add(work[hi:, lo:hi].T, zero, out=work[lo:hi, hi:])
-        block = work[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        block[upper] = block.T[upper] + zero
 
 
 def _transpose_upper(work: np.ndarray) -> None:

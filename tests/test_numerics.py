@@ -8,6 +8,7 @@ mpmath at 50 digits when the tests run.
 """
 
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -18,11 +19,15 @@ from conftest import scheduled_factor
 from hypothesis import given, strategies as st
 
 from packdim import (
+    FieldSpec,
     InvalidArgumentError,
     NotPositiveSemidefiniteError,
     Seed,
+    build_uniform_cantor,
     cholesky_psd,
+    fields,
     gaussian_interval_prob,
+    numerics,
 )
 from packdim.numerics import _pair_distances
 
@@ -379,6 +384,96 @@ class TestCholeskyPsd:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * k * k, peak / (8 * k * k)
+
+
+def poison_below_the_blocks(monkeypatch, module):
+    """Route module's _cholesky_in_place through a fill that writes NaN
+    below the diagonal of the array it factors before each attempt, then
+    fills as asked.  The fills write the diagonal blocks again, so what
+    stays NaN is what no fill writes.  Returns the list of (lo, hi,
+    out.shape) of every fill call."""
+    real = numerics._cholesky_in_place
+    calls = []
+
+    def in_place(dim, fill):
+        def poisoned(lo, hi, out):
+            if lo == 0:
+                assert out.base.shape == (dim, dim)
+                out.base[np.tril_indices(dim, -1)] = np.nan
+            calls.append((lo, hi, out.shape))
+            fill(lo, hi, out)
+
+        return real(dim, poisoned)
+
+    monkeypatch.setattr(module, "_cholesky_in_place", in_place)
+    return calls
+
+
+def fill_calls(m, jitter, rows):
+    """The fill calls of the documented schedule on ``m``: every row block
+    of ``rows`` rows in order, once for the plain attempt and once for
+    each jitter taken, up to the one that factored."""
+    dim = len(m)
+    attempts = 1
+    if jitter:
+        attempts = 2 + round(math.log10(jitter / (1e-12 * (np.trace(m) / dim))))
+    blocks = [(lo, min(lo + rows, dim)) for lo in range(0, dim, rows)]
+    return [(lo, hi, (hi - lo, dim - lo)) for lo, hi in blocks] * attempts
+
+
+class TestCholeskyFill:
+    """_cholesky_in_place allocates the array it factors, and its caller
+    fills only the triangle dpotrf reads, block by block, on every
+    attempt.  The entries below the row blocks are never read: poisoned
+    with NaN, they leave the factor as it was, jittered or not."""
+
+    ROWS = 16
+
+    @pytest.mark.parametrize("rank", [40, 3])
+    def test_cholesky_psd(self, monkeypatch, rng, rank):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", self.ROWS)
+        a = rng.normal(size=(40, rank))
+        m = a @ a.T
+        expected, jitter = scheduled_factor(m)
+        assert (jitter > 0) == (rank < 40) and expected is not None
+        calls = poison_below_the_blocks(monkeypatch, numerics)
+        assert np.array_equal(cholesky_psd(m), expected)
+        assert calls == fill_calls(m, jitter, self.ROWS)
+
+    @pytest.mark.parametrize("case", ["plain", "jitter"])
+    def test_sampler(self, monkeypatch, case):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", self.ROWS)
+        if case == "plain":
+            pts = build_uniform_cantor(2, 1.0 / 3.0, 6).lefts(6)[1:, None]
+        else:
+            # 1e-15 apart: plain dpotrf fails on their covariance
+            pts = (0.5 + np.arange(40) * 1e-15)[:, None]
+        assert len(np.unique(pts)) == len(pts) and pts.min() > 0
+        sn = np.linalg.norm(pts, axis=1) ** 1.4
+        m = 0.5 * (sn[:, None] + sn[None, :] - _pair_distances(pts, pts) ** 1.4)
+        expected, jitter = scheduled_factor(m)
+        assert (jitter > 0) == (case == "jitter") and expected is not None
+        calls = poison_below_the_blocks(monkeypatch, fields)
+        sampler = fields._Sampler(FieldSpec(0.7), pts, "cholesky")
+        assert np.array_equal(sampler.factor, expected)
+        assert calls == fill_calls(m, jitter, self.ROWS)
+
+    def test_a_retry_jitters_the_diagonal_alone(self):
+        # the off-diagonal -0.0 entries stay -0.0 on the jittered attempt:
+        # the factor has the bits of LAPACK's on m with jitter added to its
+        # diagonal, -0.0 below it, not those of m + jitter * I
+        from scipy.linalg.lapack import dpotrf
+
+        m = np.full((3, 3), -0.0)
+        m[0, 0] = 1.0
+        expected, jitter = scheduled_factor(m)
+        assert jitter > 0 and expected is not None
+        jittered = m.copy()
+        jittered[np.diag_indices(3)] += jitter
+        low = cholesky_psd(m)
+        assert low.tobytes() == np.tril(dpotrf(jittered, lower=1)[0]).tobytes()
+        assert np.array_equal(low, expected)
+        assert np.signbit(low[np.tril_indices(3, -1)]).all()
 
 
 class TestSeed:
