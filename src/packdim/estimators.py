@@ -22,7 +22,11 @@ kernels._coded_masses gives the table from a few rows of probabilities
 per radius, one for a mesh and two for a two-level two-scale set.  Base-2
 Cantor sets, whose offsets cost more than the walk, other atoms (centred
 grids), unequal weights, drifts that do not cancel and graph-mode sets
-with an offset distance at a window edge take the tiles.
+with an offset distance at a window edge take the tiles.  The ball masses
+have their own table, _ball_masses: on the line, with weights whose every
+sum is exact (Cantor natural measures, equal weights on 2^m atoms), it is
+numerics._run_masses, O(k log k) and with the walk's bits; other measures
+take the walk over ball_tables.
 
 Measure-a.e. quantifiers reduce the per-atom exponents to one atom's:
 reduce="min" is the literal finite-atom infimum, reduce="median" (default)
@@ -70,7 +74,7 @@ from .kernels import (
     slice_tables,
 )
 from .measures import DiscreteMeasure, _as_points
-from .numerics import _distinct_rows, _finest_third
+from .numerics import _distinct_rows, _exact_sums, _finest_third, _line_distances, _run_masses
 
 __all__ = [
     "ScaleGrid",
@@ -372,9 +376,20 @@ def dim_ball_mass(
 ) -> ExponentEstimate:
     """Exponent of r -> mu(B(x, r)) (Euclidean balls) at a representative
     atom x; the computable form of the ball-mass characterization of the
-    packing dimension of a measure."""
-    masses = partial(_mass_table, mu, ball_tables)
-    return _kernel_dim(mu, grid, masses, method, reduce)
+    packing dimension of a measure, fitted to the _ball_masses table."""
+    return _kernel_dim(mu, grid, partial(_ball_masses, mu), method, reduce)
+
+
+def _ball_masses(mu: DiscreteMeasure, radii) -> np.ndarray:
+    """The (atoms x radii) table of closed-ball masses behind dim_ball_mass.
+    On the line, with weights whose every sum is exact, it is
+    numerics._run_masses over the atoms with _pair_distances' distance:
+    each entry is then the exact mass, which the walk's contractions also
+    give, in any order, so the table has the walk's bits.  Any other
+    measure takes _mass_table's walk over ball_tables."""
+    if mu.dim == 1 and _exact_sums(mu.weights):
+        return _run_masses(mu.atoms[:, 0], mu.weights, radii, _line_distances)
+    return _mass_table(mu, ball_tables, radii)
 
 
 def dim_profile(

@@ -13,7 +13,14 @@ gathers the others; it writes the point mass at rho = 0 only into the
 lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
 every kernel table, in image and in graph mode, measures.ball_mass and the
-Cholesky sampler call it.  _distinct_rows, the distinct rows of an array, serves box
+Cholesky sampler call it; _line_distances is its twin for paired entries on
+the line.  _run_masses is the one table of closed-run masses on the line:
+rounding is monotone, so the atoms within a distance of a centre are a
+run of the sorted keys, found by a bisection that the comparison itself
+then settles, and weighed by a difference of prefix sums.  It gives
+estimators its 1-D ball masses, where _exact_sums finds every sum of the
+weights exact, and verify's check_doubling its boxes on the line, in
+Python ints.  _distinct_rows, the distinct rows of an array, serves box
 counting and the spacing guard, and through _rows_are_distinct the
 distinct-point checks of sample points and measure atoms.  It packs an
 integer row into one int64 key by its columns' bit widths, with shifts
@@ -194,6 +201,96 @@ def _pair_distances(rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         step *= step
         dist += step
     return np.sqrt(dist, out=dist)
+
+
+def _line_distances(centres: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """_pair_distances' distance between paired entries on the line: the
+    square root of the rounded square of centres - others, entry by entry,
+    so it has the bits of the (rows x atoms) table at those pairs."""
+    dist = centres - others
+    dist *= dist
+    return np.sqrt(dist, out=dist)
+
+
+def _gaps(centres: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """|centres - others| entry by entry: exact on Python ints."""
+    return np.abs(centres - others)
+
+
+def _exact_sums(weights: np.ndarray) -> bool:
+    """Whether every sum of the positive floats ``weights``, of any of
+    them in any order, is exact.  Each weight is an integer multiple of the
+    unit 2^E, the largest power of two dividing them all (from the lowest
+    set bit of each 53-bit significand, subnormals included).  If the
+    total is below 2^53 units, every partial sum is an integer below 2^53
+    times 2^E, which is a float, so no addition rounds.  The units are
+    summed in floats: a sum that stays below 2^53 is exact, and one that
+    reaches it cannot round back below, so the test is exact too."""
+    fraction, exponent = np.frexp(weights)
+    significand = np.ldexp(fraction, 53).astype(np.int64)
+    lowest = np.frexp((significand & -significand).astype(float))[1] - 1
+    unit = int((exponent - 53 + lowest).min(initial=0))
+    with np.errstate(over="ignore"):
+        units = np.ldexp(weights, -unit)
+    return bool(units.sum() < 2.0**53)
+
+
+def _run_masses(keys: np.ndarray, weights: np.ndarray, halves, distance=_gaps) -> np.ndarray:
+    """The (atoms x halves) table whose entry (i, b) is the total weight of
+    the atoms k with distance(keys[i], keys[k]) <= halves[b], for atoms on
+    the line: the 1-D counterpart of verify._box_masses, in O(k log k) per
+    half-width, in the arrays' own dtype (floats or Python ints).
+
+    ``distance`` must be nondecreasing in |keys[i] - keys[k]| as rounded;
+    _gaps is exact on ints, and _line_distances, the ball's, rounds as
+    _pair_distances does.  Rounding is monotone, so the atoms inside are
+    one run of the sorted keys around keys[i], and the entry is a
+    difference of two prefix sums of the sorted weights.  Each end of a run
+    is found by a bisection for keys[i] -/+ halves[b], then moved one atom
+    at a time until the comparison itself puts it between an atom inside
+    and one outside: the membership is distance's, whatever the rounding
+    of the bisected bound.  The prefix sums and their differences are
+    exact on ints, and on floats whose sums are (_exact_sums); other float
+    weights would round otherwise than a table's contraction does."""
+    k = len(keys)
+    order = np.argsort(keys, kind="stable")
+    line = keys[order]
+    prefix = np.zeros(k + 1, dtype=weights.dtype)
+    np.cumsum(weights[order], out=prefix[1:])
+    halves = np.asarray(halves, dtype=keys.dtype)
+    table = np.empty((k, len(halves)), dtype=weights.dtype)
+    # one half-width at a time, so the temporaries are O(k); the run is
+    # [first, end): the keys below its centre and outside, then those
+    # inside, then the keys above and outside
+    for b, h in enumerate(halves):
+        end = _settle(
+            np.searchsorted(line, keys + h, side="right"),
+            lambda i, j: (line[j] <= keys[i]) | (distance(keys[i], line[j]) <= h),
+        )
+        first = _settle(
+            np.searchsorted(line, keys - h, side="left"),
+            lambda i, j: (line[j] < keys[i]) & (distance(keys[i], line[j]) > h),
+        )
+        table[:, b] = prefix[end] - prefix[first]
+    return table
+
+
+def _settle(edge: np.ndarray, before) -> np.ndarray:
+    """Move every guess edge[i] in 0..k, k = len(edge), to the first index
+    j at which before(i, j) fails, k if it holds throughout, one step at a
+    time; before must hold on a prefix of 0..k-1 for each i."""
+    k = len(edge)
+    lanes = np.arange(k)
+    while len(lanes):
+        j = edge[lanes]
+        up = j < k
+        up[up] = before(lanes[up], j[up])
+        down = ~up & (j > 0)
+        down[down] = ~before(lanes[down], j[down] - 1)
+        edge[lanes[up]] += 1
+        edge[lanes[down]] -= 1
+        lanes = lanes[up | down]
+    return edge
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:

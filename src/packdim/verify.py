@@ -11,8 +11,12 @@ Both doubling checks read their closed-box masses from one table,
 _box_masses, which takes the atoms in row blocks whose masks hold at most
 _BLOCK_ENTRIES entries: O(k^2) time, memory linear in the atoms k.
 check_doubling hands it integer keys and weights, so every membership,
-sum and comparison is exact; check_scale_doubling hands it the float
-atoms and weights, which it compares as rect_mass does.
+sum and comparison is exact; on the line it reads the same masses from
+numerics._run_masses instead, as runs of the sorted integer keys, in
+O(k log k).  check_scale_doubling hands _box_masses the float atoms and
+weights, which it compares as rect_mass does, and refuses a scan whose
+one row would hold more than _SCAN_ENTRIES mask entries.  The interval
+bound scans rho, a and r on broadcast axes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .measures import (
     DiscreteMeasure,
     rect_mass,  # noqa: F401  (wrapped by the benchmark tracer, bench/worker.py)
 )
-from .numerics import gaussian_interval_prob
+from .numerics import _run_masses, gaussian_interval_prob
 
 __all__ = [
     "CheckReport",
@@ -79,6 +83,10 @@ def _dyadic_ints(values) -> tuple[np.ndarray, int]:
 # The mask and difference entries one row block of _box_masses holds.
 _BLOCK_ENTRIES = 2**16
 
+# The most mask entries check_scale_doubling's scan may put in one row of
+# _box_masses, boxes x atoms x d: 64 MiB of booleans.
+_SCAN_ENTRIES = 2**26
+
 
 def _box_masses(keys: np.ndarray, weights: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """The (atoms x boxes) table whose entry (i, b) is the total weight of
@@ -117,7 +125,11 @@ def check_doubling(nu: DiscreteMeasure, r: float, lambdas, M: float) -> CheckRep
     # sides sit at scale cs * rs * ls.
     keys = flat.reshape(-1, d) * (rs * ls)
     halves = r_int * cs * np.array([[ls] * d, lam_ints], dtype=object)
-    small, big = _box_masses(keys, weights, halves).T
+    # on the line a box is a run of the sorted atoms
+    if d == 1:
+        small, big = _run_masses(keys[:, 0], weights, halves[:, 0]).T
+    else:
+        small, big = _box_masses(keys, weights, halves).T
     # big/ws >= (m/ms) * small/ws
     lhs_int = int(weights[big * ms >= m_int * small].sum())
     lam_prod = math.prod(lam_ints)
@@ -162,6 +174,14 @@ def check_scale_doubling(
     if not np.all((1.0 <= mult) & (mult < math.inf)):
         raise InvalidArgumentError("h multipliers must be finite and >= 1 (h_i >= r^a)")
     d = nu.dim
+    # Python ints, so a count past int64 is refused, not wrapped; the scan
+    # has ceil(n_scales) scales
+    boxes = math.ceil(n_scales) * (1 + len(mult) ** d)
+    if boxes * nu.count * d > _SCAN_ENTRIES:
+        raise InvalidArgumentError(
+            f"the scan weighs {boxes} boxes around {nu.count} atoms in {d} coordinates, "
+            f"{boxes * nu.count * d} mask entries a row; at most {_SCAN_ENTRIES} are supported"
+        )
     combos = np.stack(
         np.meshgrid(*([mult] * d), indexing="ij"), axis=-1
     ).reshape(-1, d)
@@ -260,7 +280,8 @@ def _interval_bound_ratios(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]
     rhos = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, n)])
     cents = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, n)])
     rs = np.geomspace(1e-6, c * (1.0 - 1e-9), n)
-    R, A, RAD = np.meshgrid(rhos, cents, rs, indexing="ij")
+    # the (rho, a, r) scan on broadcast axes, the powers on the axes alone
+    R, A, RAD = rhos[:, None, None], cents[None, :, None], rs[None, None, :]
     prob = gaussian_interval_prob(R, A, RAD)
     rb, radb = R**beta, RAD**beta
     # a = rho = 0 sends the comparison power to infinity; the ratio there is
@@ -271,14 +292,15 @@ def _interval_bound_ratios(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]
     # constant below 8; rho = 0 is exact.  The first case that holds names
     # the entry, 0 where none does or rho = 0.
     live = R > 0
-    case = np.select(
-        [live & (rb <= A) & (A <= radb), live & (A <= rb) & (R <= RAD),
-         live & (A <= rb) & (RAD < R), live & (A >= np.maximum(rb, radb))],
-        [1, 2, 3, 4],
-    )
+    cases = [live & (rb <= A) & (A <= radb), live & (A <= rb) & (R <= RAD),
+             live & (A <= rb) & (RAD < R), live & (A >= np.maximum(rb, radb))]
     # the ratios are >= 0, so a case no entry falls in keeps its 0
     maxima = np.zeros(5)
-    np.maximum.at(maxima, case.ravel(), ratios.ravel())
+    named = np.zeros(ratios.shape, dtype=bool)
+    for c, holds in enumerate(cases, start=1):
+        maxima[c] = ratios.max(where=holds & ~named, initial=0.0)
+        named |= holds
+    maxima[0] = ratios.max(where=~named, initial=0.0)
     return ratios, maxima
 
 

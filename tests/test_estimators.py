@@ -232,6 +232,46 @@ class TestDimBallMass:
         with pytest.raises(InvalidArgumentError):
             dim_ball_mass(thirds_measure(8), ScaleGrid(2, 6, 3.0), reduce="mean")
 
+    @staticmethod
+    def ball_table_calls(monkeypatch):
+        calls = []
+        real = estimators.ball_tables
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "ball_tables", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "mu",
+        [thirds_measure(), centered_grid(1024)],
+        ids=["thirds", "uniform-1024"],
+    )
+    def test_exact_sums_on_the_line_take_the_runs(self, monkeypatch, mu):
+        radii = ScaleGrid(2, 7).radii
+        walk = estimators._mass_table(mu, estimators.ball_tables, radii)
+        calls = self.ball_table_calls(monkeypatch)
+        assert estimators._ball_masses(mu, radii).tobytes() == walk.tobytes()
+        dim_ball_mass(mu, ScaleGrid(2, 7))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["non-dyadic", "plane"])
+    def test_other_measures_take_the_walk(self, monkeypatch, case):
+        # 600 atoms: five row blocks of 128, one call per tile on or above
+        # the diagonal.  The plane's weights 2^-9 sum exactly, its d does not
+        # fit the runs.
+        rng = np.random.default_rng(3)
+        if case == "non-dyadic":
+            w = rng.random(600)
+            mu = DiscreteMeasure(rng.random((600, 1)), w / w.sum())
+        else:
+            mu = DiscreteMeasure(rng.random((512, 2)), np.full(512, 2.0**-9))
+        calls = self.ball_table_calls(monkeypatch)
+        dim_ball_mass(mu, ScaleGrid(2, 5))
+        assert len(calls) == {"non-dyadic": 15, "plane": 10}[case]
+
 
 class TestDimProfile:
     def test_beta_above_dimension(self):

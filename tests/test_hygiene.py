@@ -31,7 +31,9 @@ calls build_uniform_cantor, build_tx_system or realize_explicit.  And the
 run reads what the load built: in experiment.py only validate and
 _set_system call scale_grid, drift_spec, _mesh_points or natural_measure.
 And verify weighs closed boxes around atoms in one place: in verify.py
-only _box_masses takes a difference of atoms against atoms.
+only _box_masses takes a difference of atoms against atoms.  And only
+numerics._run_masses finds closed runs of sorted keys (a right-sided
+bisection) and weighs them by prefix-sum differences.
 
 Every name packdim exports, its own __all__ and that of each module it
 star-imports, and every public method and property of the classes among
@@ -657,10 +659,89 @@ def _atom_difference(node: ast.AST) -> bool:
     return _root(node.left) == _root(node.right) or (len(indices) == 2 and len(set(indices)) == 1)
 
 
+def _root_name(node: ast.expr) -> str | None:
+    """The name an array expression reads, through subscripts and
+    attributes: ``cum`` for cum[1:] and for cum[1:].T."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def closed_runs(path: Path) -> list[str]:
+    """The functions that find a closed run of sorted keys, by a
+    searchsorted(..., side="right") or a bisect_right, or that take a
+    prefix-sum difference: one array read at two subscripts and subtracted,
+    where the function binds that array to a cumsum or an accumulate, or
+    has a cumsum write into it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        prefix = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and any(
+                _calls(n, "cumsum") or _calls(n, "accumulate") for n in ast.walk(node.value)
+            ):
+                prefix |= {_root_name(t) for t in node.targets}
+            if _calls(node, "cumsum"):
+                prefix |= {_root_name(k.value) for k in node.keywords if k.arg == "out"}
+        prefix.discard(None)
+        for node in ast.walk(fn):
+            closed = _calls(node, "bisect_right") or _calls(node, "searchsorted") and any(
+                k.arg == "side" and getattr(k.value, "value", None) == "right" for k in node.keywords
+            )
+            difference = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Sub)
+                and all(
+                    isinstance(side, ast.Subscript) and _root_name(side) in prefix
+                    for side in (node.left, node.right)
+                )
+            )
+            if closed or difference:
+                hits.add(f"{fn.lineno}: {fn.name}")
+    return sorted(hits)
+
+
 def test_one_box_mass_table():
-    # both doubling checks read their box masses from _box_masses
+    # both doubling checks read their box masses from _box_masses, or on
+    # the line from numerics._run_masses, the one place that finds closed
+    # runs of sorted keys and weighs them by prefix sums
     verify = ROOT / "src" / "packdim" / "verify.py"
     assert [hit.split(": ")[-1] for hit in owners(verify, _atom_difference)] == ["_box_masses"]
+    runs = {(path.name, hit.split(": ")[-1]) for path in PACKAGE for hit in closed_runs(path)}
+    assert runs == {("numerics.py", "_run_masses")}
+
+
+def test_scan_flags_a_stray_closed_run(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import bisect, itertools\n"
+        "import numpy as np\n"
+        "def _run_masses(keys, weights, halves):\n"
+        "    prefix = np.zeros(len(keys) + 1)\n"
+        "    np.cumsum(weights, out=prefix[1:])\n"
+        "    return prefix[end] - prefix[first]\n"
+        "def check_doubling(line, cum, keys, h):\n"
+        "    hi = np.searchsorted(line, keys + h, side='right')\n"
+        "    return hi\n"
+        "def inline_sums(line, w, lo, hi):\n"
+        "    cum = np.concatenate([[0.0], np.cumsum(w)])\n"
+        "    return cum[hi] - cum[lo]\n"
+        "def python_runs(line, w, x, h):\n"
+        "    sums = list(itertools.accumulate(w, initial=0))\n"
+        "    return sums[bisect.bisect_left(line, x + h)] - sums[0]\n"
+        "def pure_bisect(line, x, h):\n"
+        "    return bisect.bisect_right(line, x + h)\n"
+        "def median(w, order):\n"
+        "    cum = np.cumsum(w[order])\n"
+        "    return order[np.searchsorted(cum, 0.5)], cum[-1], np.diff(cum), w[1] - w[0]\n",
+        encoding="utf-8",
+    )
+    assert closed_runs(probe) == [
+        "10: inline_sums", "13: python_runs", "16: pure_bisect", "3: _run_masses", "7: check_doubling",
+    ]
 
 
 def test_scan_flags_a_stray_box_mask(tmp_path):

@@ -1,5 +1,6 @@
 """Scalar numerics: Gaussian interval probabilities, the PSD Cholesky
-wrapper, and seed streams.
+wrapper, seed streams, and closed-run masses on the line, which must equal
+the dense tables they replace bit for bit.
 
 The high-precision reference constants were computed with mpmath at 50
 digits and frozen here; the library must match them to near machine
@@ -19,17 +20,23 @@ from conftest import scheduled_factor
 from hypothesis import given, strategies as st
 
 from packdim import (
+    DiscreteMeasure,
     FieldSpec,
     InvalidArgumentError,
     NotPositiveSemidefiniteError,
     Seed,
     build_uniform_cantor,
     cholesky_psd,
+    estimators,
     fields,
     gaussian_interval_prob,
+    kernels,
+    natural_measure,
     numerics,
+    verify,
 )
-from packdim.numerics import _pair_distances
+from packdim.measures import _uniform
+from packdim.numerics import _exact_sums, _line_distances, _pair_distances, _run_masses
 
 TWO_PHI_196 = 0.9500042097035591317268315  # 2*Phi(1.96) - 1
 PHI2_MINUS_PHI1 = 0.1359051219832778442144848
@@ -261,6 +268,102 @@ class TestPairDistances:
         got = _pair_distances(rows, atoms)
         assert got.tobytes() == expected.tobytes()
         assert got[5, 60] == got[17, 61] == 0.0
+
+
+def dyadic_line(seed):
+    """An unsorted measure on the line whose weights sum to exactly 1 in
+    units of a power of two, and 1 to 5 radii from 2^-1 to 2^-20.  Beside
+    random atoms, some atoms x0 get companions at exactly x0 - r and x0 + r
+    and one ulp on either side of those, for every radius r."""
+    rng = np.random.default_rng(seed)
+    radii = 2.0 ** -np.sort(rng.choice(np.arange(1, 21), int(rng.integers(1, 6)), replace=False))
+    x = rng.random(int(rng.integers(1, 40)))
+    for x0 in rng.choice(x, min(3, len(x)), replace=False):
+        for edge in np.concatenate([x0 - radii, x0 + radii]):
+            x = np.append(x, [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)])
+    x = np.unique(x)
+    rng.shuffle(x)
+    units = rng.integers(1, 2**12, len(x))
+    total = 2 ** int(units[:-1].sum()).bit_length()
+    units[-1] = total - units[:-1].sum()
+    return DiscreteMeasure(x[:, None], units / total), radii
+
+
+class TestRunMasses:
+    @given(st.integers(0, 2**31 - 1))
+    def test_balls_are_the_walk_bit_for_bit(self, seed):
+        mu, radii = dyadic_line(seed)
+        assert _exact_sums(mu.weights)
+        walk = estimators._mass_table(mu, kernels.ball_tables, radii)
+        runs = _run_masses(mu.atoms[:, 0], mu.weights, radii, _line_distances)
+        assert runs.tobytes() == walk.tobytes()
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_gaps_are_the_box_table_bit_for_bit(self, seed):
+        mu, radii = dyadic_line(seed)
+        boxes = verify._box_masses(mu.atoms, mu.weights, radii[:, None])
+        assert _run_masses(mu.atoms[:, 0], mu.weights, radii).tobytes() == boxes.tobytes()
+        # on Python ints, as check_doubling hands them over
+        keys = np.array([int(v * 2**60) for v in mu.atoms[:, 0]], dtype=object)
+        weights = np.array([int(w * 2**40) for w in mu.weights], dtype=object)
+        halves = np.array([int(r * 2**60) for r in radii], dtype=object)
+        runs = _run_masses(keys, weights, halves)
+        assert runs.dtype == object
+        assert (runs == verify._box_masses(keys[:, None], weights, halves[:, None])).all()
+
+    def test_edges_of_the_closed_run(self):
+        x = np.array([0.5, 0.25, 0.75, np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0), 0.625])
+        w = np.array([1, 2, 4, 8, 16, 32], dtype=float) / 64
+        (row,) = _run_masses(x[:1], w[:1], [0.25], _line_distances)
+        assert row == w[0]
+        table = _run_masses(x, w, [0.25], _line_distances)
+        # 0.25 and 0.75 lie on the ball around 0.5.  0.5 minus the float
+        # below 0.25 is 0.25 + 2^-55, a tie that rounds to 0.25: inside.
+        # The float above 0.75 less 0.5 is 0.25 + 2^-53 exactly: outside.
+        assert table[0, 0] == (1 + 2 + 4 + 8 + 32) / 64
+        dist = _pair_distances(x[:, None], x[:, None])
+        assert table.tobytes() == ((dist <= 0.25) @ w)[:, None].tobytes()
+
+    def test_the_comparison_is_the_distance_not_the_bound(self):
+        # around 1 with h = 3 * 2^-54 the bisected bound 1 + h rounds up to
+        # the atom 1 + 2^-52, which lies 2^-52 > h from 1
+        x = np.array([1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51])
+        w = np.array([0.25, 0.25, 0.5])
+        h = 3 * 2.0**-54
+        assert 1.0 + h == x[1]
+        dist = _pair_distances(x[:, None], x[:, None])
+        expected = ((dist <= h) @ w)[:, None]
+        assert expected[0, 0] == 0.25
+        assert _run_masses(x, w, [h], _line_distances).tobytes() == expected.tobytes()
+
+
+class TestExactSums:
+    @pytest.mark.parametrize(
+        "weights, exact",
+        [
+            ([1.0], True),
+            ([0.75, 0.25], True),
+            ([0.5, 0.25, 2.0**-40], True),
+            # 2^53 - 1 units of 2^-53, then exactly 2^53
+            ([1.0 - 2.0**-52, 2.0**-53], True),
+            ([1.0 - 2.0**-53, 2.0**-53], False),
+            # 2^60 + 1 units of 2^-60
+            ([1.0, 2.0**-60], False),
+            ([1.0 / 3.0, 2.0 / 3.0], False),
+            # subnormal weights, in units of 2^-1074
+            ([5e-324, 1e-320, 2.0**-1030], True),
+            ([2.0**-1074, 1.0], False),
+            ([2.0**-1022, 2.0**-1074], True),
+        ],
+    )
+    def test_cases(self, weights, exact):
+        assert _exact_sums(np.array(weights)) is exact
+
+    def test_the_measures_that_take_the_runs(self):
+        cantor = build_uniform_cantor(2, 1.0 / 3.0, 12)
+        assert _exact_sums(natural_measure(cantor, 12).weights)
+        assert _exact_sums(_uniform(np.arange(2**10, dtype=float)).weights)
+        assert not _exact_sums(_uniform(np.arange(1000, dtype=float)).weights)
 
 
 class TestCholeskyPsd:

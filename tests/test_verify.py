@@ -3,6 +3,7 @@ integration by parts, the Gaussian interval bound, and the graph
 expected-mass bound on extracted subsystems."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestDoublingAgainstFractions:
         assert [report_bits(check(*args)) for check, args in calls] == blocked
 
 
+def test_doubling_on_the_line_reads_the_runs(monkeypatch):
+    # d = 1 weighs runs of sorted keys; d >= 2 keeps the box table
+    dims = []
+    real = verify._box_masses
+    monkeypatch.setattr(verify, "_box_masses", lambda keys, *rest: dims.append(keys.shape[1]) or real(keys, *rest))
+    for nu, r, lam, M in doubling_cases():
+        check_doubling(nu, r, lam, M)
+    assert set(dims) == {2, 3}
+
+
 def scale_doubling_reference(nu, a, eps, r0, n_scales, h_multipliers):
     """check_scale_doubling as a loop of rect_mass calls, one per box."""
     mult = np.asarray(h_multipliers, dtype=float)
@@ -281,6 +292,31 @@ class TestCheckScaleDoubling:
             check_scale_doubling(mu, 0.5, 0.5, 0.75)
         with pytest.raises(InvalidArgumentError):
             check_scale_doubling(mu, 0.5, 0.5, 0.125, h_multipliers=(0.5,))
+
+    def test_oversize_scans_are_refused_by_name(self, monkeypatch):
+        # d = 8 with the default four multipliers and 10 scales: 655370
+        # boxes, 1.3e9 mask entries in one row of 256 atoms; refused before
+        # any table is built
+        nu = DiscreteMeasure(np.random.default_rng(1).random((256, 8)), np.full(256, 2.0**-8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError) as info:
+                check_scale_doubling(nu, 0.5, 0.5, 0.125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "the scan weighs 655370 boxes around 256 atoms in 8 coordinates, "
+            "1342197760 mask entries a row; at most 67108864 are supported"
+        )
+        assert peak < 2**20
+        # the scan of verify --check all holds 50 x 256 entries a row
+        grid = DiscreteMeasure(np.arange(256, dtype=float)[:, None] / 256.0, np.full(256, 2.0**-8))
+        monkeypatch.setattr(verify, "_SCAN_ENTRIES", 50 * 256)
+        assert check_scale_doubling(grid, 0.5, 0.5, 0.125).passed
+        monkeypatch.setattr(verify, "_SCAN_ENTRIES", 50 * 256 - 1)
+        with pytest.raises(InvalidArgumentError, match="the scan weighs 50 boxes around 256 atoms"):
+            check_scale_doubling(grid, 0.5, 0.5, 0.125)
 
     @pytest.mark.parametrize(
         "eps, mult", [(0.5, (1.0, math.nan)), (math.inf, (1.0,))], ids=["nan-multiplier", "eps-inf"]
