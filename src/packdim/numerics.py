@@ -8,9 +8,9 @@ erfc terms, so that no tail cancels: an entry of 1e-19 keeps its relative
 accuracy.  Its centred path, a = 0, the case of every kernel table whose
 drift cancels, takes one erf per entry and returns the general formula's
 values bit for bit.  The general path, every drifted kernel table,
-computes the form most entries take in place over all of them, and
-gathers the others; it writes the point mass at rho = 0 only into the
-lanes that need it.  _pair_distances, a running sum of squared
+computes the erf form in place over every entry and the erfc form over
+the tail entries it gathers; it writes the point mass at rho = 0 only
+into the lanes that need it.  _pair_distances, a running sum of squared
 coordinate differences, is the one rows-against-atoms Euclidean distance:
 every kernel table, in image and in graph mode, measures.ball_mass and the
 Cholesky sampler call it; _line_distances is its twin for paired entries on
@@ -70,8 +70,9 @@ _SQRT2 = math.sqrt(2.0)
 def gaussian_interval_prob(rho, a, r):
     """P(rho * N lies in the closed ball B(a, r)) for N standard normal.
 
-    rho >= 0 and r >= 0 are required.  The degenerate case rho == 0 is the
-    point mass at 0: the probability is 1 exactly when |a| <= r, else 0.
+    rho >= 0 and r >= 0 are required; a NaN r is refused.  The degenerate
+    case rho == 0 is the point mass at 0: the probability is 1 exactly when
+    |a| <= r, else 0.
     Symmetric in a -> -a by construction (only |a| enters).
 
     With s = rho sqrt 2, an entry takes one of two forms of the same value:
@@ -87,11 +88,14 @@ def gaussian_interval_prob(rho, a, r):
     form is the cheaper there, as erf of an argument below 1 is a
     polynomial and erfc is 1 - erf.  Each form is nondecreasing in r.
 
-    The form most entries take is computed in place over all of them; the
-    entries of the other form are gathered by their flat indices first and
-    computed apart.  The lanes where rho > 0 fails (0, -0 and NaN) divide
-    by rho too, and are then overwritten with the point mass; a call whose
-    rho are all positive skips that pass.
+    The erf form is computed in place over every entry.  The entries of
+    the erfc form, where (r - |a|) / s > -1 fails, NaN included, are
+    gathered by their flat indices first, zeroed for the erf pass and
+    overwritten by the erfc form computed apart; a call mostly in the tail
+    thus pays an erf pass over entries it discards.  The lanes where
+    rho > 0 fails (0, -0 and NaN) divide by rho too, and are then
+    overwritten with the point mass; a call whose rho are all positive
+    skips that pass.
 
     a the scalar 0 takes a short path with one special function per entry:
     erf(r / s).  It equals the general formula bit for bit, as 0 + r and
@@ -106,7 +110,8 @@ def gaussian_interval_prob(rho, a, r):
     rho_min = rho.min(initial=math.inf)
     if rho_min < 0:
         raise InvalidArgumentError("rho must be nonnegative")
-    if r.min(initial=math.inf) < 0:
+    # NaN fails this too
+    if not r.min(initial=math.inf) >= 0:
         raise InvalidArgumentError("r must be nonnegative")
 
     shape = np.broadcast(rho, a, r).shape
@@ -124,60 +129,32 @@ def gaussian_interval_prob(rho, a, r):
         else:
             low = np.subtract(r, a, out=np.empty(shape))
             low /= scale
-            # the erf form where (r - |a|) / s > -1; a NaN, which fails both
-            # reductions, takes the erfc form
-            if low.min(initial=math.inf) > -1.0:
-                count = low.size
-            elif low.max(initial=-math.inf) <= -1.0:
-                count = 0
-            else:
-                by_erf = np.greater(low, -1.0)
-                count = np.count_nonzero(by_erf)
-            erf_first = 2 * count >= low.size
-            if not erf_first:
+            # the erfc form's lanes, where (r - |a|) / s > -1 fails, NaN
+            # included, are gathered, not masked: scipy 1.17's special
+            # ufuncs mishandle where= (wrong values, or a crash)
+            tail = None
+            if not low.min(initial=math.inf) > -1.0:
+                tail = np.flatnonzero(~(low > -1.0))
+                tail_high, tail_low = high.reshape(-1)[tail], low.reshape(-1)[tail]
                 # the erfc form reads (|a| - r) / s, the exact negation
-                np.negative(low, out=low)
-            # the other form's entries are gathered, not masked: scipy
-            # 1.17's special ufuncs mishandle where= (wrong values, or a
-            # crash)
-            other = None
-            if 0 < count < low.size:
-                other = np.not_equal(by_erf, erf_first).reshape(-1).nonzero()[0]
-                other_high, other_low = high.reshape(-1)[other], low.reshape(-1)[other]
-                np.negative(other_low, out=other_low)
-                # 0, where erf and erfc are cheapest, until they are overwritten
-                high.reshape(-1)[other] = low.reshape(-1)[other] = 0.0
-            first, second = (_erf_form, _erfc_form) if erf_first else (_erfc_form, _erf_form)
-            out = first(high, low)
-            if other is not None:
-                out.reshape(-1)[other] = second(other_high, other_low)
+                np.negative(tail_low, out=tail_low)
+                # 0, where erf is cheapest, until they are overwritten
+                high.reshape(-1)[tail] = low.reshape(-1)[tail] = 0.0
+            from scipy.special import erf, erfc
+
+            out = erf(high, out=high)
+            out += erf(low, out=low)
+            out *= 0.5
+            if tail is not None:
+                erfc(tail_low, out=tail_low)
+                tail_low -= erfc(tail_high, out=tail_high)
+                tail_low *= 0.5
+                out.reshape(-1)[tail] = tail_low
     if not rho_min > 0:
         np.copyto(out, np.less_equal(a, r), where=np.logical_not(rho > 0))
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _erf_form(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """(erf(high) + erf(low)) / 2, for high = (r + |a|) / s and low =
-    (r - |a|) / s, written over both; the result is ``high``."""
-    from scipy.special import erf
-
-    erf(high, out=high)
-    high += erf(low, out=low)
-    high *= 0.5
-    return high
-
-
-def _erfc_form(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """(erfc(low) - erfc(high)) / 2, for high = (|a| + r) / s and low =
-    (|a| - r) / s, written over both; the result is ``low``."""
-    from scipy.special import erfc
-
-    erfc(low, out=low)
-    low -= erfc(high, out=high)
-    low *= 0.5
-    return low
 
 
 def _finest_third(count: int) -> range:

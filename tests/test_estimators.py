@@ -385,9 +385,12 @@ print(hashlib.sha256(tables[0].tobytes()).hexdigest(), est.value.hex())
 
 
 # The tile walk on 2500 centred atoms, which no mesh fits: 19 tiles and a
-# partial one.  V is read as _mass_table returns it.  The ball and profile
-# walks on a 2048-atom Cantor measure, with its own and non-dyadic weights,
-# contract constant tables through the all-ones gemv.
+# partial one.  V is read as the estimator fits it: the last table
+# _mass_table or _ball_masses returned.  On a 2048-atom Cantor measure with
+# its own weights, whose every sum is exact, the ball masses are
+# _run_masses' closed runs; with non-dyadic weights they are the walk's,
+# and the profile walk, on both, contracts constant tables through the
+# all-ones gemv.
 THREADED_TILES = """
 import hashlib
 import numpy as np
@@ -396,8 +399,10 @@ from packdim import (
     estimators, fractals,
 )
 tables = []
-walk = estimators._mass_table
-estimators._mass_table = lambda *args: tables.append(walk(*args)) or tables[-1]
+def record(table):
+    return lambda *args: tables.append(table(*args)) or tables[-1]
+estimators._mass_table = record(estimators._mass_table)
+estimators._ball_masses = record(estimators._ball_masses)
 k = 2500
 t = (np.arange(k) / k + 1 / (2 * k)).reshape(-1, 1)
 mu = DiscreteMeasure(t, np.full(k, 1 / k))

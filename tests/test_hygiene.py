@@ -15,11 +15,14 @@ the drift case split of the field kernel once: only kernels.field_tables
 and its coded-set shortcut kernels._coded_masses call _drift_cancels(), and
 only estimators._field_masses, the one expected-mass table, passes
 field_tables to _mass_table.  And it factors a matrix in one place: only
-numerics._cholesky_in_place calls LAPACK's dpotrf.  And kernels reaches the Gaussian interval probability
-only by calling its module-level name gaussian_interval_prob, the binding
-the benchmark wraps, and only in field_tables.  And it orders box-counting
-cells on single keys: np.lexsort is called only by numerics._distinct_rows,
-and a row-wise np.unique(..., axis=...) only where its inverse is read.
+numerics._cholesky_in_place calls LAPACK's dpotrf.  And it evaluates the
+Gaussian interval probability in one place: only
+numerics.gaussian_interval_prob calls scipy's erf, erfc or ndtr.  And
+kernels reaches that probability only by calling its module-level name
+gaussian_interval_prob, the binding the benchmark wraps, and only in
+field_tables.  And it orders box-counting cells on single keys:
+np.lexsort is called only by numerics._distinct_rows, and a row-wise
+np.unique(..., axis=...) only where its inverse is read.
 And it stamps its outputs in one place each: only experiment._csv_text
 calls _stamp, the comment line that opens every CSV output, and only
 experiment._stamped writes a "config_hash" key.  And it builds estimates
@@ -313,6 +316,44 @@ def test_scan_flags_a_stray_field_walk(tmp_path):
         encoding="utf-8",
     )
     assert owners(probe, _field_walk) == ["1: _field_masses", "3: stray", "<module>"]
+
+
+# what the probability is computed with below gaussian_interval_prob
+_PROBABILITY_PARTS = {"erf", "erfc", "ndtr"}
+
+
+def _special_probability(node: ast.AST) -> bool:
+    """A call of scipy's erf, erfc or ndtr, bare or as an attribute."""
+    return any(_calls(node, name) for name in _PROBABILITY_PARTS)
+
+
+def test_one_probability_site():
+    assert {
+        (path.name, hit.split(": ")[-1])
+        for path in PACKAGE
+        for hit in owners(path, _special_probability)
+    } == {("numerics.py", "gaussian_interval_prob")}
+
+
+def test_scan_flags_a_stray_probability_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from scipy import special\n"
+        "from scipy.special import erf, erfc\n"
+        "def gaussian_interval_prob(rho, a, r):\n"
+        "    return erf(r / rho) + erfc(a / rho)\n"
+        "def stray(x):\n"
+        "    return 0.5 * special.erfc(-x)\n"
+        "def reads_the_name():\n"
+        "    return erf\n"
+        "def cdf(x):\n"
+        "    return special.ndtr(x)\n"
+        "half = erf(0.5)\n",
+        encoding="utf-8",
+    )
+    assert owners(probe, _special_probability) == [
+        "3: gaussian_interval_prob", "5: stray", "9: cdf", "<module>"
+    ]
 
 
 def test_one_factorization_site():
@@ -758,10 +799,6 @@ def test_scan_flags_a_stray_box_mask(tmp_path):
         encoding="utf-8",
     )
     assert owners(probe, _atom_difference) == ["1: _box_masses", "3: stray", "5: pairs"]
-
-
-# what the probability is computed with below gaussian_interval_prob
-_PROBABILITY_PARTS = {"erf", "erfc", "ndtr", "_erf_form", "_erfc_form"}
 
 
 def probability_routes(path: Path) -> list[str]:

@@ -210,14 +210,19 @@ class TestGeneralPathInPlace:
 
 def _pin_inputs(name):
     """(rho, a, r) of a drifted tile whose lanes all take the erf form, of
-    one whose lanes all take the erfc form, and of verify's interval-bound
-    grid at 48 points per axis, whose lanes split between the two, with
-    its rho = 0 lanes and one NaN rho."""
+    one whose lanes all take the erfc form, of one whose lanes mostly take
+    the erfc form, with a rho = 0 row and a NaN drift column, and of
+    verify's interval-bound grid at 48 points per axis, whose lanes split
+    between the two, with its rho = 0 lanes and one NaN rho."""
     if name == "all-erf":
         return np.geomspace(0.1, 1.0, 40)[:, None], np.linspace(-0.3, 0.3, 41)[None, :], 0.2
     if name == "all-erfc":
         a = np.concatenate([-np.linspace(1.0, 3.0, 20), np.linspace(1.0, 3.0, 21)])
         return np.geomspace(1e-3, 0.05, 40)[:, None], a[None, :], 0.2
+    if name == "tail-majority":
+        rho = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 39)])
+        a = np.concatenate([np.linspace(-3.0, 3.0, 40), [np.nan]])
+        return rho[:, None], a[None, :], 0.2
     c = 2.0 ** (-1.0 / (1.0 - 0.5))
     rhos = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 48), [np.nan]])
     cents = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, 48)])
@@ -225,9 +230,17 @@ def _pin_inputs(name):
     return tuple(np.meshgrid(rhos, cents, rs, indexing="ij"))
 
 
+def _erf_lanes(name):
+    """The lanes of a pinned input in the erf form, (r - |a|) / s > -1."""
+    rho, a, r = _pin_inputs(name)
+    with np.errstate(all="ignore"):
+        return (r - np.abs(a)) / (rho * np.sqrt(2.0)) > -1.0
+
+
 class TestPinnedBytes:
     """The sha256 of gaussian_interval_prob's output on fixed inputs, as
-    the function wrote them before its split path was rewritten."""
+    the function wrote them before its split path was rewritten (the
+    tail-majority one before it took one evaluation order)."""
 
     # name: (output shape, share of erf-form lanes, sha256 of the output)
     PINS = {
@@ -236,6 +249,11 @@ class TestPinnedBytes:
         ),
         "all-erfc": (
             (40, 41), 0.0, "76479b52c91149c7ff519e1779013e7d840d9b425ee9d28e7e5b4a9286dbb543",
+        ),
+        "tail-majority": (
+            (40, 41),
+            0.12560975609756098,
+            "984077cc55ad1a68a94e7def2013c68ccb198f7a3f9373ebd2fee3dd453bc38a",
         ),
         "split": (
             (50, 49, 48),
@@ -247,13 +265,33 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_output_bytes(self, name):
         shape, erf_share, digest = self.PINS[name]
-        rho, a, r = np.broadcast_arrays(*_pin_inputs(name))
-        # the share of lanes in the erf form, (r - |a|) / s > -1
-        with np.errstate(all="ignore"):
-            assert np.mean((r - np.abs(a)) / (rho * np.sqrt(2.0)) > -1.0) == erf_share
+        assert np.mean(_erf_lanes(name)) == erf_share
         got = gaussian_interval_prob(*_pin_inputs(name))
         assert got.shape == shape
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
+class TestOneEvaluationOrder:
+    """The general path computes the erf form over every lane, and the
+    erfc form only over the lanes it gathers, however few take the erf
+    form."""
+
+    @pytest.mark.parametrize("name", sorted(TestPinnedBytes.PINS))
+    def test_erf_over_every_lane_and_erfc_over_the_tail(self, name, monkeypatch):
+        import scipy.special
+
+        sizes = {"erf": [], "erfc": []}
+        for fn in sizes:
+            ufunc = getattr(scipy.special, fn)
+
+            def spy(x, *args, ufunc=ufunc, seen=sizes[fn], **kwargs):
+                seen.append(np.size(x))
+                return ufunc(x, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.special, fn, spy)
+        tail = np.count_nonzero(~_erf_lanes(name))
+        got = gaussian_interval_prob(*_pin_inputs(name))
+        assert sizes == {"erf": [got.size] * 2, "erfc": [tail] * 2 if tail else []}
 
 
 class TestPairDistances:

@@ -132,6 +132,14 @@ CASES = {
         lambda: gaussian_interval_prob(1.0, 0.0, [1.0, -1.0]),
         InvalidArgumentError, "r must be nonnegative",
     ),
+    "interval prob nan r": (
+        lambda: gaussian_interval_prob(0.5, 0.0, math.nan),
+        InvalidArgumentError, "r must be nonnegative",
+    ),
+    "interval prob nan r in an array": (
+        lambda: gaussian_interval_prob([0.5, 1.0], 0.3, [1.0, math.nan]),
+        InvalidArgumentError, "r must be nonnegative",
+    ),
     "matrix not square": (
         lambda: _check_matrix(np.zeros((2, 3))),
         InvalidArgumentError, "matrix must be square",
