@@ -303,7 +303,9 @@ class ExperimentConfig:
         if kind != "interval" or self.n > 1:
             # Cantor and txset atoms and cube meshes are sampled by Cholesky
             # on every point but the origin; on the line, fft takes over
-            # from 256 interval points
+            # from 256 interval points.  At alpha 1/2 the line sets take the
+            # increments sampler instead, but the budget still bounds them:
+            # the kernel walk over their atoms is quadratic
             with _refused(f"{kind} set of {count} points", InvalidArgumentError):
                 _check_cholesky_budget(count - 1)
         # within the budget this takes about a millisecond

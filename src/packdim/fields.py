@@ -7,11 +7,19 @@ and the canonical metric is |t-s|^a.  Exact simulation is by Cholesky
 factorization of the covariance on the given point set, with a circulant
 embedding FFT path for the 1-D grids linspace(0, t_max, k), t_max > 0, taken
 bit for bit (same law, much larger point budgets).  The embedding is exact
-only on an exactly uniform grid: fft refuses, and "auto" sends to Cholesky,
-a grid that is uniform only within rounding.  The embedding's eigenvalue
-table of the last grid and roughness is kept, read-only, so repeated
-samples and replicas on one grid share it; a draw transforms every
-coordinate in one FFT call, whose rows have the bits of one call each.
+only on an exactly uniform grid: fft refuses a grid that is uniform only
+within rounding.  The embedding's eigenvalue table of the last grid and
+roughness is kept, read-only, so repeated samples and replicas on one grid
+share it; a draw transforms every coordinate in one FFT call, whose rows
+have the bits of one call each.
+
+"auto" picks one of three samplers: fft on such a grid of 256 points or
+more; else, at a = 1/2 on points of the line that increase strictly from
+t_1 >= 0, the independent increments of Brownian motion, whose covariance
+min(s, t) has the closed-form Cholesky factor L_ij = sqrt(t_j - t_{j-1}),
+j <= i, t_0 = 0: the draw scales the normals the Cholesky path would draw
+and sums them along the points, in O(k) time and memory and with no BLAS
+call, the Cholesky realization up to dpotrf's rounding; else Cholesky.
 
 Drift enters twice.  Sample paths carry it additively.  Model-level kernel
 computations only ever see drift increments f(t) - f(s); zero and constant
@@ -308,12 +316,20 @@ class _Sampler:
         self.field = field
         self.points = points
         k, n = points.shape
+        if method not in ("auto", "fft", "cholesky"):
+            raise InvalidArgumentError(f"unknown method {method!r}")
         # fft takes the grids _mesh_axes recognises on the line, but not its
         # single point [0] or its t_max <= 0
         mesh = _mesh_axes(points) if n == 1 and k >= 2 else None
         on_grid = mesh is not None and mesh[1] > 0.0
         if method == "auto":
-            method = "fft" if k >= 256 and on_grid else "cholesky"
+            t = points[:, 0]
+            if k >= 256 and on_grid:
+                method = "fft"
+            elif n == 1 and field.alpha == 0.5 and t[0] >= 0.0 and np.all(t[1:] > t[:-1]):
+                method = "increments"
+            else:
+                method = "cholesky"
         if method == "fft":
             if not on_grid:
                 raise InvalidArgumentError(
@@ -322,7 +338,12 @@ class _Sampler:
             self.m = k - 1
             self.h = float(points[1, 0])
             self.lam = _fgn_eigenvalues(self.m, field.alpha)
-        elif method == "cholesky":
+        elif method == "increments":
+            # the Cholesky factor of min(s, t) on t_1 < ... < t_k holds
+            # sqrt(t_j - t_{j-1}), t_0 = 0, in column j from the diagonal down
+            self.nz = points[:, 0] > 0.0
+            self.steps = np.sqrt(np.diff(points[self.nz, 0], prepend=0.0))[:, None]
+        else:
             norms = np.linalg.norm(points, axis=1)
             self.nz = norms > 0.0
             sub = points[self.nz]
@@ -338,8 +359,6 @@ class _Sampler:
                 out *= 0.5
 
             self.factor = _cholesky_in_place(len(sub), covariance)
-        else:
-            raise InvalidArgumentError(f"unknown method {method!r}")
         self.method = method
 
     def draw(self, seed: Seed) -> np.ndarray:
@@ -348,7 +367,11 @@ class _Sampler:
             return _sample_fft(gen, self.lam, self.m, self.field.range_dim, self.h, self.field.alpha)
         z = gen.standard_normal((int(self.nz.sum()), self.field.range_dim))
         vals = np.zeros((len(self.points), self.field.range_dim))
-        vals[self.nz] = self.factor @ z
+        if self.method == "increments":
+            z *= self.steps
+            vals[self.nz] = np.cumsum(z, axis=0, out=z)
+        else:
+            vals[self.nz] = self.factor @ z
         return vals
 
 
@@ -372,10 +395,13 @@ def sample(
 
     ``method`` is "cholesky" (any distinct points), "fft" (circulant
     embedding of the increments, on exactly ``linspace(0, t_max, k)`` with
-    k >= 2 and t_max > 0), or "auto" (fft on such a grid of 256 points or
-    more, else cholesky).  The two methods agree in law but not bitwise.
-    Points at the origin get value 0 exactly.  A zero drift leaves the
-    values untouched, not merely adds 0.
+    k >= 2 and t_max > 0), or "auto": fft on such a grid of 256 points or
+    more; else, at alpha 1/2 on 1-D points increasing strictly from
+    t_1 >= 0, the cumulative sum of the cholesky normals scaled by
+    sqrt(t_j - t_{j-1}), which is the cholesky sample up to dpotrf's
+    rounding; else cholesky.  fft and cholesky agree in law but not
+    bitwise.  Points at the origin get value 0 exactly.  A zero drift
+    leaves the values untouched, not merely adds 0.
     """
     p = _check_sample_points(points, field)
     sampler = _Sampler(field, p, method)

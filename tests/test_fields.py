@@ -3,6 +3,10 @@ reproducibility, and the image/graph views of a path."""
 
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +20,7 @@ from packdim import (
     FieldSpec,
     InvalidArgumentError,
     Seed,
+    build_tx_system,
     build_uniform_cantor,
     canonical_metric,
     cli,
@@ -24,7 +29,9 @@ from packdim import (
     graph_measure,
     graph_points,
     image_measure,
+    natural_measure,
     numerics,
+    realize_explicit,
     sample,
     sample_many,
 )
@@ -241,8 +248,8 @@ class TestFftGrid:
     points."""
 
     @staticmethod
-    def method(points, method="auto"):
-        return fields._Sampler(FieldSpec(0.5), points, method).method
+    def method(points, method="auto", alpha=0.5):
+        return fields._Sampler(FieldSpec(alpha), points, method).method
 
     @pytest.mark.parametrize("k", [256, 300, 1000, 4096, 2**14])
     def test_auto_takes_fft_on_linspace_and_arange_grids(self, k):
@@ -297,16 +304,18 @@ class TestFftGrid:
         )
 
     @pytest.mark.parametrize(
-        "points",
+        "points, auto",
         [
-            np.linspace(0.0, -1.0, 256)[:, None],
-            np.array([[0.0]]),
-            fields._mesh_points(256, 2, 1.0),
+            (np.linspace(0.0, -1.0, 256)[:, None], "cholesky"),
+            (np.array([[0.0]]), "increments"),
+            (fields._mesh_points(256, 2, 1.0), "cholesky"),
         ],
         ids=["negative-t-max", "one-point", "square-mesh"],
     )
-    def test_never_fft(self, points):
-        assert self.method(points) == "cholesky"
+    def test_never_fft(self, points, auto):
+        # at alpha 1/2 the sorted non-negative line point takes the increments
+        assert self.method(points) == auto
+        assert self.method(points, alpha=0.7) == "cholesky"
         with pytest.raises(InvalidArgumentError, match="needs a uniform 1-D grid"):
             self.method(points, "fft")
 
@@ -319,7 +328,8 @@ class TestFftGrid:
             InvalidArgumentError, match="^the fft method needs a uniform 1-D grid starting at 0$"
         ):
             self.method(t[:, None], "fft")
-        assert self.method(t[:, None]) == "cholesky"
+        assert self.method(t[:, None]) == "increments"
+        assert self.method(t[:, None], alpha=0.7) == "cholesky"
 
 
 class TestFftWork:
@@ -512,22 +522,125 @@ class TestCholeskyCovarianceCheck:
         assert not path.values[~nz].any()
 
 
+def _txset_atoms(beta: float, level: int) -> np.ndarray:
+    system = realize_explicit(build_tx_system(beta, 0.45, levels=level), level)
+    return natural_measure(system, system.depth).atoms
+
+
+class TestIncrements:
+    """At alpha 1/2 on sorted points t_1 < ... < t_k of [0, inf), "auto"
+    scales the normals cholesky draws by sqrt(t_j - t_{j-1}) and sums them
+    along the points: the closed-form factor of min(s, t)."""
+
+    CANTOR = build_uniform_cantor(2, 1.0 / 3.0, 7).lefts(7)[:, None]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["cantor", "txset"])
+    def test_same_realization_as_the_dpotrf_factor(self, name, d):
+        pts = self.CANTOR if name == "cantor" else _txset_atoms(0.45, 2)
+        assert pts[0, 0] == 0.0
+        spec = FieldSpec(0.5, range_dim=d)
+        assert fields._Sampler(spec, pts, "auto").method == "increments"
+        path = sample(spec, pts, Seed(11))
+        sub = pts[1:]
+        sn = np.abs(sub[:, 0])
+        cov = 0.5 * (sn[:, None] + sn[None, :] - numerics._pair_distances(sub, sub))
+        z = Seed(11).generator().standard_normal((len(sub), d))
+        np.testing.assert_allclose(path.values[1:], numerics.cholesky_psd(cov) @ z, rtol=0, atol=1e-10)
+        assert np.array_equal(path.values[0], np.zeros(d))
+
+    def test_explicit_cholesky_keeps_dpotrf(self):
+        path = sample(FieldSpec(0.5), self.CANTOR, Seed(11), method="cholesky")
+        factor = fields._Sampler(FieldSpec(0.5), self.CANTOR, "cholesky").factor
+        z = Seed(11).generator().standard_normal((len(self.CANTOR) - 1, 1))
+        assert np.array_equal(path.values[1:], factor @ z)
+
+    def test_increment_variance_tracks_metric(self):
+        # Var(X(t) - X(s)) = |t - s|, and increments over disjoint
+        # intervals are uncorrelated
+        pts = np.array([[0.1], [0.25], [0.6], [1.0]])
+        assert fields._Sampler(FieldSpec(0.5), pts, "auto").method == "increments"
+        paths = sample_many(FieldSpec(0.5), pts, Seed(8), 4000)
+        vals = np.array([p.values[:, 0] for p in paths])
+        incs = np.diff(vals, axis=1, prepend=0.0)
+        np.testing.assert_allclose(np.var(incs, axis=0), [0.1, 0.15, 0.35, 0.4], rtol=0.1)
+        corr = np.corrcoef(incs.T)
+        assert np.abs(corr[np.triu_indices(4, 1)]).max() < 0.05
+
+    @pytest.mark.parametrize(
+        "points, n, pick",
+        [
+            ([[0.0], [0.5], [1.0]], 1, "increments"),
+            ([[0.5], [0.75], [2.0]], 1, "increments"),
+            ([[0.0], [1.0], [0.5]], 1, "cholesky"),
+            ([[-0.5], [0.5], [1.0]], 1, "cholesky"),
+            ([[-1.0], [-0.5]], 1, "cholesky"),
+            ([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]], 2, "cholesky"),
+        ],
+        ids=["from-origin", "off-origin", "unsorted", "negative", "all-negative", "n=2"],
+    )
+    def test_pick(self, points, n, pick):
+        pts = np.array(points)
+        assert fields._Sampler(FieldSpec(0.5, domain_dim=n), pts, "auto").method == pick
+        assert fields._Sampler(FieldSpec(0.7, domain_dim=n), pts, "auto").method == "cholesky"
+
+    def test_not_a_public_method(self):
+        with pytest.raises(InvalidArgumentError, match="^unknown method 'increments'$"):
+            sample(FieldSpec(0.5), self.CANTOR, Seed(1), method="increments")
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # no BLAS call and no scipy.linalg on this path
+        script = (
+            "import hashlib, sys\n"
+            "from packdim import FieldSpec, Seed, build_uniform_cantor, sample\n"
+            "pts = build_uniform_cantor(2, 1 / 3, 11).lefts(11)\n"
+            "path = sample(FieldSpec(0.5, range_dim=2), pts, Seed(3))\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "print(hashlib.sha256(path.values.tobytes()).hexdigest())\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        digests = []
+        for threads in sorted({1, min(2, os.cpu_count() or 1)}):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert len(digests[0]) == 65
+        assert len(set(digests)) == 1
+
+
 class TestCholeskyMemory:
     def test_sample_many_holds_under_one_and_a_half_tables(self):
         # the sets-and-checks Cantor points, level 11: 2047 off the origin.
         # tracemalloc peak: 5.0 k x k float64 arrays when the covariance is
         # a new array beside the distances, 3.0 when it is built over them,
         # 1.07 when that array is also factored and transposed in place
+        # (explicit cholesky: "auto" takes the increments on these points)
         pts = build_uniform_cantor(2, 1.0 / 3.0, 11).lefts(11)
         k = len(pts) - 1
-        sample_many(FieldSpec(0.5), pts[:16], Seed(1), 1)  # load LAPACK first
+        sample_many(FieldSpec(0.5), pts[:16], Seed(1), 1, method="cholesky")  # load LAPACK first
+        tracemalloc.start()
+        try:
+            sample_many(FieldSpec(0.5), pts, Seed(1), 2, method="cholesky")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * k * k, peak / (8 * k * k)
+
+    def test_increments_hold_no_table(self):
+        # the same points under "auto": the peak is a few arrays of k
+        # values, under 64 of them, where one k x k table is 2047 of them
+        pts = build_uniform_cantor(2, 1.0 / 3.0, 11).lefts(11)
+        k = len(pts) - 1
         tracemalloc.start()
         try:
             sample_many(FieldSpec(0.5), pts, Seed(1), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * k * k, peak / (8 * k * k)
+        assert peak < 64 * 8 * k, peak / (8 * k)
 
 
 class TestMeshPoints:
